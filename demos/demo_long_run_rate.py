@@ -1,4 +1,4 @@
-"""Long-run rate and shape function via the vanishing-discount sequence.
+"""Long-run rate and shape function from the bordered eigen-equation.
 
 Two models with hand-checkable answers: flat coefficients (rate
 -r + v^2 sig_hi2 / 2 = 0.025, flat shape) and a mean-reverting short rate
@@ -17,8 +17,8 @@ flat = ModelSpec.build(
 )
 sol = solve_ergodic(flat, Grid.build([[-3.0, 3.0]], [257]), tol=1e-7)
 print(f"flat coefficients: rate {sol.lam:+.8f} (hand value +0.02500000)")
-print(f"  discount sequence ({len(sol.delta_trace)} halvings):",
-      " -> ".join(f"{lam:+.6f}" for _, lam in sol.delta_trace[:4]), "...")
+print(f"  solver: {sol.u.sweeps} residual evaluations, "
+      f"{len(sol.delta_trace) - 1} damped warm starts")
 print(f"  shape spread {np.ptp(sol.u.values):.2e} (flat)")
 
 ou = ModelSpec.build(

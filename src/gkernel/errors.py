@@ -103,4 +103,4 @@ class IterationError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """An outer limit procedure failed to settle (non-Cauchy trace)."""
+    """An iteration failed to settle (residual no longer decreasing)."""

@@ -1,24 +1,24 @@
 """Worst-case valuation PDEs on rectangular grids.
 
-Three solver entry points share one explicit monotone finite-difference
-core:
+Three solver entry points share one monotone finite-difference operator
+S(w) = max_c S_c(w), one candidate c per extreme covariance of the
+ambiguity set, with upwinded first and central second derivatives:
 
 * ``solve_parabolic`` -- terminal-value problem
       dw/dt + G(H(x, Dw, D2w)) + <b, Dw> + f = 0,  w(T, .) given,
-  marched backward in time with upwinded first derivatives, central
-  second derivatives, and an exact pointwise maximization over the
-  covariance candidates of the ambiguity set.
+  marched explicitly backward in time.
 
 * ``solve_discounted`` -- the stationary damped equation
-      G(H + 2 gamma2 delta u) + <b, Du> + f + gamma1 delta u = 0,
-  found by pseudo-time marching; a constant-mode correction removes the
-  O(1/delta) stiffness of the damping term.
+      G(H + 2 gamma2 delta u) + <b, Du> + f + gamma1 delta u = 0.
 
 * ``solve_ergodic`` -- the eigenpair (u, lam) of
-      G(H(x, Du, D2u)) + <b, Du> + f - lam = 0
-  via damping continuation: delta_k = delta0 / 2^k with warm starts,
-  lam_k = delta_k u^{delta_k}(anchor), stopping when the lam trace is
-  Cauchy at tolerance ``tol``.  u is reported anchored to zero.
+      G(H(x, Du, D2u)) + <b, Du> + f - lam = 0,  u(anchor) = 0
+  (for gamma2 = 0), the vanishing-damping limit delta u -> lam.
+
+Both stationary equations are solved to a residual tolerance by
+semismooth Newton, i.e. Howard policy iteration for the candidate max:
+the Jacobian comes from 3^m colored differences and is solved
+block-tridiagonally along axis 0.
 
 In pricing-kernel mode the driver is built from the model loadings:
 f = -r and the covariation driver contributes -2k_ij + v_i v_j plus the
@@ -34,6 +34,8 @@ a two-node band per face.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -46,10 +48,12 @@ from .errors import (
     CflError,
     ConvergenceError,
     DivergenceError,
+    DomainError,
+    EvaluationError,
     IterationError,
     ShapeError,
 )
-from .gcore import g_value_batch
+from .gcore import _candidate_scores, g_value, g_value_batch
 from .model import ModelSpec
 
 __all__ = [
@@ -370,8 +374,9 @@ class PdeSolution:
 class ErgodicSolution:
     """Eigenpair (u, lam) of the stationary worst-case valuation equation.
 
-    ``delta_trace`` lists (delta_k, lam_k) along the damping continuation;
-    ``u.values`` is anchored to zero at ``anchor_index``.
+    ``delta_trace`` lists (delta, delta u(anchor)) for each damped warm
+    start used and ends with (0.0, lam); ``u.values`` is anchored to zero
+    at ``anchor_index``.
     """
 
     u: PdeSolution
@@ -486,21 +491,19 @@ def hamiltonian_H(x, u_val, grad, hess, model: ModelSpec, mode: str = "pricing")
 
 
 # ---------------------------------------------------------------------------
-# the explicit stepper
+# the discrete operator
 
 
 class _Stepper:
-    """Per-candidate assembled monotone update on a fixed grid.
+    """Per-candidate assembled monotone operator on a fixed grid.
 
-    The stationary residual operator is
-
-        S(w) = max_c [ diffusion_c + advection_c + quadratic_c + const_c ]
-               + f  (+ damping terms when delta > 0),
+        S(w) = max_c [ diffusion_c + advection_c + quadratic_c + const_c ] + f,
 
     one candidate c per extreme covariance of the ambiguity set.  Each
     candidate uses its own upwind directions, so every S_c is monotone in
     the neighbor values and the pointwise max is both monotone and the
-    exact worst-case generator.
+    exact worst-case generator.  S depends on w only: damping and gamma2
+    terms are passed in by the caller.
     """
 
     def __init__(self, model: ModelSpec, grid: Grid, mode: str = "pricing",
@@ -537,7 +540,6 @@ class _Stepper:
         self.diff_c = np.empty((self.n_cand, m, m, n))      # sigma Q sigma^T per candidate
         self.vel_c = np.empty((self.n_cand, m, n))          # b + Q : (h - d)
         self.const_c = np.empty((self.n_cand, n))           # Q : (-k + vv/2)
-        self.trg2_c = np.zeros(self.n_cand)
         src = self.h_eff if mode == "pricing" else self.hval
         kv = (-self.kval + 0.5 * np.einsum("ni,nj->nij", self.vval, self.vval))
         for c, q in enumerate(cands):
@@ -556,8 +558,6 @@ class _Stepper:
         else:
             self.grad_cap = None
 
-        self._grad_scale = 1.0  # running bound on |Dw| used in the dt estimate
-
     # -- shaped views ----------------------------------------------------
 
     def _g(self, flat: np.ndarray) -> np.ndarray:
@@ -565,65 +565,67 @@ class _Stepper:
 
     # -- stationary residual ---------------------------------------------
 
-    def residual(self, w: np.ndarray, delta: float = 0.0, gamma1: float = -1.0,
-                 gamma2_tr: np.ndarray | None = None) -> np.ndarray:
+    def residual(self, w: np.ndarray, level=0.0, gamma2: np.ndarray | None = None,
+                 policy=None) -> np.ndarray:
+        """S(w), the candidate max of the assembled operator.
+
+        With ``gamma2`` each candidate also gets level * tr(Q_c gamma2),
+        i.e. G(H + 2 level gamma2) in place of G(H); ``level`` is a scalar
+        or one value per node.  ``policy`` (a candidate index, or one per
+        node) takes that candidate in place of the max.
+        """
         if self.mode == "generic":
-            s = self._residual_generic(w)
-        elif self.grid.m == 1:
-            s = self._residual_pricing_1d(w)
-        else:
-            s = self._residual_pricing_2d(w)
-        if delta > 0.0:
-            # damping: gamma1 delta u enters linearly; gamma2 adds
-            # delta u tr(Q gamma2) inside the candidate max.  For the
-            # candidate-max assembly that term was folded in already when
-            # gamma2_tr is provided, so only gamma1 remains here.
-            s = s + gamma1 * delta * w
-        return s
+            return self._residual_generic(w, level, gamma2, policy)
+        parts = self._parts_1d(w) if self.grid.m == 1 else self._parts_2d(w)
+        if gamma2 is not None:
+            level = np.broadcast_to(level, w.shape)
+            parts = [p + float(np.tensordot(q, gamma2)) * level
+                     for p, q in zip(parts, self.cands)]
+        return self._select(parts, policy) + self.f_base
 
-    def _candidate_max(self, parts: list[np.ndarray]) -> np.ndarray:
-        out = parts[0]
-        for p in parts[1:]:
-            out = np.maximum(out, p)
-        return out
+    @staticmethod
+    def _select(parts: list, policy) -> np.ndarray:
+        if policy is not None:
+            return np.stack(parts)[policy, np.arange(parts[0].size)]
+        return functools.reduce(np.maximum, parts)
 
-    def _residual_pricing_1d(self, w, delta: float = 0.0, g2tr=None):
-        h = self.hs[0]
-        wp = _pad_linear_1d(w)
-        dm = (wp[1:-1] - wp[:-2]) / h
-        dp = (wp[2:] - wp[1:-1]) / h
-        wxx = (wp[2:] - 2.0 * wp[1:-1] + wp[:-2]) / h**2
+    def _differences(self, w) -> tuple:
+        """Linearly padded w (grid-shaped) and (backward, forward) differences per axis."""
+        m = self.grid.m
+        wp = _pad_linear_1d(w) if m == 1 else _pad_linear_2d(w.reshape(self.shape))
+        core = wp[(slice(1, -1),) * m]
+        pairs = []
+        for ax, h in enumerate(self.hs):
+            below = tuple(slice(None, -2) if a == ax else slice(1, -1) for a in range(m))
+            above = tuple(slice(2, None) if a == ax else slice(1, -1) for a in range(m))
+            pairs.append(((core - wp[below]) / h, (wp[above] - core) / h))
+        return wp, pairs
+
+    def _parts_1d(self, w) -> list:
+        wp, ((dm, dp),) = self._differences(w)
+        wxx = (wp[2:] - 2.0 * wp[1:-1] + wp[:-2]) / self.hs[0] ** 2
         if self.grad_cap is not None:
             dpq = np.clip(dp, -self.grad_cap, self.grad_cap)
             dmq = np.clip(dm, -self.grad_cap, self.grad_cap)
         else:
             dpq, dmq = dp, dm
         quad = np.maximum(dpq, 0.0) ** 2 + np.minimum(dmq, 0.0) ** 2
-        self._grad_scale = max(1.0, float(np.max(np.abs(dp))), float(np.max(np.abs(dm))))
         parts = []
         for c in range(self.n_cand):
             a = self.diff_c[c, 0, 0]
             vel = self.vel_c[c, 0]
-            s = (
+            parts.append(
                 0.5 * a * wxx
                 + np.where(vel > 0.0, vel * dp, vel * dm)
                 + 0.5 * a * quad
                 + self.const_c[c]
             )
-            if delta > 0.0 and g2tr is not None:
-                s = s + delta * self.trg2_c[c] * w
-            parts.append(s)
-        return self._candidate_max(parts) + self.f_base
+        return parts
 
-    def _residual_pricing_2d(self, w2, delta: float = 0.0, g2tr=None):
+    def _parts_2d(self, w2) -> list:
         h1, h2 = self.hs
-        w = w2.reshape(self.shape)
-        wp = _pad_linear_2d(w)
+        wp, ((dm1, dp1), (dm2, dp2)) = self._differences(w2)
         core = wp[1:-1, 1:-1]
-        dm1 = (core - wp[:-2, 1:-1]) / h1
-        dp1 = (wp[2:, 1:-1] - core) / h1
-        dm2 = (core - wp[1:-1, :-2]) / h2
-        dp2 = (wp[1:-1, 2:] - core) / h2
         wxx = (wp[2:, 1:-1] - 2.0 * core + wp[:-2, 1:-1]) / h1**2
         wyy = (wp[1:-1, 2:] - 2.0 * core + wp[1:-1, :-2]) / h2**2
         wxy = (wp[2:, 2:] - wp[2:, :-2] - wp[:-2, 2:] + wp[:-2, :-2]) / (4.0 * h1 * h2)
@@ -631,11 +633,6 @@ class _Stepper:
         wyc = 0.5 * (dm2 + dp2)
         god1 = np.maximum(dp1, 0.0) ** 2 + np.minimum(dm1, 0.0) ** 2
         god2 = np.maximum(dp2, 0.0) ** 2 + np.minimum(dm2, 0.0) ** 2
-        self._grad_scale = max(
-            1.0,
-            float(np.max(np.abs(dp1))), float(np.max(np.abs(dm1))),
-            float(np.max(np.abs(dp2))), float(np.max(np.abs(dm2))),
-        )
         parts = []
         for c in range(self.n_cand):
             a11 = self._g(self.diff_c[c, 0, 0])
@@ -643,59 +640,38 @@ class _Stepper:
             a22 = self._g(self.diff_c[c, 1, 1])
             v1 = self._g(self.vel_c[c, 0])
             v2 = self._g(self.vel_c[c, 1])
-            s = (
+            parts.append((
                 0.5 * (a11 * wxx + 2.0 * a12 * wxy + a22 * wyy)
                 + np.where(v1 > 0.0, v1 * dp1, v1 * dm1)
                 + np.where(v2 > 0.0, v2 * dp2, v2 * dm2)
                 + 0.5 * (a11 * god1 + a22 * god2)
                 + a12 * wxc * wyc
                 + self._g(self.const_c[c])
-            )
-            if delta > 0.0 and g2tr is not None:
-                s = s + delta * self.trg2_c[c] * w
-            parts.append(s)
-        return (self._candidate_max(parts) + self._g(self.f_base)).ravel()
+            ).ravel())
+        return parts
 
-    def _residual_generic(self, w: np.ndarray) -> np.ndarray:
+    def _residual_generic(self, w, level, gamma2, policy) -> np.ndarray:
         """Literal assembly: upwind by drift sign, then exact G on one H."""
-        m = self.grid.m
-        if m == 1:
-            h = self.hs[0]
-            wp = _pad_linear_1d(w)
-            dm = (wp[1:-1] - wp[:-2]) / h
-            dp = (wp[2:] - wp[1:-1]) / h
-            grad = np.where(self.bval[:, 0] > 0.0, dp, dm)[:, None]
-        else:
-            w2 = w.reshape(self.shape)
-            wp = _pad_linear_2d(w2)
-            core = wp[1:-1, 1:-1]
-            g1 = np.where(
-                self._g(self.bval[:, 0]) > 0.0,
-                (wp[2:, 1:-1] - core) / self.hs[0],
-                (core - wp[:-2, 1:-1]) / self.hs[0],
-            )
-            g2 = np.where(
-                self._g(self.bval[:, 1]) > 0.0,
-                (wp[1:-1, 2:] - core) / self.hs[1],
-                (core - wp[1:-1, :-2]) / self.hs[1],
-            )
-            grad = np.stack([g1.ravel(), g2.ravel()], axis=-1)
-        hess = nodal_hessian(w.reshape(self.shape), self.grid).reshape(-1, m, m)
+        _, pairs = self._differences(w)
+        grad = np.stack([np.where(self._g(self.bval[:, ax]) > 0.0, dp, dm).ravel()
+                         for ax, (dm, dp) in enumerate(pairs)], axis=-1)
+        hess = nodal_hessian(w.reshape(self.shape), self.grid).reshape(grad.shape + (-1,))
         hmat = _hamiltonian_batch(
             self.model, self.pts, grad, hess, w, mode="generic", precomputed=self.pre
         )
-        gvals, _ = g_value_batch(hmat, self.model.uncertainty)
+        if gamma2 is not None:
+            hmat = hmat + 2.0 * np.multiply.outer(level, gamma2)
+        scores, _ = _candidate_scores(hmat, self.model.uncertainty)
+        gvals = self._select([0.5 * scores[:, c] for c in range(self.n_cand)], policy)
         z = np.einsum("nlj,nl->nj", self.sig, grad)
         fval = self.model.f(self.pts, w, z) if self.model.f is not None else 0.0
-        self._grad_scale = max(1.0, float(np.max(np.abs(grad))))
         return gvals + np.einsum("nl,nl->n", self.bval, grad) + fval
 
     # -- time-step control -----------------------------------------------
 
-    def stable_dt(self, delta: float = 0.0) -> float:
-        """Positivity-preserving pseudo-time step for the current state."""
-        gscale = min(self._grad_scale * 1.5, self.cap if math.isfinite(self.cap) else
-                     self._grad_scale * 1.5)
+    def stable_dt(self) -> float:
+        """Positivity-preserving time step, allowing gradients up to 1.5."""
+        gscale = min(1.5, self.cap)
         denom = 1e-300
         for c in range(self.n_cand):
             load = np.zeros(self.pts.shape[0])
@@ -708,7 +684,6 @@ class _Stepper:
                     load = load + np.abs(self.diff_c[c, ax, other]) / (
                         self.hs[ax] * self.hs[other])
             denom = max(denom, float(np.max(load)))
-        denom += abs(delta) * 2.0
         return 0.9 / denom
 
 
@@ -891,7 +866,7 @@ def solve_parabolic(
     hist[n_t] = w_term
     w = w_term.ravel().copy()
     for q in range(n_t - 1, -1, -1):
-        s = stepper.residual(w, delta=0.0)
+        s = stepper.residual(w)
         w = w + dt * s
         _check_finite(w, n_t - q)
         hist[q] = w.reshape(grid.shape)
@@ -903,15 +878,131 @@ def solve_parabolic(
     return sol
 
 
-def _gamma2_matrix(gamma2, d: int) -> np.ndarray:
-    if gamma2 is None:
-        return np.zeros((d, d))
-    g2 = np.asarray(gamma2, dtype=float)
+def _damping_gamma2(gamma1: float, gamma2, model: ModelSpec) -> np.ndarray | None:
+    """Symmetrized gamma2, None when zero; checks gamma1 + 2 G(gamma2) = -1."""
+    d = model.d
+    g2 = np.asarray(0.0 if gamma2 is None else gamma2, dtype=float)
     if g2.ndim == 0:
         g2 = g2 * np.eye(d)
     if g2.shape != (d, d):
         raise ShapeError(f"gamma2 must be a ({d}, {d}) matrix")
-    return 0.5 * (g2 + g2.T)
+    g2 = 0.5 * (g2 + g2.T)
+    norm = gamma1 + 2.0 * g_value(g2, model.uncertainty).value
+    if abs(norm + 1.0) > 1e-12:
+        raise ShapeError(f"damping normalization gamma1 + 2 G(gamma2) must equal -1, got {norm}")
+    return g2 if np.any(g2) else None
+
+
+class _Budget:
+    """Residual evaluations one solve has spent, against its limit."""
+
+    def __init__(self, limit: int):
+        self.limit, self.used = limit, 0
+
+    def spend(self, count: int, residual: float) -> None:
+        if self.used + count > self.limit:
+            raise IterationError(f"stationary solve used up its {self.limit} residual "
+                                 "evaluations", last_residual=residual)
+        self.used += count
+
+
+def _jacobian_blocks(fun, w: np.ndarray, f0: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    """Jacobian of a nearest-neighbour residual, block-tridiagonal along axis 0.
+
+    F at node (i, j) depends only on the nodes (i + o1, j + o2), o1, o2 in
+    {-1, 0, 1} (a 1D grid is n2 = 1).  Nodes whose indices agree mod 3
+    share a color, so one forward difference per color gives every entry.
+    Returns (3, n1, n2, n2) with ``blocks[1 + o1][i]`` = dF(i, .) / dw(i + o1, .).
+    """
+    i, j = np.indices((n1, n2))
+    c2 = 3 if n2 > 1 else 1
+    eps = 1e-7 * (1.0 + float(np.max(np.abs(w))))
+    color = ((i % 3) * c2 + j % c2).ravel()
+    diffs = np.stack([(fun(w + eps * (color == k)) - f0) / eps for k in range(3 * c2)])
+    diffs = diffs.reshape(-1, n1, n2)
+    blocks = np.zeros((3, n1, n2, n2))
+    for o1, o2 in itertools.product((-1, 0, 1), (-1, 0, 1) if n2 > 1 else (0,)):
+        ok = (i + o1 >= 0) & (i + o1 < n1) & (j + o2 >= 0) & (j + o2 < n2)
+        k = ((i + o1) % 3) * c2 + (j + o2) % c2
+        blocks[1 + o1][i[ok], j[ok], j[ok] + o2] = diffs[k[ok], i[ok], j[ok]]
+    return blocks
+
+
+def _block_thomas(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L_i x_(i-1) + D_i x_i + U_i x_(i+1) = r_i (rhs (n1, n2, k)) by block elimination."""
+    lower, diag, upper = blocks
+    n2 = diag.shape[1]
+    cs, rs = np.empty_like(upper), np.empty_like(rhs)
+    for i in range(diag.shape[0]):
+        pivot, r = diag[i], rhs[i]
+        if i > 0:
+            pivot, r = pivot - lower[i] @ cs[i - 1], r - lower[i] @ rs[i - 1]
+        both = np.linalg.solve(pivot, np.concatenate([upper[i], r], axis=1))
+        cs[i], rs[i] = both[:, :n2], both[:, n2:]
+    for i in range(diag.shape[0] - 2, -1, -1):
+        rs[i] -= cs[i] @ rs[i + 1]
+    return rs
+
+
+def _newton(stepper: _Stepper, w: np.ndarray, lam: float, delta: float, gamma1: float,
+            gamma2: np.ndarray | None, anchor: int, tol: float, budget: _Budget) -> tuple:
+    """Semismooth Newton (Howard) iteration; returns (w, lam) once sup |F| <= tol.
+
+    delta > 0: F(w) = max_c[S_c(w) + delta w tr(Q_c gamma2)] + f + gamma1 delta w.
+    delta = 0: F(w, lam) = max_c[S_c(w) + lam tr(Q_c gamma2)] + f + gamma1 lam
+    with w[anchor] = 0, the limit of delta -> 0 with delta w -> lam.  Each
+    step freezes the maximizing candidate per node and differences F under
+    it; with delta = 0 the anchor row of J becomes the unit row and the lam
+    step solves the anchor row (its Schur complement).  Raises
+    ConvergenceError when sup |F| stops decreasing, tol is below its
+    round-off floor or J is singular.
+    """
+    n1, n2 = stepper.shape if stepper.grid.m == 2 else (stepper.shape[0], 1)
+    bordered = delta == 0.0
+    traces = np.array([0.0 if gamma2 is None else np.tensordot(q, gamma2) for q in stepper.cands])
+
+    def resid(v, policy):
+        level = lam if bordered else delta * v
+        return stepper.residual(v, level, gamma2, policy) + gamma1 * level
+
+    res, best = math.nan, math.inf
+    while True:
+        # policy improvement: the maximizing candidate per node, the first on ties
+        budget.spend(stepper.n_cand, res)
+        each = np.stack([resid(w, c) for c in range(stepper.n_cand)])
+        pick, f0 = np.argmax(each, axis=0), np.max(each, axis=0)
+        _check_finite(f0, budget.used)
+        res = float(np.max(np.abs(f0)))
+        if res <= tol:
+            return w, lam
+        if not res < best:
+            raise ConvergenceError(f"Newton residual stopped decreasing at {res:.3e}")
+        best = res
+        budget.spend(3 ** stepper.grid.m, res)
+        blocks = _jacobian_blocks(lambda v: resid(v, pick), w, f0, n1, n2)
+        # F carries a rounding error of about eps |J| |w|: a smaller tol is met only by chance
+        floor = np.finfo(float).eps * np.max(np.abs(blocks).sum(axis=(0, 3))) * np.max(np.abs(w))
+        if tol < floor:
+            raise ConvergenceError(f"tol {tol:.1e} is below the round-off floor {floor:.1e}")
+        rhs = f0[:, None]
+        if bordered:
+            ia, ja = divmod(anchor, n2)
+            row = blocks[:, ia, ja, :].copy()
+            blocks[:, ia, ja, :] = 0.0
+            blocks[1, ia, ja, ja] = 1.0
+            g = traces[pick] + gamma1  # dF/dlam under the frozen policy
+            rhs = np.stack([f0, g], axis=-1)
+            rhs[anchor] = 0.0
+        try:
+            x = _block_thomas(blocks, rhs.reshape(n1, n2, -1))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"singular Newton Jacobian ({exc})") from None
+        if bordered:
+            jx = sum(row[1 + o] @ x[ia + o] for o in (-1, 0, 1) if 0 <= ia + o < n1)
+            dlam = (f0[anchor] - jx[0]) / (g[anchor] - jx[1])
+            x = x[..., 0] - dlam * x[..., 1]
+            lam = lam - dlam
+        w = w - x.ravel()
 
 
 def solve_discounted(
@@ -924,117 +1015,29 @@ def solve_discounted(
     tol_inner: float = 1e-10,
     max_sweeps: int = 500_000,
     warm_start: np.ndarray | None = None,
-    anchor_index: tuple | None = None,
     gradient_cap: float = math.inf,
-    _stepper: _Stepper | None = None,
 ) -> PdeSolution:
-    """Solve the damped stationary equation by pseudo-time marching.
+    """Solve G(H + 2 gamma2 delta w) + <b, Dw> + f + gamma1 delta w = 0 by Newton.
 
-    Requires delta > 0 and the normalization gamma1 + 2 G(gamma2) = -1.
-    Iterates until the sweep update has sup norm below ``tol_inner``.
-
-    In pricing mode with gamma2 = 0 the operator is invariant under
-    constant shifts except for the linear damping, so the iteration is
-    split into a shape component anchored to zero and an exactly solved
-    level c = S(shape)(anchor) / (-gamma1 delta).  This removes the
-    1/delta convergence bottleneck and keeps every differenced array
-    O(1) even though the solution level grows like 1/delta.  Other modes
-    march the full state with a damped level correction.
+    Requires delta > 0 and gamma1 + 2 G(gamma2) = -1.  Semismooth Newton
+    starts from ``warm_start`` (default 0) and stops once the residual has
+    sup norm at most ``tol_inner``.  ``sweeps`` on the result counts
+    residual evaluations, one per covariance candidate plus 3^m per
+    iteration; more than ``max_sweeps`` raise :class:`IterationError`, a
+    residual that stops decreasing :class:`ConvergenceError`.
     """
-    from .gcore import g_value
-
     delta = float(delta)
     if delta <= 0.0:
         raise ShapeError(f"delta must be positive, got {delta}")
-    g2 = _gamma2_matrix(gamma2, model.d)
-    norm = gamma1 + 2.0 * g_value(g2, model.uncertainty).value
-    if abs(norm + 1.0) > 1e-12:
-        raise ShapeError(
-            f"damping normalization gamma1 + 2 G(gamma2) must equal -1, got {norm}"
-        )
-
-    stepper = _stepper or _Stepper(model, grid, mode=mode, gradient_cap=gradient_cap)
-    for c, q in enumerate(stepper.cands):
-        stepper.trg2_c[c] = float(np.tensordot(q, g2))
-    has_g2 = bool(np.any(g2))
-
-    anchor = anchor_index or grid.anchor_index()
-    anchor_flat = int(np.ravel_multi_index(anchor, grid.shape))
-    n = stepper.pts.shape[0]
-    if warm_start is None:
-        phi = np.zeros(n)
-    else:
-        phi = np.asarray(warm_start, dtype=float).ravel().copy()
-        if phi.size != n:
-            raise ShapeError("warm start has the wrong size for this grid")
-        phi -= phi[anchor_flat]
-
-    exact_level = (mode == "pricing") and not has_g2
-
-    def raw_residual(state: np.ndarray) -> np.ndarray:
-        if stepper.mode == "generic":
-            return stepper._residual_generic(state) + gamma1 * delta * state
-        if grid.m == 1:
-            s = stepper._residual_pricing_1d(state, delta, g2 if has_g2 else None)
-        else:
-            s = stepper._residual_pricing_2d(state, delta, g2 if has_g2 else None)
-        return s + gamma1 * delta * state
-
-    dt = stepper.stable_dt(delta)
-    sweeps = 0
-    update = math.inf
-
-    if exact_level:
-        level = 0.0
-        while sweeps < max_sweeps:
-            s = raw_residual(phi)
-            level = s[anchor_flat] / (-gamma1 * delta)
-            s_shape = s - s[anchor_flat]
-            phi = phi + dt * s_shape
-            sweeps += 1
-            if sweeps % 16 == 0 or sweeps < 4:
-                _check_finite(phi, sweeps)
-            update = dt * float(np.max(np.abs(s_shape)))
-            if update < tol_inner:
-                break
-            if sweeps % 64 == 0:
-                dt = stepper.stable_dt(delta)
-        else:
-            raise IterationError(
-                f"damped stationary solve did not converge in {max_sweeps} sweeps",
-                last_residual=update,
-            )
-        _check_finite(phi, sweeps)
-        level = raw_residual(phi)[anchor_flat] / (-gamma1 * delta)
-        w = phi + level
-    else:
-        w = phi
-        while sweeps < max_sweeps:
-            s = raw_residual(w)
-            shift = 0.0
-            if sweeps % 8 == 0:
-                shift = 0.5 * s[anchor_flat] / delta
-            w = w + dt * s + shift
-            sweeps += 1
-            if sweeps % 16 == 0 or sweeps < 4:
-                _check_finite(w, sweeps)
-            update = dt * float(np.max(np.abs(s))) + abs(shift)
-            if update < tol_inner:
-                break
-            if sweeps % 64 == 0:
-                dt = stepper.stable_dt(delta)
-        else:
-            raise IterationError(
-                f"damped stationary solve did not converge in {max_sweeps} sweeps",
-                last_residual=update,
-            )
-        _check_finite(w, sweeps)
-
-    sol = PdeSolution(
-        grid=grid, kind="stationary", values=w.reshape(grid.shape),
-        sweeps=sweeps, converged=True,
-    )
-    return sol
+    g2 = _damping_gamma2(gamma1, gamma2, model)
+    stepper = _Stepper(model, grid, mode=mode, gradient_cap=gradient_cap)
+    w = np.zeros(grid.shape) if warm_start is None else np.array(warm_start, dtype=float)
+    if w.size != stepper.pts.shape[0]:
+        raise ShapeError("warm start has the wrong size for this grid")
+    budget = _Budget(max_sweeps)
+    w, _ = _newton(stepper, w.ravel(), 0.0, delta, gamma1, g2, 0, tol_inner, budget)
+    return PdeSolution(grid=grid, kind="stationary", values=w.reshape(grid.shape),
+                       sweeps=budget.used)
 
 
 def solve_ergodic(
@@ -1052,19 +1055,24 @@ def solve_ergodic(
     gradient_cap: float = math.inf,
     check: bool = True,
 ) -> ErgodicSolution:
-    """Eigenpair (u, lam) by vanishing-damping continuation.
+    """Eigenpair (u, lam) by Newton on the bordered stationary system.
 
-    Solves the damped equation at delta_k = delta0 / 2^k (warm-started),
-    tracks lam_k = delta_k * u_k(anchor), and stops once consecutive lam
-    values differ by less than ``tol``.  Returns u anchored to zero.  A
-    non-Cauchy trace after ``max_halvings`` halvings raises
-    :class:`ConvergenceError`.
+    Solves max_c[S_c(u) + lam tr(Q_c gamma2)] + f + gamma1 lam = 0,
+    u(anchor) = 0 -- the vanishing-damping limit of :func:`solve_discounted`,
+    S(u) = lam for gamma2 = 0 -- until the residual has sup norm at most
+    ``tol``.  In generic mode the drivers see the anchored u.  Newton starts
+    from u = 0; if that fails, the damped solutions at delta0 / 2^k,
+    k = 0 .. ``max_halvings`` (each to ``tol_inner``), serve in turn as warm
+    starts, and :class:`ConvergenceError` is raised when none works.
+    ``max_sweeps`` caps the residual evaluations of the whole solve
+    (:class:`IterationError`).
 
     When ``check`` is true a coarse dissipativity diagnostic runs first
     and a failing margin produces a warning (not an error).
     """
     if delta0 <= 0.0:
         raise ShapeError(f"delta0 must be positive, got {delta0}")
+    g2 = _damping_gamma2(gamma1, gamma2, model)
     if check:
         from .model import check_assumptions
 
@@ -1076,55 +1084,45 @@ def solve_ergodic(
                     "the long-horizon limit may be unreliable",
                     stacklevel=2,
                 )
-        except Exception:  # diagnostics must never block the solve
-            warnings.warn("assumption diagnostics failed; continuing", stacklevel=2)
+        except (ShapeError, EvaluationError, DomainError) as exc:
+            # diagnostics must never block the solve
+            warnings.warn(f"assumption diagnostics failed ({exc}); continuing", stacklevel=2)
 
     anchor_idx = grid.anchor_index(anchor)
-    anchor_flat = int(np.ravel_multi_index(anchor_idx, grid.shape))
+    a = int(np.ravel_multi_index(anchor_idx, grid.shape))
     anchor_point = np.array([ax[i] for ax, i in zip(grid.axes(), anchor_idx)])
 
     stepper = _Stepper(model, grid, mode=mode, gradient_cap=gradient_cap)
-    trace: list[tuple[float, float]] = []
-    warm = None
-    lam_prev = math.nan
-    total_sweeps = 0
-    sol = None
-    for k in range(max_halvings + 1):
-        delta_k = delta0 / 2.0**k
-        sol = solve_discounted(
-            model, grid, delta_k, gamma1=gamma1, gamma2=gamma2, mode=mode,
-            tol_inner=tol_inner, max_sweeps=max_sweeps, warm_start=warm,
-            anchor_index=anchor_idx, gradient_cap=gradient_cap, _stepper=stepper,
-        )
-        total_sweeps += sol.sweeps
-        lam_k = delta_k * float(sol.values.ravel()[anchor_flat])
-        trace.append((delta_k, lam_k))
-        if k >= 1 and abs(lam_k - lam_prev) < tol:
+    budget = _Budget(max_sweeps)
+    w, trace = np.zeros(stepper.pts.shape[0]), []
+    for k in range(max_halvings + 2):
+        try:
+            lam0 = trace[-1][1] if trace else 0.0
+            u, lam = _newton(stepper, w - w[a], lam0, 0.0, gamma1, g2, a, tol, budget)
             break
-        lam_prev = lam_k
-        warm = sol.values.ravel()
+        except (ConvergenceError, DivergenceError) as exc:
+            failure = exc
+        if k <= max_halvings:
+            delta = delta0 / 2.0**k
+            w, _ = _newton(stepper, w, 0.0, delta, gamma1, g2, a, tol_inner, budget)
+            trace.append((delta, delta * float(w[a])))
     else:
-        raise ConvergenceError(
-            f"damping trace is not Cauchy after {max_halvings} halvings: "
-            f"last increments {abs(trace[-1][1] - trace[-2][1]):.3e}"
-        )
+        raise ConvergenceError(f"Newton failed from u = 0 and from {max_halvings + 1} "
+                               f"damped warm starts: {failure}")
+    trace.append((0.0, float(lam)))
 
-    lam = trace[-1][1]
-    u_vals = sol.values - sol.values.ravel()[anchor_flat]
-    u_sol = PdeSolution(
-        grid=grid, kind="stationary", values=u_vals, sweeps=total_sweeps, converged=True,
-    )
-    rep = pde_residual(u_sol, model, lam=lam, mode=mode)
-    u_sol.residual = rep.values
-    u_sol.residual_linf = rep.linf_interior
-    u_sol.residual_l2 = rep.l2_interior
+    values = (u - u[a]).reshape(grid.shape)
+    rep = pde_residual(values, model, grid=grid, lam=lam, mode=mode)
+    u_sol = PdeSolution(grid=grid, kind="stationary", values=values, sweeps=budget.used,
+                        residual=rep.values, residual_linf=rep.linf_interior,
+                        residual_l2=rep.l2_interior)
 
     return ErgodicSolution(
         u=u_sol,
         lam=float(lam),
         delta_trace=tuple(trace),
         gamma1=float(gamma1),
-        gamma2=_gamma2_matrix(gamma2, model.d),
+        gamma2=np.zeros((model.d, model.d)) if g2 is None else g2,
         anchor_index=anchor_idx,
         anchor_point=anchor_point,
     )

@@ -430,3 +430,18 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert proc.stdout.count("[PASS]") == 4
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy is not a dependency: importing it would add about 0.4 s and
+        # 30 MB to every run
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        code = ("import sys, gkernel, gkernel.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

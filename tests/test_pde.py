@@ -8,8 +8,10 @@ import pytest
 
 from gkernel import (
     CflError,
+    CoefficientFn,
     ConvergenceError,
     DivergenceError,
+    EvaluationError,
     Grid,
     IterationError,
     ModelSpec,
@@ -24,8 +26,21 @@ from gkernel import (
     solve_parabolic,
     truncation_level,
 )
+from gkernel import pde
 from gkernel.pde import nodal_gradient, nodal_hessian
 from conftest import CONST_LAM, OU_LAM, quadratic_rate_lam, quadratic_rate_model
+
+
+class _GridOnlyRate(CoefficientFn):
+    """r = x, defined only on the given nodes; ``error`` is raised elsewhere."""
+
+    def __init__(self, nodes, error):
+        self.nodes, self.error = nodes, error
+
+    def __call__(self, x):
+        if not np.all(np.isin(x[:, 0], self.nodes)):
+            raise self.error("rate is tabulated on the solve grid only")
+        return x[:, 0].copy()
 
 
 class TestHamiltonian:
@@ -280,6 +295,55 @@ class TestErgodic:
         with pytest.warns(UserWarning):
             solve_ergodic(model, Grid.build([(-1.0, 1.0)], [33]), tol=1e-5)
 
+    def test_general_damping_weights_eigenpair(self, const_model):
+        # bordered residual max_c[S_c(u) + lam tr(Q_c gamma2)] + gamma1 lam at
+        # constant u: 0.5 q (0.09 + lam) - 0.02 - 1.5 lam, maximal at q = 1
+        sol = solve_ergodic(const_model, Grid.build([(-3.0, 3.0)], [65]), tol=1e-12,
+                            gamma1=-1.5, gamma2=0.5, check=False)
+        assert abs(sol.lam - CONST_LAM) < 1e-9
+        assert np.max(np.abs(sol.u.values)) < 1e-9
+
+    def test_diagnostic_failure_warns_and_continues(self, ou_model):
+        grid = Grid.build([(-1.0, 1.0)], [33])
+        model = ModelSpec.build(
+            m=1, d=1, b=["0.05 - 1.0 * x1"], sigma=[["0.2"]],
+            r=_GridOnlyRate(grid.axes()[0], EvaluationError),
+            uncertainty=UncertaintySet.interval(0.8, 1.2),
+        )
+        with pytest.warns(UserWarning, match="assumption diagnostics failed"):
+            sol = solve_ergodic(model, grid, tol=1e-9)
+        assert sol.lam == pytest.approx(
+            solve_ergodic(ou_model, grid, tol=1e-9, check=False).lam, abs=1e-12)
+
+    def test_unexpected_diagnostic_errors_propagate(self):
+        grid = Grid.build([(-1.0, 1.0)], [33])
+        model = ModelSpec.build(
+            m=1, d=1, b=["0.05 - 1.0 * x1"], sigma=[["0.2"]],
+            r=_GridOnlyRate(grid.axes()[0], RuntimeError),
+            uncertainty=UncertaintySet.interval(0.8, 1.2),
+        )
+        with pytest.raises(RuntimeError):
+            solve_ergodic(model, grid, tol=1e-9)
+
+    def test_damped_warm_start_after_failed_newton(self, ou_model, monkeypatch):
+        grid = Grid.build([(-2.0, 2.0)], [65])
+        direct = solve_ergodic(ou_model, grid, tol=1e-9, check=False)
+        newton, deltas = pde._newton, []
+
+        def fail_first(stepper, w, lam, delta, *args):
+            deltas.append(delta)
+            if len(deltas) == 1:
+                raise ConvergenceError("forced failure")
+            return newton(stepper, w, lam, delta, *args)
+
+        monkeypatch.setattr(pde, "_newton", fail_first)
+        sol = solve_ergodic(ou_model, grid, tol=1e-9, check=False, delta0=0.4)
+        assert deltas == [0.0, 0.4, 0.0]
+        assert [d for d, _ in sol.delta_trace] == [0.4, 0.0]
+        assert sol.delta_trace[-1][1] == sol.lam
+        assert abs(sol.lam - direct.lam) < 1e-9
+        assert np.max(np.abs(sol.u.values - direct.u.values)) < 1e-8
+
     def test_two_noise_finite_set_smoke(self):
         model = ModelSpec.build(
             m=1, d=2, b=["-x1"], sigma=[[0.2, 0.1]], r=0.02,
@@ -293,6 +357,41 @@ class TestErgodic:
         assert np.max(np.abs(sol.u.values)) < 1e-6
 
 
+class TestTwoFactor:
+    def test_separable_sum_of_one_factor_eigenpairs(self):
+        one = ModelSpec.build(
+            m=1, d=1, b=["0.05 - 1.0 * x1"], sigma=[["0.2"]], r="x1",
+            uncertainty=UncertaintySet.interval(1.0, 1.0),
+        )
+        two = ModelSpec.build(
+            m=2, d=2, b=["0.05 - 1.0 * x1", "0.05 - 1.0 * x2"],
+            sigma=[[0.2, 0.0], [0.0, 0.2]], r="x1 + x2",
+            uncertainty=UncertaintySet.finite([np.eye(2)]),
+        )
+        sol1 = solve_ergodic(one, Grid.build([(-2.0, 2.0)], [65]), tol=1e-10, check=False)
+        sol2 = solve_ergodic(two, Grid.build([(-2.0, 2.0)] * 2, [65, 65]), tol=1e-10,
+                             check=False)
+        # u = -x per factor: lam = 2 (-kappa theta + sigma^2 / 2) = -0.06
+        assert abs(sol2.lam - (-0.06)) < 1e-9
+        assert abs(sol2.lam - 2.0 * sol1.lam) < 1e-9
+        u1 = sol1.u.values
+        assert np.max(np.abs(sol2.u.values - (u1[:, None] + u1[None, :]))) < 1e-8
+
+    def test_affine_two_member_set(self):
+        model = ModelSpec.build(
+            m=2, d=2, b=["0.05 - 1.0 * x1", "0.05 - 1.0 * x2"],
+            sigma=[[0.2, 0.0], [0.0, 0.2]], r="x1 + x2",
+            uncertainty=UncertaintySet.finite([np.eye(2), [[1.0, 0.5], [0.5, 1.0]]]),
+        )
+        grid = Grid.build([(-2.0, 2.0)] * 2, [33, 33])
+        sol = solve_ergodic(model, grid, tol=1e-10, check=False)
+        # u = -(x1 + x2), z = (-0.2, -0.2): z^T Q z / 2 is largest (0.06) for
+        # the correlated member, so lam = 0.06 - 2 * 0.05
+        assert abs(sol.lam - (0.5 * 0.12 - 0.1)) < 1e-9
+        pts = grid.points()
+        assert np.max(np.abs(sol.u.values.ravel() + pts[:, 0] + pts[:, 1])) < 1e-8
+
+
 class TestGenericMode:
     def test_matches_pricing_drivers(self, ou_model, ou_grid):
         twin = ModelSpec.build(
@@ -304,6 +403,22 @@ class TestGenericMode:
         grid = Grid.build([(-2.0, 2.0)], [129])
         ref = solve_ergodic(ou_model, grid, tol=1e-7, check=False)
         gen = solve_ergodic(twin, grid, mode="generic", tol=1e-7, check=False)
+        assert abs(gen.lam - ref.lam) < 1e-9
+        assert np.max(np.abs(gen.u.values - ref.u.values)) < 1e-8
+
+    def test_matches_pricing_drivers_with_gamma2(self, ou_model):
+        # gamma1 + 2 G(gamma2) = -1.6 + 1.2 * 0.5 = -1
+        twin = ModelSpec.build(
+            m=1, d=1, b=["0.05 - 1.0 * x1"], sigma=[["0.2"]], r=0.0,
+            uncertainty=UncertaintySet.interval(0.8, 1.2),
+            f=lambda x, y, z: -x[:, 0],
+            g=[[lambda x, y, z: 0.5 * z[:, 0] ** 2]],
+        )
+        grid = Grid.build([(-2.0, 2.0)], [65])
+        weights = {"gamma1": -1.6, "gamma2": 0.5, "tol": 1e-10, "check": False}
+        ref = solve_ergodic(ou_model, grid, **weights)
+        gen = solve_ergodic(twin, grid, mode="generic", **weights)
+        assert abs(ref.lam - OU_LAM) < 1e-9
         assert abs(gen.lam - ref.lam) < 1e-9
         assert np.max(np.abs(gen.u.values - ref.u.values)) < 1e-8
 
