@@ -14,7 +14,6 @@ from gkernel import (
     ModelSpec,
     UncertaintySet,
     check_assumptions,
-    derived_dij,
     truncation_level,
 )
 
@@ -64,4 +63,4 @@ print("\nstate-dependent volatility: noise Lipschitz "
 # the market-price loading shifts the effective covariation drift
 pts = np.array([[0.0], [1.0]])
 print("\ncovariation drift shift sigma*v at x in {0, 1}:",
-      derived_dij(saturating)(pts).ravel())
+      saturating.eval_dij(pts).ravel())

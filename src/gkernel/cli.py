@@ -131,7 +131,7 @@ def _sim_settings(cfg: RunConfig, args):
 
 
 def _run_decompose(cfg: RunConfig, args) -> int:
-    from .decomp import compute_components, reconstruct_D, verify_bsde_residual, \
+    from .decomp import _residual_report, compute_components, reconstruct_D, \
         verify_martingales
 
     sol = _solve(cfg, args)
@@ -142,7 +142,7 @@ def _run_decompose(cfg: RunConfig, args) -> int:
     )
     dec = compute_components(batch, sol, cfg.model)
     _, recon_stats = reconstruct_D(dec)
-    bsde = verify_bsde_residual(batch, sol, cfg.model)
+    bsde = _residual_report(dec)
 
     n_audit = min(n_paths, _AUDIT_PATH_LIMIT)
     audit_dec = dec if n_audit == n_paths else dec.path_slice(0, n_audit)

@@ -96,8 +96,9 @@ def compute_components(
 ) -> Decomposition:
     """Evaluate every factor of the decomposition along a scenario batch.
 
-    ``solution`` must expose value/gradient/hessian interpolation (an
-    :class:`ErgodicSolution` does); ``lam`` defaults to its eigenvalue.
+    ``solution`` must expose ``value_at``, ``derivatives_at`` and
+    ``coverage_excess`` (an :class:`ErgodicSolution` does); ``lam``
+    defaults to its eigenvalue.
     Paths straying more than 20% of the box width outside the solution
     grid abort with :class:`CoverageError`.
     """
@@ -121,13 +122,14 @@ def compute_components(
         )
 
     u = solution.value_at(flat).reshape(n, n_nodes)
-    grad = solution.gradient_at(flat).reshape(n, n_nodes, m)
+    grad, hess = solution.derivatives_at(flat)
+    grad = grad.reshape(n, n_nodes, m)
     sig_all = model.eval_sigma(flat).reshape(n, n_nodes, m, d)
     z_all = np.einsum("nkld,nkl->nkd", sig_all, grad)
 
     # left-endpoint quantities driving the increments
     flat_l = batch.X[:, :-1].reshape(-1, m)
-    hess_l = solution.hessian_at(flat_l)
+    hess_l = hess.reshape(n, n_nodes, m, m)[:, :-1].reshape(-1, m, m)
     h_l = _hamiltonian_batch(
         model, flat_l, grad[:, :-1].reshape(-1, m), hess_l,
         u[:, :-1].ravel(), mode="pricing",
@@ -489,7 +491,11 @@ def verify_bsde_residual(
     ``window`` restricts the audit to steps inside [s, T]; cumulative
     sums then restart from 0 at s.  The default covers the whole batch.
     """
-    dec = compute_components(batch, solution, model, lam=lam)
+    return _residual_report(compute_components(batch, solution, model, lam=lam), window)
+
+
+def _residual_report(dec: Decomposition, window: tuple | None = None) -> BsdeResidualReport:
+    """Per-step residual norms of a decomposition already computed."""
     rho = np.diff(dec.gap, axis=1)
     t0, t1 = (float(dec.times[0]), float(dec.times[-1])) if window is None else (
         float(window[0]), float(window[1]))

@@ -104,11 +104,12 @@ def write_batch_csv(path, batch, max_paths: int | None = None) -> None:
         + [f"X_{i + 1}" for i in range(m)]
     )
     lines = [",".join(header)]
+    qv = batch.path_slice(0, n_write).QV  # derived on each read, so read once
     for p in range(n_write):
         for s in range(k1):
             row = [str(batch.path_offset + p), fmt17(batch.times[s])]
             row += [fmt17(batch.B[p, s, i]) for i in range(d)]
-            row += [fmt17(batch.QV[p, s, i, j]) for i in range(d) for j in range(d)]
+            row += [fmt17(qv[p, s, i, j]) for i in range(d) for j in range(d)]
             row += [fmt17(batch.X[p, s, i]) for i in range(m)]
             lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n")

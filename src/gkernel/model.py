@@ -34,7 +34,6 @@ __all__ = [
     "ModelSpec",
     "AssumptionReport",
     "check_assumptions",
-    "derived_dij",
     "truncation_level",
     "LogUtility",
     "PowerUtility",
@@ -184,9 +183,10 @@ class ModelSpec:
     def eval_dij(self, x: np.ndarray) -> np.ndarray:
         """Coupling between diffusion columns and the noise loading.
 
-        Entry (i, j) is the m-vector (sigma_col_i * v_j + sigma_col_j * v_i)/2;
-        it shifts the covariation loading of the state once the kernel's
-        noise term is absorbed into the driver.
+        Entry (i, j) is the m-vector (sigma_col_i * v_j + sigma_col_j * v_i)/2,
+        so the output has shape (n, d, d, m) and is symmetric in (i, j); it
+        shifts the covariation loading of the state once the kernel's noise
+        term is absorbed into the driver.
         """
         sig = self.eval_sigma(x)  # (n, m, d)
         v = self.eval_v(x)        # (n, d)
@@ -199,14 +199,6 @@ class ModelSpec:
 
     def has_generic_drivers(self) -> bool:
         return self.f is not None or self.g is not None
-
-
-def derived_dij(model: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """Return the map x -> d_ij(x) with shape (n, d, d, m).
-
-    The output is symmetric in (i, j) by construction.
-    """
-    return model.eval_dij
 
 
 # ---------------------------------------------------------------------------

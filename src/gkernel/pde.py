@@ -511,6 +511,8 @@ class _Stepper:
         mode = _normalize_mode(mode)
         if mode == "generic" and model.g is None and model.f is None:
             raise ShapeError("generic mode needs model drivers f and/or g")
+        if math.isfinite(gradient_cap) and (grid.m != 1 or mode == "generic"):
+            raise ShapeError("gradient_cap applies only to the 1D pricing operator")
         self.model = model
         self.grid = grid
         self.mode = mode

@@ -8,13 +8,16 @@ normal xi.  The state follows the Euler scheme
 
     dX = b(X) dt + sum_ij h_ij(X) dQV_ij + sigma(X) dB,
 
-with all coefficients evaluated at the left endpoint.
+with all coefficients evaluated at the left endpoint.  One kernel,
+``_euler_steps``, takes these steps for every simulator, and one chunk
+driver, ``_chunks``, splits the paths into blocks and draws their noise.
 
 Each path owns a counter-based random stream keyed by (seed, path id),
 so results are independent of chunking and identical whether paths are
 generated in one block or streamed.  Expectation-style estimators
 (``upper_price_mc``, ``long_term_yield_mc``) stream path chunks and
-never hold full histories; ``simulate_gsde`` returns full histories and
+never hold full histories; ``simulate_gsde`` returns full histories
+(the quadratic covariation is derived from the scenarios on read) and
 guards against oversized requests.
 """
 
@@ -229,15 +232,15 @@ class ScenarioBatch:
 
     Arrays are indexed (path, step, ...): ``noise`` the standard-normal
     increments driving each step, ``B`` the accumulated noise path,
-    ``QV`` its quadratic covariation, ``X`` the state, ``Q`` the
-    covariance scenario applied on each step (one entry per step, not
-    per node).  ``times`` has length n_steps + 1 and starts at 0.
+    ``X`` the state, ``Q`` the covariance scenario applied on each step
+    (one entry per step, not per node).  ``times`` has length
+    n_steps + 1 and starts at 0.  The quadratic covariation ``QV`` is
+    not stored: each read sums Q dt afresh.
     """
 
     times: np.ndarray
     noise: np.ndarray
     B: np.ndarray
-    QV: np.ndarray
     X: np.ndarray
     Q: np.ndarray
     control_label: str
@@ -256,11 +259,18 @@ class ScenarioBatch:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
+    @property
+    def QV(self) -> np.ndarray:
+        """Quadratic covariation per node: the running sum of Q dt from 0."""
+        qv = np.zeros(self.X.shape[:2] + self.Q.shape[2:])
+        qv[:, 1:] = self.Q * self.dt
+        return np.cumsum(qv, axis=1, out=qv)
+
     def path_slice(self, lo: int, hi: int) -> "ScenarioBatch":
         """View onto a contiguous range of paths (no copies)."""
         return ScenarioBatch(
             times=self.times, noise=self.noise[lo:hi], B=self.B[lo:hi],
-            QV=self.QV[lo:hi], X=self.X[lo:hi], Q=self.Q[lo:hi],
+            X=self.X[lo:hi], Q=self.Q[lo:hi],
             control_label=self.control_label, seed=self.seed,
             path_offset=self.path_offset + lo,
         )
@@ -273,6 +283,47 @@ def _resolve_steps(T: float, dt: float) -> int:
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
         raise ShapeError(f"dt={dt} must divide the horizon T={T}")
     return n_steps
+
+
+def _start_point(model: ModelSpec, x0) -> np.ndarray:
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != (model.m,):
+        raise ShapeError(f"x0 must have {model.m} coordinates")
+    return x0
+
+
+def _chunks(seed: int, path_offset: int, n_paths: int, n_steps: int, d: int,
+            chunk_size: int | None):
+    """Yield (lo, hi, draws) for each block of paths, draws shaped (paths, steps, d)."""
+    if chunk_size is None:
+        chunk_size = max(1, min(n_paths, int(2.5e7 / max(1, n_steps * d))))
+    for lo in range(0, n_paths, chunk_size):
+        hi = min(lo + chunk_size, n_paths)
+        yield lo, hi, _chunk_draws(seed, path_offset + lo, path_offset + hi, n_steps, d)
+
+
+def _euler_steps(model: ModelSpec, control: VolControl, x0: np.ndarray, dt: float,
+                 draws: np.ndarray):
+    """The Euler scheme for one chunk: yield (k, x, Q, dB, dQV, x_next) per step.
+
+    Every coefficient is evaluated at the left endpoint ``x``; the step
+    time is k dt.
+    """
+    n, n_steps, _ = draws.shape
+    x = np.broadcast_to(x0, (n, model.m)).copy()
+    sqdt = math.sqrt(dt)
+    for k in range(n_steps):
+        q, root = control.matrices_and_roots(k * dt, x)
+        db = np.einsum("nij,nj->ni", root, draws[:, k]) * sqdt
+        dqv = q * dt
+        x_next = (
+            x
+            + model.eval_b(x) * dt
+            + np.einsum("nijl,nij->nl", model.eval_h(x), dqv)
+            + np.einsum("nld,nd->nl", model.eval_sigma(x), db)
+        )
+        yield k, x, q, db, dqv, x_next
+        x = x_next
 
 
 def simulate_gsde(
@@ -296,9 +347,7 @@ def simulate_gsde(
     if n_paths < 1:
         raise ShapeError("need n_paths >= 1")
     m, d = model.m, model.d
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (m,):
-        raise ShapeError(f"x0 must have {m} coordinates")
+    x0 = _start_point(model, x0)
     total = n_paths * (n_steps + 1) * (m + 2 * d + 2 * d * d)
     if total > _MAX_BATCH_FLOATS:
         raise ShapeError(
@@ -307,42 +356,20 @@ def simulate_gsde(
         )
     control.validate(model.uncertainty)
 
-    times = dt * np.arange(n_steps + 1)
     noise = np.empty((n_paths, n_steps, d))
     B = np.zeros((n_paths, n_steps + 1, d))
-    QV = np.zeros((n_paths, n_steps + 1, d, d))
     X = np.empty((n_paths, n_steps + 1, m))
     Q = np.empty((n_paths, n_steps, d, d))
     X[:, 0] = x0
-
-    if chunk_size is None:
-        chunk_size = max(1, min(n_paths, int(2.5e7 / max(1, n_steps * d))))
-    sqdt = math.sqrt(dt)
-    for lo in range(0, n_paths, chunk_size):
-        hi = min(lo + chunk_size, n_paths)
-        draws = _chunk_draws(seed, path_offset + lo, path_offset + hi, n_steps, d)
+    for lo, hi, draws in _chunks(seed, path_offset, n_paths, n_steps, d, chunk_size):
         noise[lo:hi] = draws
-        x = X[lo:hi, 0].copy()
-        for k in range(n_steps):
-            q, root = control.matrices_and_roots(times[k], x)
-            db = np.einsum("nij,nj->ni", root, draws[:, k]) * sqdt
-            dqv = q * dt
-            bval = model.eval_b(x)
-            hval = model.eval_h(x)
-            sig = model.eval_sigma(x)
-            x = (
-                x
-                + bval * dt
-                + np.einsum("nijl,nij->nl", hval, dqv)
-                + np.einsum("nld,nd->nl", sig, db)
-            )
+        for k, _, q, db, _, x_next in _euler_steps(model, control, x0, dt, draws):
             B[lo:hi, k + 1] = B[lo:hi, k] + db
-            QV[lo:hi, k + 1] = QV[lo:hi, k] + dqv
-            X[lo:hi, k + 1] = x
+            X[lo:hi, k + 1] = x_next
             Q[lo:hi, k] = q
 
     return ScenarioBatch(
-        times=times, noise=noise, B=B, QV=QV, X=X, Q=Q,
+        times=dt * np.arange(n_steps + 1), noise=noise, B=B, X=X, Q=Q,
         control_label=control.label, seed=seed, path_offset=path_offset,
     )
 
@@ -367,37 +394,21 @@ def _deflator_scan(
     v . dB at the left endpoint.  At each checkpoint the (payoff-weighted)
     deflator sum and sum of squares are recorded.
     """
-    n, n_steps, _ = draws.shape
-    x = np.broadcast_to(x0, (n, model.m)).copy()
-    lnD = np.zeros(n)
-    sqdt = math.sqrt(dt)
+    lnD = np.zeros(draws.shape[0])
     marks = set(int(s) for s in checkpoint_steps)
     out = {}
-    for k in range(n_steps):
-        t = k * dt
-        q, root = control.matrices_and_roots(t, x)
-        db = np.einsum("nij,nj->ni", root, draws[:, k]) * sqdt
-        dqv = q * dt
-        rval = model.eval_r(x)
-        kval = model.eval_k(x)
-        vval = model.eval_v(x)
-        lnD = lnD - rval * dt - np.einsum("nij,nij->n", kval, dqv) - np.einsum(
-            "ni,ni->n", vval, db)
-        bval = model.eval_b(x)
-        hval = model.eval_h(x)
-        sig = model.eval_sigma(x)
-        x = (
-            x
-            + bval * dt
-            + np.einsum("nijl,nij->nl", hval, dqv)
-            + np.einsum("nld,nd->nl", sig, db)
+    for k, x, _, db, dqv, x_next in _euler_steps(model, control, x0, dt, draws):
+        lnD = (
+            lnD
+            - model.eval_r(x) * dt
+            - np.einsum("nij,nij->n", model.eval_k(x), dqv)
+            - np.einsum("ni,ni->n", model.eval_v(x), db)
         )
-        step = k + 1
-        if step in marks:
+        if k + 1 in marks:
             w = np.exp(lnD)
             if payoff is not None:
-                w = w * payoff(x)
-            out[step] = (float(np.sum(w)), float(np.sum(w * w)))
+                w = w * payoff(x_next)
+            out[k + 1] = (float(np.sum(w)), float(np.sum(w * w)))
     return out
 
 
@@ -411,16 +422,12 @@ def _streaming_deflated_means(
     them; per-path streams make this the same as a separate run per
     control.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = _start_point(model, x0)
     for ctl in controls:
         ctl.validate(model.uncertainty)
     dt = T / n_steps
-    if chunk_size is None:
-        chunk_size = max(1, min(n_paths, int(2.5e7 / max(1, n_steps * model.d))))
     sums = [{int(s): [0.0, 0.0] for s in checkpoint_steps} for _ in controls]
-    for lo in range(0, n_paths, chunk_size):
-        hi = min(lo + chunk_size, n_paths)
-        draws = _chunk_draws(seed, lo, hi, n_steps, model.d)
+    for _, _, draws in _chunks(seed, 0, n_paths, n_steps, model.d, chunk_size):
         for ctl, ctl_sums in zip(controls, sums):
             part = _deflator_scan(model, ctl, x0, dt, draws, checkpoint_steps, payoff)
             for s, (a, b) in part.items():
@@ -556,17 +563,9 @@ def long_term_yield_mc(
         raise ShapeError("need at least two horizons to separate the transient")
     if x0 is None:
         x0 = np.zeros(model.m)
-    t_max = horizons[-1]
-    n_steps = _resolve_steps(t_max, dt)
-    steps = []
-    for t in horizons:
-        s = int(round(t / dt))
-        if abs(s * dt - t) > 1e-9 * max(1.0, t):
-            raise ShapeError(f"dt must divide horizon {t}")
-        steps.append(s)
-
+    steps = [_resolve_steps(t, dt) for t in horizons]
     (res,) = _streaming_deflated_means(
-        model, [control], x0, t_max, n_steps, n_paths, seed, steps, None, chunk_size
+        model, [control], x0, horizons[-1], steps[-1], n_paths, seed, steps, None, chunk_size
     )
     log_means, rates, ses = [], [], []
     for t, s in zip(horizons, steps):

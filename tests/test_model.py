@@ -16,7 +16,6 @@ from gkernel import (
     ShapeError,
     UncertaintySet,
     check_assumptions,
-    derived_dij,
     equilibrium_model,
     truncation_level,
 )
@@ -30,13 +29,13 @@ class TestDerivedDij:
     def test_scalar_example(self, const_model):
         # sigma = 0.2, v = 0.3 -> (0.2*0.3 + 0.2*0.3)/2
         x = np.array([[0.0], [1.7]])
-        dij = derived_dij(const_model)(x)
+        dij = const_model.eval_dij(x)
         assert dij.shape == (2, 1, 1, 1)
         assert np.allclose(dij, 0.06, atol=1e-15)
 
     def test_zero_noise_loading(self, ou_model):
         x = np.linspace(-1, 1, 7)[:, None]
-        assert np.all(derived_dij(ou_model)(x) == 0.0)
+        assert np.all(ou_model.eval_dij(x) == 0.0)
 
     def test_two_noise_symmetry(self):
         model = ModelSpec.build(
@@ -47,7 +46,7 @@ class TestDerivedDij:
             uncertainty=_finite_2d(),
             v=[0.1, 0.4],
         )
-        dij = derived_dij(model)(np.array([[0.5]]))
+        dij = model.eval_dij(np.array([[0.5]]))
         assert dij.shape == (1, 2, 2, 1)
         assert dij[0, 0, 1, 0] == pytest.approx(0.5 * (0.2 * 0.4 + 0.3 * 0.1), abs=1e-15)
         assert dij[0, 1, 0, 0] == dij[0, 0, 1, 0]

@@ -477,6 +477,28 @@ class TestGradientBound:
         assert np.max(np.abs(sig * grad)[central]) > 0.0
 
 
+    def test_cap_rejected_in_2d(self):
+        # the 2D operator never clips differences, so a cap would be ignored
+        model = ModelSpec.build(
+            m=2, d=2, b=["0.05 - x1", "0.05 - x2"], sigma=[[0.2, 0.0], [0.0, 0.2]],
+            r="x1 * x1 + x2", uncertainty=UncertaintySet.finite([np.eye(2)]),
+        )
+        with pytest.raises(ShapeError):
+            solve_ergodic(model, Grid.build([(-2.0, 2.0)] * 2, [17, 17]), check=False,
+                          gradient_cap=0.01)
+
+    def test_cap_rejected_in_generic_mode(self):
+        model = ModelSpec.build(
+            m=1, d=1, b=["0.05 - 1.0 * x1"], sigma=[["0.2"]], r=0.0,
+            uncertainty=UncertaintySet.interval(0.8, 1.2),
+            f=lambda x, y, z: -x[:, 0],
+            g=[[lambda x, y, z: 0.5 * z[:, 0] ** 2]],
+        )
+        with pytest.raises(ShapeError):
+            solve_ergodic(model, Grid.build([(-2.0, 2.0)], [33]), mode="generic",
+                          check=False, gradient_cap=1.0)
+
+
 class TestInterpolation:
     @staticmethod
     def _query_points(axis, rng):

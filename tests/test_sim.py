@@ -9,17 +9,21 @@ from gkernel import (
     ConstantControl,
     DivergenceError,
     FeedbackControl,
+    Grid,
     InvalidSetError,
     ModelSpec,
     PiecewiseControl,
     ShapeError,
     UncertaintySet,
+    compute_components,
     extreme_controls,
     long_term_yield_mc,
     simulate_gsde,
+    solve_ergodic,
     upper_price_mc,
     worst_case_policy,
 )
+from gkernel import sim
 from conftest import CONST_LAM
 
 
@@ -133,6 +137,11 @@ class TestValidation:
     def test_x0_shape(self, const_model):
         with pytest.raises(ShapeError):
             simulate_gsde(const_model, ConstantControl(1.0), [0.0, 0.0], 1.0, 0.1, 2)
+        with pytest.raises(ShapeError):
+            upper_price_mc(const_model, None, 1.0, dt=0.1, n_paths=2, x0=[0.1, 0.2])
+        with pytest.raises(ShapeError):
+            long_term_yield_mc(const_model, [0.5, 1.0], ConstantControl(1.0), dt=0.1,
+                               n_paths=2, x0=[0.1, 0.2])
 
     def test_control_membership(self, const_model):
         with pytest.raises(InvalidSetError):
@@ -301,6 +310,17 @@ class TestYield:
         with pytest.raises(ShapeError):
             long_term_yield_mc(const_model, [5.0, 10.3], ConstantControl(1.0), dt=0.5)
 
+    @pytest.mark.parametrize("first", [0.0, -1.0])
+    def test_non_positive_horizon_rejected_before_simulating(self, const_model, first,
+                                                             monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("simulated before the horizons were checked")
+
+        monkeypatch.setattr(sim, "_chunk_draws", no_draws)
+        with pytest.raises(ShapeError):
+            long_term_yield_mc(const_model, [first, 1.0], ConstantControl(1.0), dt=0.5,
+                               n_paths=4)
+
     def test_degenerate_run_reports_horizon(self):
         model = ModelSpec.build(
             m=1, d=1, b=["0.0"], sigma=[["0.2"]], r=0.0, v=[600.0],
@@ -311,3 +331,44 @@ class TestYield:
                 long_term_yield_mc(model, [5.0, 10.0], ConstantControl(1.0),
                                    dt=0.1, n_paths=8, seed=3)
         assert err.value.where is not None
+
+
+class TestStreamingMatchesHistory:
+    """The streaming estimators march the same paths as ``simulate_gsde``.
+
+    The deflated payoff mean of ``upper_price_mc`` is compared with the
+    one read off ``compute_components`` on a full-history batch drawn
+    with the same seed.  The decomposition differences B back into
+    increments, so the two agree to round-off rather than bitwise.
+    """
+
+    @staticmethod
+    def _assert_same_mean(model, control, solution, x0):
+        def payoff(x):
+            return 1.0 + np.maximum(x[:, 0], 0.0)
+
+        kw = dict(dt=0.02, n_paths=500, seed=17, x0=x0)
+        streamed = upper_price_mc(model, payoff, 1.0, [control], chunk_size=200, **kw)
+        batch = simulate_gsde(model, control, x0, 1.0, kw["dt"], kw["n_paths"],
+                              seed=kw["seed"])
+        dec = compute_components(batch, solution, model)
+        direct = float(np.mean(np.exp(dec.ln_D_direct[:, -1]) * payoff(batch.X[:, -1])))
+        mean = streamed.table[control.label][0]
+        assert abs(mean - direct) <= 1e-12 * abs(direct)
+        return batch
+
+    def test_constant_control_1d(self, const_model, const_sol):
+        self._assert_same_mean(const_model, ConstantControl(0.7), const_sol, [0.1])
+
+    def test_worst_case_policy_2d(self):
+        # r curved in x1 makes the policy switch between the two members
+        model = ModelSpec.build(
+            m=2, d=2, b=["0.05 - x1", "0.05 - x2"], sigma=[[0.2, 0.0], [0.05, 0.2]],
+            r="x1 * x1 + x2",
+            uncertainty=UncertaintySet.finite([np.eye(2), [[1.0, 0.5], [0.5, 1.0]]]),
+        )
+        sol = solve_ergodic(model, Grid.build([(-2.0, 2.0)] * 2, [17, 17]), tol=1e-10,
+                            check=False)
+        policy = worst_case_policy(sol, model)
+        batch = self._assert_same_mean(model, policy, sol, [-0.1, 0.1])
+        assert 0.0 < np.mean(batch.Q[..., 0, 1] > 0.0) < 1.0
