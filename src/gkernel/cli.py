@@ -20,7 +20,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import RunConfig, build_control, load_config
+from .config import RunConfig, _path_count, build_control, load_config
 from .errors import ConfigurationError, NumericalError
 from .io import fmt17, write_json, write_solution_csv, write_traces_csv
 from .model import check_assumptions
@@ -126,7 +126,7 @@ def _sim_settings(cfg: RunConfig, args):
         raise ConfigurationError("this command needs a 'sim' block")
     sim = cfg.sim
     seed = args.seed if args.seed is not None else sim.seed
-    n_paths = args.paths if args.paths is not None else sim.n_paths
+    n_paths = _path_count(args.paths, "--paths") if args.paths is not None else sim.n_paths
     return sim, seed, n_paths
 
 
@@ -134,8 +134,8 @@ def _run_decompose(cfg: RunConfig, args) -> int:
     from .decomp import _residual_report, compute_components, reconstruct_D, \
         verify_martingales
 
+    sim, seed, n_paths = _sim_settings(cfg, args)  # settings errors before the solve
     sol = _solve(cfg, args)
-    sim, seed, n_paths = _sim_settings(cfg, args)
     control = build_control(sim.control, cfg.model, sol)
     batch = simulate_gsde(
         cfg.model, control, sim.x0, sim.horizon, sim.dt, n_paths, seed=seed
@@ -174,8 +174,8 @@ def _run_decompose(cfg: RunConfig, args) -> int:
 
 
 def _run_price(cfg: RunConfig, args) -> int:
-    sol = _solve(cfg, args)
     sim, seed, n_paths = _sim_settings(cfg, args)
+    sol = _solve(cfg, args)
     controls = [worst_case_policy(sol, cfg.model)]
     controls += extreme_controls(cfg.model.uncertainty)
     est = upper_price_mc(

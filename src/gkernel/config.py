@@ -88,6 +88,13 @@ def _get_int(obj: dict, key: str, where: str, default=None, required=False):
     return int(val)
 
 
+def _path_count(n: int, where: str) -> int:
+    """A simulation needs at least one path; ``where`` names the setting."""
+    if n < 1:
+        raise ConfigurationError(f"{where} must be at least 1, got {n}")
+    return n
+
+
 def _coeff_entry(val, where: str):
     if isinstance(val, bool) or not isinstance(val, (int, float, str)):
         raise ConfigurationError(
@@ -330,7 +337,7 @@ def _parse_sim(obj, m: int) -> SimSettings | None:
         x0=tuple(float(v) for v in x0),
         horizon=horizon,
         dt=dt,
-        n_paths=_get_int(obj, "n_paths", where, required=True),
+        n_paths=_path_count(_get_int(obj, "n_paths", where, required=True), "sim.n_paths"),
         seed=_get_int(obj, "seed", where, default=0),
         control=control,
         checkpoints=checkpoints,

@@ -124,23 +124,24 @@ def compute_components(
     u = solution.value_at(flat).reshape(n, n_nodes)
     grad, hess = solution.derivatives_at(flat)
     grad = grad.reshape(n, n_nodes, m)
-    sig_all = model.eval_sigma(flat).reshape(n, n_nodes, m, d)
+    sig_all = model.evaluate(flat)["sigma"].reshape(n, n_nodes, m, d)
     z_all = np.einsum("nkld,nkl->nkd", sig_all, grad)
 
     # left-endpoint quantities driving the increments
     flat_l = batch.X[:, :-1].reshape(-1, m)
+    coeffs_l = model.evaluate(flat_l)
     hess_l = hess.reshape(n, n_nodes, m, m)[:, :-1].reshape(-1, m, m)
     h_l = _hamiltonian_batch(
         model, flat_l, grad[:, :-1].reshape(-1, m), hess_l,
-        u[:, :-1].ravel(), mode="pricing",
+        u[:, :-1].ravel(), mode="pricing", precomputed=coeffs_l,
     )
     gvals, _ = g_value_batch(h_l, model.uncertainty)
     gvals = gvals.reshape(n, n_steps)
     h_l = h_l.reshape(n, n_steps, d, d)
 
-    v_l = model.eval_v(flat_l).reshape(n, n_steps, d)
-    r_l = model.eval_r(flat_l).reshape(n, n_steps)
-    k_l = model.eval_k(flat_l).reshape(n, n_steps, d, d)
+    v_l = coeffs_l["v"].reshape(n, n_steps, d)
+    r_l = coeffs_l["r"].reshape(n, n_steps)
+    k_l = coeffs_l["k"].reshape(n, n_steps, d, d)
     z_l = z_all[:, :-1]
 
     db = np.diff(batch.B, axis=1)

@@ -32,6 +32,7 @@ from .gcore import UncertaintySet, g_value_batch
 
 __all__ = [
     "ModelSpec",
+    "Coefficients",
     "AssumptionReport",
     "check_assumptions",
     "truncation_level",
@@ -70,6 +71,49 @@ def _eval_checked(fn: CoefficientFn, x: np.ndarray, label: str) -> np.ndarray:
     return out
 
 
+def _dij(sig: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(sigma_col_i v_j + sigma_col_j v_i) / 2 from sigma (n, m, d) and v (n, d)."""
+    a = np.einsum("nli,nj->nijl", sig, v)
+    return 0.5 * (a + np.swapaxes(a, 1, 2))
+
+
+# coefficient tensors of a model, each read by its ModelSpec.eval_<name> method
+_TENSORS = ("b", "sigma", "r", "k", "v", "h")
+
+
+def _entries(tensor):
+    if isinstance(tensor, tuple):
+        for item in tensor:
+            yield from _entries(item)
+    elif tensor is not None:
+        yield tensor
+
+
+class Coefficients(dict):
+    """The coefficient tensors of one model at one batch of states ``x``.
+
+    Keys are ``b`` (n, m), ``sigma`` (n, m, d), ``r`` (n,), ``k`` (n, d, d),
+    ``v`` (n, d) and ``h`` (n, d, d, m).  A tensor is computed when it is
+    first read and then kept, so each is evaluated at most once per batch:
+    a constant one is a read-only broadcast of the value the model checked
+    once, any other goes through its ``ModelSpec.eval_*`` method.
+    """
+
+    def __init__(self, model: "ModelSpec", x: np.ndarray):
+        super().__init__()
+        self.model = model
+        self.x = x
+
+    def __missing__(self, name: str) -> np.ndarray:
+        if name not in _TENSORS:
+            raise KeyError(name)
+        out = self.model._constant(name, self.x) if len(self.x) else None
+        if out is None:
+            out = getattr(self.model, f"eval_{name}")(self.x)
+        self[name] = out
+        return out
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """State dynamics plus kernel loadings plus covariance ambiguity.
@@ -102,6 +146,9 @@ class ModelSpec:
     f: Callable | None = None
     g: tuple | None = None
     label: str = ""
+    # tensor name -> None if it varies with the state, else its checked value
+    # broadcast over the latest row count; filled as bundles read each tensor
+    _constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -188,14 +235,37 @@ class ModelSpec:
         shifts the covariation loading of the state once the kernel's noise
         term is absorbed into the driver.
         """
-        sig = self.eval_sigma(x)  # (n, m, d)
-        v = self.eval_v(x)        # (n, d)
-        a = np.einsum("nli,nj->nijl", sig, v)
-        return 0.5 * (a + np.swapaxes(a, 1, 2))
+        return _dij(self.eval_sigma(x), self.eval_v(x))
 
     def eval_h_effective(self, x: np.ndarray) -> np.ndarray:
         """h - d_ij: the covariation drift seen by the valuation PDE."""
         return self.eval_h(x) - self.eval_dij(x)
+
+    def evaluate(self, x: np.ndarray) -> Coefficients:
+        """All coefficient tensors at the states ``x`` (n, m), as one lazy bundle.
+
+        A tensor whose entries are all ``Constant`` (or which is absent,
+        meaning zero) is evaluated and checked finite once per model, and
+        broadcast after that; every other tensor goes through its ``eval_*``
+        method.  Each tensor is computed only if it is read.
+        """
+        return Coefficients(self, x)
+
+    def _constant(self, name: str, x: np.ndarray) -> np.ndarray | None:
+        """Tensor ``name`` as a read-only broadcast over the rows of ``x`` if it
+        is constant, else None."""
+        if name not in self._constants:
+            view = None
+            # exact type: a subclass may override __call__ with a varying value
+            if all(type(fn) is Constant for fn in _entries(getattr(self, name))):
+                one = getattr(self, f"eval_{name}")(x[:1])  # checked finite here, once
+                view = np.broadcast_to(one, one.shape)      # read-only
+            self._constants[name] = view
+        view = self._constants[name]
+        if view is not None and view.shape[0] != x.shape[0]:
+            # a run's batches share a few row counts: keep the latest broadcast
+            view = self._constants[name] = np.broadcast_to(view[:1], x.shape[:1] + view.shape[1:])
+        return view
 
     def has_generic_drivers(self) -> bool:
         return self.f is not None or self.g is not None

@@ -54,7 +54,7 @@ from .errors import (
     ShapeError,
 )
 from .gcore import _candidate_scores, g_value, g_value_batch
-from .model import ModelSpec
+from .model import ModelSpec, _dij
 
 __all__ = [
     "Grid",
@@ -236,36 +236,50 @@ class _Interp:
     derivative fields are clamped to their boundary values.  Query points
     are (n, m) arrays.  Each query locates its cells once and reads every
     requested field from them; in 1D the result equals ``np.interp``
-    bit for bit.
+    bit for bit.  The per-field work that does not depend on the query is
+    done here once: the slopes of each field in 1D, and in 2D the gradient
+    and Hessian entries stacked per node, so one gather per cell corner
+    reads them all.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):
         self.grid = grid
         self.axes = grid.axes()
-        self.values = values
-        self._grad = nodal_gradient(values, grid)
-        self._hess = nodal_hessian(values, grid)
         self._lo = np.array([a[0] for a in self.axes])
         self._hi = np.array([a[-1] for a in self.axes])
+        grad = nodal_gradient(values, grid)
+        hess = nodal_hessian(values, grid)
+        if grid.m == 1:
+            # each field with np.interp's cell slopes
+            step = np.diff(self.axes[0])
+            self._value, self._dx, self._dxx = (
+                (f, np.diff(f) / step) for f in (values, grad[:, 0], hess[:, 0, 0]))
+        else:
+            self._value, self._dx = values, grad
+            self._derivs = np.concatenate([grad, hess.reshape(grid.shape + (grid.m**2,))],
+                                          axis=-1)
 
     def value(self, x: np.ndarray) -> np.ndarray:
         xc = np.clip(x, self._lo, self._hi)
         cells = self._locate(xc)
-        inside = self._read(self.values, cells)
+        inside = self._read(self._value, cells)
         # linear extension: add <grad(clamped point), x - clamped>
         delta = x - xc
         if np.any(delta):
-            g = np.stack(
-                [self._read(self._grad[..., ax], cells) for ax in range(self.grid.m)],
-                axis=-1,
-            )
+            g = self._read(self._dx, cells)
+            if self.grid.m == 1:
+                g = g[:, None]
             inside = inside + np.einsum("nl,nl->n", g, delta)
         return inside
 
-    def fields(self, arrs: Sequence[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
-        """Clamped interpolation of auxiliary nodal fields at one point set."""
+    def derivatives(self, x: np.ndarray) -> tuple:
+        """Clamped gradient (n, m) and Hessian (n, m, m) from one cell lookup."""
         cells = self._locate(np.clip(x, self._lo, self._hi))
-        return [self._read(arr, cells) for arr in arrs]
+        if self.grid.m == 1:
+            return self._read(self._dx, cells)[:, None], self._read(self._dxx, cells)[:, None, None]
+        m = self.grid.m
+        out = self._read(self._derivs, cells)
+        return out[:, :m], out[:, m:].reshape(-1, m, m)
 
     def excess(self, x: np.ndarray) -> np.ndarray:
         xc = np.clip(x, self._lo, self._hi)
@@ -286,20 +300,22 @@ class _Interp:
         t1 = (xc[:, 1] - a1[i1]) / (a1[i1 + 1] - a1[i1])
         return i0, i1, t0, t1
 
-    def _read(self, arr: np.ndarray, cells: tuple) -> np.ndarray:
+    def _read(self, field, cells: tuple) -> np.ndarray:
         if self.grid.m == 1:
             # np.interp's arithmetic: slope * (x - a[j]) + arr[j] off the
             # nodes, the nodal value itself on them
+            arr, slope = field
             jl, offset, hits, j_hits = cells
-            slope = np.diff(arr) / np.diff(self.axes[0])
             out = slope[jl] * offset + arr[jl]
             out[hits] = arr[j_hits]
             return out
         i0, i1, t0, t1 = cells
-        v00 = arr[i0, i1]
-        v10 = arr[i0 + 1, i1]
-        v01 = arr[i0, i1 + 1]
-        v11 = arr[i0 + 1, i1 + 1]
+        if field.ndim > 2:  # fields stacked along a trailing axis
+            t0, t1 = t0[:, None], t1[:, None]
+        v00 = field[i0, i1]
+        v10 = field[i0 + 1, i1]
+        v01 = field[i0, i1 + 1]
+        v11 = field[i0 + 1, i1 + 1]
         return (
             v00 * (1 - t0) * (1 - t1)
             + v10 * t0 * (1 - t1)
@@ -356,15 +372,7 @@ class PdeSolution:
 
     def derivatives_at(self, x: np.ndarray, t: float | None = None) -> tuple:
         """Gradient (n, m) and Hessian (n, m, m) read from one cell lookup."""
-        itp = self._spatial(t)
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        n, m = x.shape[0], self.grid.m
-        vals = itp.fields(
-            [itp._grad[..., ax] for ax in range(m)]
-            + [itp._hess[..., i, j] for i in range(m) for j in range(m)],
-            x,
-        )
-        return np.stack(vals[:m], axis=-1), np.stack(vals[m:], axis=-1).reshape(n, m, m)
+        return self._spatial(t).derivatives(np.atleast_2d(np.asarray(x, dtype=float)))
 
     def coverage_excess(self, x: np.ndarray, t: float | None = None) -> np.ndarray:
         return self._spatial(t).excess(np.atleast_2d(np.asarray(x, dtype=float)))
@@ -422,6 +430,21 @@ def _normalize_mode(mode: str) -> str:
     raise ShapeError(f"unknown Hamiltonian mode {mode!r}")
 
 
+def _hessian_term(hess: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """sigma^T hess sigma per row, (n, d, d).
+
+    Equal bit for bit to ``np.einsum("nab,nai,nbj->nij", hess, sig, sig)``:
+    the same products, summed from zero over (a, b) in the same order.
+    """
+    m, d = sig.shape[1:]
+    out = np.zeros((hess.shape[0], d, d))
+    for a in range(m):
+        left = sig[:, a, :, None]
+        for b in range(m):
+            out += (hess[:, a, b, None, None] * left) * sig[:, b, None, :]
+    return out
+
+
 def _hamiltonian_batch(
     model: ModelSpec,
     x: np.ndarray,
@@ -431,35 +454,28 @@ def _hamiltonian_batch(
     mode: str = "pricing",
     precomputed: dict | None = None,
 ) -> np.ndarray:
-    """H matrices (n, d, d) for a batch of points/derivatives."""
+    """H matrices (n, d, d) for a batch of points/derivatives.
+
+    ``precomputed`` holds the coefficients at ``x`` (a ``Coefficients``
+    bundle, or a dict with the same keys plus ``h_eff``); by default they
+    are evaluated here.  Without ``h_eff``, h - d_ij is formed from the
+    bundle's h, sigma and v.
+    """
     mode = _normalize_mode(mode)
-    pre = precomputed or {}
-    sig = pre.get("sigma")
-    if sig is None:
-        sig = model.eval_sigma(x)
-    hess_term = np.einsum("nab,nai,nbj->nij", hess, sig, sig)
+    pre = model.evaluate(x) if precomputed is None else precomputed
+    sig = pre["sigma"]
+    hess_term = _hessian_term(hess, sig)
+    z = np.einsum("nlj,nl->nj", sig, grad)
     if mode == "pricing":
-        htil = pre.get("h_eff")
-        if htil is None:
-            htil = model.eval_h_effective(x)
-        kval = pre.get("k")
-        if kval is None:
-            kval = model.eval_k(x)
-        vval = pre.get("v")
-        if vval is None:
-            vval = model.eval_v(x)
-        z = np.einsum("nlj,nl->nj", sig, grad)
+        vval = pre["v"]
+        htil = pre["h_eff"] if "h_eff" in pre else pre["h"] - _dij(sig, vval)
         return (
             hess_term
             + 2.0 * np.einsum("nl,nijl->nij", grad, htil)
-            - 2.0 * kval
+            - 2.0 * pre["k"]
             + np.einsum("ni,nj->nij", vval, vval)
             + np.einsum("ni,nj->nij", z, z)
         )
-    hval = pre.get("h")
-    if hval is None:
-        hval = model.eval_h(x)
-    z = np.einsum("nlj,nl->nj", sig, grad)
     y = np.zeros(x.shape[0]) if u_val is None else np.asarray(u_val, dtype=float)
     d = model.d
     gmat = np.zeros((x.shape[0], d, d))
@@ -467,7 +483,7 @@ def _hamiltonian_batch(
         for i in range(d):
             for j in range(d):
                 gmat[:, i, j] = model.g[i][j](x, y, z)
-    return hess_term + 2.0 * np.einsum("nl,nijl->nij", grad, hval) + 2.0 * gmat
+    return hess_term + 2.0 * np.einsum("nl,nijl->nij", grad, pre["h"]) + 2.0 * gmat
 
 
 def hamiltonian_H(x, u_val, grad, hess, model: ModelSpec, mode: str = "pricing") -> np.ndarray:
@@ -727,14 +743,15 @@ def _stationary_residual_field(
     pts = grid.points()
     grad = nodal_gradient(values, grid).reshape(-1, grid.m)
     hess = nodal_hessian(values, grid).reshape(-1, grid.m, grid.m)
-    hmat = _hamiltonian_batch(model, pts, grad, hess, values.ravel(), mode=mode)
+    coeffs = model.evaluate(pts)
+    hmat = _hamiltonian_batch(model, pts, grad, hess, values.ravel(), mode=mode,
+                              precomputed=coeffs)
     gvals, _ = g_value_batch(hmat, model.uncertainty)
-    bval = model.eval_b(pts)
-    drift = np.einsum("nl,nl->n", bval, grad)
+    drift = np.einsum("nl,nl->n", coeffs["b"], grad)
     if mode == "pricing":
-        fval = -model.eval_r(pts)
+        fval = -coeffs["r"]
     else:
-        z = np.einsum("nlj,nl->nj", model.eval_sigma(pts), grad)
+        z = np.einsum("nlj,nl->nj", coeffs["sigma"], grad)
         fval = model.f(pts, values.ravel(), z) if model.f is not None else 0.0
     return (gvals + drift + fval - lam).reshape(grid.shape)
 

@@ -9,8 +9,10 @@ normal xi.  The state follows the Euler scheme
     dX = b(X) dt + sum_ij h_ij(X) dQV_ij + sigma(X) dB,
 
 with all coefficients evaluated at the left endpoint.  One kernel,
-``_euler_steps``, takes these steps for every simulator, and one chunk
-driver, ``_chunks``, splits the paths into blocks and draws their noise.
+``_euler_steps``, takes these steps for every simulator, evaluating the
+model once per step into a bundle that the control and the deflator
+share, and one chunk driver, ``_chunks``, splits the paths into blocks
+and draws their noise.
 
 Each path owns a counter-based random stream keyed by (seed, path id),
 so results are independent of chunking and identical whether paths are
@@ -77,8 +79,14 @@ class VolControl:
     def matrices(self, t: float, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def matrices_and_roots(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Scenarios Q_t for one step together with their PSD square roots."""
+    def matrices_and_roots(self, t: float, x: np.ndarray,
+                           coeffs=None) -> tuple[np.ndarray, np.ndarray]:
+        """Scenarios Q_t for one step together with their PSD square roots.
+
+        ``coeffs`` is the model's ``Coefficients`` bundle at ``x``, which the
+        simulator has already evaluated for the step; a control that reads
+        the coefficients may use it instead of evaluating them again.
+        """
         q = self.matrices(t, x)
         return q, _sqrt_psd(q)
 
@@ -100,7 +108,8 @@ class ConstantControl(VolControl):
     def matrices(self, t: float, x: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.q, (x.shape[0],) + self.q.shape)
 
-    def matrices_and_roots(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def matrices_and_roots(self, t: float, x: np.ndarray,
+                           coeffs=None) -> tuple[np.ndarray, np.ndarray]:
         shape = (x.shape[0],) + self.q.shape
         return np.broadcast_to(self.q, shape), np.broadcast_to(self.root, shape)
 
@@ -158,19 +167,19 @@ class FeedbackControl(VolControl):
 class _CandidatePolicy(FeedbackControl):
     """Feedback control that picks one fixed candidate matrix per path.
 
-    ``pick(t, x)`` returns indices into ``candidates``; the square roots
-    of the candidates are taken once instead of on every step.
+    ``pick(t, x, coeffs)`` returns indices into ``candidates``; the square
+    roots of the candidates are taken once instead of on every step.
     """
 
-    def __init__(self, pick: Callable[[float, np.ndarray], np.ndarray],
-                 candidates: np.ndarray, label: str):
-        super().__init__(lambda t, x: candidates[pick(t, x)], label=label)
+    def __init__(self, pick: Callable[..., np.ndarray], candidates: np.ndarray, label: str):
+        super().__init__(lambda t, x: candidates[pick(t, x, None)], label=label)
         self.pick = pick
         self.candidates = candidates
         self.roots = _sqrt_psd(candidates)
 
-    def matrices_and_roots(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        idx = self.pick(t, x)
+    def matrices_and_roots(self, t: float, x: np.ndarray,
+                           coeffs=None) -> tuple[np.ndarray, np.ndarray]:
+        idx = self.pick(t, x, coeffs)
         return self.candidates[idx], self.roots[idx]
 
 
@@ -187,10 +196,12 @@ def worst_case_policy(solution, model: ModelSpec, mode: str = "pricing") -> Feed
     # the pricing-mode Hamiltonian does not read the value itself
     needs_value = _normalize_mode(mode) == "generic"
 
-    def pick(t: float, x: np.ndarray) -> np.ndarray:
+    def pick(t: float, x: np.ndarray, coeffs) -> np.ndarray:
         grad, hess = solution.derivatives_at(x, t)
         uval = solution.value_at(x, t) if needs_value else None
-        hmat = _hamiltonian_batch(model, x, grad, hess, uval, mode=mode)
+        # a bundle of another model (or none) leaves the evaluation to the Hamiltonian
+        pre = coeffs if coeffs is not None and coeffs.model is model else None
+        hmat = _hamiltonian_batch(model, x, grad, hess, uval, mode=mode, precomputed=pre)
         return _candidate_scores(hmat, model.uncertainty)[1]
 
     cands = np.stack(model.uncertainty.candidates())
@@ -292,6 +303,15 @@ def _start_point(model: ModelSpec, x0) -> np.ndarray:
     return x0
 
 
+def _check_sizes(n_paths, chunk_size) -> None:
+    """A run needs n_paths >= 1 and a chunk_size of None (automatic) or >= 1."""
+    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
+        raise ShapeError(f"need an integer n_paths >= 1, got {n_paths!r}")
+    if chunk_size is not None and not (isinstance(chunk_size, (int, np.integer))
+                                       and chunk_size >= 1):
+        raise ShapeError(f"chunk_size must be None or an integer >= 1, got {chunk_size!r}")
+
+
 def _chunks(seed: int, path_offset: int, n_paths: int, n_steps: int, d: int,
             chunk_size: int | None):
     """Yield (lo, hi, draws) for each block of paths, draws shaped (paths, steps, d)."""
@@ -304,25 +324,27 @@ def _chunks(seed: int, path_offset: int, n_paths: int, n_steps: int, d: int,
 
 def _euler_steps(model: ModelSpec, control: VolControl, x0: np.ndarray, dt: float,
                  draws: np.ndarray):
-    """The Euler scheme for one chunk: yield (k, x, Q, dB, dQV, x_next) per step.
+    """The Euler scheme for one chunk: yield (k, x, Q, dB, dQV, x_next, coeffs) per step.
 
-    Every coefficient is evaluated at the left endpoint ``x``; the step
-    time is k dt.
+    Every coefficient is evaluated at the left endpoint ``x``, once per
+    step: ``coeffs`` is the step's ``Coefficients`` bundle, shared with the
+    control and the caller.  The step time is k dt.
     """
     n, n_steps, _ = draws.shape
     x = np.broadcast_to(x0, (n, model.m)).copy()
     sqdt = math.sqrt(dt)
     for k in range(n_steps):
-        q, root = control.matrices_and_roots(k * dt, x)
+        coeffs = model.evaluate(x)
+        q, root = control.matrices_and_roots(k * dt, x, coeffs=coeffs)
         db = np.einsum("nij,nj->ni", root, draws[:, k]) * sqdt
         dqv = q * dt
         x_next = (
             x
-            + model.eval_b(x) * dt
-            + np.einsum("nijl,nij->nl", model.eval_h(x), dqv)
-            + np.einsum("nld,nd->nl", model.eval_sigma(x), db)
+            + coeffs["b"] * dt
+            + np.einsum("nijl,nij->nl", coeffs["h"], dqv)
+            + np.einsum("nld,nd->nl", coeffs["sigma"], db)
         )
-        yield k, x, q, db, dqv, x_next
+        yield k, x, q, db, dqv, x_next, coeffs
         x = x_next
 
 
@@ -344,8 +366,7 @@ def simulate_gsde(
     offsets reproduces the single-call result bit for bit.
     """
     n_steps = _resolve_steps(T, dt)
-    if n_paths < 1:
-        raise ShapeError("need n_paths >= 1")
+    _check_sizes(n_paths, chunk_size)
     m, d = model.m, model.d
     x0 = _start_point(model, x0)
     total = n_paths * (n_steps + 1) * (m + 2 * d + 2 * d * d)
@@ -363,7 +384,7 @@ def simulate_gsde(
     X[:, 0] = x0
     for lo, hi, draws in _chunks(seed, path_offset, n_paths, n_steps, d, chunk_size):
         noise[lo:hi] = draws
-        for k, _, q, db, _, x_next in _euler_steps(model, control, x0, dt, draws):
+        for k, _, q, db, _, x_next, _ in _euler_steps(model, control, x0, dt, draws):
             B[lo:hi, k + 1] = B[lo:hi, k] + db
             X[lo:hi, k + 1] = x_next
             Q[lo:hi, k] = q
@@ -397,12 +418,12 @@ def _deflator_scan(
     lnD = np.zeros(draws.shape[0])
     marks = set(int(s) for s in checkpoint_steps)
     out = {}
-    for k, x, _, db, dqv, x_next in _euler_steps(model, control, x0, dt, draws):
+    for k, _, _, db, dqv, x_next, coeffs in _euler_steps(model, control, x0, dt, draws):
         lnD = (
             lnD
-            - model.eval_r(x) * dt
-            - np.einsum("nij,nij->n", model.eval_k(x), dqv)
-            - np.einsum("ni,ni->n", model.eval_v(x), db)
+            - coeffs["r"] * dt
+            - np.einsum("nij,nij->n", coeffs["k"], dqv)
+            - np.einsum("ni,ni->n", coeffs["v"], db)
         )
         if k + 1 in marks:
             w = np.exp(lnD)
@@ -422,6 +443,7 @@ def _streaming_deflated_means(
     them; per-path streams make this the same as a separate run per
     control.
     """
+    _check_sizes(n_paths, chunk_size)
     x0 = _start_point(model, x0)
     for ctl in controls:
         ctl.validate(model.uncertainty)

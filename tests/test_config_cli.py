@@ -26,6 +26,7 @@ from gkernel import (
     write_solution_csv,
     write_traces_csv,
 )
+from gkernel import cli
 from gkernel.cli import main
 from gkernel.io import fmt17
 
@@ -182,11 +183,20 @@ class TestParsing:
         lambda s: s.update(x0=[0.0, 0.0]),
         lambda s: s.update(control=7),
         lambda s: s.update(warmup=1),              # unknown key
+        lambda s: s.update(n_paths=0),
+        lambda s: s.update(n_paths=-5),
     ])
     def test_malformed_sim_blocks_rejected(self, mutate):
         doc = sim_doc()
         mutate(doc["sim"])
         with pytest.raises(ConfigurationError):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("n_paths", [0, -5])
+    def test_path_count_named(self, n_paths):
+        doc = sim_doc()
+        doc["sim"]["n_paths"] = n_paths
+        with pytest.raises(ConfigurationError, match=r"sim\.n_paths must be at least 1"):
             parse_config(doc)
 
     def test_grid_or_box_required(self):
@@ -415,6 +425,18 @@ class TestCli:
         payload = json.loads((out_dir / "price.json").read_text())
         assert set(payload["table"]) == {"worst_case", "upper", "lower"}
         assert payload["estimate"] == payload["table"][payload["control"]]["mean"]
+
+    @pytest.mark.parametrize("command", ["decompose", "price"])
+    @pytest.mark.parametrize("paths", ["0", "-5"])
+    def test_paths_override_checked_before_solving(self, run_cli, command, paths,
+                                                   monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the path count was checked")
+
+        monkeypatch.setattr(cli, "solve_ergodic", no_solve)
+        code, _, err = run_cli(sim_doc(), command, "--paths", paths)
+        assert code == 3
+        assert "configuration error: --paths must be at least 1" in err
 
     def test_sim_block_required_for_paths(self, run_cli):
         code, _, err = run_cli(base_doc(), "decompose")

@@ -59,6 +59,71 @@ class TestDerivedDij:
         assert h_eff[0, 0, 0, 0] == pytest.approx(-0.06, abs=1e-15)
 
 
+class TestEvaluate:
+    """``ModelSpec.evaluate``: one lazy bundle of every coefficient tensor."""
+
+    @staticmethod
+    def _mixed_model():
+        return ModelSpec.build(
+            m=2, d=2, b=["-x1", -0.5], sigma=[["0.2 + 0.1 * tanh(x1)", 0.05], [0.0, 0.15]],
+            r="x1 + x2", k=[[0.01, 0.005], [0.005, 0.02]], v=[0.3, 0.1],
+            uncertainty=_finite_2d(),
+        )
+
+    @pytest.mark.parametrize("which", ["const", "mixed"])
+    def test_bundle_equals_eval_methods(self, const_model, which):
+        model = const_model if which == "const" else self._mixed_model()
+        x = np.linspace(-1.0, 1.0, 7 * model.m).reshape(7, model.m)
+        coeffs = model.evaluate(x)
+        for name in ("b", "sigma", "r", "k", "v", "h"):
+            expected = getattr(model, f"eval_{name}")(x)
+            assert coeffs[name].shape == expected.shape
+            assert np.array_equal(coeffs[name].view(np.int64), expected.view(np.int64))
+
+    def test_constant_tensors_broadcast_and_checked_once(self, monkeypatch):
+        model = self._mixed_model()
+        calls = []
+        evals = {name: getattr(ModelSpec, f"eval_{name}") for name in ("b", "k", "v", "h")}
+        for name, orig in evals.items():
+            monkeypatch.setattr(ModelSpec, f"eval_{name}",
+                                lambda self, x, _n=name, _f=orig: calls.append(_n) or _f(self, x))
+        for n in (3, 5):
+            coeffs = model.evaluate(np.zeros((n, 2)))
+            for name in ("k", "v", "h"):   # all entries Constant (h absent: zero)
+                assert coeffs[name].shape[0] == n
+                assert coeffs[name].strides[0] == 0
+                assert not coeffs[name].flags.writeable
+            coeffs["b"]                    # one entry is an expression
+        assert sorted(calls) == ["b", "b", "h", "k", "v"]
+
+    def test_each_tensor_read_is_kept(self):
+        coeffs = self._mixed_model().evaluate(np.zeros((4, 2)))
+        assert coeffs["sigma"] is coeffs["sigma"]
+        assert "r" not in coeffs  # nothing is evaluated before it is read
+        with pytest.raises(KeyError):
+            coeffs["h_eff"]
+
+    @pytest.mark.parametrize("entry,label", [
+        (dict(sigma=[[math.nan]]), r"sigma\[0\]\[0\]"),
+        (dict(v=[math.inf]), r"v\[0\]"),
+        (dict(r=math.nan), r"\br\b"),
+    ])
+    def test_non_finite_constant_named_on_every_read(self, entry, label):
+        kw = dict(m=1, d=1, b=["-x1"], sigma=[[0.2]], r=0.02,
+                  uncertainty=UncertaintySet.interval(0.5, 1.0))
+        kw.update(entry)
+        model = ModelSpec.build(**kw)
+        name = next(iter(entry))
+        for _ in range(2):  # a failed check is not cached as a value
+            with pytest.raises(EvaluationError, match=label):
+                model.evaluate(np.zeros((3, 1)))[name]
+
+    def test_empty_batch(self, const_model):
+        coeffs = const_model.evaluate(np.zeros((0, 1)))
+        assert coeffs["sigma"].shape == (0, 1, 1)
+        assert coeffs["b"].shape == (0, 1)
+
+
 class TestCheckAssumptions:
     def test_mean_reverting_constants_match_analytic(self, ou_model):
         rep = check_assumptions(ou_model, [(-1.0, 1.0)], [41])

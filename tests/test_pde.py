@@ -87,6 +87,24 @@ class TestHamiltonian:
         assert H.shape == (2, 2)
         assert np.allclose(H, H.T, atol=1e-15)
 
+    @pytest.mark.parametrize("m,d", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("case", ["random", "signed_zeros", "broadcast_sigma"])
+    def test_hessian_term_matches_einsum_bitwise(self, m, d, case):
+        rng = np.random.default_rng(10 * m + d)
+        n = 2000
+        hess = rng.standard_normal((n, m, m))
+        hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
+        sig = rng.standard_normal((n, m, d))
+        if case == "signed_zeros":
+            sig[rng.random(sig.shape) < 0.3] = 0.0
+            hess[rng.random(hess.shape) < 0.3] = -0.0
+        elif case == "broadcast_sigma":  # a constant sigma from ModelSpec.evaluate
+            sig = np.broadcast_to(sig[0], sig.shape)
+        ref = np.einsum("nab,nai,nbj->nij", hess, sig, sig)
+        got = pde._hessian_term(hess, sig)
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
 
 class TestGrid:
     def test_validation(self):
@@ -525,6 +543,40 @@ class TestInterpolation:
             inside = x == xc
             ref_val = np.interp(x[inside], axis, values)
             assert np.array_equal(sol.value_at(x[inside][:, None]), ref_val)
+
+    def test_2d_stacked_fields_equal_per_field_bilinear_bitwise(self):
+        # the per-field bilinear read that the stacked gather replaces
+        def bilinear(arr, axes, xc):
+            a0, a1 = axes
+            i0 = np.clip(np.searchsorted(a0, xc[:, 0]) - 1, 0, a0.size - 2)
+            i1 = np.clip(np.searchsorted(a1, xc[:, 1]) - 1, 0, a1.size - 2)
+            t0 = (xc[:, 0] - a0[i0]) / (a0[i0 + 1] - a0[i0])
+            t1 = (xc[:, 1] - a1[i1]) / (a1[i1 + 1] - a1[i1])
+            return (arr[i0, i1] * (1 - t0) * (1 - t1) + arr[i0 + 1, i1] * t0 * (1 - t1)
+                    + arr[i0, i1 + 1] * (1 - t0) * t1 + arr[i0 + 1, i1 + 1] * t0 * t1)
+
+        rng = np.random.default_rng(5)
+        grid = Grid.build([[-1.0, 1.0], [-2.0, 2.0]], [17, 21])
+        axes = grid.axes()
+        values = rng.normal(size=grid.shape)
+        sol = PdeSolution(grid=grid, kind="stationary", values=values)
+        x = np.concatenate([
+            rng.uniform(-1.5, 1.5, (3000, 1)) * [1.0, 2.0],
+            grid.points(),
+            np.nextafter(grid.points(), np.inf),
+        ])
+        xc = np.clip(x, [-1.0, -2.0], [1.0, 2.0])
+        grad, hess = sol.derivatives_at(x)
+        g_nodes, h_nodes = nodal_gradient(values, grid), nodal_hessian(values, grid)
+        for ax in range(2):
+            ref = bilinear(g_nodes[..., ax], axes, xc)
+            assert np.array_equal(grad[:, ax].view(np.int64), ref.view(np.int64))
+            for bx in range(2):
+                ref = bilinear(h_nodes[..., ax, bx], axes, xc)
+                assert np.array_equal(hess[:, ax, bx].view(np.int64), ref.view(np.int64))
+        ref_grad = np.stack([bilinear(g_nodes[..., ax], axes, xc) for ax in range(2)], axis=-1)
+        ref_val = bilinear(values, axes, xc) + np.einsum("nl,nl->n", ref_grad, x - xc)
+        assert np.array_equal(sol.value_at(x).view(np.int64), ref_val.view(np.int64))
 
     def test_joint_derivatives_equal_separate_accessors(self, ou_sol):
         rng = np.random.default_rng(4)

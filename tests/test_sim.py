@@ -1,5 +1,6 @@
 """Scenario simulation, streaming deflator estimators, and control policies."""
 
+import collections
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from gkernel import (
     ConstantControl,
     DivergenceError,
+    EvaluationError,
     FeedbackControl,
     Grid,
     InvalidSetError,
@@ -15,6 +17,7 @@ from gkernel import (
     PiecewiseControl,
     ShapeError,
     UncertaintySet,
+    VolControl,
     compute_components,
     extreme_controls,
     long_term_yield_mc,
@@ -166,6 +169,27 @@ class TestValidation:
         bad = FeedbackControl(lambda t, x: np.ones((x.shape[0], 2)))
         with pytest.raises(ShapeError):
             simulate_gsde(const_model, bad, [0.0], 1.0, 0.1, 2)
+
+    @pytest.mark.parametrize("sizes", [
+        dict(n_paths=0), dict(n_paths=-3), dict(n_paths=2.0),
+        dict(n_paths=4, chunk_size=0), dict(n_paths=4, chunk_size=-2),
+    ], ids=["no_paths", "negative_paths", "float_paths", "zero_chunk", "negative_chunk"])
+    @pytest.mark.parametrize("entry", ["simulate_gsde", "upper_price_mc", "long_term_yield_mc"])
+    def test_sizes_rejected_before_simulating(self, const_model, entry, sizes, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("simulated before the sizes were checked")
+
+        monkeypatch.setattr(sim, "_chunk_draws", no_draws)
+        ctl = ConstantControl(1.0)
+        run = {
+            "simulate_gsde": lambda: simulate_gsde(const_model, ctl, [0.0], 1.0, 0.1, **sizes),
+            "upper_price_mc": lambda: upper_price_mc(const_model, None, 1.0, dt=0.1, **sizes),
+            "long_term_yield_mc": lambda: long_term_yield_mc(const_model, [0.5, 1.0], ctl,
+                                                             dt=0.1, **sizes),
+        }[entry]
+        with pytest.raises(ShapeError, match="n_paths" if "chunk_size" not in sizes
+                           else "chunk_size"):
+            run()
 
 
 class TestPolicies:
@@ -372,3 +396,123 @@ class TestStreamingMatchesHistory:
         policy = worst_case_policy(sol, model)
         batch = self._assert_same_mean(model, policy, sol, [-0.1, 0.1])
         assert 0.0 < np.mean(batch.Q[..., 0, 1] > 0.0) < 1.0
+
+
+def _switching_model(m):
+    """Models on which the worst-case policy picks each extreme on some states."""
+    if m == 1:
+        # the covariation loading k changes sign with x1
+        model = ModelSpec.build(
+            m=1, d=1, b=["0.05 - x1"], sigma=[[0.2]], r="x1 * x1", k=[["0.3 * x1"]],
+            v=[0.05], uncertainty=UncertaintySet.interval(0.8, 1.2),
+        )
+        grid = Grid.build([(-2.0, 2.0)], [65])
+    else:
+        # r curved in x1 makes the policy switch between the two members
+        model = ModelSpec.build(
+            m=2, d=2, b=["0.05 - x1", "0.05 - x2"], sigma=[[0.2, 0.0], [0.05, 0.2]],
+            r="x1 * x1 + x2", k=[[0.01, 0.005], [0.005, 0.02]], v=[0.1, -0.05],
+            uncertainty=UncertaintySet.finite([np.eye(2), [[1.0, 0.5], [0.5, 1.0]]]),
+        )
+        grid = Grid.build([(-2.0, 2.0)] * 2, [17, 17])
+    return model, solve_ergodic(model, grid, tol=1e-10, check=False)
+
+
+def _const_kernel_2d():
+    """The two-member constant kernel: only the drift depends on the state."""
+    model = ModelSpec.build(
+        m=2, d=2, b=["-1.0 * x1", "-1.0 * x2"], sigma=[[0.2, 0.0], [0.0, 0.2]], r=0.02,
+        v=[0.3, 0.3],
+        uncertainty=UncertaintySet.finite([np.eye(2), [[1.0, 0.5], [0.5, 1.0]]]),
+    )
+    return model, solve_ergodic(model, Grid.build([(-3.0, 3.0)] * 2, [17, 17]), tol=1e-7)
+
+
+class TestCoefficientBundle:
+    """Each step evaluates the model once and shares it with the control."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_policy_picks_same_with_and_without_bundle(self, m):
+        model, sol = _switching_model(m)
+        policy = worst_case_policy(sol, model)
+        x = np.random.default_rng(m).uniform(-2.5, 2.5, (3000, m))
+        plain = policy.matrices(0.0, x)  # the policy evaluates the model itself
+        shared, _ = policy.matrices_and_roots(0.0, x, coeffs=model.evaluate(x))
+        assert np.array_equal(plain, shared)
+        assert len(np.unique(shared.reshape(len(x), -1), axis=0)) == 2
+
+    def test_bundle_of_another_model_is_not_used(self):
+        model, sol = _switching_model(2)
+        other = ModelSpec.build(
+            m=2, d=2, b=["0.0", "0.0"], sigma=[[1.0, 0.0], [0.0, 1.0]], r=0.0, v=[3.0, -3.0],
+            uncertainty=model.uncertainty,
+        )
+        policy = worst_case_policy(sol, model)
+        x = np.random.default_rng(5).uniform(-2.0, 2.0, (500, 2))
+        q, _ = policy.matrices_and_roots(0.0, x, coeffs=other.evaluate(x))
+        assert np.array_equal(q, policy.matrices(0.0, x))
+
+    def test_control_overriding_only_matrices_still_simulates(self):
+        model, _ = _switching_model(2)
+        q = [[1.0, 0.5], [0.5, 1.0]]
+
+        class Fixed(VolControl):
+            label = "fixed"
+
+            def matrices(self, t, x):
+                return np.broadcast_to(np.asarray(q), (x.shape[0], 2, 2))
+
+        mine = simulate_gsde(model, Fixed(), [0.1, -0.1], 0.5, 0.01, 40, seed=3)
+        ref = simulate_gsde(model, ConstantControl(q), [0.1, -0.1], 0.5, 0.01, 40, seed=3)
+        assert np.array_equal(mine.X, ref.X)
+        priced = upper_price_mc(model, None, 0.5, [Fixed()], dt=0.01, n_paths=40, seed=3)
+        ref_priced = upper_price_mc(model, None, 0.5, [ConstantControl(q, label="fixed")],
+                                    dt=0.01, n_paths=40, seed=3)
+        assert priced.table == ref_priced.table
+
+    @pytest.mark.parametrize("entry", ["simulate_gsde", "upper_price_mc"])
+    def test_nan_constant_named(self, entry):
+        model = ModelSpec.build(
+            m=1, d=1, b=["-x1"], sigma=[[math.nan]], r=0.02, v=[0.3],
+            uncertainty=UncertaintySet.interval(0.5, 1.0),
+        )
+        for _ in range(2):  # the failed check leaves nothing cached
+            with pytest.raises(EvaluationError, match=r"sigma\[0\]\[0\]"):
+                if entry == "simulate_gsde":
+                    simulate_gsde(model, ConstantControl(1.0), [0.0], 0.5, 0.1, 4)
+                else:
+                    upper_price_mc(model, None, 0.5, dt=0.1, n_paths=4)
+
+    @pytest.mark.parametrize("kernel", ["const_1d", "const_2d", "state_1d"])
+    def test_each_coefficient_evaluated_once_per_control_step(self, kernel, const_model,
+                                                              const_sol, monkeypatch):
+        if kernel == "const_1d":
+            model, sol = const_model, const_sol
+        elif kernel == "const_2d":
+            model, sol = _const_kernel_2d()
+        else:  # every tensor depends on the state
+            model = ModelSpec.build(
+                m=1, d=1, b=["0.05 - x1"], sigma=[["0.2 + 0.05 * tanh(x1)"]],
+                r="0.02 + 0.1 * x1", k=[["0.01 * x1"]], v=["0.1 + 0.05 * x1"],
+                h=[[["0.02 * x1"]]], uncertainty=UncertaintySet.interval(0.7, 1.3),
+            )
+            sol = solve_ergodic(model, Grid.build([(-2.0, 2.0)], [65]), tol=1e-7, check=False)
+        counts = collections.Counter()
+        for name in ("b", "sigma", "r", "k", "v", "h", "dij", "h_effective"):
+            orig = getattr(ModelSpec, f"eval_{name}")
+            monkeypatch.setattr(
+                ModelSpec, f"eval_{name}",
+                lambda self, x, _n=name, _f=orig: counts.update([_n]) or _f(self, x))
+        controls = extreme_controls(model.uncertainty) + [worst_case_policy(sol, model)]
+        n_paths, chunk, n_steps = 120, 50, 20
+        upper_price_mc(model, None, 1.0, controls, dt=1.0 / n_steps, n_paths=n_paths,
+                       chunk_size=chunk)
+        control_steps = len(controls) * -(-n_paths // chunk) * n_steps
+        # the step reads b on every control-step, the deflator r
+        assert counts["b"] == control_steps
+        if kernel == "state_1d":
+            assert counts["r"] == control_steps
+        assert counts["dij"] == counts["h_effective"] == 0
+        for name in ("sigma", "r", "k", "v", "h"):
+            # a constant tensor is checked at most once per model
+            assert counts[name] <= (control_steps if kernel == "state_1d" else 1), name
