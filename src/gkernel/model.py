@@ -263,7 +263,8 @@ class ModelSpec:
             self._constants[name] = view
         view = self._constants[name]
         if view is not None and view.shape[0] != x.shape[0]:
-            # a run's batches share a few row counts: keep the latest broadcast
+            # a run's batches share a few row counts: keep the latest broadcast,
+            # since np.broadcast_to on every read costs more than the step's gather
             view = self._constants[name] = np.broadcast_to(view[:1], x.shape[:1] + view.shape[1:])
         return view
 

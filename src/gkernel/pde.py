@@ -54,7 +54,7 @@ from .errors import (
     ShapeError,
 )
 from .gcore import _candidate_scores, g_value, g_value_batch
-from .model import ModelSpec, _dij
+from .model import Coefficients, ModelSpec, _dij
 
 __all__ = [
     "Grid",
@@ -452,14 +452,13 @@ def _hamiltonian_batch(
     hess: np.ndarray,
     u_val: np.ndarray | None = None,
     mode: str = "pricing",
-    precomputed: dict | None = None,
+    precomputed: Coefficients | None = None,
 ) -> np.ndarray:
     """H matrices (n, d, d) for a batch of points/derivatives.
 
-    ``precomputed`` holds the coefficients at ``x`` (a ``Coefficients``
-    bundle, or a dict with the same keys plus ``h_eff``); by default they
-    are evaluated here.  Without ``h_eff``, h - d_ij is formed from the
-    bundle's h, sigma and v.
+    ``precomputed`` is the ``Coefficients`` bundle at ``x``; by default it
+    is evaluated here.  In pricing mode h - d_ij is formed from the bundle's
+    h, sigma and v.
     """
     mode = _normalize_mode(mode)
     pre = model.evaluate(x) if precomputed is None else precomputed
@@ -468,7 +467,7 @@ def _hamiltonian_batch(
     z = np.einsum("nlj,nl->nj", sig, grad)
     if mode == "pricing":
         vval = pre["v"]
-        htil = pre["h_eff"] if "h_eff" in pre else pre["h"] - _dij(sig, vval)
+        htil = pre["h"] - _dij(sig, vval)
         return (
             hess_term
             + 2.0 * np.einsum("nl,nijl->nij", grad, htil)
@@ -539,17 +538,13 @@ class _Stepper:
         self.pts = pts
         n = pts.shape[0]
 
-        self.sig = model.eval_sigma(pts)
-        self.bval = model.eval_b(pts)
-        self.rval = model.eval_r(pts)
-        self.kval = model.eval_k(pts)
-        self.vval = model.eval_v(pts)
-        self.hval = model.eval_h(pts)
-        self.h_eff = model.eval_h_effective(pts)
-        self.pre = {
-            "sigma": self.sig, "k": self.kval, "v": self.vval,
-            "h": self.hval, "h_eff": self.h_eff,
-        }
+        self.pre = model.evaluate(pts)
+        self.sig = self.pre["sigma"]
+        self.bval = self.pre["b"]
+        self.rval = self.pre["r"]
+        self.kval = self.pre["k"]
+        self.vval = self.pre["v"]
+        self.hval = self.pre["h"]
 
         cands = model.uncertainty.candidates()
         self.n_cand = len(cands)
@@ -558,7 +553,8 @@ class _Stepper:
         self.diff_c = np.empty((self.n_cand, m, m, n))      # sigma Q sigma^T per candidate
         self.vel_c = np.empty((self.n_cand, m, n))          # b + Q : (h - d)
         self.const_c = np.empty((self.n_cand, n))           # Q : (-k + vv/2)
-        src = self.h_eff if mode == "pricing" else self.hval
+        # the pricing driver sees the covariation drift h - d_ij
+        src = self.hval - _dij(self.sig, self.vval) if mode == "pricing" else self.hval
         kv = (-self.kval + 0.5 * np.einsum("ni,nj->nij", self.vval, self.vval))
         for c, q in enumerate(cands):
             a = np.einsum("nad,de,nbe->nab", self.sig, q, self.sig)

@@ -183,8 +183,6 @@ class TestParsing:
         lambda s: s.update(x0=[0.0, 0.0]),
         lambda s: s.update(control=7),
         lambda s: s.update(warmup=1),              # unknown key
-        lambda s: s.update(n_paths=0),
-        lambda s: s.update(n_paths=-5),
     ])
     def test_malformed_sim_blocks_rejected(self, mutate):
         doc = sim_doc()
