@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .coefficients import CoefficientFn, as_coefficient
+from .coefficients import CoefficientFn
 from .errors import ConfigurationError
 from .gcore import UncertaintySet
-from .model import ModelSpec
+from .model import ModelSpec, _coeff_grid
 from .pde import Grid
 
 __all__ = [
@@ -66,15 +67,29 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
         raise ConfigurationError(f"unknown key(s) in {where}: {', '.join(extra)}")
 
 
+def _number(val, where: str) -> float:
+    """A JSON number as a float; anything else, booleans included, is named."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigurationError(f"{where} must be a number")
+    try:
+        return float(val)
+    except OverflowError:
+        raise ConfigurationError(f"{where} is too large for a float") from None
+
+
+def _numbers(seq, where: str) -> tuple:
+    """A JSON list of numbers as a tuple of floats."""
+    if not isinstance(seq, list):
+        raise ConfigurationError(f"{where} must be a list of numbers")
+    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(seq))
+
+
 def _get_number(obj: dict, key: str, where: str, default=None, required=False):
     if key not in obj:
         if required:
             raise ConfigurationError(f"{where} is missing required key {key!r}")
         return default
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigurationError(f"{where}.{key} must be a number")
-    return float(val)
+    return _number(obj[key], f"{where}.{key}")
 
 
 def _get_int(obj: dict, key: str, where: str, default=None, required=False):
@@ -95,12 +110,17 @@ def _path_count(n: int, where: str) -> int:
     return n
 
 
-def _coeff_entry(val, where: str):
-    if isinstance(val, bool) or not isinstance(val, (int, float, str)):
-        raise ConfigurationError(
-            f"{where} must be a number or an expression string"
-        )
-    return val
+@contextmanager
+def _located(where: str):
+    """Prefix ``where`` to the input errors raised inside, and turn the
+    ValueError and TypeError of numpy's float conversion into them."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -157,13 +177,15 @@ def _parse_uncertainty(obj, where: str) -> UncertaintySet:
         _reject_unknown(obj, _UNC_KEYS_INTERVAL, where)
         lo = _get_number(obj, "lo", where, required=True)
         hi = _get_number(obj, "hi", where, required=True)
-        return UncertaintySet.interval(lo, hi)
+        with _located(where):
+            return UncertaintySet.interval(lo, hi)
     if kind == "finite":
         _reject_unknown(obj, _UNC_KEYS_FINITE, where)
         members = obj.get("members")
         if not isinstance(members, list) or not members:
             raise ConfigurationError(f"{where}.members must be a nonempty list")
-        return UncertaintySet.finite([np.asarray(m, dtype=float) for m in members])
+        with _located(where):
+            return UncertaintySet.finite([np.asarray(m, dtype=float) for m in members])
     raise ConfigurationError(f"{where}.kind must be 'interval' or 'finite'")
 
 
@@ -173,72 +195,16 @@ def _parse_model(obj, uncertainty: UncertaintySet, label: str) -> ModelSpec:
     _reject_unknown(obj, _MODEL_KEYS, where)
     m = _get_int(obj, "m", where, required=True)
     d = _get_int(obj, "d", where, required=True)
-    if m < 1 or d < 1:
-        raise ConfigurationError("model.m and model.d must be positive")
-
-    b = obj.get("b")
-    if not isinstance(b, list) or len(b) != m:
-        raise ConfigurationError(f"model.b must be a list of {m} coefficients")
-    b = [_coeff_entry(v, f"model.b[{i}]") for i, v in enumerate(b)]
-
-    sigma = obj.get("sigma")
-    if not isinstance(sigma, list) or len(sigma) != m or any(
-        not isinstance(row, list) or len(row) != d for row in sigma
-    ):
-        raise ConfigurationError(f"model.sigma must be an {m} x {d} nested list")
-    sigma = [
-        [_coeff_entry(v, f"model.sigma[{i}][{j}]") for j, v in enumerate(row)]
-        for i, row in enumerate(sigma)
-    ]
-
     if "r" not in obj:
         raise ConfigurationError("model is missing required key 'r'")
-    r = _coeff_entry(obj["r"], "model.r")
-
-    k = obj.get("k")
-    if k is not None:
-        if not isinstance(k, list) or len(k) != d or any(
-            not isinstance(row, list) or len(row) != d for row in k
-        ):
-            raise ConfigurationError(f"model.k must be a {d} x {d} nested list")
-        k = [
-            [_coeff_entry(v, f"model.k[{i}][{j}]") for j, v in enumerate(row)]
-            for i, row in enumerate(k)
-        ]
-
-    v = obj.get("v")
-    if v is not None:
-        if not isinstance(v, list) or len(v) != d:
-            raise ConfigurationError(f"model.v must be a list of {d} coefficients")
-        v = [_coeff_entry(x, f"model.v[{i}]") for i, x in enumerate(v)]
-
-    h = obj.get("h")
-    if h is not None:
-        ok = isinstance(h, list) and len(h) == d and all(
-            isinstance(row, list) and len(row) == d and all(
-                isinstance(cell, list) and len(cell) == m for cell in row
-            )
-            for row in h
-        )
-        if not ok:
-            raise ConfigurationError(f"model.h must be a {d} x {d} x {m} nested list")
-        h = [
-            [
-                [_coeff_entry(x, f"model.h[{i}][{j}][{l}]") for l, x in enumerate(cell)]
-                for j, cell in enumerate(row)
-            ]
-            for i, row in enumerate(h)
-        ]
-
     try:
         return ModelSpec.build(
-            m=m, d=d, b=b, sigma=sigma, r=r, k=k, v=v, h=h,
-            uncertainty=uncertainty, label=label,
+            m=m, d=d, b=obj.get("b"), sigma=obj.get("sigma"), r=obj["r"], k=obj.get("k"),
+            v=obj.get("v"), h=obj.get("h"), uncertainty=uncertainty, label=label,
         )
-    except ConfigurationError:
+    except ConfigurationError as exc:  # the model names the entry; add the block
+        exc.args = (f"model.{exc}",)
         raise
-    except Exception as exc:  # surface parser/shape failures with context
-        raise ConfigurationError(f"model: {exc}") from exc
 
 
 def _parse_bounds_nodes(obj: dict, where: str):
@@ -253,7 +219,7 @@ def _parse_bounds_nodes(obj: dict, where: str):
     for n in nodes:
         if isinstance(n, bool) or not isinstance(n, int):
             raise ConfigurationError(f"{where}.nodes entries must be integers")
-    return [list(map(float, p)) for p in bounds], [int(n) for n in nodes]
+    return [_numbers(p, f"{where}.bounds[{i}]") for i, p in enumerate(bounds)], nodes
 
 
 def _parse_grid(obj, where: str = "grid") -> Grid:
@@ -262,10 +228,8 @@ def _parse_grid(obj, where: str = "grid") -> Grid:
     bounds, nodes = _parse_bounds_nodes(obj, where)
     horizon = _get_number(obj, "horizon", where)
     time_steps = _get_int(obj, "time_steps", where)
-    try:
+    with _located(where):
         return Grid.build(bounds, nodes, horizon=horizon, time_steps=time_steps)
-    except Exception as exc:
-        raise ConfigurationError(f"{where}: {exc}") from exc
 
 
 def _parse_solver(obj) -> SolverSettings:
@@ -278,12 +242,10 @@ def _parse_solver(obj) -> SolverSettings:
     if gamma2 is not None:
         if not isinstance(gamma2, list):
             raise ConfigurationError("solver.gamma2 must be a nested list")
-        gamma2 = tuple(tuple(float(x) for x in row) for row in gamma2)
+        gamma2 = tuple(_numbers(row, f"solver.gamma2[{i}]") for i, row in enumerate(gamma2))
     anchor = obj.get("anchor")
     if anchor is not None:
-        if not isinstance(anchor, list):
-            raise ConfigurationError("solver.anchor must be a list of coordinates")
-        anchor = tuple(float(x) for x in anchor)
+        anchor = _numbers(anchor, "solver.anchor")
     mode = obj.get("mode", "pricing")
     if mode not in ("pricing", "parabolic", "ergodic", "generic"):
         raise ConfigurationError(
@@ -318,9 +280,7 @@ def _parse_sim(obj, m: int) -> SimSettings | None:
         raise ConfigurationError("sim.control must be a string or an object")
     checkpoints = obj.get("checkpoints")
     if checkpoints is not None:
-        if not isinstance(checkpoints, list):
-            raise ConfigurationError("sim.checkpoints must be a list of times")
-        checkpoints = tuple(float(t) for t in checkpoints)
+        checkpoints = _numbers(checkpoints, "sim.checkpoints")
     horizon = _get_number(obj, "horizon", where, required=True)
     if ("dt" in obj) == ("n_steps" in obj):
         raise ConfigurationError("sim needs exactly one of 'dt' or 'n_steps'")
@@ -334,7 +294,7 @@ def _parse_sim(obj, m: int) -> SimSettings | None:
     if not (dt > 0.0 and dt <= horizon):
         raise ConfigurationError("sim.dt must lie in (0, horizon]")
     return SimSettings(
-        x0=tuple(float(v) for v in x0),
+        x0=_numbers(x0, "sim.x0"),
         horizon=horizon,
         dt=dt,
         n_paths=_path_count(_get_int(obj, "n_paths", where, required=True), "sim.n_paths"),
@@ -381,12 +341,7 @@ def parse_config(doc: dict) -> RunConfig:
     if "model" not in doc or "uncertainty" not in doc:
         raise ConfigurationError("configuration needs 'model' and 'uncertainty'")
 
-    try:
-        uncertainty = _parse_uncertainty(doc["uncertainty"], "uncertainty")
-    except ConfigurationError:
-        raise
-    except Exception as exc:
-        raise ConfigurationError(f"uncertainty: {exc}") from exc
+    uncertainty = _parse_uncertainty(doc["uncertainty"], "uncertainty")
     model = _parse_model(doc["model"], uncertainty, label)
 
     grid = _parse_grid(doc["grid"]) if "grid" in doc else None
@@ -405,12 +360,7 @@ def parse_config(doc: dict) -> RunConfig:
     else:
         raise ConfigurationError("configuration needs a grid or an assumption_box")
 
-    payoff = None
-    if "payoff" in doc:
-        try:
-            payoff = as_coefficient(_coeff_entry(doc["payoff"], "payoff"))
-        except Exception as exc:
-            raise ConfigurationError(f"payoff: {exc}") from exc
+    payoff = _coeff_grid(doc["payoff"], (), "payoff") if "payoff" in doc else None
 
     return RunConfig(
         label=label, model=model, grid=grid, solver=solver,
@@ -452,22 +402,16 @@ def build_control(spec, model: ModelSpec, solution=None):
         )
     if isinstance(spec, dict):
         if set(spec) == {"constant"}:
-            try:
+            with _located("sim.control.constant"):
                 return ConstantControl(np.asarray(spec["constant"], dtype=float))
-            except Exception as exc:
-                raise ConfigurationError(f"sim.control.constant: {exc}") from exc
         if set(spec) == {"piecewise"}:
             inner = _require_mapping(spec["piecewise"], "sim.control.piecewise")
             _reject_unknown(inner, {"times", "matrices"}, "sim.control.piecewise")
-            try:
+            with _located("sim.control.piecewise"):
                 return PiecewiseControl(
                     np.asarray(inner.get("times"), dtype=float),
                     [np.asarray(m, dtype=float) for m in inner.get("matrices")],
                 )
-            except ConfigurationError:
-                raise
-            except Exception as exc:
-                raise ConfigurationError(f"sim.control.piecewise: {exc}") from exc
     raise ConfigurationError(
         "sim.control must be 'worst_case', an extreme-scenario name, "
         "or an object with key 'constant' or 'piecewise'"

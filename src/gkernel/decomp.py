@@ -323,7 +323,7 @@ def _mean_se_dev(sums: np.ndarray, sumsq: np.ndarray, n: int):
 
 
 def _audit_control(chunks, n_paths: int, marks: list[int], dt: float,
-                   k_tol: float) -> dict:
+                   k_tol: float) -> MartingaleCheck:
     """Accumulate factor statistics over an iterable of decomposition chunks."""
     n_marks = len(marks)
     acc = {
@@ -361,22 +361,20 @@ def _audit_control(chunks, n_paths: int, marks: list[int], dt: float,
     m_means, m_ses, m_devs = _mean_se_dev(acc["m_sums"], acc["m_sumsq"], n_paths)
     mk_means, mk_ses, mk_devs = _mean_se_dev(acc["mk_sums"], acc["mk_sumsq"], n_paths)
     rms = math.sqrt(acc["bsde_sumsq_step"] / acc["bsde_n_step"]) if acc["bsde_n_step"] else 0.0
-    return {
-        "check": MartingaleCheck(
-            control=label or "control",
-            n_paths=n_paths,
-            checkpoint_times=tuple(float(s * dt) for s in marks),
-            m_means=m_means, m_stderrs=m_ses, m_deviations_se=m_devs,
-            mk_means=mk_means, mk_stderrs=mk_ses, mk_deviations_se=mk_devs,
-            k_increment_violations=acc["k_viol"],
-            k_max_increment=float(acc["k_max_inc"]),
-            k_max_abs=acc["k_max_abs"],
-            k_final_max_abs=acc["k_final_max_abs"],
-            identity_max_abs=acc["identity_max"],
-            bsde_max_step=acc["bsde_max_step"],
-            bsde_rms_step=rms,
-        ),
-    }
+    return MartingaleCheck(
+        control=label or "control",
+        n_paths=n_paths,
+        checkpoint_times=tuple(float(s * dt) for s in marks),
+        m_means=m_means, m_stderrs=m_ses, m_deviations_se=m_devs,
+        mk_means=mk_means, mk_stderrs=mk_ses, mk_deviations_se=mk_devs,
+        k_increment_violations=acc["k_viol"],
+        k_max_increment=float(acc["k_max_inc"]),
+        k_max_abs=acc["k_max_abs"],
+        k_final_max_abs=acc["k_final_max_abs"],
+        identity_max_abs=acc["identity_max"],
+        bsde_max_step=acc["bsde_max_step"],
+        bsde_rms_step=rms,
+    )
 
 
 def verify_martingales(
@@ -419,12 +417,11 @@ def verify_martingales(
             sub = b.path_slice(lo, min(lo + chunk_size, b.n_paths))
             yield compute_components(sub, solution, model, lam=dec.lam)
 
-    checks = [_audit_control(dec_chunks(dec), dec.n_paths, marks, dt, k_tol)["check"]]
+    checks = [_audit_control(dec_chunks(dec), dec.n_paths, marks, dt, k_tol)]
     for b in batches:
         if b.times.size - 1 != n_steps or abs(b.dt - dt) > 1e-12 * max(1.0, dt):
             raise ShapeError("all batches must share the reference time grid")
-        checks.append(
-            _audit_control(batch_chunks(b), b.n_paths, marks, dt, k_tol)["check"])
+        checks.append(_audit_control(batch_chunks(b), b.n_paths, marks, dt, k_tol))
 
     ref = checks[0]
     degenerate = bool(model.uncertainty.degenerate) if model is not None else False

@@ -103,4 +103,5 @@ class IterationError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """An iteration failed to settle (residual no longer decreasing)."""
+    """An iteration failed to settle: Newton ran out of steps, its tolerance
+    was below round-off, or its Jacobian was singular."""

@@ -20,6 +20,7 @@ equilibrium.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -27,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coefficients import CoefficientFn, Constant, as_coefficient
-from .errors import DomainError, EvaluationError, ShapeError
+from .errors import DomainError, EvaluationError, ExpressionError, ShapeError
 from .gcore import UncertaintySet, g_value_batch
 
 __all__ = [
@@ -47,26 +48,43 @@ __all__ = [
 _PAIR_CAP = 200_000
 
 
-def _coeff_grid(entries, shape, what: str):
-    """Coerce a nested sequence of coefficient sources to a tuple tree."""
-    if len(shape) == 0:
-        return as_coefficient(entries)
-    expected = shape[0]
-    if entries is None or isinstance(entries, (int, float, str, CoefficientFn)):
-        raise ShapeError(f"{what} must be a sequence of length {expected}")
-    seq = list(entries)
-    if len(seq) != expected:
-        raise ShapeError(f"{what} has length {len(seq)}, expected {expected}")
-    return tuple(_coeff_grid(e, shape[1:], what) for e in seq)
+@functools.cache
+def _shapes(m: int, d: int) -> dict:
+    """Entry-grid shape of each coefficient tensor of a model with state
+    dimension m and noise dimension d; k, v and h may be absent (zero)."""
+    return {"b": (m,), "sigma": (m, d), "r": (), "k": (d, d), "v": (d,), "h": (d, d, m)}
 
 
-def _eval_checked(fn: CoefficientFn, x: np.ndarray, label: str) -> np.ndarray:
+def _coeff_grid(entries, shape, where: str):
+    """Coerce a nested sequence of coefficient sources to a tuple tree of ``shape``.
+
+    Each level must be a list, tuple or array of exactly the right length,
+    and each leaf a number, an expression or a ``CoefficientFn``; every
+    error names the offending entry path, such as ``sigma[0][1]``.
+    """
+    if not shape:
+        if isinstance(entries, (bool, np.bool_)):
+            raise ShapeError(f"{where} must be a number or an expression, not a boolean")
+        try:
+            return as_coefficient(entries)
+        except ExpressionError as exc:
+            exc.args = (f"{where}: {exc}",)
+            raise
+    sequence = isinstance(entries, (list, tuple)) or (
+        isinstance(entries, np.ndarray) and entries.ndim > 0)
+    if not sequence or len(entries) != shape[0]:
+        raise ShapeError(f"{where} must be a sequence of length {shape[0]}")
+    return tuple(_coeff_grid(e, shape[1:], f"{where}[{i}]") for i, e in enumerate(entries))
+
+
+def _eval_checked(fn: CoefficientFn, x: np.ndarray, name: str, shape: tuple, j: int) -> np.ndarray:
+    """``fn(x)`` for entry ``j`` (row-major) of tensor ``name``, checked finite."""
     out = fn(x)
     bad = ~np.isfinite(out)
     if np.any(bad):
-        idx = int(np.argmax(bad))
+        label = name + "".join(f"[{i}]" for i in np.unravel_index(j, shape))
         raise EvaluationError(
-            f"{label} evaluated to a non-finite value at x = {x[idx].tolist()}"
+            f"{label} evaluated to a non-finite value at x = {x[int(np.argmax(bad))].tolist()}"
         )
     return out
 
@@ -75,10 +93,6 @@ def _dij(sig: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(sigma_col_i v_j + sigma_col_j v_i) / 2 from sigma (n, m, d) and v (n, d)."""
     a = np.einsum("nli,nj->nijl", sig, v)
     return 0.5 * (a + np.swapaxes(a, 1, 2))
-
-
-# coefficient tensors of a model, each read by its ModelSpec.eval_<name> method
-_TENSORS = ("b", "sigma", "r", "k", "v", "h")
 
 
 def _entries(tensor):
@@ -92,8 +106,8 @@ def _entries(tensor):
 class Coefficients(dict):
     """The coefficient tensors of one model at one batch of states ``x``.
 
-    Keys are ``b`` (n, m), ``sigma`` (n, m, d), ``r`` (n,), ``k`` (n, d, d),
-    ``v`` (n, d) and ``h`` (n, d, d, m).  A tensor is computed when it is
+    Keys are the tensor names of ``_shapes``, each read as an (n, *shape)
+    array, such as ``sigma`` as (n, m, d).  A tensor is computed when it is
     first read and then kept, so each is evaluated at most once per batch:
     a constant one is a read-only broadcast of the value the model checked
     once, any other goes through its ``ModelSpec.eval_*`` method.
@@ -105,7 +119,7 @@ class Coefficients(dict):
         self.x = x
 
     def __missing__(self, name: str) -> np.ndarray:
-        if name not in _TENSORS:
+        if name not in _shapes(self.model.m, self.model.d):
             raise KeyError(name)
         out = self.model._constant(name, self.x) if len(self.x) else None
         if out is None:
@@ -169,63 +183,51 @@ class ModelSpec:
         m = int(m)
         d = int(d)
         if m < 1 or d < 1:
-            raise ShapeError("state and noise dimensions must be at least 1")
+            raise ShapeError(f"m and d must be at least 1, got m = {m}, d = {d}")
         if uncertainty.dim != d:
-            raise ShapeError(
-                f"ambiguity set has dimension {uncertainty.dim}, model noise dimension is {d}"
-            )
-        b_t = _coeff_grid(b, (m,), "drift b")
-        sig_t = _coeff_grid(sigma, (m, d), "diffusion sigma")
-        r_t = as_coefficient(r)
-        h_t = None if h is None else _coeff_grid(h, (d, d, m), "loading h")
-        k_t = None if k is None else _coeff_grid(k, (d, d), "loading k")
-        v_t = None if v is None else _coeff_grid(v, (d,), "loading v")
-        return cls(
-            m=m, d=d, b=b_t, sigma=sig_t, r=r_t, h=h_t, k=k_t, v=v_t,
-            uncertainty=uncertainty, f=f, g=g, label=label,
-        )
+            raise ShapeError(f"d = {d} differs from the ambiguity set's dimension {uncertainty.dim}")
+        raw = {"b": b, "sigma": sigma, "r": r, "k": k, "v": v, "h": h}
+        tensors = {
+            name: None if raw[name] is None and name in ("k", "v", "h")
+            else _coeff_grid(raw[name], shape, name)
+            for name, shape in _shapes(m, d).items()
+        }
+        return cls(m=m, d=d, uncertainty=uncertainty, f=f, g=g, label=label, **tensors)
 
     # -- vectorized evaluation (n states at a time) ----------------------
 
+    def _eval_tensor(self, name: str, x: np.ndarray) -> np.ndarray:
+        """Tensor ``name`` at the states ``x``: an (n, *shape) array filled
+        entry by entry in row-major order, zero when the tensor is absent."""
+        shape = _shapes(self.m, self.d)[name]
+        tree = getattr(self, name)
+        if tree is None:
+            return np.zeros((len(x),) + shape)
+        if not shape:  # a scalar tensor is its one entry's values, uncopied
+            return _eval_checked(tree, x, name, shape, 0)
+        out = np.empty((len(x),) + shape)
+        flat = out.reshape(len(x), math.prod(shape))
+        for j, fn in enumerate(_entries(tree)):
+            flat[:, j] = _eval_checked(fn, x, name, shape, j)
+        return out
+
     def eval_b(self, x: np.ndarray) -> np.ndarray:
-        return np.stack([_eval_checked(fn, x, f"b[{i}]") for i, fn in enumerate(self.b)], axis=-1)
+        return self._eval_tensor("b", x)
 
     def eval_sigma(self, x: np.ndarray) -> np.ndarray:
-        rows = []
-        for l, row in enumerate(self.sigma):
-            rows.append(np.stack(
-                [_eval_checked(fn, x, f"sigma[{l}][{j}]") for j, fn in enumerate(row)], axis=-1))
-        return np.stack(rows, axis=-2)  # (n, m, d)
+        return self._eval_tensor("sigma", x)
 
     def eval_r(self, x: np.ndarray) -> np.ndarray:
-        return _eval_checked(self.r, x, "r")
+        return self._eval_tensor("r", x)
 
     def eval_k(self, x: np.ndarray) -> np.ndarray:
-        n = x.shape[0]
-        if self.k is None:
-            return np.zeros((n, self.d, self.d))
-        out = np.empty((n, self.d, self.d))
-        for i in range(self.d):
-            for j in range(self.d):
-                out[:, i, j] = _eval_checked(self.k[i][j], x, f"k[{i}][{j}]")
-        return out
+        return self._eval_tensor("k", x)
 
     def eval_v(self, x: np.ndarray) -> np.ndarray:
-        n = x.shape[0]
-        if self.v is None:
-            return np.zeros((n, self.d))
-        return np.stack([_eval_checked(fn, x, f"v[{j}]") for j, fn in enumerate(self.v)], axis=-1)
+        return self._eval_tensor("v", x)
 
     def eval_h(self, x: np.ndarray) -> np.ndarray:
-        n = x.shape[0]
-        if self.h is None:
-            return np.zeros((n, self.d, self.d, self.m))
-        out = np.empty((n, self.d, self.d, self.m))
-        for i in range(self.d):
-            for j in range(self.d):
-                for l in range(self.m):
-                    out[:, i, j, l] = _eval_checked(self.h[i][j][l], x, f"h[{i}][{j}][{l}]")
-        return out
+        return self._eval_tensor("h", x)
 
     def eval_dij(self, x: np.ndarray) -> np.ndarray:
         """Coupling between diffusion columns and the noise loading.

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -160,6 +161,7 @@ class TestParsing:
         (lambda d: d["grid"].update(nodes=[65, 65]), "node count"),
         (lambda d: d["grid"].update(horizon=1.0), "horizon without steps"),
         (lambda d: d.update(solver={"tol": "tight"}), "solver number"),
+        (lambda d: d.update(solver={"tol": 10**400}), "number beyond float range"),
         (lambda d: d.update(solver={"mode": "implicit"}), "solver mode"),
         (lambda d: d.update(solver={"quiet": True}), "solver key"),
         (lambda d: d.update(output={"formats": ["yaml"]}), "output format"),
@@ -173,6 +175,44 @@ class TestParsing:
         doc = sim_doc()
         mutate(doc)
         with pytest.raises(ConfigurationError):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("tensors,message", [
+        ({"sigma": [0.2, 0.1]}, r"model\.sigma must be a sequence of length 1"),
+        ({"sigma": [0.2]}, r"model\.sigma\[0\] must be a sequence of length 2"),
+        ({"sigma": [{"a": 0.2}]}, r"model\.sigma\[0\] must be a sequence"),
+        ({"sigma": ["0.2"]}, r"model\.sigma\[0\] must be a sequence"),
+        ({"sigma": [[0.2, "y1"]]}, r"model\.sigma\[0\]\[1\]: unknown identifier 'y1'"),
+        ({"sigma": [[0.2, True]]}, r"model\.sigma\[0\]\[1\] must be a number or an expression"),
+        ({"h": [[[0.0], [0.0]], [[0.0]]]}, r"model\.h\[1\] must be a sequence of length 2"),
+        ({"k": "0.1"}, r"model\.k must be a sequence of length 2"),
+        ({"v": [0.1, None]}, r"model\.v\[1\]: cannot interpret NoneType"),
+        ({"r": True}, r"model\.r must be a number or an expression, not a boolean"),
+        ({"r": "max(x1"}, r"model\.r: expected '\)'"),
+        ({"r": [0.02]}, r"model\.r: cannot interpret list"),
+    ], ids=["sigma-rows", "sigma-number-row", "sigma-dict-row", "sigma-string-row",
+            "sigma-bad-expression", "sigma-bool-leaf", "h-short-row", "k-string",
+            "v-null-leaf", "r-bool", "r-bad-expression", "r-list"])
+    def test_malformed_tensor_named(self, tensors, message):
+        doc = base_doc()
+        doc["model"].update({"d": 2, "sigma": [[0.2, 0.1]], "v": [0.3, 0.0], **tensors})
+        doc["uncertainty"] = {"kind": "finite", "members": [[[1.0, 0.0], [0.0, 1.0]]]}
+        with pytest.raises(ConfigurationError, match=message):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("field,mutate", [
+        ("grid.bounds[0][1]", lambda d: d["grid"].update(bounds=[[-3.0, "3"]])),
+        ("assumption_box.bounds[0][0]",
+         lambda d: d.update(assumption_box={"bounds": [[None, 1.0]], "nodes": [11]})),
+        ("solver.gamma2[0][0]", lambda d: d.update(solver={"gamma2": [["0.5"]]})),
+        ("solver.anchor[0]", lambda d: d.update(solver={"anchor": [None]})),
+        ("sim.x0[0]", lambda d: d["sim"].update(x0=["0"])),
+        ("sim.checkpoints[1]", lambda d: d["sim"].update(checkpoints=[0.1, True])),
+    ], ids=["grid", "assumption_box", "gamma2", "anchor", "x0", "checkpoints"])
+    def test_non_numeric_list_entry_named(self, field, mutate):
+        doc = sim_doc()
+        mutate(doc)
+        with pytest.raises(ConfigurationError, match=re.escape(f"{field} must be a number")):
             parse_config(doc)
 
     @pytest.mark.parametrize("mutate", [
@@ -333,6 +373,13 @@ class TestCli:
         code, _, err = run_cli(doc, "check")
         assert code == 3
         assert "configuration error" in err
+
+    def test_non_numeric_list_entry_exits_as_configuration_error(self, run_cli):
+        doc = sim_doc()
+        doc["sim"]["x0"] = [None]
+        code, _, err = run_cli(doc, "check")
+        assert code == 3
+        assert "sim.x0[0] must be a number" in err
 
     def test_numerical_error_exit(self, run_cli):
         doc = base_doc()

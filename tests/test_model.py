@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gkernel import (
+    Affine,
     CustomUtility,
     DomainError,
     EquilibriumSpec,
@@ -15,6 +16,7 @@ from gkernel import (
     PowerUtility,
     ShapeError,
     UncertaintySet,
+    as_coefficient,
     check_assumptions,
     equilibrium_model,
     truncation_level,
@@ -315,3 +317,45 @@ class TestModelValidation:
         assert np.all(ou_model.eval_v(x) == 0.0)
         assert np.all(ou_model.eval_h(x) == 0.0)
         assert not ou_model.has_generic_drivers()
+
+
+def _stacked(tree, x):
+    """Reference tensor: ``fn(x)`` per entry, stacked level by level after the row axis."""
+    if not isinstance(tree, list):
+        return as_coefficient(tree)(x)
+    return np.stack([_stacked(t, x) for t in tree], axis=1)
+
+
+class TestTensorTable:
+    """Every tensor is read through one shape table, entry by entry."""
+
+    SOURCES = {
+        "b": ["-x1 + 0.1 * x2", 0.05],
+        "sigma": [[0.2, Affine(0.1, [0.0, 0.05])], ["0.1 + 0.05 * tanh(x1)", 0.3]],
+        "r": Affine(0.01, [1.0, 0.5]),
+        "k": [[0.1, "0.02 * x1"], ["0.02 * x1", Affine(0.2, [0.0, 0.01])]],
+        "v": ["0.3 + 0.1 * tanh(x2)", 0.1],
+        "h": [[[0.01, "0.02 * x1"], [Affine(0.0, [0.01, 0.0]), 0.0]],
+              [[Affine(0.0, [0.01, 0.0]), 0.0], ["0.01 * x2", 0.03]]],
+    }
+
+    def _model(self, **override):
+        return ModelSpec.build(m=2, d=2, uncertainty=_finite_2d(),
+                               **{**self.SOURCES, **override})
+
+    @pytest.mark.parametrize("name", ["b", "sigma", "r", "k", "v", "h"])
+    def test_eval_equals_stacked_entries_bitwise(self, name):
+        x = np.random.default_rng(3).uniform(-2.0, 2.0, size=(101, 2))
+        got = getattr(self._model(), f"eval_{name}")(x)
+        expected = _stacked(self.SOURCES[name], x)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_non_finite_entry_named(self):
+        h = [[[0.01, 0.0], [0.0, 0.0]], [[0.0, "ln(x1 - 5)"], [0.0, 0.0]]]
+        with pytest.raises(EvaluationError, match=r"^h\[1\]\[0\]\[1\] evaluated to a non-finite"):
+            self._model(h=h).eval_h(np.array([[0.5, 0.0]]))
+
+    def test_boolean_rate_rejected(self):
+        with pytest.raises(ShapeError, match="^r must be a number"):
+            self._model(r=True)

@@ -375,6 +375,49 @@ class TestErgodic:
         assert np.max(np.abs(sol.u.values)) < 1e-6
 
 
+class TestNewtonStress:
+    """Models whose Newton residual rises before it converges.
+
+    Howard's iteration need not decrease sup |F| at every step; each of these
+    models solves from u = 0 with no damped warm start (one ``delta_trace``
+    entry).  The weak mean reversion model has the affine solution
+    u = -5 x, lam = 25; the others are judged by node doubling, where the
+    upwind scheme's first-order error halves.
+    """
+
+    @staticmethod
+    def _solve(model, bounds, nodes):
+        sol = solve_ergodic(model, Grid.build([bounds], [nodes]), tol=1e-8, check=False)
+        assert len(sol.delta_trace) == 1
+        return sol.lam
+
+    def test_weak_mean_reversion_affine(self):
+        model = ModelSpec.build(
+            m=1, d=1, b=["-0.2 * x1"], sigma=[[1.0]], r="x1",
+            uncertainty=UncertaintySet.interval(0.5, 2.0),
+        )
+        assert abs(self._solve(model, (-6.0, 6.0), 257) - 25.0) < 1e-6
+
+    @pytest.mark.parametrize("kind", ["quadratic_rate", "tanh_rate_with_k_v"])
+    def test_node_doubling(self, kind):
+        if kind == "quadratic_rate":
+            model = ModelSpec.build(
+                m=1, d=1, b=["-x1"], sigma=[[0.8]], r="4 * x1 * x1",
+                uncertainty=UncertaintySet.interval(0.5, 1.5),
+            )
+            bounds = (-3.0, 3.0)
+        else:
+            model = ModelSpec.build(
+                m=1, d=1, b=["-0.2 * x1"], sigma=[[1.0]], r="tanh(x1)", k=[[2.0]], v=[0.5],
+                uncertainty=UncertaintySet.interval(0.5, 2.0),
+            )
+            bounds = (-6.0, 6.0)
+        lams = [self._solve(model, bounds, n) for n in (129, 257, 513)]
+        coarse, fine = lams[1] - lams[0], lams[2] - lams[1]
+        assert abs(fine) < 1e-2
+        assert 1.5 <= coarse / fine <= 4.0
+
+
 class TestTwoFactor:
     def test_separable_sum_of_one_factor_eigenpairs(self):
         one = ModelSpec.build(
