@@ -132,6 +132,7 @@ def write_traces_csv(path, decomp, max_paths: int | None = None) -> None:
         + ["ln_M", "K", "ln_D_direct", "ln_D_reconstructed"]
     )
     lines = [",".join(header)]
+    recon = decomp.path_slice(0, n_write).ln_D_reconstructed  # derived on each read, so read once
     for p in range(n_write):
         for s in range(k1):
             row = [str(p), fmt17(decomp.times[s])]
@@ -142,7 +143,7 @@ def write_traces_csv(path, decomp, max_paths: int | None = None) -> None:
                 fmt17(decomp.ln_M[p, s]),
                 fmt17(decomp.K[p, s]),
                 fmt17(decomp.ln_D_direct[p, s]),
-                fmt17(decomp.ln_D_reconstructed[p, s]),
+                fmt17(recon[p, s]),
             ]
             lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -48,6 +48,13 @@ __all__ = [
 _PAIR_CAP = 200_000
 
 
+def _size(value, name: str) -> int:
+    """``value`` as an int if it is a Python or numpy integer, else ShapeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ShapeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @functools.cache
 def _shapes(m: int, d: int) -> dict:
     """Entry-grid shape of each coefficient tensor of a model with state
@@ -180,8 +187,8 @@ class ModelSpec:
         g=None,
         label: str = "",
     ) -> "ModelSpec":
-        m = int(m)
-        d = int(d)
+        m = _size(m, "m")
+        d = _size(d, "d")
         if m < 1 or d < 1:
             raise ShapeError(f"m and d must be at least 1, got m = {m}, d = {d}")
         if uncertainty.dim != d:

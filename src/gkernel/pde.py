@@ -54,7 +54,7 @@ from .errors import (
     ShapeError,
 )
 from .gcore import _candidate_scores, g_value, g_value_batch
-from .model import Coefficients, ModelSpec, _dij
+from .model import Coefficients, ModelSpec, _dij, _size
 
 __all__ = [
     "Grid",
@@ -96,7 +96,8 @@ class Grid:
     @classmethod
     def build(cls, bounds, nodes, horizon=None, time_steps=None) -> "Grid":
         bounds_t = tuple((float(lo), float(hi)) for lo, hi in bounds)
-        nodes_t = tuple(int(n) for n in (nodes if isinstance(nodes, (list, tuple)) else [nodes]))
+        nodes_t = tuple(_size(n, "nodes") for n in (nodes if isinstance(nodes, (list, tuple))
+                                                    else [nodes]))
         if len(bounds_t) != len(nodes_t):
             raise ShapeError("bounds and nodes must have one entry per coordinate")
         if len(bounds_t) not in (1, 2):
@@ -112,9 +113,9 @@ class Grid:
             if horizon < 0.0:
                 raise ShapeError(f"horizon must be nonnegative, got {horizon}")
             if horizon > 0.0:
-                if time_steps is None or int(time_steps) < 1:
+                time_steps = 0 if time_steps is None else _size(time_steps, "time_steps")
+                if time_steps < 1:
                     raise ShapeError("a positive horizon needs time_steps >= 1")
-                time_steps = int(time_steps)
             else:
                 time_steps = 0
         return cls(bounds=bounds_t, nodes=nodes_t, horizon=horizon, time_steps=time_steps)
@@ -1082,7 +1083,8 @@ def solve_ergodic(
     from u = 0 and may take up to ``_NEWTON_STEPS`` steps, through rises of
     the residual; if that fails, the damped solutions at delta0 / 2^k,
     k = 0 .. ``max_halvings`` (each to ``tol_inner``), serve in turn as warm
-    starts, and :class:`ConvergenceError` is raised when none works.
+    starts, a damped solve that fails passing on to the next delta, and
+    :class:`ConvergenceError` is raised when none works.
     ``max_sweeps`` caps the residual evaluations of the whole solve
     (:class:`IterationError`).
 
@@ -1113,18 +1115,24 @@ def solve_ergodic(
 
     stepper = _Stepper(model, grid, mode=mode, gradient_cap=gradient_cap)
     budget = _Budget(max_sweeps)
-    w, trace = np.zeros(stepper.pts.shape[0]), []
+    w, trace, fresh = np.zeros(stepper.pts.shape[0]), [], True
     for k in range(max_halvings + 2):
-        try:
-            lam0 = trace[-1][1] if trace else 0.0
-            u, lam = _newton(stepper, w - w[a], lam0, 0.0, gamma1, g2, a, tol, budget)
-            break
-        except (ConvergenceError, DivergenceError) as exc:
-            failure = exc
+        if fresh:  # a start Newton has not failed from yet
+            try:
+                lam0 = trace[-1][1] if trace else 0.0
+                u, lam = _newton(stepper, w - w[a], lam0, 0.0, gamma1, g2, a, tol, budget)
+                break
+            except (ConvergenceError, DivergenceError) as exc:
+                failure = exc
         if k <= max_halvings:
             delta = delta0 / 2.0**k
-            w, _ = _newton(stepper, w, 0.0, delta, gamma1, g2, a, tol_inner, budget)
-            trace.append((delta, delta * float(w[a])))
+            try:
+                w_k, _ = _newton(stepper, w, 0.0, delta, gamma1, g2, a, tol_inner, budget)
+            except (ConvergenceError, DivergenceError) as exc:
+                failure, fresh = exc, False
+            else:
+                w, fresh = w_k, True
+                trace.append((delta, delta * float(w[a])))
     else:
         raise ConvergenceError(f"Newton failed from u = 0 and from {max_halvings + 1} "
                                f"damped warm starts: {failure}")

@@ -11,6 +11,7 @@ from gkernel import (
     g_value,
     g_value_batch,
 )
+from gkernel.gcore import _candidate_scores, _first_max
 
 HALF_OPEN = UncertaintySet.interval(0.5, 1.0)
 
@@ -175,3 +176,36 @@ class TestValidation:
     def test_wrong_dimension_matrix(self):
         with pytest.raises(ShapeError):
             g_value(np.eye(2), HALF_OPEN)
+
+
+class TestCandidatePick:
+    """The maximizing candidate follows np.argmax: first max, NaN as the max."""
+
+    @staticmethod
+    def _scores(rng, n, k):
+        # few distinct values, so that ties are common; then signed zeros and NaNs
+        scores = rng.integers(-2, 3, size=(n, k)).astype(float)
+        scores[rng.random((n, k)) < 0.15] = 0.0
+        scores[rng.random((n, k)) < 0.15] = -0.0
+        scores[rng.random((n, k)) < 0.1] = np.nan
+        return scores
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_argmax(self, k):
+        scores = self._scores(np.random.default_rng(k), 4000, k)
+        expect = np.argmax(scores, axis=-1)
+        pick = _first_max(scores)
+        assert pick.dtype == expect.dtype
+        assert np.array_equal(pick, expect)
+        for special in ([-0.0, 0.0], [0.0, -0.0], [np.nan, 1.0], [1.0, np.nan],
+                        [np.nan, np.nan], [-np.inf, -np.inf], [1.0, np.inf]):
+            row = np.array([special])
+            assert _first_max(row)[0] == np.argmax(row, axis=-1)[0], special
+
+    def test_interval_set_scores(self):
+        a = np.array([2.0, -2.0, 0.0, -0.0, np.nan, np.inf, -np.inf])
+        stacked, pick = _candidate_scores(a.reshape(-1, 1, 1), HALF_OPEN)
+        assert np.array_equal(pick, np.argmax(stacked, axis=-1))
+        assert pick.tolist() == [0, 1, 0, 0, 0, 0, 0]  # -inf ties: the upper endpoint
+        value, maximizer = g_value_batch(np.array([[-3.0]]), HALF_OPEN)  # one matrix
+        assert (value.shape, float(value), maximizer.tolist()) == ((), -0.75, [[0.5]])

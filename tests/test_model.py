@@ -293,6 +293,17 @@ class TestEquilibrium:
 
 
 class TestModelValidation:
+    def test_non_integer_dimensions_rejected(self):
+        band = UncertaintySet.interval(0.5, 1.0)
+        for m in (1.7, 1.0, "1", True):
+            with pytest.raises(ShapeError, match="m must be an integer"):
+                ModelSpec.build(m=m, d=1, b=["-x1"], sigma=[[0.2]], r=0.0, uncertainty=band)
+        with pytest.raises(ShapeError, match="d must be an integer"):
+            ModelSpec.build(m=1, d=1.2, b=["-x1"], sigma=[[0.2]], r=0.0, uncertainty=band)
+        model = ModelSpec.build(m=np.int64(1), d=np.int32(1), b=["-x1"], sigma=[[0.2]],
+                                r=0.0, uncertainty=band)
+        assert (model.m, model.d) == (1, 1) and type(model.m) is int
+
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             ModelSpec.build(

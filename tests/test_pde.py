@@ -121,6 +121,17 @@ class TestGrid:
         with pytest.raises(ShapeError):
             Grid.build([(-1.0, 1.0)], [17]).dt
 
+    def test_non_integer_sizes_rejected(self):
+        with pytest.raises(ShapeError, match="nodes must be an integer, got 33.9"):
+            Grid.build([(-1.0, 1.0)], [33.9])
+        with pytest.raises(ShapeError, match="nodes must be an integer"):
+            Grid.build([(-1.0, 1.0), (0.0, 1.0)], [17, 17.0])
+        with pytest.raises(ShapeError, match="time_steps must be an integer"):
+            Grid.build([(-1.0, 1.0)], [17], horizon=1.0, time_steps=2.5)
+        grid = Grid.build([(-1.0, 1.0)], [np.int64(33)], horizon=1.0, time_steps=np.int32(4))
+        assert (grid.nodes, grid.time_steps) == ((33,), 4)
+        assert type(grid.nodes[0]) is int and type(grid.time_steps) is int
+
     def test_anchor_is_nearest_node(self):
         grid = Grid.build([(-1.0, 1.0)], [21])
         assert grid.anchor_index() == (10,)
@@ -361,6 +372,34 @@ class TestErgodic:
         assert sol.delta_trace[-1][1] == sol.lam
         assert abs(sol.lam - direct.lam) < 1e-9
         assert np.max(np.abs(sol.u.values - direct.u.values)) < 1e-8
+
+    def test_failed_warm_start_moves_to_next_delta(self, ou_model, monkeypatch):
+        grid = Grid.build([(-2.0, 2.0)], [65])
+        direct = solve_ergodic(ou_model, grid, tol=1e-9, check=False)
+        newton, deltas = pde._newton, []
+
+        def fail_first_two(stepper, w, lam, delta, *args):
+            deltas.append(delta)
+            if len(deltas) <= 2:  # Newton from u = 0, then the warm start at delta0
+                raise ConvergenceError("forced failure")
+            return newton(stepper, w, lam, delta, *args)
+
+        monkeypatch.setattr(pde, "_newton", fail_first_two)
+        sol = solve_ergodic(ou_model, grid, tol=1e-9, check=False, delta0=0.4)
+        # no second Newton from u = 0: the failed warm start left the start as it was
+        assert deltas == [0.0, 0.4, 0.2, 0.0]
+        assert [d for d, _ in sol.delta_trace] == [0.2, 0.0]
+        assert abs(sol.lam - direct.lam) < 1e-9
+        assert np.max(np.abs(sol.u.values - direct.u.values)) < 1e-8
+
+    def test_every_warm_start_failing_raises(self, ou_model, monkeypatch):
+        def fail(*args):
+            raise ConvergenceError("forced failure")
+
+        monkeypatch.setattr(pde, "_newton", fail)
+        with pytest.raises(ConvergenceError, match="3 damped warm starts: forced"):
+            solve_ergodic(ou_model, Grid.build([(-2.0, 2.0)], [65]), check=False,
+                          max_halvings=2)
 
     def test_two_noise_finite_set_smoke(self):
         model = ModelSpec.build(
