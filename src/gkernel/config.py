@@ -232,7 +232,7 @@ def _parse_grid(obj, where: str = "grid") -> Grid:
         return Grid.build(bounds, nodes, horizon=horizon, time_steps=time_steps)
 
 
-def _parse_solver(obj) -> SolverSettings:
+def _parse_solver(obj, m: int) -> SolverSettings:
     if obj is None:
         return SolverSettings()
     where = "solver"
@@ -246,6 +246,8 @@ def _parse_solver(obj) -> SolverSettings:
     anchor = obj.get("anchor")
     if anchor is not None:
         anchor = _numbers(anchor, "solver.anchor")
+        if len(anchor) != m or not all(math.isfinite(a) for a in anchor):
+            raise ConfigurationError(f"solver.anchor must list {m} finite coordinates")
     mode = obj.get("mode", "pricing")
     if mode not in ("pricing", "parabolic", "ergodic", "generic"):
         raise ConfigurationError(
@@ -345,7 +347,7 @@ def parse_config(doc: dict) -> RunConfig:
     model = _parse_model(doc["model"], uncertainty, label)
 
     grid = _parse_grid(doc["grid"]) if "grid" in doc else None
-    solver = _parse_solver(doc.get("solver"))
+    solver = _parse_solver(doc.get("solver"), model.m)
     sim = _parse_sim(doc.get("sim"), model.m)
 
     if "assumption_box" in doc:

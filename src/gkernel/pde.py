@@ -34,7 +34,6 @@ a two-node band per face.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -145,10 +144,15 @@ class Grid:
         return self.horizon / self.time_steps
 
     def anchor_index(self, point=None) -> tuple:
-        """Index of the node nearest the given point (default: the origin)."""
+        """Index of the node nearest the given point (default: the origin).
+
+        The point needs one finite coordinate per axis (:class:`ShapeError`).
+        """
         if point is None:
             point = [0.0] * self.m
         point = np.atleast_1d(np.asarray(point, dtype=float))
+        if point.shape != (self.m,) or not np.isfinite(point).all():
+            raise ShapeError(f"anchor needs {self.m} finite coordinates, got {point.tolist()}")
         return tuple(int(np.argmin(np.abs(ax - p))) for ax, p in zip(self.axes(), point))
 
     def diffusion_cfl(self, model: ModelSpec) -> float:
@@ -520,12 +524,15 @@ class _Stepper:
     one candidate c per extreme covariance of the ambiguity set.  Each
     candidate uses its own upwind directions, so every S_c is monotone in
     the neighbor values and the pointwise max is both monotone and the
-    exact worst-case generator.  S depends on w only: damping and gamma2
-    terms are passed in by the caller.
+    exact worst-case generator.  The candidate is an array axis: the
+    per-candidate constants are stacked once here, and ``candidates``
+    evaluates every S_c in one pass.  With ``gamma2`` each candidate also
+    gets level * tr(Q_c gamma2), i.e. G(H + 2 level gamma2) in place of
+    G(H), the level being passed in by the caller.
     """
 
     def __init__(self, model: ModelSpec, grid: Grid, mode: str = "pricing",
-                 gradient_cap: float = math.inf):
+                 gradient_cap: float = math.inf, gamma2: np.ndarray | None = None):
         mode = _normalize_mode(mode)
         if mode == "generic" and model.g is None and model.f is None:
             raise ShapeError("generic mode needs model drivers f and/or g")
@@ -541,31 +548,40 @@ class _Stepper:
         self.pts = pts
         n = pts.shape[0]
 
-        self.pre = model.evaluate(pts)
-        self.sig = self.pre["sigma"]
-        self.bval = self.pre["b"]
-        self.rval = self.pre["r"]
-        self.kval = self.pre["k"]
-        self.vval = self.pre["v"]
-        self.hval = self.pre["h"]
+        self.pre = pre = model.evaluate(pts)
+        self.sig, self.bval = pre["sigma"], pre["b"]
 
         cands = model.uncertainty.candidates()
         self.n_cand = len(cands)
-        self.cands = cands
         m = grid.m
         self.diff_c = np.empty((self.n_cand, m, m, n))      # sigma Q sigma^T per candidate
         self.vel_c = np.empty((self.n_cand, m, n))          # b + Q : (h - d)
         self.const_c = np.empty((self.n_cand, n))           # Q : (-k + vv/2)
         # the pricing driver sees the covariation drift h - d_ij
-        src = self.hval - _dij(self.sig, self.vval) if mode == "pricing" else self.hval
-        kv = (-self.kval + 0.5 * np.einsum("ni,nj->nij", self.vval, self.vval))
+        src = pre["h"] - _dij(self.sig, pre["v"]) if mode == "pricing" else pre["h"]
+        kv = (-pre["k"] + 0.5 * np.einsum("ni,nj->nij", pre["v"], pre["v"]))
         for c, q in enumerate(cands):
             a = np.einsum("nad,de,nbe->nab", self.sig, q, self.sig)
             self.diff_c[c] = np.moveaxis(a, 0, -1)
             self.vel_c[c] = np.moveaxis(
                 self.bval + np.einsum("ij,nijl->nl", q, src), 0, -1)
             self.const_c[c] = np.einsum("ij,nij->n", q, kv)
-        self.f_base = -self.rval  # pricing driver; generic mode overrides per sweep
+        self.f_base = -pre["r"]  # the pricing f; generic mode evaluates model.f per sweep
+
+        # the candidate stacks the operator reads, shaped (n_cand, *grid)
+        stack = (self.n_cand,) + self.shape
+        self._vel = [self.vel_c[:, ax].reshape(stack) for ax in range(m)]
+        self._up = [v > 0.0 for v in self._vel]
+        self._const = self.const_c.reshape(stack)
+        if m == 1:
+            self._half_a = 0.5 * self.diff_c[:, 0, 0]
+        else:
+            self._a11, self._a12, self._a22 = (
+                self.diff_c[:, i, j].reshape(stack) for i, j in ((0, 0), (0, 1), (1, 1)))
+            self._two_a12 = 2.0 * self._a12
+
+        self.gamma2 = gamma2  # the level's weight per candidate is tr(Q_c gamma2)
+        self.trg2 = np.array([0.0 if gamma2 is None else np.tensordot(q, gamma2) for q in cands])
 
         # per-axis gradient cap for the quadratic term (z truncation)
         if math.isfinite(self.cap):
@@ -575,50 +591,44 @@ class _Stepper:
         else:
             self.grad_cap = None
 
-    # -- shaped views ----------------------------------------------------
-
-    def _g(self, flat: np.ndarray) -> np.ndarray:
-        return flat.reshape(self.shape)
-
     # -- stationary residual ---------------------------------------------
 
-    def residual(self, w: np.ndarray, level=0.0, gamma2: np.ndarray | None = None,
-                 policy=None) -> np.ndarray:
+    def residual(self, w: np.ndarray, level=0.0, policy=None) -> np.ndarray:
         """S(w), the candidate max of the assembled operator.
 
-        With ``gamma2`` each candidate also gets level * tr(Q_c gamma2),
-        i.e. G(H + 2 level gamma2) in place of G(H); ``level`` is a scalar
-        or one value per node.  ``policy`` (a candidate index, or one per
-        node) takes that candidate in place of the max.
+        ``level`` is a scalar or one value per node.  ``policy`` (a
+        candidate index, or one per node) takes that candidate in place of
+        the max.
         """
-        if self.mode == "generic":
-            return self._residual_generic(w, level, gamma2, policy)
-        parts = self._parts_1d(w) if self.grid.m == 1 else self._parts_2d(w)
-        if gamma2 is not None:
-            level = np.broadcast_to(level, w.shape)
-            parts = [p + float(np.tensordot(q, gamma2)) * level
-                     for p, q in zip(parts, self.cands)]
-        return self._select(parts, policy) + self.f_base
+        each = self.candidates(w, level)
+        if policy is None:
+            return np.maximum.reduce(each, axis=0)
+        return each[policy, np.arange(each.shape[1])]
 
-    @staticmethod
-    def _select(parts: list, policy) -> np.ndarray:
-        if policy is not None:
-            return np.stack(parts)[policy, np.arange(parts[0].size)]
-        return functools.reduce(np.maximum, parts)
+    def candidates(self, w: np.ndarray, level=0.0) -> np.ndarray:
+        """S_c(w) of every candidate c, f and the gamma2 level term included, (n_cand, n)."""
+        if self.mode == "generic":
+            return self._candidates_generic(w, level)
+        out = self._candidates_1d(w) if self.grid.m == 1 else self._candidates_2d(w)
+        out = out.reshape(self.n_cand, -1)
+        if self.gamma2 is not None:
+            out += self.trg2[:, None] * level
+        out += self.f_base
+        return out
 
     def _differences(self, w) -> tuple:
-        """Linearly padded w (grid-shaped) and (backward, forward) differences per axis."""
-        m = self.grid.m
-        wp = _pad_linear_1d(w) if m == 1 else _pad_linear_2d(w.reshape(self.shape))
-        core = wp[(slice(1, -1),) * m]
-        pairs = []
-        for ax, h in enumerate(self.hs):
-            below = tuple(slice(None, -2) if a == ax else slice(1, -1) for a in range(m))
-            above = tuple(slice(2, None) if a == ax else slice(1, -1) for a in range(m))
-            pairs.append(((core - wp[below]) / h, (wp[above] - core) / h))
-        return wp, pairs
+        """Linearly padded w (grid-shaped) and (backward, forward) differences per
+        axis, both read from one difference of neighbours along it."""
+        if self.grid.m == 1:
+            wp = _pad_linear_1d(w)
+            s = (wp[1:] - wp[:-1]) / self.hs[0]
+            return wp, [(s[:-1], s[1:])]
+        wp = _pad_linear_2d(w.reshape(self.shape))
+        s1 = (wp[1:, 1:-1] - wp[:-1, 1:-1]) / self.hs[0]
+        s2 = (wp[1:-1, 1:] - wp[1:-1, :-1]) / self.hs[1]
+        return wp, [(s1[:-1], s1[1:]), (s2[:, :-1], s2[:, 1:])]
 
-    def _parts_1d(self, w) -> list:
+    def _candidates_1d(self, w) -> np.ndarray:
         wp, ((dm, dp),) = self._differences(w)
         wxx = (wp[2:] - 2.0 * wp[1:-1] + wp[:-2]) / self.hs[0] ** 2
         if self.grad_cap is not None:
@@ -627,19 +637,14 @@ class _Stepper:
         else:
             dpq, dmq = dp, dm
         quad = np.maximum(dpq, 0.0) ** 2 + np.minimum(dmq, 0.0) ** 2
-        parts = []
-        for c in range(self.n_cand):
-            a = self.diff_c[c, 0, 0]
-            vel = self.vel_c[c, 0]
-            parts.append(
-                0.5 * a * wxx
-                + np.where(vel > 0.0, vel * dp, vel * dm)
-                + 0.5 * a * quad
-                + self.const_c[c]
-            )
-        return parts
+        (vel,), (up,) = self._vel, self._up
+        out = self._half_a * wxx
+        out += vel * np.where(up, dp, dm)
+        out += self._half_a * quad
+        out += self._const
+        return out
 
-    def _parts_2d(self, w2) -> list:
+    def _candidates_2d(self, w2) -> np.ndarray:
         h1, h2 = self.hs
         wp, ((dm1, dp1), (dm2, dp2)) = self._differences(w2)
         core = wp[1:-1, 1:-1]
@@ -650,58 +655,48 @@ class _Stepper:
         wyc = 0.5 * (dm2 + dp2)
         god1 = np.maximum(dp1, 0.0) ** 2 + np.minimum(dm1, 0.0) ** 2
         god2 = np.maximum(dp2, 0.0) ** 2 + np.minimum(dm2, 0.0) ** 2
-        parts = []
-        for c in range(self.n_cand):
-            a11 = self._g(self.diff_c[c, 0, 0])
-            a12 = self._g(self.diff_c[c, 0, 1])
-            a22 = self._g(self.diff_c[c, 1, 1])
-            v1 = self._g(self.vel_c[c, 0])
-            v2 = self._g(self.vel_c[c, 1])
-            parts.append((
-                0.5 * (a11 * wxx + 2.0 * a12 * wxy + a22 * wyy)
-                + np.where(v1 > 0.0, v1 * dp1, v1 * dm1)
-                + np.where(v2 > 0.0, v2 * dp2, v2 * dm2)
-                + 0.5 * (a11 * god1 + a22 * god2)
-                + a12 * wxc * wyc
-                + self._g(self.const_c[c])
-            ).ravel())
-        return parts
+        (v1, v2), (up1, up2) = self._vel, self._up
+        a11, a12, a22 = self._a11, self._a12, self._a22
+        out = 0.5 * (a11 * wxx + self._two_a12 * wxy + a22 * wyy)
+        out += v1 * np.where(up1, dp1, dm1)
+        out += v2 * np.where(up2, dp2, dm2)
+        out += 0.5 * (a11 * god1 + a22 * god2)
+        out += a12 * wxc * wyc
+        out += self._const
+        return out
 
-    def _residual_generic(self, w, level, gamma2, policy) -> np.ndarray:
-        """Literal assembly: upwind by drift sign, then exact G on one H."""
+    def _candidates_generic(self, w, level) -> np.ndarray:
+        """Literal assembly: upwind by drift sign, then every candidate's score on one H."""
         _, pairs = self._differences(w)
-        grad = np.stack([np.where(self._g(self.bval[:, ax]) > 0.0, dp, dm).ravel()
+        grad = np.stack([np.where(self.bval[:, ax].reshape(self.shape) > 0.0, dp, dm).ravel()
                          for ax, (dm, dp) in enumerate(pairs)], axis=-1)
         hess = nodal_hessian(w.reshape(self.shape), self.grid).reshape(grad.shape + (-1,))
         hmat = _hamiltonian_batch(
             self.model, self.pts, grad, hess, w, mode="generic", precomputed=self.pre
         )
-        if gamma2 is not None:
-            hmat = hmat + 2.0 * np.multiply.outer(level, gamma2)
+        if self.gamma2 is not None:
+            hmat = hmat + 2.0 * np.multiply.outer(level, self.gamma2)
         scores, _ = _candidate_scores(hmat, self.model.uncertainty)
-        gvals = self._select([0.5 * scores[:, c] for c in range(self.n_cand)], policy)
+        out = 0.5 * scores.T
+        out += np.einsum("nl,nl->n", self.bval, grad)
         z = np.einsum("nlj,nl->nj", self.sig, grad)
-        fval = self.model.f(self.pts, w, z) if self.model.f is not None else 0.0
-        return gvals + np.einsum("nl,nl->n", self.bval, grad) + fval
+        out += self.model.f(self.pts, w, z) if self.model.f is not None else 0.0
+        return out
 
     # -- time-step control -----------------------------------------------
 
     def stable_dt(self) -> float:
         """Positivity-preserving time step, allowing gradients up to 1.5."""
         gscale = min(1.5, self.cap)
-        denom = 1e-300
-        for c in range(self.n_cand):
-            load = np.zeros(self.pts.shape[0])
-            for ax in range(self.grid.m):
-                a = self.diff_c[c, ax, ax]
-                load = load + a / self.hs[ax] ** 2 + np.abs(self.vel_c[c, ax]) / self.hs[ax]
-                load = load + a * gscale / self.hs[ax]
-                if self.grid.m == 2:
-                    other = 1 - ax
-                    load = load + np.abs(self.diff_c[c, ax, other]) / (
-                        self.hs[ax] * self.hs[other])
-            denom = max(denom, float(np.max(load)))
-        return 0.9 / denom
+        load = np.zeros(self.const_c.shape)  # one row per candidate
+        for ax in range(self.grid.m):
+            a = self.diff_c[:, ax, ax]
+            load = load + a / self.hs[ax] ** 2 + np.abs(self.vel_c[:, ax]) / self.hs[ax]
+            load = load + a * gscale / self.hs[ax]
+            if self.grid.m == 2:
+                other = 1 - ax
+                load = load + np.abs(self.diff_c[:, ax, other]) / (self.hs[ax] * self.hs[other])
+        return 0.9 / max(1e-300, float(np.max(load)))
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +820,7 @@ def pde_residual(
 
 
 def _check_finite(w: np.ndarray, sweep: int) -> None:
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         bad = int(np.argmax(~np.isfinite(w)))
         raise DivergenceError(
             "solution became non-finite", where=f"node {bad}, sweep {sweep}"
@@ -882,12 +877,11 @@ def solve_parabolic(
     n_t = grid.time_steps
     hist = np.empty((n_t + 1,) + grid.shape)
     hist[n_t] = w_term
-    w = w_term.ravel().copy()
+    flat = hist.reshape(n_t + 1, -1)  # each step is written straight into hist
     for q in range(n_t - 1, -1, -1):
-        s = stepper.residual(w)
-        w = w + dt * s
-        _check_finite(w, n_t - q)
-        hist[q] = w.reshape(grid.shape)
+        w = flat[q + 1]
+        np.add(w, dt * stepper.residual(w), out=flat[q])
+        _check_finite(flat[q], n_t - q)
 
     sol = PdeSolution(grid=grid, kind="parabolic", values=hist, sweeps=n_t)
     rep = pde_residual(sol, model, mode=mode)
@@ -912,7 +906,9 @@ def _damping_gamma2(gamma1: float, gamma2, model: ModelSpec) -> np.ndarray | Non
 
 
 class _Budget:
-    """Residual evaluations one solve has spent, against its limit."""
+    """Sweeps one solve has spent, against its limit.  A sweep is one candidate
+    operator S_c on the whole grid: a Newton iteration spends n_cand on its
+    policy improvement, one pass over every candidate, and 3^m on its Jacobian."""
 
     def __init__(self, limit: int):
         self.limit, self.used = limit, 0
@@ -963,14 +959,15 @@ def _block_thomas(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _newton(stepper: _Stepper, w: np.ndarray, lam: float, delta: float, gamma1: float,
-            gamma2: np.ndarray | None, anchor: int, tol: float, budget: _Budget) -> tuple:
+            anchor: int, tol: float, budget: _Budget) -> tuple:
     """Semismooth Newton (Howard) iteration; returns (w, lam) once sup |F| <= tol.
 
     delta > 0: F(w) = max_c[S_c(w) + delta w tr(Q_c gamma2)] + f + gamma1 delta w.
     delta = 0: F(w, lam) = max_c[S_c(w) + lam tr(Q_c gamma2)] + f + gamma1 lam
-    with w[anchor] = 0, the limit of delta -> 0 with delta w -> lam.  Each
-    step freezes the maximizing candidate per node and differences F under
-    it; with delta = 0 the anchor row of J becomes the unit row and the lam
+    with w[anchor] = 0, the limit of delta -> 0 with delta w -> lam; gamma2
+    is the stepper's.  Each step reads every candidate's F in one pass,
+    freezes the maximizing candidate per node and differences F under it;
+    with delta = 0 the anchor row of J becomes the unit row and the lam
     step solves the anchor row (its Schur complement).  sup |F| need not
     fall at every step.  Raises ConvergenceError when it is still above tol
     after ``_NEWTON_STEPS`` steps, when tol is below its round-off floor or
@@ -978,17 +975,18 @@ def _newton(stepper: _Stepper, w: np.ndarray, lam: float, delta: float, gamma1: 
     """
     n1, n2 = stepper.shape if stepper.grid.m == 2 else (stepper.shape[0], 1)
     bordered = delta == 0.0
-    traces = np.array([0.0 if gamma2 is None else np.tensordot(q, gamma2) for q in stepper.cands])
 
-    def resid(v, policy):
+    def resid(v, policy=None):
+        """F of every candidate (n_cand, n), or F under a frozen policy."""
         level = lam if bordered else delta * v
-        return stepper.residual(v, level, gamma2, policy) + gamma1 * level
+        f = stepper.candidates(v, level) if policy is None else stepper.residual(v, level, policy)
+        return f + gamma1 * level
 
     res, steps = math.nan, 0
     while True:
         # policy improvement: the maximizing candidate per node, the first on ties
         budget.spend(stepper.n_cand, res)
-        each = np.stack([resid(w, c) for c in range(stepper.n_cand)])
+        each = resid(w)
         pick, f0 = np.argmax(each, axis=0), np.max(each, axis=0)
         _check_finite(f0, budget.used)
         res = float(np.max(np.abs(f0)))
@@ -1009,7 +1007,7 @@ def _newton(stepper: _Stepper, w: np.ndarray, lam: float, delta: float, gamma1: 
             row = blocks[:, ia, ja, :].copy()
             blocks[:, ia, ja, :] = 0.0
             blocks[1, ia, ja, ja] = 1.0
-            g = traces[pick] + gamma1  # dF/dlam under the frozen policy
+            g = stepper.trg2[pick] + gamma1  # dF/dlam under the frozen policy
             rhs = np.stack([f0, g], axis=-1)
             rhs[anchor] = 0.0
         try:
@@ -1041,20 +1039,22 @@ def solve_discounted(
     Requires delta > 0 and gamma1 + 2 G(gamma2) = -1.  Semismooth Newton
     starts from ``warm_start`` (default 0) and stops once the residual has
     sup norm at most ``tol_inner``.  ``sweeps`` on the result counts
-    residual evaluations, one per covariance candidate plus 3^m per
-    iteration; more than ``max_sweeps`` raise :class:`IterationError`, and
-    Newton's failures (see ``_newton``) :class:`ConvergenceError`.
+    candidate operators evaluated on the whole grid: n_cand for the single
+    policy-improvement pass over every covariance candidate plus 3^m for
+    the Jacobian, per iteration; more than ``max_sweeps`` raise
+    :class:`IterationError`, and Newton's failures (see ``_newton``)
+    :class:`ConvergenceError`.
     """
     delta = float(delta)
     if delta <= 0.0:
         raise ShapeError(f"delta must be positive, got {delta}")
     g2 = _damping_gamma2(gamma1, gamma2, model)
-    stepper = _Stepper(model, grid, mode=mode, gradient_cap=gradient_cap)
+    stepper = _Stepper(model, grid, mode=mode, gradient_cap=gradient_cap, gamma2=g2)
     w = np.zeros(grid.shape) if warm_start is None else np.array(warm_start, dtype=float)
     if w.size != stepper.pts.shape[0]:
         raise ShapeError("warm start has the wrong size for this grid")
     budget = _Budget(max_sweeps)
-    w, _ = _newton(stepper, w.ravel(), 0.0, delta, gamma1, g2, 0, tol_inner, budget)
+    w, _ = _newton(stepper, w.ravel(), 0.0, delta, gamma1, 0, tol_inner, budget)
     return PdeSolution(grid=grid, kind="stationary", values=w.reshape(grid.shape),
                        sweeps=budget.used)
 
@@ -1085,8 +1085,10 @@ def solve_ergodic(
     k = 0 .. ``max_halvings`` (each to ``tol_inner``), serve in turn as warm
     starts, a damped solve that fails passing on to the next delta, and
     :class:`ConvergenceError` is raised when none works.
-    ``max_sweeps`` caps the residual evaluations of the whole solve
-    (:class:`IterationError`).
+    ``max_sweeps`` caps the sweeps of the whole solve, damped warm starts
+    included (:class:`IterationError`); as in :func:`solve_discounted` a
+    Newton iteration spends n_cand sweeps on its policy improvement, one
+    pass over every candidate, and 3^m on its Jacobian.
 
     When ``check`` is true a coarse dissipativity diagnostic runs first
     and a failing margin produces a warning (not an error).
@@ -1113,21 +1115,21 @@ def solve_ergodic(
     a = int(np.ravel_multi_index(anchor_idx, grid.shape))
     anchor_point = np.array([ax[i] for ax, i in zip(grid.axes(), anchor_idx)])
 
-    stepper = _Stepper(model, grid, mode=mode, gradient_cap=gradient_cap)
+    stepper = _Stepper(model, grid, mode=mode, gradient_cap=gradient_cap, gamma2=g2)
     budget = _Budget(max_sweeps)
     w, trace, fresh = np.zeros(stepper.pts.shape[0]), [], True
     for k in range(max_halvings + 2):
         if fresh:  # a start Newton has not failed from yet
             try:
                 lam0 = trace[-1][1] if trace else 0.0
-                u, lam = _newton(stepper, w - w[a], lam0, 0.0, gamma1, g2, a, tol, budget)
+                u, lam = _newton(stepper, w - w[a], lam0, 0.0, gamma1, a, tol, budget)
                 break
             except (ConvergenceError, DivergenceError) as exc:
                 failure = exc
         if k <= max_halvings:
             delta = delta0 / 2.0**k
             try:
-                w_k, _ = _newton(stepper, w, 0.0, delta, gamma1, g2, a, tol_inner, budget)
+                w_k, _ = _newton(stepper, w, 0.0, delta, gamma1, a, tol_inner, budget)
             except (ConvergenceError, DivergenceError) as exc:
                 failure, fresh = exc, False
             else:

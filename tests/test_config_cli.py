@@ -177,6 +177,14 @@ class TestParsing:
         with pytest.raises(ConfigurationError):
             parse_config(doc)
 
+    @pytest.mark.parametrize("anchor", [[0.5, 9.0], [], [float("nan")]],
+                             ids=["long", "empty", "nan"])
+    def test_anchor_length_named(self, anchor):
+        doc = base_doc()
+        doc["solver"] = {"anchor": anchor}
+        with pytest.raises(ConfigurationError, match=r"solver\.anchor must list 1 finite"):
+            parse_config(doc)
+
     @pytest.mark.parametrize("tensors,message", [
         ({"sigma": [0.2, 0.1]}, r"model\.sigma must be a sequence of length 1"),
         ({"sigma": [0.2]}, r"model\.sigma\[0\] must be a sequence of length 2"),

@@ -1,5 +1,6 @@
 """Driver matrices, the monotone marching scheme, and the long-run eigenpair."""
 
+import functools
 import math
 import warnings
 
@@ -26,9 +27,32 @@ from gkernel import (
     solve_parabolic,
     truncation_level,
 )
-from gkernel import pde
+from gkernel import gcore, pde
 from gkernel.pde import nodal_gradient, nodal_hessian
 from conftest import CONST_LAM, OU_LAM, quadratic_rate_lam, quadratic_rate_model
+
+THREE_MEMBERS = UncertaintySet.finite(
+    [np.eye(2), [[1.0, 0.5], [0.5, 1.0]], [[1.2, -0.3], [-0.3, 0.9]]])
+
+
+def affine_three_member_model(**extra) -> ModelSpec:
+    """b_i = 0.05 - x_i, sigma = 0.2 I, r = x1 + x2 under three covariances."""
+    return ModelSpec.build(
+        m=2, d=2, b=["0.05 - 1.0 * x1", "0.05 - 1.0 * x2"],
+        sigma=[[0.2, 0.0], [0.0, 0.2]], r="x1 + x2", uncertainty=THREE_MEMBERS, **extra)
+
+
+def _half_product(i, j):
+    return lambda x, y, z: 0.5 * z[:, i] * z[:, j]
+
+
+def generic_twin_2d() -> ModelSpec:
+    """The affine three-member model in generic form: f = -(x1 + x2), g_ij = z_i z_j / 2."""
+    return ModelSpec.build(
+        m=2, d=2, b=["0.05 - 1.0 * x1", "0.05 - 1.0 * x2"],
+        sigma=[[0.2, 0.0], [0.0, 0.2]], r=0.0, uncertainty=THREE_MEMBERS,
+        f=lambda x, y, z: -(x[:, 0] + x[:, 1]),
+        g=[[_half_product(i, j) for j in range(2)] for i in range(2)])
 
 
 class _GridOnlyRate(CoefficientFn):
@@ -136,6 +160,15 @@ class TestGrid:
         grid = Grid.build([(-1.0, 1.0)], [21])
         assert grid.anchor_index() == (10,)
         assert grid.anchor_index([0.72]) == (17,)
+
+    @pytest.mark.parametrize("nodes,point", [
+        ([21], [0.5, 9.0]), ([21, 21], [0.5]), ([21, 21], [0.5, 0.1, 0.2]),
+        ([21], [np.nan]), ([21, 21], [0.5, np.inf]),
+    ], ids=["1d-long", "2d-short", "2d-long", "1d-nan", "2d-inf"])
+    def test_anchor_needs_one_finite_coordinate_per_axis(self, nodes, point):
+        grid = Grid.build([(-1.0, 1.0)] * len(nodes), nodes)
+        with pytest.raises(ShapeError, match=f"anchor needs {len(nodes)} finite coordinates"):
+            grid.anchor_index(point)
 
     def test_diffusion_cfl_value(self, const_model):
         grid = Grid.build([(-3.0, 3.0)], [65])
@@ -309,6 +342,19 @@ class TestErgodic:
         assert moved.u.values[moved.anchor_index] == 0.0
         rescheduled = solve_ergodic(ou_model, grid, tol=1e-7, check=False, delta0=0.8)
         assert abs(rescheduled.lam - base.lam) < 1e-6
+
+    @pytest.mark.parametrize("nodes,anchor", [([33], [0.5, 9.0]), ([17, 17], [0.5])],
+                             ids=["1d-long", "2d-short"])
+    def test_anchor_of_wrong_length_rejected(self, nodes, anchor):
+        m = len(nodes)
+        model = ModelSpec.build(
+            m=m, d=m, b=[f"0.05 - x{i + 1}" for i in range(m)],
+            sigma=(0.2 * np.eye(m)).tolist(), r=" + ".join(f"x{i + 1}" for i in range(m)),
+            uncertainty=UncertaintySet.finite([np.eye(m)]),
+        )
+        with pytest.raises(ShapeError, match=f"anchor needs {m} finite coordinates"):
+            solve_ergodic(model, Grid.build([(-2.0, 2.0)] * m, nodes), check=False,
+                          anchor=anchor)
 
     def test_non_cauchy_trace_raises(self, ou_model):
         with pytest.raises(ConvergenceError):
@@ -522,10 +568,194 @@ class TestGenericMode:
         assert abs(gen.lam - ref.lam) < 1e-9
         assert np.max(np.abs(gen.u.values - ref.u.values)) < 1e-8
 
+    def test_two_factor_three_member_set(self):
+        # u = -(x1 + x2), z = (-0.2, -0.2), lam = max_c z^T Q_c z / 2 - 0.1
+        grid = Grid.build([(-2.0, 2.0)] * 2, [33, 33])
+        ref = solve_ergodic(affine_three_member_model(), grid, tol=1e-10, check=False)
+        gen = solve_ergodic(generic_twin_2d(), grid, mode="generic", tol=1e-10, check=False)
+        z = np.array([-0.2, -0.2])
+        lam = max(0.5 * z @ q @ z for q in THREE_MEMBERS.candidates()) - 0.1
+        assert lam == pytest.approx(-0.04, abs=1e-15)
+        assert abs(ref.lam - lam) < 1e-12
+        assert abs(gen.lam - lam) < 1e-12
+        assert np.max(np.abs(gen.u.values - ref.u.values)) < 1e-8
+
     def test_generic_mode_needs_drivers(self, ou_model):
         grid = Grid.build([(-2.0, 2.0)], [33])
         with pytest.raises(ShapeError):
             solve_ergodic(ou_model, grid, mode="generic", check=False)
+
+
+# The per-candidate loop that the stacked operator of ``_Stepper`` replaced,
+# kept as its oracle: one S_c at a time, then a left fold of np.maximum.
+
+
+def _loop_differences(st, w):
+    m = st.grid.m
+    wp = pde._pad_linear_1d(w) if m == 1 else pde._pad_linear_2d(w.reshape(st.shape))
+    core = wp[(slice(1, -1),) * m]
+    pairs = []
+    for ax, h in enumerate(st.hs):
+        below = tuple(slice(None, -2) if a == ax else slice(1, -1) for a in range(m))
+        above = tuple(slice(2, None) if a == ax else slice(1, -1) for a in range(m))
+        pairs.append(((core - wp[below]) / h, (wp[above] - core) / h))
+    return wp, pairs
+
+
+def _loop_parts_1d(st, w):
+    wp, ((dm, dp),) = _loop_differences(st, w)
+    wxx = (wp[2:] - 2.0 * wp[1:-1] + wp[:-2]) / st.hs[0] ** 2
+    if st.grad_cap is not None:
+        dpq = np.clip(dp, -st.grad_cap, st.grad_cap)
+        dmq = np.clip(dm, -st.grad_cap, st.grad_cap)
+    else:
+        dpq, dmq = dp, dm
+    quad = np.maximum(dpq, 0.0) ** 2 + np.minimum(dmq, 0.0) ** 2
+    parts = []
+    for c in range(st.n_cand):
+        a = st.diff_c[c, 0, 0]
+        vel = st.vel_c[c, 0]
+        parts.append(0.5 * a * wxx + np.where(vel > 0.0, vel * dp, vel * dm)
+                     + 0.5 * a * quad + st.const_c[c])
+    return parts
+
+
+def _loop_parts_2d(st, w):
+    h1, h2 = st.hs
+    wp, ((dm1, dp1), (dm2, dp2)) = _loop_differences(st, w)
+    core = wp[1:-1, 1:-1]
+    wxx = (wp[2:, 1:-1] - 2.0 * core + wp[:-2, 1:-1]) / h1**2
+    wyy = (wp[1:-1, 2:] - 2.0 * core + wp[1:-1, :-2]) / h2**2
+    wxy = (wp[2:, 2:] - wp[2:, :-2] - wp[:-2, 2:] + wp[:-2, :-2]) / (4.0 * h1 * h2)
+    wxc = 0.5 * (dm1 + dp1)
+    wyc = 0.5 * (dm2 + dp2)
+    god1 = np.maximum(dp1, 0.0) ** 2 + np.minimum(dm1, 0.0) ** 2
+    god2 = np.maximum(dp2, 0.0) ** 2 + np.minimum(dm2, 0.0) ** 2
+    parts = []
+    for c in range(st.n_cand):
+        a11, a12, a22, v1, v2, const = (arr.reshape(st.shape) for arr in (
+            st.diff_c[c, 0, 0], st.diff_c[c, 0, 1], st.diff_c[c, 1, 1],
+            st.vel_c[c, 0], st.vel_c[c, 1], st.const_c[c]))
+        parts.append((
+            0.5 * (a11 * wxx + 2.0 * a12 * wxy + a22 * wyy)
+            + np.where(v1 > 0.0, v1 * dp1, v1 * dm1)
+            + np.where(v2 > 0.0, v2 * dp2, v2 * dm2)
+            + 0.5 * (a11 * god1 + a22 * god2)
+            + a12 * wxc * wyc
+            + const
+        ).ravel())
+    return parts
+
+
+def _loop_select(parts, policy):
+    if policy is not None:
+        return np.stack(parts)[policy, np.arange(parts[0].size)]
+    return functools.reduce(np.maximum, parts)
+
+
+def _loop_generic(st, w, level, gamma2, policy):
+    _, pairs = _loop_differences(st, w)
+    grad = np.stack([np.where(st.bval[:, ax].reshape(st.shape) > 0.0, dp, dm).ravel()
+                     for ax, (dm, dp) in enumerate(pairs)], axis=-1)
+    hess = nodal_hessian(w.reshape(st.shape), st.grid).reshape(grad.shape + (-1,))
+    hmat = pde._hamiltonian_batch(st.model, st.pts, grad, hess, w, mode="generic",
+                                  precomputed=st.pre)
+    if gamma2 is not None:
+        hmat = hmat + 2.0 * np.multiply.outer(level, gamma2)
+    scores, _ = gcore._candidate_scores(hmat, st.model.uncertainty)
+    gvals = _loop_select([0.5 * scores[:, c] for c in range(st.n_cand)], policy)
+    z = np.einsum("nlj,nl->nj", st.sig, grad)
+    fval = st.model.f(st.pts, w, z) if st.model.f is not None else 0.0
+    return gvals + np.einsum("nl,nl->n", st.bval, grad) + fval
+
+
+def loop_residual(st, w, level=0.0, gamma2=None, policy=None):
+    """S(w) assembled one candidate at a time."""
+    if st.mode == "generic":
+        return _loop_generic(st, w, level, gamma2, policy)
+    parts = _loop_parts_1d(st, w) if st.grid.m == 1 else _loop_parts_2d(st, w)
+    if gamma2 is not None:
+        level = np.broadcast_to(level, w.shape)
+        parts = [p + float(np.tensordot(q, gamma2)) * level for p, q in zip(parts, st.model.uncertainty.candidates())]
+    return _loop_select(parts, policy) + st.f_base
+
+
+def _state_dependent_1d(**extra):
+    return ModelSpec.build(
+        m=1, d=1, b=["0.05 - x1"], sigma=[["0.2 + 0.05 * tanh(x1)"]], r="x1",
+        v=[0.3], k=[["0.01 * x1"]], h=[[["0.02 * tanh(x1)"]]],
+        uncertainty=UncertaintySet.interval(0.8, 1.2), **extra)
+
+
+def _twin_1d():
+    return ModelSpec.build(
+        m=1, d=1, b=["0.05 - 1.0 * x1"], sigma=[["0.2"]], r=0.0,
+        uncertainty=UncertaintySet.interval(0.8, 1.2),
+        f=lambda x, y, z: -x[:, 0] + 0.1 * y, g=[[lambda x, y, z: 0.5 * z[:, 0] ** 2]])
+
+
+def _probes(n, rng):
+    """Values with slopes of both signs, flat stretches (zero slopes) and a kink."""
+    flat = np.zeros(n)
+    flat[n // 3:] = 0.25
+    return [rng.normal(size=n), np.cumsum(rng.normal(size=n)) * 0.1, flat,
+            np.abs(np.linspace(-1.0, 1.0, n)) * 3.0]
+
+
+# (model, grid, stepper keywords)
+STACKED_CASES = {
+    "1d-plain": (_state_dependent_1d, [65], {}),
+    "1d-cap": (_state_dependent_1d, [65], {"gradient_cap": 0.05}),
+    "1d-gamma2": (_state_dependent_1d, [65], {"gamma2": np.array([[-0.7]])}),
+    "2d-three": (lambda: affine_three_member_model(v=[0.1, 0.2], k=[[0.01, "0.02 * x1"],
+                                                                    ["0.02 * x1", 0.03]]),
+                 [19, 17], {}),
+    "2d-three-gamma2": (affine_three_member_model, [19, 17],
+                        {"gamma2": np.array([[-0.2, 0.05], [0.05, -0.3]])}),
+    "generic-1d": (_twin_1d, [33], {"mode": "generic", "gamma2": np.array([[0.5]])}),
+    "generic-2d": (generic_twin_2d, [19, 17], {"mode": "generic"}),
+}
+
+
+class TestStackedOperator:
+    """Every candidate in one array pass equals the per-candidate loop byte for byte."""
+
+    @pytest.mark.parametrize("case", list(STACKED_CASES))
+    def test_residual_and_candidates_equal_the_loop(self, case):
+        build, nodes, kwargs = STACKED_CASES[case]
+        st = pde._Stepper(build(), Grid.build([(-2.0, 2.0)] * len(nodes), nodes), **kwargs)
+        gamma2 = kwargs.get("gamma2")  # the loop takes it per call
+        n = st.pts.shape[0]
+        rng = np.random.default_rng(17)
+        policy = rng.integers(0, st.n_cand, n)
+        for w in _probes(n, rng):
+            # a scalar level, as in the bordered solve, and one per node, as in the damped one
+            for level in (0.37, 0.3 * w):
+                ref = [loop_residual(st, w, level, gamma2, policy=c) for c in range(st.n_cand)]
+                assert st.candidates(w, level).tobytes() == np.stack(ref).tobytes()
+                assert (st.residual(w, level).tobytes()
+                        == loop_residual(st, w, level, gamma2).tobytes())
+                assert (st.residual(w, level, policy).tobytes()
+                        == loop_residual(st, w, level, gamma2, policy).tobytes())
+
+    def test_ties_and_signed_zeros_fold_left(self):
+        # the max-reduce keeps the first candidate on ties, as the left fold does
+        each = np.array([[0.0, -0.0, 1.0, np.nan], [-0.0, 0.0, 1.0, 2.0], [0.0, 0.0, np.nan, 1.0]])
+        reduced = np.maximum.reduce(each, axis=0)
+        assert reduced.tobytes() == functools.reduce(np.maximum, list(each)).tobytes()
+
+    def test_march_2d_equals_the_loop_march(self):
+        model = affine_three_member_model()
+        grid = Grid.build([(-2.0, 2.0)] * 2, [19, 17], horizon=0.5, time_steps=100)
+        pts = grid.points()
+        terminal = (np.sin(2.0 * pts[:, 0]) * np.cos(pts[:, 1])).reshape(grid.shape)
+        sol = solve_parabolic(model, grid, terminal)
+        st = pde._Stepper(model, grid)
+        w, hist = terminal.ravel(), [terminal.ravel()]
+        for _ in range(grid.time_steps):
+            w = w + grid.dt * loop_residual(st, w)
+            hist.append(w)
+        assert sol.values.tobytes() == np.stack(hist[::-1]).reshape(sol.values.shape).tobytes()
 
 
 class TestResidual:

@@ -1,6 +1,7 @@
 """Rules on the package source that no runtime test can see."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gkernel"
@@ -33,3 +34,44 @@ def test_rule_sees_every_catch_all_form():
               "try:\n    pass\nexcept (ValueError, TypeError):\n    pass\n")
     assert [text for _, text in _catch_alls(ast.parse(source))] == [
         "except", "except Exception", "except BaseException"]
+
+
+# numpy is the one declared dependency (pyproject.toml); anything else that
+# happens to be installed, scipy say, would pass here and fail for users
+ALLOWED_THIRD_PARTY = {"numpy", "gkernel"}
+
+
+def _foreign_imports(tree):
+    """(line, module) of every absolute import outside the standard library,
+    numpy and gkernel; relative imports stay inside the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names and top not in ALLOWED_THIRD_PARTY:
+                yield node.lineno, name
+
+
+def test_imports_are_stdlib_numpy_or_gkernel():
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, name in _foreign_imports(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_rule_sees_every_import_form():
+    source = ("import os, scipy.linalg\n"
+              "from numpy.linalg import solve\n"
+              "from scipy import sparse\n"
+              "from . import pde\n"
+              "from .gcore import g_value\n"
+              "import gkernel.pde\n"
+              "from __future__ import annotations\n"
+              "def f():\n    import pandas as pd\n")
+    assert [name for _, name in _foreign_imports(ast.parse(source))] == [
+        "scipy.linalg", "scipy", "pandas"]
