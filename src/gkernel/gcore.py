@@ -188,8 +188,25 @@ def _first_max(scores: np.ndarray) -> np.ndarray:
     several times faster."""
     if scores.shape[-1] != 2:
         return np.argmax(scores, axis=-1)
-    s0, s1 = scores[..., 0], scores[..., 1]
+    return _first_of_two(scores[..., 0], scores[..., 1])
+
+
+def _first_of_two(s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """``_first_max`` of the two columns s0 and s1."""
     return (~(s1 <= s0) & (s0 == s0)).astype(np.intp)
+
+
+def _best_candidate(mats: np.ndarray, sigma_set: UncertaintySet) -> np.ndarray:
+    """``_candidate_scores(mats, sigma_set)[1]`` for a batch of (d, d) matrices.
+
+    On a scalar band the two scores are the products a * hi and a * lo,
+    compared directly; they equal the trace products but for the sign of a
+    zero, which no comparison sees.
+    """
+    if sigma_set.kind == "interval":
+        a = mats[..., 0, 0]
+        return _first_of_two(a * sigma_set.hi, a * sigma_set.lo)
+    return _candidate_scores(mats, sigma_set)[1]
 
 
 def ellipticity_constants(sigma_set: UncertaintySet) -> tuple[float, float]:

@@ -102,6 +102,16 @@ def _dij(sig: np.ndarray, v: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, 1, 2))
 
 
+# products of the tensors that the pricing Hamiltonian reads, by name: the tensors
+# each is formed from and its formula over a mapping of them; a product whose
+# tensors are all constant is formed once per model from one row
+_DERIVED = {
+    "h_eff": (("h", "sigma", "v"), lambda c: c["h"] - _dij(c["sigma"], c["v"])),
+    "two_k": (("k",), lambda c: 2.0 * c["k"]),
+    "vv": (("v",), lambda c: np.einsum("ni,nj->nij", c["v"], c["v"])),
+}
+
+
 def _entries(tensor):
     if isinstance(tensor, tuple):
         for item in tensor:
@@ -117,7 +127,9 @@ class Coefficients(dict):
     array, such as ``sigma`` as (n, m, d).  A tensor is computed when it is
     first read and then kept, so each is evaluated at most once per batch:
     a constant one is a read-only broadcast of the value the model checked
-    once, any other goes through its ``ModelSpec.eval_*`` method.
+    once, any other goes through its ``ModelSpec.eval_*`` method.  The
+    pricing products of ``_DERIVED`` read the same way: ``h_eff`` is
+    h - d_ij (n, d, d, m), ``two_k`` is 2k and ``vv`` is v v^T (n, d, d).
     """
 
     def __init__(self, model: "ModelSpec", x: np.ndarray):
@@ -126,11 +138,12 @@ class Coefficients(dict):
         self.x = x
 
     def __missing__(self, name: str) -> np.ndarray:
-        if name not in _shapes(self.model.m, self.model.d):
+        if name not in _shapes(self.model.m, self.model.d) and name not in _DERIVED:
             raise KeyError(name)
         out = self.model._constant(name, self.x) if len(self.x) else None
         if out is None:
-            out = getattr(self.model, f"eval_{name}")(self.x)
+            out = (_DERIVED[name][1](self) if name in _DERIVED
+                   else getattr(self.model, f"eval_{name}")(self.x))
         self[name] = out
         return out
 
@@ -167,8 +180,8 @@ class ModelSpec:
     f: Callable | None = None
     g: tuple | None = None
     label: str = ""
-    # tensor name -> None if it varies with the state, else its checked value
-    # broadcast over the latest row count; filled as bundles read each tensor
+    # tensor or product name -> None if it varies with the state, else its
+    # checked value broadcast over the latest row count; filled as bundles read
     _constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -256,20 +269,26 @@ class ModelSpec:
         A tensor whose entries are all ``Constant`` (or which is absent,
         meaning zero) is evaluated and checked finite once per model, and
         broadcast after that; every other tensor goes through its ``eval_*``
-        method.  Each tensor is computed only if it is read.
+        method.  A product of ``_DERIVED`` whose tensors are all constant is
+        likewise formed once per model.  Each is computed only if it is read.
         """
         return Coefficients(self, x)
 
     def _constant(self, name: str, x: np.ndarray) -> np.ndarray | None:
-        """Tensor ``name`` as a read-only broadcast over the rows of ``x`` if it
-        is constant, else None."""
+        """Tensor or product ``name`` as a read-only broadcast over the rows of
+        ``x`` if it is constant, else None."""
         if name not in self._constants:
-            view = None
+            one = None
+            if name in _DERIVED:
+                inputs, formula = _DERIVED[name]
+                rows = {i: self._constant(i, x) for i in inputs}
+                if all(r is not None for r in rows.values()):
+                    one = formula({i: r[:1] for i, r in rows.items()})
             # exact type: a subclass may override __call__ with a varying value
-            if all(type(fn) is Constant for fn in _entries(getattr(self, name))):
+            elif all(type(fn) is Constant for fn in _entries(getattr(self, name))):
                 one = getattr(self, f"eval_{name}")(x[:1])  # checked finite here, once
-                view = np.broadcast_to(one, one.shape)      # read-only
-            self._constants[name] = view
+            # read-only, never an n-row copy
+            self._constants[name] = None if one is None else np.broadcast_to(one, one.shape)
         view = self._constants[name]
         if view is not None and view.shape[0] != x.shape[0]:
             # a run's batches share a few row counts: keep the latest broadcast,

@@ -222,18 +222,19 @@ def nodal_hessian(values: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def _uniform_cell(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _uniform_cell(a_inf: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``np.searchsorted(a, x, side="right") - 1`` for x in [a[0], a[-1]].
 
-    ``a`` is a uniform axis, so the cell is guessed from the spacing and
-    corrected by one comparison on each side instead of a binary search.
+    ``a_inf`` is a uniform axis ``a`` followed by +inf, so the cell is
+    guessed from the spacing and corrected by one comparison on each side
+    instead of a binary search; the +inf keeps the last node's cell.
     """
-    n = a.size
+    n = a_inf.size - 1
     with np.errstate(invalid="ignore"):  # NaN states fall through to NaN output
-        j = ((x - a[0]) * ((n - 1) / (a[-1] - a[0]))).astype(np.intp)
-    np.clip(j, 0, n - 1, out=j)
-    j -= a[j] > x
-    j += (j < n - 1) & (a[np.minimum(j + 1, n - 1)] <= x)
+        j = ((x - a_inf[0]) * ((n - 1) / (a_inf[n - 1] - a_inf[0]))).astype(np.intp)
+    np.minimum(np.maximum(j, 0, out=j), n - 1, out=j)
+    j -= a_inf.take(j) > x
+    j += a_inf.take(j + 1) <= x
     return j
 
 
@@ -245,9 +246,10 @@ class _Interp:
     are (n, m) arrays.  Each query locates its cells once and reads every
     requested field from them; in 1D the result equals ``np.interp``
     bit for bit.  The per-field work that does not depend on the query is
-    done here once: the slopes of each field in 1D, and in 2D the gradient
-    and Hessian entries stacked per node, so one gather per cell corner
-    reads them all.
+    done here once: the slopes of each field in 1D, and the gradient and
+    Hessian entries stacked per node, so one gather per cell corner (per
+    cell end in 1D) reads them all.  2D fields are kept flat over the
+    nodes, so that a corner is one ``take`` of a row-major node index.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):
@@ -260,53 +262,57 @@ class _Interp:
         if grid.m == 1:
             # each field with np.interp's cell slopes
             step = np.diff(self.axes[0])
-            self._value, self._dx, self._dxx = (
-                (f, np.diff(f) / step) for f in (values, grad[:, 0], hess[:, 0, 0]))
+            self._axis_inf = np.append(self.axes[0], np.inf)
+            self._value = values, np.diff(values) / step
+            derivs = np.stack([grad[:, 0], hess[:, 0, 0]], axis=-1)
+            self._derivs = derivs, np.diff(derivs, axis=0) / step[:, None]
         else:
-            self._value, self._dx = values, grad
-            self._derivs = np.concatenate([grad, hess.reshape(grid.shape + (grid.m**2,))],
-                                          axis=-1)
+            nodes = values.size
+            self._value = values.reshape(nodes)
+            self._derivs = np.concatenate(
+                [grad.reshape(nodes, grid.m), hess.reshape(nodes, grid.m**2)], axis=-1)
+
+    def _clamp(self, x: np.ndarray) -> np.ndarray:
+        """``np.clip(x, lo, hi)`` by the ufuncs.  A zero tying a bound of the
+        other sign takes the bound's sign, as np.clip does for m = 2; in 1D
+        that sign reaches no output, since the node value is read there."""
+        return np.minimum(np.maximum(x, self._lo), self._hi)
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        xc = np.clip(x, self._lo, self._hi)
+        xc = self._clamp(x)
         cells = self._locate(xc)
         inside = self._read(self._value, cells)
         # linear extension: add <grad(clamped point), x - clamped>
         delta = x - xc
         if np.any(delta):
-            g = self._read(self._dx, cells)
-            if self.grid.m == 1:
-                g = g[:, None]
+            g = self._read(self._derivs, cells)[:, :self.grid.m]
             inside = inside + np.einsum("nl,nl->n", g, delta)
         return inside
 
     def derivatives(self, x: np.ndarray) -> tuple:
         """Clamped gradient (n, m) and Hessian (n, m, m) from one cell lookup."""
-        cells = self._locate(np.clip(x, self._lo, self._hi))
-        if self.grid.m == 1:
-            return self._read(self._dx, cells)[:, None], self._read(self._dxx, cells)[:, None, None]
         m = self.grid.m
-        out = self._read(self._derivs, cells)
+        out = self._read(self._derivs, self._locate(self._clamp(x)))
         return out[:, :m], out[:, m:].reshape(-1, m, m)
 
     def excess(self, x: np.ndarray) -> np.ndarray:
-        xc = np.clip(x, self._lo, self._hi)
+        xc = self._clamp(x)
         return np.max(np.abs(x - xc) / (self._hi - self._lo), axis=-1)
 
     def _locate(self, xc: np.ndarray) -> tuple:
         if self.grid.m == 1:
             a = self.axes[0]
             x = xc[:, 0]
-            j = _uniform_cell(a, x)
+            j = _uniform_cell(self._axis_inf, x)
             jl = np.minimum(j, a.size - 2)  # left node of the cell used for slopes
-            hits = np.flatnonzero(a[j] == x)
-            return jl, x - a[jl], hits, j[hits]
+            hits = np.flatnonzero(a.take(j) == x)
+            return jl, x - a.take(jl), hits, j.take(hits)
         a0, a1 = self.axes
-        i0 = np.clip(np.searchsorted(a0, xc[:, 0]) - 1, 0, a0.size - 2)
-        i1 = np.clip(np.searchsorted(a1, xc[:, 1]) - 1, 0, a1.size - 2)
+        i0 = np.minimum(np.maximum(np.searchsorted(a0, xc[:, 0]) - 1, 0), a0.size - 2)
+        i1 = np.minimum(np.maximum(np.searchsorted(a1, xc[:, 1]) - 1, 0), a1.size - 2)
         t0 = (xc[:, 0] - a0[i0]) / (a0[i0 + 1] - a0[i0])
         t1 = (xc[:, 1] - a1[i1]) / (a1[i1 + 1] - a1[i1])
-        return i0, i1, t0, t1
+        return i0 * a1.size + i1, a1.size, t0, t1  # lower-left node, row stride
 
     def _read(self, field, cells: tuple) -> np.ndarray:
         if self.grid.m == 1:
@@ -314,22 +320,20 @@ class _Interp:
             # nodes, the nodal value itself on them
             arr, slope = field
             jl, offset, hits, j_hits = cells
-            out = slope[jl] * offset + arr[jl]
-            out[hits] = arr[j_hits]
+            if arr.ndim > 1:  # fields stacked along a trailing axis
+                offset = offset[:, None]
+            out = slope.take(jl, axis=0) * offset + arr.take(jl, axis=0)
+            out[hits] = arr.take(j_hits, axis=0)
             return out
-        i0, i1, t0, t1 = cells
-        if field.ndim > 2:  # fields stacked along a trailing axis
+        k, stride, t0, t1 = cells
+        if field.ndim > 1:  # fields stacked along a trailing axis
             t0, t1 = t0[:, None], t1[:, None]
-        v00 = field[i0, i1]
-        v10 = field[i0 + 1, i1]
-        v01 = field[i0, i1 + 1]
-        v11 = field[i0 + 1, i1 + 1]
-        return (
-            v00 * (1 - t0) * (1 - t1)
-            + v10 * t0 * (1 - t1)
-            + v01 * (1 - t0) * t1
-            + v11 * t0 * t1
-        )
+        s0, s1 = 1 - t0, 1 - t1
+        v00 = field.take(k, axis=0)
+        v10 = field.take(k + stride, axis=0)
+        v01 = field.take(k + 1, axis=0)
+        v11 = field.take(k + stride + 1, axis=0)
+        return v00 * s0 * s1 + v10 * t0 * s1 + v01 * s0 * t1 + v11 * t0 * t1
 
 
 @dataclass
@@ -464,8 +468,8 @@ def _hamiltonian_batch(
     """H matrices (n, d, d) for a batch of points/derivatives.
 
     ``precomputed`` is the ``Coefficients`` bundle at ``x``; by default it
-    is evaluated here.  In pricing mode h - d_ij is formed from the bundle's
-    h, sigma and v.
+    is evaluated here.  In pricing mode h - d_ij, 2k and v v^T are the
+    bundle's products, formed once per model when their tensors are constant.
     """
     mode = _normalize_mode(mode)
     pre = model.evaluate(x) if precomputed is None else precomputed
@@ -473,13 +477,11 @@ def _hamiltonian_batch(
     hess_term = _hessian_term(hess, sig)
     z = np.einsum("nlj,nl->nj", sig, grad)
     if mode == "pricing":
-        vval = pre["v"]
-        htil = pre["h"] - _dij(sig, vval)
         return (
             hess_term
-            + 2.0 * np.einsum("nl,nijl->nij", grad, htil)
-            - 2.0 * pre["k"]
-            + np.einsum("ni,nj->nij", vval, vval)
+            + 2.0 * np.einsum("nl,nijl->nij", grad, pre["h_eff"])
+            - pre["two_k"]
+            + pre["vv"]
             + np.einsum("ni,nj->nij", z, z)
         )
     y = np.zeros(x.shape[0]) if u_val is None else np.asarray(u_val, dtype=float)

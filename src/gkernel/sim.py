@@ -33,7 +33,7 @@ import numpy as np
 
 from .coefficients import as_coefficient
 from .errors import DivergenceError, InvalidSetError, ShapeError
-from .gcore import UncertaintySet, _candidate_scores
+from .gcore import UncertaintySet, _best_candidate
 from .model import ModelSpec
 from .pde import _hamiltonian_batch, _normalize_mode
 
@@ -135,12 +135,21 @@ class PiecewiseControl(VolControl):
             raise ShapeError("piecewise control needs one matrix per breakpoint")
         self.times = times
         self.mats = np.stack([0.5 * (m + m.T) for m in ms])
+        self.roots = _sqrt_psd(self.mats)  # one root per segment, as ConstantControl
         self.label = label or "piecewise"
 
+    def _segment(self, t: float) -> int:
+        return max(int(np.searchsorted(self.times, t, side="right") - 1), 0)
+
     def matrices(self, t: float, x: np.ndarray) -> np.ndarray:
-        idx = int(np.searchsorted(self.times, t, side="right") - 1)
-        idx = max(idx, 0)
+        idx = self._segment(t)
         return np.broadcast_to(self.mats[idx], (x.shape[0],) + self.mats[idx].shape)
+
+    def matrices_and_roots(self, t: float, x: np.ndarray,
+                           coeffs=None) -> tuple[np.ndarray, np.ndarray]:
+        idx = self._segment(t)
+        shape = (x.shape[0],) + self.mats[idx].shape
+        return np.broadcast_to(self.mats[idx], shape), np.broadcast_to(self.roots[idx], shape)
 
     def validate(self, sigma_set: UncertaintySet) -> None:
         for i, m in enumerate(self.mats):
@@ -161,6 +170,10 @@ class FeedbackControl(VolControl):
             raise ShapeError(
                 f"feedback control returned shape {q.shape} for {x.shape[0]} paths"
             )
+        # no sum of an absent k or v carries a NaN covariance into the deflator
+        if not np.isfinite(q).all():
+            raise DivergenceError(f"feedback control {self.label!r} returned a non-finite "
+                                  "covariance", where=f"t={t}")
         return q
 
 
@@ -180,7 +193,8 @@ class _CandidatePolicy(FeedbackControl):
     def matrices_and_roots(self, t: float, x: np.ndarray,
                            coeffs=None) -> tuple[np.ndarray, np.ndarray]:
         idx = self.pick(t, x, coeffs)
-        return self.candidates[idx], self.roots[idx]
+        # take() gathers whole (d, d) blocks several times faster than indexing
+        return self.candidates.take(idx, axis=0), self.roots.take(idx, axis=0)
 
 
 def worst_case_policy(solution, model: ModelSpec, mode: str = "pricing") -> FeedbackControl:
@@ -202,7 +216,7 @@ def worst_case_policy(solution, model: ModelSpec, mode: str = "pricing") -> Feed
         # a bundle of another model (or none) leaves the evaluation to the Hamiltonian
         pre = coeffs if coeffs is not None and coeffs.model is model else None
         hmat = _hamiltonian_batch(model, x, grad, hess, uval, mode=mode, precomputed=pre)
-        return _candidate_scores(hmat, model.uncertainty)[1]
+        return _best_candidate(hmat, model.uncertainty)
 
     cands = np.stack(model.uncertainty.candidates())
     return _CandidatePolicy(pick, cands, label="worst_case")
@@ -225,15 +239,20 @@ def extreme_controls(sigma_set: UncertaintySet) -> list[ConstantControl]:
 # path generation
 
 
-def _path_rng(seed: int, path_id: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, path_id & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _chunk_draws(seed: int, path_lo: int, path_hi: int, n_steps: int, d: int) -> np.ndarray:
+    """Standard normals (paths, steps, d); path p reads a fresh Philox stream
+    keyed by (seed, p).  One bit generator serves the chunk: setting its
+    state to a fresh one under each path's key costs several times less
+    than building a generator per path."""
+    bits = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    fresh = bits.state  # a copy: zero counter, empty buffer
+    key = fresh["state"]["key"]
     out = np.empty((path_hi - path_lo, n_steps, d))
     for i, p in enumerate(range(path_lo, path_hi)):
-        out[i] = _path_rng(seed, p).standard_normal((n_steps, d))
+        key[1] = p & _MASK64
+        bits.state = fresh
+        out[i] = gen.standard_normal((n_steps, d))
     return out
 
 
@@ -288,8 +307,8 @@ class ScenarioBatch:
 
 
 def _resolve_steps(T: float, dt: float) -> int:
-    if dt <= 0.0 or T <= 0.0:
-        raise ShapeError("need T > 0 and dt > 0")
+    if not (0.0 < T < math.inf and 0.0 < dt < math.inf and T / dt < math.inf):
+        raise ShapeError(f"need finite T > 0 and dt > 0 with finite T / dt, got T={T}, dt={dt}")
     n_steps = int(round(T / dt))
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
         raise ShapeError(f"dt={dt} must divide the horizon T={T}")
@@ -338,12 +357,12 @@ def _euler_steps(model: ModelSpec, control: VolControl, x0: np.ndarray, dt: floa
         q, root = control.matrices_and_roots(k * dt, x, coeffs=coeffs)
         db = np.einsum("nij,nj->ni", root, draws[:, k]) * sqdt
         dqv = q * dt
-        x_next = (
-            x
-            + coeffs["b"] * dt
-            + np.einsum("nijl,nij->nl", coeffs["h"], dqv)
-            + np.einsum("nld,nd->nl", coeffs["sigma"], db)
-        )
+        x_next = x + coeffs["b"] * dt
+        # an absent h adds no sum: its +0.0 would only turn a -0.0 into +0.0,
+        # and the sigma dB sum starts from +0.0 as well, so no bit changes
+        if model.h is not None:
+            x_next += np.einsum("nijl,nij->nl", coeffs["h"], dqv)
+        x_next += np.einsum("nld,nd->nl", coeffs["sigma"], db)
         yield k, x, q, db, dqv, x_next, coeffs
         x = x_next
 
@@ -419,12 +438,12 @@ def _deflator_scan(
     marks = set(int(s) for s in checkpoint_steps)
     out = {}
     for k, _, _, db, dqv, x_next, coeffs in _euler_steps(model, control, x0, dt, draws):
-        lnD = (
-            lnD
-            - coeffs["r"] * dt
-            - np.einsum("nij,nij->n", coeffs["k"], dqv)
-            - np.einsum("ni,ni->n", coeffs["v"], db)
-        )
+        lnD = lnD - coeffs["r"] * dt
+        # an absent k or v would subtract +0.0, which changes no value
+        if model.k is not None:
+            lnD -= np.einsum("nij,nij->n", coeffs["k"], dqv)
+        if model.v is not None:
+            lnD -= np.einsum("ni,ni->n", coeffs["v"], db)
         if k + 1 in marks:
             w = np.exp(lnD)
             if payoff is not None:

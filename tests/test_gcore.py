@@ -11,7 +11,7 @@ from gkernel import (
     g_value,
     g_value_batch,
 )
-from gkernel.gcore import _candidate_scores, _first_max
+from gkernel.gcore import _best_candidate, _candidate_scores, _first_max
 
 HALF_OPEN = UncertaintySet.interval(0.5, 1.0)
 
@@ -209,3 +209,29 @@ class TestCandidatePick:
         assert pick.tolist() == [0, 1, 0, 0, 0, 0, 0]  # -inf ties: the upper endpoint
         value, maximizer = g_value_batch(np.array([[-3.0]]), HALF_OPEN)  # one matrix
         assert (value.shape, float(value), maximizer.tolist()) == ((), -0.75, [[0.5]])
+
+
+class TestBestCandidate:
+    """The policy's pick equals the index ``_candidate_scores`` gives."""
+
+    @pytest.mark.parametrize("sigma_set", [
+        HALF_OPEN, UncertaintySet.interval(0.7, 0.7), UncertaintySet.interval(0.5, 3.0),
+    ], ids=["band", "degenerate", "wide"])
+    def test_interval_pick_equals_candidate_scores(self, sigma_set):
+        edges = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308, 1.0, -1.0]
+        a = np.concatenate([edges, np.random.default_rng(4).normal(size=500)])
+        mats = a.reshape(-1, 1, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _best_candidate(mats, sigma_set)
+            ref = _candidate_scores(mats, sigma_set)[1]
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+    def test_finite_pick_equals_candidate_scores(self):
+        sigma_set = UncertaintySet.finite([np.eye(2), [[1.0, 0.5], [0.5, 1.0]],
+                                           [[0.6, -0.2], [-0.2, 0.9]]])
+        mats = np.random.default_rng(6).normal(size=(300, 2, 2))
+        mats = mats + np.swapaxes(mats, 1, 2)
+        mats[:3] = [[[np.nan, 0.0], [0.0, 1.0]], np.zeros((2, 2)), -np.zeros((2, 2))]
+        assert np.array_equal(_best_candidate(mats, sigma_set),
+                              _candidate_scores(mats, sigma_set)[1])

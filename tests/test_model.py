@@ -103,7 +103,57 @@ class TestEvaluate:
         assert coeffs["sigma"] is coeffs["sigma"]
         assert "r" not in coeffs  # nothing is evaluated before it is read
         with pytest.raises(KeyError):
-            coeffs["h_eff"]
+            coeffs["dij"]  # neither a tensor nor a product of _DERIVED
+
+    @staticmethod
+    def _product_model(sigma=(0.2, 0.05), v=(0.3, 0.1)):
+        return ModelSpec.build(
+            m=2, d=2, b=["-x1", -0.5], sigma=[list(sigma), [0.0, 0.15]], r="x1 + x2",
+            k=[[0.01, 0.005], [0.005, 0.02]], v=list(v),
+            h=[[[0.03, -0.01], [0.01, 0.02]], [[0.01, 0.02], [0.02, -0.03]]],
+            uncertainty=_finite_2d(),
+        )
+
+    @staticmethod
+    def _products(model, x):
+        """The pricing products formed on every row by the eval_* methods."""
+        v = model.eval_v(x)
+        return {"h_eff": model.eval_h_effective(x), "two_k": 2.0 * model.eval_k(x),
+                "vv": np.einsum("ni,nj->nij", v, v)}
+
+    @pytest.mark.parametrize("varying,kw", [
+        ((), {}),
+        (("h_eff",), dict(sigma=("0.2 + 0.1 * tanh(x1)", 0.05))),
+        (("h_eff", "vv"), dict(v=(0.3, "0.1 * x2"))),
+    ], ids=["all_constant", "state_sigma", "state_v"])
+    def test_products_cached_only_when_their_tensors_are_constant(self, varying, kw):
+        model = self._product_model(**kw)
+        for n in (5, 3, 5):  # a new row count re-broadcasts the cached row
+            x = np.linspace(-1.0, 1.0, 2 * n).reshape(n, 2)
+            coeffs = model.evaluate(x)
+            for name, expected in self._products(model, x).items():
+                got = coeffs[name]
+                assert got.shape == expected.shape
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64)), name
+                if name in varying:
+                    assert model._constants[name] is None
+                    assert got.flags.writeable and got.strides[0] != 0
+                else:
+                    assert got.strides[0] == 0 and not got.flags.writeable
+
+    def test_models_never_share_products(self):
+        x = np.zeros((4, 2))
+        twins = self._product_model(), self._product_model()
+        other = self._product_model(v=(-0.2, 0.4))
+        for model in twins + (other,):
+            coeffs = model.evaluate(x)
+            for name, expected in self._products(model, x).items():
+                assert np.array_equal(coeffs[name], expected), name
+        for name in ("h_eff", "two_k", "vv"):
+            a, b, c = (model._constants[name] for model in twins + (other,))
+            assert not (np.shares_memory(a, b) or np.shares_memory(a, c)
+                        or np.shares_memory(b, c)), name
+        assert not np.array_equal(twins[0].evaluate(x)["vv"], other.evaluate(x)["vv"])
 
     @pytest.mark.parametrize("entry,label", [
         (dict(sigma=[[math.nan]]), r"sigma\[0\]\[0\]"),

@@ -856,17 +856,19 @@ class TestInterpolation:
             ref_val = np.interp(x[inside], axis, values)
             assert np.array_equal(sol.value_at(x[inside][:, None]), ref_val)
 
-    def test_2d_stacked_fields_equal_per_field_bilinear_bitwise(self):
-        # the per-field bilinear read that the stacked gather replaces
-        def bilinear(arr, axes, xc):
-            a0, a1 = axes
-            i0 = np.clip(np.searchsorted(a0, xc[:, 0]) - 1, 0, a0.size - 2)
-            i1 = np.clip(np.searchsorted(a1, xc[:, 1]) - 1, 0, a1.size - 2)
-            t0 = (xc[:, 0] - a0[i0]) / (a0[i0 + 1] - a0[i0])
-            t1 = (xc[:, 1] - a1[i1]) / (a1[i1 + 1] - a1[i1])
-            return (arr[i0, i1] * (1 - t0) * (1 - t1) + arr[i0 + 1, i1] * t0 * (1 - t1)
-                    + arr[i0, i1 + 1] * (1 - t0) * t1 + arr[i0 + 1, i1 + 1] * t0 * t1)
+    @staticmethod
+    def _bilinear(arr, axes, xc):
+        """The per-field bilinear read that the stacked gather replaces."""
+        a0, a1 = axes
+        i0 = np.clip(np.searchsorted(a0, xc[:, 0]) - 1, 0, a0.size - 2)
+        i1 = np.clip(np.searchsorted(a1, xc[:, 1]) - 1, 0, a1.size - 2)
+        t0 = (xc[:, 0] - a0[i0]) / (a0[i0 + 1] - a0[i0])
+        t1 = (xc[:, 1] - a1[i1]) / (a1[i1 + 1] - a1[i1])
+        return (arr[i0, i1] * (1 - t0) * (1 - t1) + arr[i0 + 1, i1] * t0 * (1 - t1)
+                + arr[i0, i1 + 1] * (1 - t0) * t1 + arr[i0 + 1, i1 + 1] * t0 * t1)
 
+    def test_2d_stacked_fields_equal_per_field_bilinear_bitwise(self):
+        bilinear = self._bilinear
         rng = np.random.default_rng(5)
         grid = Grid.build([[-1.0, 1.0], [-2.0, 2.0]], [17, 21])
         axes = grid.axes()
@@ -889,6 +891,29 @@ class TestInterpolation:
         ref_grad = np.stack([bilinear(g_nodes[..., ax], axes, xc) for ax in range(2)], axis=-1)
         ref_val = bilinear(values, axes, xc) + np.einsum("nl,nl->n", ref_grad, x - xc)
         assert np.array_equal(sol.value_at(x).view(np.int64), ref_val.view(np.int64))
+
+    @pytest.mark.parametrize("bounds", [(0.0, 2.0), (-2.0, -0.0)], ids=["zero_low", "zero_high"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_signed_zero_and_nan_queries_read_as_through_np_clip(self, m, bounds):
+        # a zero meeting a zero bound of the other sign, a NaN, and points beyond the box
+        grid = Grid.build([bounds] * m, [33, 17][:m])
+        axes, pts = grid.axes(), grid.points()
+        values = np.sin(1.3 * pts.sum(axis=1)).reshape(grid.shape)
+        sol = PdeSolution(grid=grid, kind="stationary", values=values)
+        edge = np.array([-0.0, 0.0, np.nan, -3.0, 3.0, 1.0, -1.0])
+        x = np.stack(np.meshgrid(*[edge] * m), axis=-1).reshape(-1, m)
+        x = np.concatenate([x, np.random.default_rng(m).uniform(-2.5, 2.5, (200, m))])
+        xc = np.clip(x, [a[0] for a in axes], [a[-1] for a in axes])
+        grad, hess = sol.derivatives_at(x)
+        g_nodes, h_nodes = nodal_gradient(values, grid), nodal_hessian(values, grid)
+        for ax in range(m):
+            ref = (np.interp(xc[:, 0], axes[0], g_nodes[:, 0]) if m == 1
+                   else self._bilinear(g_nodes[..., ax], axes, xc))
+            assert np.array_equal(grad[:, ax].view(np.int64), ref.view(np.int64))
+            for bx in range(m):
+                ref = (np.interp(xc[:, 0], axes[0], h_nodes[:, 0, 0]) if m == 1
+                       else self._bilinear(h_nodes[..., ax, bx], axes, xc))
+                assert np.array_equal(hess[:, ax, bx].view(np.int64), ref.view(np.int64))
 
     def test_joint_derivatives_equal_separate_accessors(self, ou_sol):
         rng = np.random.default_rng(4)

@@ -14,6 +14,7 @@ from gkernel import (
     Grid,
     InvalidSetError,
     ModelSpec,
+    PdeSolution,
     PiecewiseControl,
     ShapeError,
     UncertaintySet,
@@ -26,7 +27,9 @@ from gkernel import (
     upper_price_mc,
     worst_case_policy,
 )
-from gkernel import sim
+from gkernel import model as model_mod
+from gkernel import pde, sim
+from gkernel.gcore import _candidate_scores
 from conftest import CONST_LAM
 
 
@@ -170,6 +173,22 @@ class TestValidation:
         with pytest.raises(ShapeError):
             simulate_gsde(const_model, bad, [0.0], 1.0, 0.1, 2)
 
+    @pytest.mark.parametrize("entry", ["simulate_gsde", "upper_price_mc", "long_term_yield_mc"])
+    def test_feedback_non_finite_covariance_named(self, entry):
+        # k and v are absent, so no deflator sum would carry the NaN along
+        model = ModelSpec.build(m=1, d=1, b=[0.0], sigma=[[0.2]], r=0.02,
+                                uncertainty=UncertaintySet.interval(0.5, 1.0))
+        bad = FeedbackControl(lambda t, x: np.full((x.shape[0], 1, 1), np.nan if t > 0.2 else 1.0),
+                              label="bad")
+        run = {
+            "simulate_gsde": lambda: simulate_gsde(model, bad, [0.0], 1.0, 0.1, 4),
+            "upper_price_mc": lambda: upper_price_mc(model, None, 1.0, [bad], dt=0.1, n_paths=4),
+            "long_term_yield_mc": lambda: long_term_yield_mc(model, [0.5, 1.0], bad, dt=0.1,
+                                                             n_paths=4),
+        }[entry]
+        with pytest.raises(DivergenceError, match=r"'bad'.*non-finite.*t=0\.3"):
+            run()
+
     @pytest.mark.parametrize("sizes", [
         dict(n_paths=0), dict(n_paths=-3), dict(n_paths=2.0),
         dict(n_paths=4, chunk_size=0), dict(n_paths=4, chunk_size=-2),
@@ -189,6 +208,26 @@ class TestValidation:
         }[entry]
         with pytest.raises(ShapeError, match="n_paths" if "chunk_size" not in sizes
                            else "chunk_size"):
+            run()
+
+
+    @pytest.mark.parametrize("T,dt", [
+        (math.inf, 0.1), (math.nan, 0.1), (1.0, math.nan), (1.0, math.inf), (1e308, 1e-300),
+    ], ids=["inf_horizon", "nan_horizon", "nan_step", "inf_step", "overflowing_ratio"])
+    @pytest.mark.parametrize("entry", ["simulate_gsde", "upper_price_mc", "long_term_yield_mc"])
+    def test_non_finite_horizon_or_step_rejected(self, const_model, entry, T, dt, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("simulated before the horizon was checked")
+
+        monkeypatch.setattr(sim, "_chunk_draws", no_draws)
+        ctl = ConstantControl(1.0)
+        run = {
+            "simulate_gsde": lambda: simulate_gsde(const_model, ctl, [0.0], T, dt, 4),
+            "upper_price_mc": lambda: upper_price_mc(const_model, None, T, dt=dt, n_paths=4),
+            "long_term_yield_mc": lambda: long_term_yield_mc(const_model, [T, 2.0 * T], ctl,
+                                                             dt=dt, n_paths=4),
+        }[entry]
+        with pytest.raises(ShapeError, match="finite"):
             run()
 
 
@@ -212,6 +251,31 @@ class TestPolicies:
         policy = worst_case_policy(const_sol, const_model)
         q = policy.matrices(0.0, np.array([[0.0], [1.2], [-2.0]]))
         assert np.allclose(q[:, 0, 0], 1.0)
+
+    def test_piecewise_roots_each_segment_once(self, monkeypatch):
+        members = [np.eye(2), [[1.0, 0.5], [0.5, 1.0]]]
+        model = ModelSpec.build(
+            m=1, d=2, b=["-x1"], sigma=[["0.2", "0.1"]], r=0.02, v=[0.3, -0.1],
+            uncertainty=UncertaintySet.finite(members),
+        )
+        piecewise = PiecewiseControl([0.0, 0.25], members[::-1])
+        # the per-step root of every row, as the piecewise control took it before
+        per_step = FeedbackControl(piecewise.matrices, label="piecewise")
+        kw = dict(dt=0.05, n_paths=30, seed=4, x0=[0.1])
+        ref_batch = simulate_gsde(model, per_step, [0.1], 0.5, 0.05, 30, seed=4)
+        ref_price = upper_price_mc(model, None, 0.5, [per_step], **kw)
+
+        def no_roots(q):
+            raise AssertionError("a piecewise step took a root")
+
+        monkeypatch.setattr(sim, "_sqrt_psd", no_roots)
+        batch = simulate_gsde(model, piecewise, [0.1], 0.5, 0.05, 30, seed=4)
+        assert batch.X.tobytes() == ref_batch.X.tobytes()
+        assert batch.B.tobytes() == ref_batch.B.tobytes()
+        assert batch.Q.tobytes() == ref_batch.Q.tobytes()
+        price = upper_price_mc(model, None, 0.5, [piecewise], **kw)
+        assert [v.hex() for v in price.table["piecewise"]] == [
+            v.hex() for v in ref_price.table["piecewise"]]
 
     def test_worst_case_on_mean_reverting(self, ou_model, ou_sol):
         q = worst_case_policy(ou_sol, ou_model).matrices(0.0, np.array([[0.0], [0.5]]))
@@ -503,6 +567,10 @@ class TestCoefficientBundle:
             monkeypatch.setattr(
                 ModelSpec, f"eval_{name}",
                 lambda self, x, _n=name, _f=orig: counts.update([_n]) or _f(self, x))
+        products = collections.Counter()
+        for name, (inputs, formula) in list(model_mod._DERIVED.items()):
+            monkeypatch.setitem(model_mod._DERIVED, name, (
+                inputs, lambda c, _n=name, _f=formula: products.update([_n]) or _f(c)))
         controls = extreme_controls(model.uncertainty) + [worst_case_policy(sol, model)]
         n_paths, chunk, n_steps = 120, 50, 20
         upper_price_mc(model, None, 1.0, controls, dt=1.0 / n_steps, n_paths=n_paths,
@@ -516,3 +584,228 @@ class TestCoefficientBundle:
         for name in ("sigma", "r", "k", "v", "h"):
             # a constant tensor is checked at most once per model
             assert counts[name] <= (control_steps if kernel == "state_1d" else 1), name
+        assert set(products) <= set(model_mod._DERIVED)
+        for name in model_mod._DERIVED:
+            # a product of constant tensors is formed at most once per model
+            assert products[name] <= (control_steps if kernel == "state_1d" else 1), name
+
+
+# ---------------------------------------------------------------------------
+# a byte-for-byte oracle for the streaming path: copies of the draws, the Euler
+# step and deflator, and the worst-case pick as they were before the
+# step-invariant work left the step
+
+
+def _oracle_chunk_draws(seed, path_lo, path_hi, n_steps, d):
+    """A fresh Philox generator per path."""
+    out = np.empty((path_hi - path_lo, n_steps, d))
+    for i, p in enumerate(range(path_lo, path_hi)):
+        key = np.array([seed & sim._MASK64, p & sim._MASK64], dtype=np.uint64)
+        out[i] = np.random.Generator(np.random.Philox(key=key)).standard_normal((n_steps, d))
+    return out
+
+
+def _oracle_hamiltonian(model, x, grad, hess, u_val, mode, pre):
+    """H with every product formed from the bundle's tensors on every call."""
+    sig = pre["sigma"]
+    hess_term = pde._hessian_term(hess, sig)
+    z = np.einsum("nlj,nl->nj", sig, grad)
+    if mode == "pricing":
+        vval = pre["v"]
+        htil = pre["h"] - model_mod._dij(sig, vval)
+        return (hess_term + 2.0 * np.einsum("nl,nijl->nij", grad, htil) - 2.0 * pre["k"]
+                + np.einsum("ni,nj->nij", vval, vval) + np.einsum("ni,nj->nij", z, z))
+    gmat = np.zeros((x.shape[0], model.d, model.d))
+    for i in range(model.d):
+        for j in range(model.d):
+            gmat[:, i, j] = model.g[i][j](x, u_val, z)
+    return hess_term + 2.0 * np.einsum("nl,nijl->nij", grad, pre["h"]) + 2.0 * gmat
+
+
+class _OraclePolicy(VolControl):
+    """The worst-case pick by the trace score of every candidate."""
+
+    label = "worst_case"
+
+    def __init__(self, solution, model, mode):
+        self.solution, self.model, self.mode = solution, model, mode
+        self.cands = np.stack(model.uncertainty.candidates())
+        self.roots = sim._sqrt_psd(self.cands)
+
+    def matrices_and_roots(self, t, x, coeffs=None):
+        grad, hess = self.solution.derivatives_at(x, t)
+        uval = self.solution.value_at(x, t) if self.mode == "generic" else None
+        hmat = _oracle_hamiltonian(self.model, x, grad, hess, uval, self.mode, coeffs)
+        idx = _candidate_scores(hmat, self.model.uncertainty)[1]
+        return self.cands[idx], self.roots[idx]
+
+
+def _oracle_euler_steps(model, control, x0, dt, draws):
+    """Every step sums every tensor by einsum, absent ones included."""
+    n, n_steps, _ = draws.shape
+    x = np.broadcast_to(x0, (n, model.m)).copy()
+    sqdt = math.sqrt(dt)
+    for k in range(n_steps):
+        coeffs = model.evaluate(x)
+        q, root = control.matrices_and_roots(k * dt, x, coeffs=coeffs)
+        db = np.einsum("nij,nj->ni", root, draws[:, k]) * sqdt
+        dqv = q * dt
+        x_next = (x + coeffs["b"] * dt + np.einsum("nijl,nij->nl", coeffs["h"], dqv)
+                  + np.einsum("nld,nd->nl", coeffs["sigma"], db))
+        yield k, q, db, x_next, coeffs, dqv
+        x = x_next
+
+
+def _oracle_means(model, controls, x0, dt, n_steps, n_paths, seed, chunk, marks, payoff):
+    """(mean, stderr) of the deflated payoff per control and checkpoint."""
+    sums = [{s: [0.0, 0.0] for s in marks} for _ in controls]
+    for lo in range(0, n_paths, chunk):
+        draws = _oracle_chunk_draws(seed, lo, min(lo + chunk, n_paths), n_steps, model.d)
+        for ctl, ctl_sums in zip(controls, sums):
+            lnD = np.zeros(draws.shape[0])
+            for k, _, db, x_next, c, dqv in _oracle_euler_steps(model, ctl, x0, dt, draws):
+                lnD = (lnD - c["r"] * dt - np.einsum("nij,nij->n", c["k"], dqv)
+                       - np.einsum("ni,ni->n", c["v"], db))
+                if k + 1 in marks:
+                    w = np.exp(lnD) if payoff is None else np.exp(lnD) * payoff(x_next)
+                    ctl_sums[k + 1][0] += float(np.sum(w))
+                    ctl_sums[k + 1][1] += float(np.sum(w * w))
+    out = []
+    for ctl_sums in sums:
+        res = {}
+        for s, (a, b) in ctl_sums.items():
+            mean = a / n_paths
+            res[s] = (mean, math.sqrt(max(b / n_paths - mean**2, 0.0) / n_paths))
+        out.append(res)
+    return out
+
+
+_H2 = [[[0.03, -0.01], [0.01, 0.02]], [[0.01, 0.02], [0.02, -0.03]]]
+_TENSORS = {  # (m, name, kind) -> entries; "absent" leaves the tensor out
+    (1, "h", "const"): [[[0.04]]], (1, "h", "state"): [[["0.03 * x1"]]],
+    (1, "k", "const"): [[0.02]], (1, "k", "state"): [["0.05 * x1"]],
+    (1, "v", "const"): [0.3], (1, "v", "state"): ["0.1 + 0.2 * x1"],
+    (2, "h", "const"): _H2,
+    (2, "h", "state"): [[["0.02 * x1", -0.01], [0.01, 0.02]], [[0.01, "0.02 * x2"], [0.02, -0.03]]],
+    (2, "k", "const"): [[0.01, 0.004], [0.004, 0.02]],
+    (2, "k", "state"): [["0.02 * x1", 0.004], [0.004, "0.01 * x2"]],
+    (2, "v", "const"): [0.2, -0.1], (2, "v", "state"): ["0.1 * x1", -0.1],
+}
+_THREE = [np.eye(2), [[1.0, 0.5], [0.5, 1.0]], [[0.6, -0.2], [-0.2, 0.9]]]
+
+
+def _oracle_case(m, h, k, v, sigma_kind="const", generic=False):
+    """A model with h, k and v each absent, constant or state-dependent, and a
+    smooth stand-in solution on which the worst-case policy switches."""
+    tensors = {name: _TENSORS[(m, name, kind)] for name, kind in (("h", h), ("k", k), ("v", v))
+               if kind != "absent"}
+    drivers = {}
+    if generic:
+        drivers = dict(f=lambda x, y, z: -x[:, 0],
+                       g=[[(lambda x, y, z, i=i, j=j: 0.5 * z[:, i] * z[:, j] + 0.1 * y)
+                           for j in range(m)] for i in range(m)])
+    if m == 1:
+        sigma = [["0.2 + 0.05 * tanh(x1)"]] if sigma_kind == "state" else [[0.25]]
+        model = ModelSpec.build(m=1, d=1, b=["0.05 - x1"], sigma=sigma, r="0.02 + 0.1 * x1",
+                                uncertainty=UncertaintySet.interval(0.6, 1.3), **tensors,
+                                **drivers)
+        grid = Grid.build([(-1.5, 1.5)], [33])
+    else:
+        sigma = ([["0.2 + 0.05 * tanh(x1)", 0.05], [0.0, 0.15]] if sigma_kind == "state"
+                 else [[0.2, 0.05], [0.0, 0.15]])
+        model = ModelSpec.build(m=2, d=2, b=["0.05 - x1", "-0.5 * x2"], sigma=sigma,
+                                r="0.02 + 0.1 * x1 * x2", uncertainty=UncertaintySet.finite(_THREE),
+                                **tensors, **drivers)
+        grid = Grid.build([(-1.5, 1.5)] * 2, [17, 16])
+    pts = grid.points()
+    # curvature that changes sign where the paths start
+    if m == 1:
+        values = 10.0 * (pts[:, 0] - 0.05) ** 3
+    else:
+        values = 50.0 * pts[:, 0] ** 2 * pts[:, 1]
+    return model, PdeSolution(grid=grid, kind="stationary", values=values.reshape(grid.shape))
+
+
+ORACLE_CASES = {
+    "1d_h_absent_k_const_v_state": (1, "absent", "const", "state"),
+    "1d_h_const_k_state_v_absent": (1, "const", "state", "absent"),
+    "1d_h_state_k_absent_v_const_sigma_state": (1, "state", "absent", "const", "state"),
+    "1d_all_absent": (1, "absent", "absent", "absent"),
+    "2d_h_absent_k_const_v_state": (2, "absent", "const", "state"),
+    "2d_h_const_k_state_v_absent": (2, "const", "state", "absent"),
+    "2d_h_state_k_absent_v_const_sigma_state": (2, "state", "absent", "const", "state"),
+    "2d_all_const": (2, "const", "const", "const"),
+    "1d_generic": (1, "const", "absent", "absent", "const", True),
+    "2d_generic": (2, "absent", "absent", "absent", "const", True),
+}
+
+
+class TestStreamingOracle:
+    """The streaming path equals the oracle copies above byte for byte.
+
+    Each model crosses a chunk boundary into a short last chunk (70 paths
+    in chunks of 32), so every constant broadcast is rebuilt for a new row
+    count; the worst-case policy switches between candidates on each.
+    """
+
+    T, DT, N_PATHS, CHUNK = 0.3, 0.02, 70, 32
+
+    @staticmethod
+    def _controls(model, solution, mode):
+        cands = model.uncertainty.candidates()
+        piecewise = PiecewiseControl([0.0, 0.1, 0.2], [cands[0], cands[-1], cands[1]])
+        extremes = extreme_controls(model.uncertainty)
+        # the parent rooted a piecewise segment on every step, as a feedback control does
+        per_step = FeedbackControl(piecewise.matrices, label=piecewise.label)
+        new = [worst_case_policy(solution, model, mode), piecewise] + extremes
+        return new, [_OraclePolicy(solution, model, mode), per_step] + extremes
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_streaming_means_equal_the_oracle(self, case):
+        model, solution = _oracle_case(*ORACLE_CASES[case])
+        mode = "generic" if model.has_generic_drivers() else "pricing"
+        new, old = self._controls(model, solution, mode)
+        x0 = np.full(model.m, 0.05)
+        n_steps = int(round(self.T / self.DT))
+        marks = [5, n_steps]
+
+        def payoff(x):
+            return 1.0 + np.maximum(x[:, 0], 0.0)
+
+        got = sim._streaming_deflated_means(model, new, x0, self.T, n_steps, self.N_PATHS, 11,
+                                            marks, payoff, self.CHUNK)
+        ref = _oracle_means(model, old, x0, self.DT, n_steps, self.N_PATHS, 11, self.CHUNK,
+                            marks, payoff)
+        assert [{s: [v.hex() for v in p] for s, p in r.items()} for r in got] == [
+            {s: [v.hex() for v in p] for s, p in r.items()} for r in ref]
+        # the policy picks every candidate somewhere, so the pick is exercised
+        batch = simulate_gsde(model, new[0], x0, self.T, self.DT, self.N_PATHS, seed=11)
+        picked = {q.tobytes() for q in batch.Q.reshape(-1, model.d, model.d)}
+        assert len(picked) == (2 if model.m == 1 else 3)
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_histories_equal_the_oracle(self, case):
+        model, solution = _oracle_case(*ORACLE_CASES[case])
+        mode = "generic" if model.has_generic_drivers() else "pricing"
+        new, old = self._controls(model, solution, mode)
+        x0 = np.full(model.m, -0.05)
+        n_steps, offset = int(round(self.T / self.DT)), 5
+        for ctl, ref_ctl in zip(new, old):
+            batch = simulate_gsde(model, ctl, x0, self.T, self.DT, self.N_PATHS, seed=3,
+                                  path_offset=offset, chunk_size=self.CHUNK)
+            for lo in range(0, self.N_PATHS, self.CHUNK):
+                hi = min(lo + self.CHUNK, self.N_PATHS)
+                draws = _oracle_chunk_draws(3, offset + lo, offset + hi, n_steps, model.d)
+                assert batch.noise[lo:hi].tobytes() == draws.tobytes()
+                for k, q, db, x_next, _, _ in _oracle_euler_steps(model, ref_ctl, x0,
+                                                                   self.DT, draws):
+                    assert batch.X[lo:hi, k + 1].tobytes() == x_next.tobytes()
+                    assert batch.Q[lo:hi, k].tobytes() == np.ascontiguousarray(q).tobytes()
+                    assert (batch.B[lo:hi, k + 1].tobytes()
+                            == (batch.B[lo:hi, k] + db).tobytes())
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_chunk_draws_equal_a_fresh_generator_per_path(self, d):
+        for seed, lo, hi in ((7, 0, 3), (7, 5, 42), (2**64 + 9, 2**64 - 2, 2**64 + 3)):
+            got = sim._chunk_draws(seed, lo, hi, 13, d)
+            assert got.tobytes() == _oracle_chunk_draws(seed, lo, hi, 13, d).tobytes()
