@@ -24,7 +24,7 @@ from .config import RunConfig, _path_count, build_control, load_config
 from .errors import ConfigurationError, NumericalError
 from .io import fmt17, write_json, write_solution_csv, write_traces_csv
 from .model import check_assumptions
-from .pde import pde_residual, solve_ergodic
+from .pde import solve_ergodic
 from .sim import extreme_controls, simulate_gsde, upper_price_mc, worst_case_policy
 
 _TRACE_PATH_LIMIT = 16     # traces.csv keeps at most this many paths
@@ -131,7 +131,7 @@ def _sim_settings(cfg: RunConfig, args):
 
 
 def _run_decompose(cfg: RunConfig, args) -> int:
-    from .decomp import _residual_report, compute_components, reconstruct_D, \
+    from .decomp import _dec_blocks, _residual, compute_components, reconstruct_D, \
         verify_martingales
 
     sim, seed, n_paths = _sim_settings(cfg, args)  # settings errors before the solve
@@ -142,7 +142,7 @@ def _run_decompose(cfg: RunConfig, args) -> int:
     )
     dec = compute_components(batch, sol, cfg.model)
     _, recon_stats = reconstruct_D(dec)
-    bsde = _residual_report(dec)
+    bsde = _residual(_dec_blocks(dec), dec.times)
 
     n_audit = min(n_paths, _AUDIT_PATH_LIMIT)
     audit_dec = dec if n_audit == n_paths else dec.path_slice(0, n_audit)

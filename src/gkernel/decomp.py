@@ -20,7 +20,7 @@ per-step consistency of u along the paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -43,9 +43,9 @@ __all__ = [
 ]
 
 _COVERAGE_LIMIT = 0.2  # tolerated excursion beyond the grid, per unit box width
-# paths per block of compute_components: as many as fit this many path-steps.
-# From 16k to 64k path-steps a 2000 x 500 batch takes the same time, from
-# 128k it is slower; the working memory grows with the block.
+# paths per block of the decomposition and its audits: as many as fit this many
+# path-steps.  From 16k to 64k path-steps a 2000 x 500 batch takes the same
+# time, from 128k it is slower; the working memory grows with the block.
 _BLOCK_PATH_STEPS = 32_768
 
 
@@ -95,6 +95,104 @@ class Decomposition:
         )
 
 
+def _resolve_lam(solution, lam: float | None) -> float:
+    if lam is None and not isinstance(solution, ErgodicSolution):
+        raise ShapeError("lam is required unless an ergodic solution is given")
+    return float(solution.lam if lam is None else lam)
+
+
+def _empty(batch: ScenarioBatch, d: int, lam: float) -> Decomposition:
+    """Outputs for every path of ``batch``, the running sums started at 0."""
+    shape = batch.X.shape[:2]
+    return Decomposition(
+        times=batch.times, X=batch.X, u=np.empty(shape), Z=np.empty(shape + (d,)),
+        ln_M=np.zeros(shape), K=np.zeros(shape), ln_D_direct=np.zeros(shape),
+        lam=lam, control_label=batch.control_label,
+    )
+
+
+def _fill(dec: Decomposition, batch: ScenarioBatch, solution, model: ModelSpec) -> None:
+    """Write every factor of the paths of ``batch`` into the same paths of ``dec``."""
+    p, n_nodes, m = batch.X.shape
+    n_steps = n_nodes - 1
+    d = model.d
+    dt = batch.dt
+    x = batch.X
+    flat = x.reshape(-1, m)
+    dec.u[...] = solution.value_at(flat).reshape(p, n_nodes)
+    grad, hess = solution.derivatives_at(flat)
+    grad = grad.reshape(p, n_nodes, m)
+    sig = model.evaluate(flat)["sigma"].reshape(p, n_nodes, m, d)
+    dec.Z[...] = np.einsum("nkld,nkl->nkd", sig, grad)
+
+    # left-endpoint quantities driving the increments
+    flat_l = x[:, :-1].reshape(-1, m)
+    coeffs_l = model.evaluate(flat_l)
+    hess_l = hess.reshape(p, n_nodes, m, m)[:, :-1].reshape(-1, m, m)
+    h_l = _hamiltonian_batch(model, flat_l, grad[:, :-1].reshape(-1, m), hess_l,
+                             mode="pricing", precomputed=coeffs_l)
+    gvals, _ = g_value_batch(h_l, model.uncertainty)
+    gvals = gvals.reshape(p, n_steps)
+    h_l = h_l.reshape(p, n_steps, d, d)
+
+    v_l = coeffs_l["v"].reshape(p, n_steps, d)
+    r_l = coeffs_l["r"].reshape(p, n_steps)
+    k_l = coeffs_l["k"].reshape(p, n_steps, d, d)
+    q = batch.Q
+    db = np.diff(batch.B, axis=1)
+    dqv = q * dt  # same product the simulator accrued, step by step
+
+    a = dec.Z[:, :-1] - v_l
+    d_ln_m = (
+        -0.5 * np.einsum("nki,nkij,nkj->nk", a, dqv, a)
+        + np.einsum("nki,nki->nk", a, db)
+    )
+    # the half-spread rate is taken from the same maximizer as gvals, so the
+    # worst-case scenario cancels before the dt multiplication
+    d_k = (0.5 * np.einsum("nkij,nkij->nk", h_l, q) - gvals) * dt
+    d_ln_d = (
+        -r_l * dt
+        - np.einsum("nkij,nkij->nk", k_l, dqv)
+        - np.einsum("nki,nki->nk", v_l, db)
+    )
+    np.cumsum(d_ln_m, axis=1, out=dec.ln_M[:, 1:])
+    np.cumsum(d_k, axis=1, out=dec.K[:, 1:])
+    np.cumsum(d_ln_d, axis=1, out=dec.ln_D_direct[:, 1:])
+
+
+def _path_blocks(batch: ScenarioBatch, solution, model: ModelSpec, lam: float,
+                 out: Decomposition | None = None):
+    """Decompose ``batch`` in blocks of whole paths and yield each block.
+
+    A block is a :class:`Decomposition` of about ``_BLOCK_PATH_STEPS``
+    path-steps: the rows of ``out`` when it is given, else arrays of its own
+    that the consumer may drop.  The coverage of the whole batch is checked
+    before the first block.  Every operation acts per path and every sum runs
+    along steps, so no figure depends on the blocks.
+    """
+    n, n_nodes, m = batch.X.shape
+    size = max(1, _BLOCK_PATH_STEPS // n_nodes)
+    blocks = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+    worst, beyond = 0.0, 0
+    for lo, hi in blocks:
+        excess = solution.coverage_excess(batch.X[lo:hi].reshape(-1, m))
+        worst = np.maximum(worst, np.max(excess))  # a NaN wins, as in one max
+        beyond += int(np.count_nonzero(~(excess <= _COVERAGE_LIMIT)))
+    worst = float(worst)
+    if not worst <= _COVERAGE_LIMIT:
+        raise CoverageError(
+            f"paths leave the solution grid by up to {worst:.2f} box widths "
+            f"({beyond / (n * n_nodes):.1%} of samples); enlarge the grid or shorten the horizon"
+        )
+
+    for lo, hi in blocks:
+        part = batch.path_slice(lo, hi)
+        dec = out.path_slice(lo, hi) if out is not None else _empty(part, model.d, lam)
+        _fill(dec, part, solution, model)  # its temporaries die before the yield
+        yield dec
+
+
 def compute_components(
     batch: ScenarioBatch,
     solution,
@@ -107,94 +205,17 @@ def compute_components(
     ``coverage_excess`` (an :class:`ErgodicSolution` does); ``lam``
     defaults to its eigenvalue.
     Paths straying more than 20% of the box width outside the solution
-    grid abort with :class:`CoverageError`.
+    grid, or holding a NaN state, abort with :class:`CoverageError`.
 
     The batch is taken in blocks of about ``_BLOCK_PATH_STEPS`` path-steps,
     each writing its rows of the outputs, so the working memory beyond the
-    outputs does not grow with the batch.  Every operation acts per path and
-    every sum runs along steps, so the result does not depend on the blocks.
+    outputs does not grow with the batch.
     """
-    if lam is None:
-        if not isinstance(solution, ErgodicSolution):
-            raise ShapeError("lam is required unless an ergodic solution is given")
-        lam = solution.lam
-    n, n_nodes, m = batch.X.shape
-    n_steps = n_nodes - 1
-    d = model.d
-    dt = batch.dt
-    size = max(1, _BLOCK_PATH_STEPS // n_nodes)
-    blocks = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-    worst, beyond = 0.0, 0
-    for lo, hi in blocks:
-        excess = solution.coverage_excess(batch.X[lo:hi].reshape(-1, m))
-        worst = np.maximum(worst, np.max(excess))  # a NaN wins, as in one max
-        beyond += int(np.count_nonzero(excess > _COVERAGE_LIMIT))
-    worst = float(worst)
-    if worst > _COVERAGE_LIMIT:
-        raise CoverageError(
-            f"paths leave the solution grid by up to {worst:.2f} box widths "
-            f"({beyond / (n * n_nodes):.1%} of samples); enlarge the grid or shorten the horizon"
-        )
-
-    u = np.empty((n, n_nodes))
-    z = np.empty((n, n_nodes, d))
-    ln_m, k_proc, ln_d = (np.zeros((n, n_nodes)) for _ in range(3))
-    for lo, hi in blocks:
-        p = hi - lo
-        x = batch.X[lo:hi]
-        flat = x.reshape(-1, m)
-        u[lo:hi] = solution.value_at(flat).reshape(p, n_nodes)
-        grad, hess = solution.derivatives_at(flat)
-        grad = grad.reshape(p, n_nodes, m)
-        sig = model.evaluate(flat)["sigma"].reshape(p, n_nodes, m, d)
-        z[lo:hi] = np.einsum("nkld,nkl->nkd", sig, grad)
-
-        # left-endpoint quantities driving the increments
-        flat_l = x[:, :-1].reshape(-1, m)
-        coeffs_l = model.evaluate(flat_l)
-        hess_l = hess.reshape(p, n_nodes, m, m)[:, :-1].reshape(-1, m, m)
-        h_l = _hamiltonian_batch(model, flat_l, grad[:, :-1].reshape(-1, m), hess_l,
-                                 mode="pricing", precomputed=coeffs_l)
-        gvals, _ = g_value_batch(h_l, model.uncertainty)
-        gvals = gvals.reshape(p, n_steps)
-        h_l = h_l.reshape(p, n_steps, d, d)
-
-        v_l = coeffs_l["v"].reshape(p, n_steps, d)
-        r_l = coeffs_l["r"].reshape(p, n_steps)
-        k_l = coeffs_l["k"].reshape(p, n_steps, d, d)
-        q = batch.Q[lo:hi]
-        db = np.diff(batch.B[lo:hi], axis=1)
-        dqv = q * dt  # same product the simulator accrued, step by step
-
-        a = z[lo:hi, :-1] - v_l
-        d_ln_m = (
-            -0.5 * np.einsum("nki,nkij,nkj->nk", a, dqv, a)
-            + np.einsum("nki,nki->nk", a, db)
-        )
-        # the half-spread rate is taken from the same maximizer as gvals, so the
-        # worst-case scenario cancels before the dt multiplication
-        d_k = (0.5 * np.einsum("nkij,nkij->nk", h_l, q) - gvals) * dt
-        d_ln_d = (
-            -r_l * dt
-            - np.einsum("nkij,nkij->nk", k_l, dqv)
-            - np.einsum("nki,nki->nk", v_l, db)
-        )
-        np.cumsum(d_ln_m, axis=1, out=ln_m[lo:hi, 1:])
-        np.cumsum(d_k, axis=1, out=k_proc[lo:hi, 1:])
-        np.cumsum(d_ln_d, axis=1, out=ln_d[lo:hi, 1:])
-
-    return Decomposition(
-        times=batch.times,
-        X=batch.X,
-        u=u,
-        Z=z,
-        ln_M=ln_m,
-        K=k_proc,
-        ln_D_direct=ln_d,
-        lam=float(lam),
-        control_label=batch.control_label,
-    )
+    lam = _resolve_lam(solution, lam)
+    dec = _empty(batch, model.d, lam)
+    for _ in _path_blocks(batch, solution, model, lam, out=dec):
+        pass
+    return dec
 
 
 def reconstruct_D(decomp: Decomposition):
@@ -218,6 +239,12 @@ def reconstruct_D(decomp: Decomposition):
 
 # ---------------------------------------------------------------------------
 # martingale verification
+
+
+def _plain(report) -> dict:
+    """A report's fields in declaration order, tuples as lists, ready for JSON."""
+    return {f.name: list(v) if isinstance(v := getattr(report, f.name), tuple) else v
+            for f in fields(report)}
 
 
 @dataclass(frozen=True)
@@ -257,26 +284,7 @@ class MartingaleCheck:
         return self.k_increment_violations == 0
 
     def to_dict(self) -> dict:
-        return {
-            "control": self.control,
-            "n_paths": self.n_paths,
-            "checkpoint_times": list(self.checkpoint_times),
-            "m_means": list(self.m_means),
-            "m_stderrs": list(self.m_stderrs),
-            "m_deviations_se": list(self.m_deviations_se),
-            "mk_means": list(self.mk_means),
-            "mk_stderrs": list(self.mk_stderrs),
-            "mk_deviations_se": list(self.mk_deviations_se),
-            "k_increment_violations": self.k_increment_violations,
-            "k_max_increment": self.k_max_increment,
-            "k_max_abs": self.k_max_abs,
-            "k_final_max_abs": self.k_final_max_abs,
-            "identity_max_abs": self.identity_max_abs,
-            "bsde_max_step": self.bsde_max_step,
-            "bsde_rms_step": self.bsde_rms_step,
-            "m_ok": self.m_ok,
-            "k_ok": self.k_ok,
-        }
+        return {**_plain(self), "m_ok": self.m_ok, "k_ok": self.k_ok}
 
 
 @dataclass(frozen=True)
@@ -311,82 +319,86 @@ class VerificationReport:
         return ok
 
     def to_dict(self) -> dict:
-        return {
-            "checks": [c.to_dict() for c in self.checks],
-            "worst_case_control": self.worst_case_control,
-            "worst_case_k_flatness": self.worst_case_k_flatness,
-            "worst_case_mek_max_dev_se": self.worst_case_mek_max_dev_se,
-            "identity_max": self.identity_max,
-            "bsde_max_step": self.bsde_max_step,
-            "bsde_rms_step": self.bsde_rms_step,
-            "degenerate_set": self.degenerate_set,
-            "classical_k_max": self.classical_k_max,
-            "passed": self.passed,
-        }
+        return {**_plain(self), "checks": [c.to_dict() for c in self.checks],
+                "passed": self.passed}
 
 
-def _mean_se_dev(sums: np.ndarray, sumsq: np.ndarray, n: int):
-    means = sums / n
+def _mean_se_dev(values: np.ndarray, n: int):
+    """Means, standard errors and deviations from 1 in standard errors of the
+    columns of ``values``, each column summed as one contiguous array."""
+    rows = values.T.copy()
+    means = np.sum(rows, axis=1) / n
+    sumsq = np.sum(rows**2, axis=1)
     variances = np.maximum(sumsq / n - means**2, 0.0)
     ses = np.sqrt(variances / n)
-    devs = tuple(
-        float((mu - 1.0) / se) if se > 0.0 else 0.0 for mu, se in zip(means, ses)
-    )
+    # a zero stderr means no spread to measure; a NaN one deviates by NaN
+    devs = tuple(0.0 if se == 0.0 else float((mu - 1.0) / se) for mu, se in zip(means, ses))
     return tuple(float(v) for v in means), tuple(float(v) for v in ses), devs
 
 
-def _audit_control(chunks, n_paths: int, marks: list[int], dt: float,
-                   k_tol: float) -> MartingaleCheck:
-    """Accumulate factor statistics over an iterable of decomposition chunks."""
-    n_marks = len(marks)
-    acc = {
-        "m_sums": np.zeros(n_marks), "m_sumsq": np.zeros(n_marks),
-        "mk_sums": np.zeros(n_marks), "mk_sumsq": np.zeros(n_marks),
-        "k_viol": 0, "k_max_inc": -math.inf, "k_max_abs": 0.0,
-        "k_final_max_abs": 0.0, "identity_max": 0.0,
-        "bsde_max_step": 0.0, "bsde_sumsq_step": 0.0, "bsde_n_step": 0,
-    }
-    label = None
-    for dec in chunks:
-        label = dec.control_label
-        for j, s in enumerate(marks):
-            mvals = np.exp(dec.ln_M[:, s])
-            mkvals = np.exp(dec.ln_M[:, s] + dec.K[:, s])
-            acc["m_sums"][j] += float(np.sum(mvals))
-            acc["m_sumsq"][j] += float(np.sum(mvals**2))
-            acc["mk_sums"][j] += float(np.sum(mkvals))
-            acc["mk_sumsq"][j] += float(np.sum(mkvals**2))
-        dk = np.diff(dec.K, axis=1)
-        acc["k_viol"] += int(np.sum(dk > k_tol))
-        if dk.size:
-            acc["k_max_inc"] = max(acc["k_max_inc"], float(np.max(dk)))
-        acc["k_max_abs"] = max(acc["k_max_abs"], float(np.max(np.abs(dec.K))))
-        acc["k_final_max_abs"] = max(
-            acc["k_final_max_abs"], float(np.max(np.abs(dec.K[:, -1]))))
-        gap = dec.gap
-        acc["identity_max"] = max(acc["identity_max"], float(np.max(np.abs(gap))))
-        rho = np.diff(gap, axis=1)
-        if rho.size:
-            acc["bsde_max_step"] = max(acc["bsde_max_step"], float(np.max(np.abs(rho))))
-            acc["bsde_sumsq_step"] += float(np.sum(rho**2))
-            acc["bsde_n_step"] += rho.size
+def _dec_blocks(dec: Decomposition):
+    """A decomposition already computed, as views of the blocks that made it."""
+    size = max(1, _BLOCK_PATH_STEPS // dec.times.size)
+    for lo in range(0, dec.n_paths, size):
+        yield dec.path_slice(lo, min(lo + size, dec.n_paths))
 
-    m_means, m_ses, m_devs = _mean_se_dev(acc["m_sums"], acc["m_sumsq"], n_paths)
-    mk_means, mk_ses, mk_devs = _mean_se_dev(acc["mk_sums"], acc["mk_sumsq"], n_paths)
-    rms = math.sqrt(acc["bsde_sumsq_step"] / acc["bsde_n_step"]) if acc["bsde_n_step"] else 0.0
+
+def _path_stats(blocks, marks: Sequence[int] = (), keep: np.ndarray | None = None,
+                k_tol: float = math.inf) -> dict:
+    """Every audit figure of each path, over blocks of whole paths, in path order.
+
+    The per-step residual rho = diff(gap) is restricted to the steps in
+    ``keep`` (default all) before its norms and its cumulative sums, which
+    start from 0 at the first kept step.  Blocks hold whole paths, so each
+    figure is final when its block is seen and nothing carries over; the
+    caller reduces over paths once.  ``m`` and ``mk`` hold M and M e^K at
+    the ``marks``, one column per mark.
+    """
+    parts = []
+    for dec in blocks:
+        gap = dec.gap
+        rho = np.diff(gap, axis=1)
+        if keep is not None:
+            rho = rho[:, keep]
+        cum = np.cumsum(rho, axis=1)
+        dk = np.diff(dec.K, axis=1)
+        ln_m = dec.ln_M[:, marks]
+        parts.append({
+            "m": np.exp(ln_m), "mk": np.exp(ln_m + dec.K[:, marks]),
+            "k_viol": np.count_nonzero(~(dk <= k_tol), axis=1),  # a NaN step violates
+            "k_max_inc": np.max(dk, axis=1),
+            "k_max_abs": np.max(np.abs(dec.K), axis=1),
+            "k_final": np.abs(dec.K[:, -1]),
+            "identity": np.max(np.abs(gap), axis=1),
+            "step_max": np.max(np.abs(rho), axis=1),
+            "step_sumsq": np.sum(rho**2, axis=1),
+            "cum_max": np.max(np.abs(cum), axis=1),
+            "cum_final": cum[:, -1].copy(),  # not a view that keeps the block alive
+        })
+    return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
+
+
+def _rms_step(stats: dict, n_steps: int) -> float:
+    return math.sqrt(float(np.sum(stats["step_sumsq"])) / (stats["step_sumsq"].size * n_steps))
+
+
+def _martingale_check(stats: dict, label: str, marks: list[int], dt: float) -> MartingaleCheck:
+    n = stats["identity"].size
+    m_means, m_ses, m_devs = _mean_se_dev(stats["m"], n)
+    mk_means, mk_ses, mk_devs = _mean_se_dev(stats["mk"], n)
     return MartingaleCheck(
         control=label or "control",
-        n_paths=n_paths,
+        n_paths=n,
         checkpoint_times=tuple(float(s * dt) for s in marks),
         m_means=m_means, m_stderrs=m_ses, m_deviations_se=m_devs,
         mk_means=mk_means, mk_stderrs=mk_ses, mk_deviations_se=mk_devs,
-        k_increment_violations=acc["k_viol"],
-        k_max_increment=float(acc["k_max_inc"]),
-        k_max_abs=acc["k_max_abs"],
-        k_final_max_abs=acc["k_final_max_abs"],
-        identity_max_abs=acc["identity_max"],
-        bsde_max_step=acc["bsde_max_step"],
-        bsde_rms_step=rms,
+        k_increment_violations=int(np.sum(stats["k_viol"])),
+        k_max_increment=float(np.max(stats["k_max_inc"])),
+        k_max_abs=float(np.max(stats["k_max_abs"])),
+        k_final_max_abs=float(np.max(stats["k_final"])),
+        identity_max_abs=float(np.max(stats["identity"])),
+        bsde_max_step=float(np.max(stats["step_max"])),
+        bsde_rms_step=_rms_step(stats, marks[-1]),  # the last mark is the last step
     )
 
 
@@ -396,19 +408,18 @@ def verify_martingales(
     solution=None,
     model: ModelSpec | None = None,
     k_increment_tol: float | None = None,
-    chunk_size: int = 20_000,
 ) -> VerificationReport:
     """Audit the factor processes across control scenarios.
 
     ``dec`` is the reference decomposition, expected to come from the
     worst-case feedback policy; it contributes the M e^K attainment and
     K-flatness statistics.  Each extra :class:`ScenarioBatch` in
-    ``batches`` is decomposed on the fly (``solution`` and ``model`` are
-    required for that) and audited under its own control label: sample
-    mean of M at the quarter points of the horizon, K monotonicity
-    within a per-step tolerance (default 5 dt), pathwise identity error,
-    and per-step consistency norms.  Batches are processed in path
-    chunks to bound memory.
+    ``batches`` is decomposed (``solution`` and ``model`` are required for
+    that) and audited under its own control label: sample mean of M at the
+    quarter points of the horizon, K monotonicity within a per-step
+    tolerance (default 5 dt), pathwise identity error, and per-step
+    consistency norms.  Each batch is decomposed and reduced one block of
+    whole paths at a time, so none is held decomposed.
     """
     batches = list(batches)
     if batches and (solution is None or model is None):
@@ -420,33 +431,27 @@ def verify_martingales(
         s for s in (n_steps // 4, n_steps // 2, (3 * n_steps) // 4, n_steps) if s > 0
     ))
     k_tol = 5.0 * dt if k_increment_tol is None else float(k_increment_tol)
-
-    def dec_chunks(d: Decomposition):
-        for lo in range(0, d.n_paths, chunk_size):
-            yield d.path_slice(lo, min(lo + chunk_size, d.n_paths))
-
-    def batch_chunks(b: ScenarioBatch):
-        for lo in range(0, b.n_paths, chunk_size):
-            sub = b.path_slice(lo, min(lo + chunk_size, b.n_paths))
-            yield compute_components(sub, solution, model, lam=dec.lam)
-
-    checks = [_audit_control(dec_chunks(dec), dec.n_paths, marks, dt, k_tol)]
     for b in batches:
         if b.times.size - 1 != n_steps or abs(b.dt - dt) > 1e-12 * max(1.0, dt):
             raise ShapeError("all batches must share the reference time grid")
-        checks.append(_audit_control(batch_chunks(b), b.n_paths, marks, dt, k_tol))
+
+    sources = [(dec.control_label, _dec_blocks(dec))] + [
+        (b.control_label, _path_blocks(b, solution, model, dec.lam)) for b in batches]
+    checks = [_martingale_check(_path_stats(blocks, marks, k_tol=k_tol), label, marks, dt)
+              for label, blocks in sources]
 
     ref = checks[0]
     degenerate = bool(model.uncertainty.degenerate) if model is not None else False
-    classical_k_max = max(c.k_max_abs for c in checks) if degenerate else 0.0
+    classical_k_max = np.max([c.k_max_abs for c in checks]) if degenerate else 0.0
     return VerificationReport(
         checks=tuple(checks),
         worst_case_control=ref.control,
         worst_case_k_flatness=ref.k_final_max_abs,
-        worst_case_mek_max_dev_se=float(max(abs(d) for d in ref.mk_deviations_se)),
-        identity_max=float(max(c.identity_max_abs for c in checks)),
-        bsde_max_step=float(max(c.bsde_max_step for c in checks)),
-        bsde_rms_step=float(max(c.bsde_rms_step for c in checks)),
+        # numpy maxima, so that a NaN is carried to the report
+        worst_case_mek_max_dev_se=float(np.max(np.abs(ref.mk_deviations_se))),
+        identity_max=float(np.max([c.identity_max_abs for c in checks])),
+        bsde_max_step=float(np.max([c.bsde_max_step for c in checks])),
+        bsde_rms_step=float(np.max([c.bsde_rms_step for c in checks])),
         degenerate_set=degenerate,
         classical_k_max=float(classical_k_max),
     )
@@ -479,15 +484,7 @@ class BsdeResidualReport:
     window: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "max_abs_step": self.max_abs_step,
-            "rms_step": self.rms_step,
-            "max_abs_cumulative": self.max_abs_cumulative,
-            "mean_final_cumulative": self.mean_final_cumulative,
-            "n_paths": self.n_paths,
-            "n_steps": self.n_steps,
-            "window": list(self.window),
-        }
+        return _plain(self)
 
 
 def verify_bsde_residual(
@@ -500,32 +497,33 @@ def verify_bsde_residual(
     """Check the per-step dynamics of u(X) against the stationary equation.
 
     ``window`` restricts the audit to steps inside [s, T]; cumulative
-    sums then restart from 0 at s.  The default covers the whole batch.
+    sums then restart from 0 at s.  The default covers the whole batch,
+    which is decomposed and reduced one block of whole paths at a time.
     """
-    return _residual_report(compute_components(batch, solution, model, lam=lam), window)
+    lam = _resolve_lam(solution, lam)
+    return _residual(_path_blocks(batch, solution, model, lam), batch.times, window)
 
 
-def _residual_report(dec: Decomposition, window: tuple | None = None) -> BsdeResidualReport:
-    """Per-step residual norms of a decomposition already computed."""
-    rho = np.diff(dec.gap, axis=1)
-    t0, t1 = (float(dec.times[0]), float(dec.times[-1])) if window is None else (
+def _residual(blocks, times: np.ndarray, window: tuple | None = None) -> BsdeResidualReport:
+    """The per-step residual report of a stream of whole-path blocks."""
+    t0, t1 = (float(times[0]), float(times[-1])) if window is None else (
         float(window[0]), float(window[1]))
-    if not (dec.times[0] - 1e-12 <= t0 < t1 <= dec.times[-1] + 1e-12):
+    if not (times[0] - 1e-12 <= t0 < t1 <= times[-1] + 1e-12):
         raise ShapeError(
             f"window [{t0}, {t1}] must lie inside the batch horizon "
-            f"[{float(dec.times[0])}, {float(dec.times[-1])}]"
+            f"[{float(times[0])}, {float(times[-1])}]"
         )
-    keep = (dec.times[:-1] >= t0 - 1e-12) & (dec.times[1:] <= t1 + 1e-12)
+    keep = (times[:-1] >= t0 - 1e-12) & (times[1:] <= t1 + 1e-12)
     if not np.any(keep):
         raise ShapeError("window contains no full simulation step")
-    rho = rho[:, keep]
-    cum = np.cumsum(rho, axis=1)
+    stats = _path_stats(blocks, keep=keep)
+    n_steps = int(np.count_nonzero(keep))
     return BsdeResidualReport(
-        max_abs_step=float(np.max(np.abs(rho))),
-        rms_step=float(np.sqrt(np.mean(rho**2))),
-        max_abs_cumulative=float(np.max(np.abs(cum))),
-        mean_final_cumulative=float(np.mean(cum[:, -1])),
-        n_paths=dec.n_paths,
-        n_steps=int(rho.shape[1]),
+        max_abs_step=float(np.max(stats["step_max"])),
+        rms_step=_rms_step(stats, n_steps),
+        max_abs_cumulative=float(np.max(stats["cum_max"])),
+        mean_final_cumulative=float(np.mean(stats["cum_final"])),
+        n_paths=int(stats["cum_final"].size),
+        n_steps=n_steps,
         window=(t0, t1),
     )

@@ -342,7 +342,8 @@ class PdeSolution:
 
     For ``kind == "stationary"`` ``values`` has the grid shape.  For
     ``kind == "parabolic"`` ``values[q]`` is the solution at time q * dt
-    (index 0 = initial time, index time_steps = terminal data).
+    (index 0 = initial time, index time_steps = terminal data), and the
+    residual fields stay NaN: only stationary solves report one.
     """
 
     grid: Grid
@@ -758,57 +759,32 @@ def pde_residual(
     grid: Grid | None = None,
     lam: float | None = None,
     mode: str = "pricing",
-    max_time_slices: int = 65,
 ) -> ResidualReport:
-    """Recompute the PDE residual with central differences.
+    """Recompute the stationary PDE residual with central differences.
 
     Accepts an :class:`ErgodicSolution` (uses its lam), a stationary
-    :class:`PdeSolution` (lam defaults to 0), or a raw value array with an
-    explicit grid.  For parabolic solutions the residual includes the
-    discrete time derivative and is evaluated on at most
-    ``max_time_slices`` interior time levels.
+    :class:`PdeSolution` (lam defaults to 0), or a raw value array of the
+    grid's shape with an explicit grid.
     """
     mode = _normalize_mode(mode)
     if isinstance(solution, ErgodicSolution):
         grid = solution.grid
         lam = solution.lam if lam is None else lam
         values = solution.u.values
-        kind = "stationary"
     elif isinstance(solution, PdeSolution):
         grid = solution.grid
         values = solution.values
-        kind = solution.kind
-        lam = 0.0 if lam is None else lam
     else:
         if grid is None:
             raise ShapeError("raw value arrays need an explicit grid")
         values = np.asarray(solution, dtype=float)
-        kind = "stationary" if values.shape == grid.shape else "parabolic"
-        lam = 0.0 if lam is None else lam
+    if values.shape != grid.shape:
+        raise ShapeError(f"values of shape {values.shape} are not on the grid of shape "
+                         f"{grid.shape}; only stationary residuals are reported")
+    lam = 0.0 if lam is None else lam
 
-    mask = _interior_mask(grid.shape)
-    if kind == "stationary":
-        field = _stationary_residual_field(values, model, grid, lam, mode)
-        interior = field[mask]
-        return ResidualReport(
-            values=field,
-            linf_interior=float(np.max(np.abs(interior))),
-            l2_interior=float(np.sqrt(np.mean(interior**2))),
-            linf_full=float(np.max(np.abs(field))),
-        )
-
-    n_t = values.shape[0] - 1
-    if n_t < 2:
-        raise ShapeError("parabolic residual needs at least two time steps")
-    dt = grid.dt
-    qs = np.unique(np.linspace(1, n_t - 1, min(max_time_slices, n_t - 1)).astype(int))
-    fields = []
-    for q in qs:
-        spatial = _stationary_residual_field(values[q], model, grid, 0.0, mode)
-        wt = (values[q + 1] - values[q - 1]) / (2.0 * dt)
-        fields.append(wt + spatial)
-    field = np.stack(fields, axis=0)
-    interior = field[:, mask]
+    field = _stationary_residual_field(values, model, grid, lam, mode)
+    interior = field[_interior_mask(grid.shape)]
     return ResidualReport(
         values=field,
         linf_interior=float(np.max(np.abs(interior))),
@@ -854,11 +830,7 @@ def solve_parabolic(
         w_term = as_coefficient(terminal)(pts).reshape(grid.shape)
 
     if grid.horizon == 0.0 or grid.time_steps == 0:
-        hist = w_term[None, ...].copy()
-        sol = PdeSolution(grid=grid, kind="parabolic", values=hist, sweeps=0)
-        sol.residual_linf = 0.0
-        sol.residual_l2 = 0.0
-        return sol
+        return PdeSolution(grid=grid, kind="parabolic", values=w_term[None, ...].copy())
 
     dt = grid.dt
     bound = grid.diffusion_cfl(model)
@@ -885,11 +857,9 @@ def solve_parabolic(
         np.add(w, dt * stepper.residual(w), out=flat[q])
         _check_finite(flat[q], n_t - q)
 
-    sol = PdeSolution(grid=grid, kind="parabolic", values=hist, sweeps=n_t)
-    rep = pde_residual(sol, model, mode=mode)
-    sol.residual_linf = rep.linf_interior
-    sol.residual_l2 = rep.l2_interior
-    return sol
+    # no residual report: nothing reads one, and over 65 time slices it costs
+    # about a seventh of the march
+    return PdeSolution(grid=grid, kind="parabolic", values=hist, sweeps=n_t)
 
 
 def _damping_gamma2(gamma1: float, gamma2, model: ModelSpec) -> np.ndarray | None:

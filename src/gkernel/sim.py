@@ -63,6 +63,18 @@ def _sqrt_psd(q: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j,...kj->...ik", vecs, np.sqrt(vals), vecs)
 
 
+def _broadcast_rows(cache: dict, key, arrays: tuple, n: int) -> tuple:
+    """Read-only broadcasts of ``arrays`` over ``n`` rows, the latest kept per key.
+
+    A run's steps share a few row counts, and np.broadcast_to on every step
+    costs more than the step's root einsum.
+    """
+    views = cache.get(key)
+    if views is None or views[0].shape[0] != n:
+        views = cache[key] = tuple(np.broadcast_to(a, (n,) + a.shape) for a in arrays)
+    return views
+
+
 # ---------------------------------------------------------------------------
 # controls
 
@@ -104,14 +116,14 @@ class ConstantControl(VolControl):
         self.q = 0.5 * (q + q.T)
         self.root = _sqrt_psd(self.q)
         self.label = label or "constant"
+        self._views: dict = {}
 
     def matrices(self, t: float, x: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.q, (x.shape[0],) + self.q.shape)
+        return self.matrices_and_roots(t, x)[0]
 
     def matrices_and_roots(self, t: float, x: np.ndarray,
                            coeffs=None) -> tuple[np.ndarray, np.ndarray]:
-        shape = (x.shape[0],) + self.q.shape
-        return np.broadcast_to(self.q, shape), np.broadcast_to(self.root, shape)
+        return _broadcast_rows(self._views, None, (self.q, self.root), x.shape[0])
 
     def validate(self, sigma_set: UncertaintySet) -> None:
         if not sigma_set.contains(self.q):
@@ -137,19 +149,18 @@ class PiecewiseControl(VolControl):
         self.mats = np.stack([0.5 * (m + m.T) for m in ms])
         self.roots = _sqrt_psd(self.mats)  # one root per segment, as ConstantControl
         self.label = label or "piecewise"
+        self._views: dict = {}
 
     def _segment(self, t: float) -> int:
         return max(int(np.searchsorted(self.times, t, side="right") - 1), 0)
 
     def matrices(self, t: float, x: np.ndarray) -> np.ndarray:
-        idx = self._segment(t)
-        return np.broadcast_to(self.mats[idx], (x.shape[0],) + self.mats[idx].shape)
+        return self.matrices_and_roots(t, x)[0]
 
     def matrices_and_roots(self, t: float, x: np.ndarray,
                            coeffs=None) -> tuple[np.ndarray, np.ndarray]:
         idx = self._segment(t)
-        shape = (x.shape[0],) + self.mats[idx].shape
-        return np.broadcast_to(self.mats[idx], shape), np.broadcast_to(self.roots[idx], shape)
+        return _broadcast_rows(self._views, idx, (self.mats[idx], self.roots[idx]), x.shape[0])
 
     def validate(self, sigma_set: UncertaintySet) -> None:
         for i, m in enumerate(self.mats):

@@ -110,6 +110,16 @@ class TestComponents:
         with pytest.raises(CoverageError):
             compute_components(batch, const_sol, const_model)
 
+    def test_nan_state_fails_coverage(self, ou_model, ou_sol):
+        batch = simulate_gsde(ou_model, ConstantControl(1.0), [0.05], 1.0, 1e-2, 20, seed=3)
+        X = batch.X.copy()
+        X[3, 40:] = np.nan
+        batch = dataclasses.replace(batch, X=X)
+        with pytest.raises(CoverageError, match="up to nan box widths"):
+            compute_components(batch, ou_sol, ou_model)
+        with pytest.raises(CoverageError):
+            verify_bsde_residual(batch, ou_sol, ou_model)
+
     def test_path_slice(self, const_wc_dec):
         part = const_wc_dec.path_slice(10, 30)
         assert part.n_paths == 20
@@ -148,18 +158,22 @@ class TestMartingaleAudit:
             for dev in check.m_deviations_se:
                 assert abs(dev) <= 4.0
 
-    def test_chunked_audit_matches_whole(self, const_model, const_sol, const_wc_dec):
-        whole = verify_martingales(const_wc_dec, model=const_model)
-        parts = verify_martingales(const_wc_dec, model=const_model, chunk_size=37)
-        # chunking only reorders accumulation, so stats agree to rounding
-        assert parts.checks[0].m_means == pytest.approx(
-            whole.checks[0].m_means, rel=1e-12)
-        assert parts.worst_case_mek_max_dev_se == pytest.approx(
-            whole.worst_case_mek_max_dev_se, rel=1e-9)
-        assert parts.identity_max == whole.identity_max
-        assert parts.checks[0].k_increment_violations == \
-            whole.checks[0].k_increment_violations
-        assert parts.passed == whole.passed
+    def test_chunked_audit_matches_whole(self, const_model, const_sol, const_wc_dec,
+                                         monkeypatch):
+        extra = [simulate_gsde(const_model, ctl, [0.0], 1.0, 1e-3, 200, seed=13)
+                 for ctl in extreme_controls(const_model.uncertainty)]
+
+        def reports():
+            mart = verify_martingales(const_wc_dec, extra, const_sol, const_model)
+            bsde = verify_bsde_residual(extra[0], const_sol, const_model, window=(0.2, 0.7))
+            return json.dumps([mart.to_dict(), bsde.to_dict()])
+
+        default = reports()  # 32 paths per block at 1001 nodes
+        # the audits sum over paths once, after every block, so the blocks
+        # leave no trace: one block of all 200 paths, or blocks of 37
+        for paths in (200, 37):
+            monkeypatch.setattr(decomp, "_BLOCK_PATH_STEPS", paths * const_wc_dec.times.size)
+            assert reports() == default
 
     def test_degenerate_set_triggers_classical_check(self):
         model = ModelSpec.build(
@@ -190,6 +204,32 @@ class TestMartingaleAudit:
         d = verify_martingales(const_wc_dec, model=const_model).to_dict()
         assert d["passed"] is True
         assert d["checks"][0]["control"] == "worst_case"
+
+    @staticmethod
+    def _with_nan(dec):
+        """``dec`` with M and K undefined from the middle of two paths on."""
+        dec = dataclasses.replace(dec, ln_M=dec.ln_M.copy(), K=dec.K.copy())
+        dec.ln_M[3, 40:] = np.nan
+        dec.K[5, 60:] = np.nan
+        return dec
+
+    def test_nan_reaches_the_maxima(self, ou_model, ou_sol):
+        batch = simulate_gsde(ou_model, ConstantControl(1.0), [0.05], 1.0, 1e-2, 20, seed=3)
+        report = verify_martingales(self._with_nan(compute_components(batch, ou_sol, ou_model)))
+        check = report.checks[0]
+        for value in (check.identity_max_abs, check.bsde_max_step, check.bsde_rms_step,
+                      check.k_max_abs, check.k_max_increment, report.identity_max,
+                      report.bsde_max_step):
+            assert np.isnan(value)
+        assert not check.k_ok  # a NaN increment is not a nonincreasing one
+
+    def test_nan_mean_fails_the_unit_mean_check(self, ou_model, ou_sol):
+        batch = simulate_gsde(ou_model, ConstantControl(1.0), [0.05], 1.0, 1e-2, 20, seed=3)
+        report = verify_martingales(self._with_nan(compute_components(batch, ou_sol, ou_model)))
+        check = report.checks[0]
+        assert np.isnan(check.m_means[-1]) and np.isnan(check.m_deviations_se[-1])
+        assert not check.m_ok
+        assert not report.passed
 
 
 class TestBsdeResidual:
@@ -299,12 +339,113 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+RMS_FIELDS = ("bsde_rms_step", "rms_step")
+
+
 def _reports(dec, batches, solution, model):
-    """The martingale and per-step audits as text, for byte comparison."""
-    mart = verify_martingales(dec, batches[1:], solution, model).to_dict()
-    bsde = verify_bsde_residual(batches[0], solution, model).to_dict()
-    window = verify_bsde_residual(batches[0], solution, model, window=(0.25, 0.5)).to_dict()
-    return json.dumps([mart, bsde, window], sort_keys=True)
+    """The martingale and per-step audits, as the dicts they serialize to."""
+    return [verify_martingales(dec, batches[1:], solution, model).to_dict(),
+            verify_bsde_residual(batches[0], solution, model).to_dict(),
+            verify_bsde_residual(batches[0], solution, model, window=(0.25, 0.5)).to_dict()]
+
+
+def _whole_check(dec, marks, dt, k_tol):
+    """One control's audit as reductions of whole arrays over all paths."""
+    n = dec.n_paths
+
+    def moments(values):
+        sums = np.array([float(np.sum(v)) for v in values])
+        sumsq = np.array([float(np.sum(v**2)) for v in values])
+        means = sums / n
+        ses = np.sqrt(np.maximum(sumsq / n - means**2, 0.0) / n)
+        devs = tuple(float((mu - 1.0) / se) if se > 0.0 else 0.0 for mu, se in zip(means, ses))
+        return tuple(float(v) for v in means), tuple(float(v) for v in ses), devs
+
+    m_means, m_ses, m_devs = moments([np.exp(dec.ln_M[:, s]) for s in marks])
+    mk_means, mk_ses, mk_devs = moments([np.exp(dec.ln_M[:, s] + dec.K[:, s]) for s in marks])
+    dk = np.diff(dec.K, axis=1)
+    gap = dec.gap
+    rho = np.diff(gap, axis=1)
+    return decomp.MartingaleCheck(
+        control=dec.control_label, n_paths=n,
+        checkpoint_times=tuple(float(s * dt) for s in marks),
+        m_means=m_means, m_stderrs=m_ses, m_deviations_se=m_devs,
+        mk_means=mk_means, mk_stderrs=mk_ses, mk_deviations_se=mk_devs,
+        k_increment_violations=int(np.sum(dk > k_tol)),
+        k_max_increment=float(np.max(dk)),
+        k_max_abs=float(np.max(np.abs(dec.K))),
+        k_final_max_abs=float(np.max(np.abs(dec.K[:, -1]))),
+        identity_max_abs=float(np.max(np.abs(gap))),
+        bsde_max_step=float(np.max(np.abs(rho))),
+        bsde_rms_step=float(np.sqrt(np.mean(rho**2))),
+    ).to_dict()
+
+
+def _whole_residual(dec, window):
+    rho = np.diff(dec.gap, axis=1)
+    t0, t1 = window
+    keep = (dec.times[:-1] >= t0 - 1e-12) & (dec.times[1:] <= t1 + 1e-12)
+    rho = rho[:, keep]
+    cum = np.cumsum(rho, axis=1)
+    return {
+        "max_abs_step": float(np.max(np.abs(rho))),
+        "rms_step": float(np.sqrt(np.mean(rho**2))),
+        "max_abs_cumulative": float(np.max(np.abs(cum))),
+        "mean_final_cumulative": float(np.mean(cum[:, -1])),
+        "n_paths": dec.n_paths, "n_steps": int(rho.shape[1]), "window": [t0, t1],
+    }
+
+
+def _whole_reports(batches, solution, model):
+    """``_reports`` from whole-batch decompositions reduced as whole arrays.
+
+    These are the audits without blocks of paths: the reference the streamed
+    audits must equal, every figure bit for bit but the root-mean-square
+    step, whose sum of squares runs in another order.
+    """
+    decs = [_reference_components(b, solution, model) for b in batches]
+    n_steps = batches[0].n_steps
+    dt = float(decs[0].times[1] - decs[0].times[0])
+    marks = [n_steps // 4, n_steps // 2, (3 * n_steps) // 4, n_steps]
+    checks = [_whole_check(dec, marks, dt, 5.0 * dt) for dec in decs]
+    mart = {
+        "checks": checks,
+        "worst_case_control": checks[0]["control"],
+        "worst_case_k_flatness": checks[0]["k_final_max_abs"],
+        "worst_case_mek_max_dev_se": max(abs(d) for d in checks[0]["mk_deviations_se"]),
+        "identity_max": max(c["identity_max_abs"] for c in checks),
+        "bsde_max_step": max(c["bsde_max_step"] for c in checks),
+        "bsde_rms_step": max(c["bsde_rms_step"] for c in checks),
+        "degenerate_set": False,
+        "classical_k_max": 0.0,
+        "passed": all(c["m_ok"] and c["k_ok"] for c in checks)
+        and max(abs(d) for d in checks[0]["mk_deviations_se"]) <= 4.0,
+    }
+    horizon = (float(decs[0].times[0]), float(decs[0].times[-1]))
+    return [mart, _whole_residual(decs[0], horizon), _whole_residual(decs[0], (0.25, 0.5))]
+
+
+def _rms_apart(reports, reference):
+    """Both as text with every rms figure taken out, and the pairs of rms figures."""
+    pairs = []
+
+    def strip(node):
+        if isinstance(node, dict):
+            return {k: strip(v) for k, v in node.items() if k not in RMS_FIELDS}
+        return [strip(v) for v in node] if isinstance(node, list) else node
+
+    def collect(a, b):
+        if isinstance(a, dict):
+            pairs.extend((a[k], b[k]) for k in RMS_FIELDS if k in a)
+            for k in a:
+                collect(a[k], b[k])
+        elif isinstance(a, list):
+            for x, y in zip(a, b):
+                collect(x, y)
+
+    collect(reports, reference)
+    return (json.dumps(strip(reports), sort_keys=True),
+            json.dumps(strip(reference), sort_keys=True), pairs)
 
 
 def _model_2d():
@@ -359,9 +500,11 @@ class TestBlockedComponents:
             for name in FIELDS:
                 assert _same_bits(getattr(dec, name), ref[name]), (batch.control_label, name)
         blocked = _reports(compute_components(batches[0], sol, model), batches, sol, model)
-        whole = _reference_components(batches[0], sol, model)
-        monkeypatch.setattr(decomp, "compute_components", _reference_components)
-        assert blocked == _reports(whole, batches, sol, model)
+        text, expect, rms = _rms_apart(blocked, _whole_reports(batches, sol, model))
+        assert text == expect
+        assert len(rms) == len(batches) + 3  # every check, the report and two residuals
+        for got, want in rms:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_coverage_message_counts_every_block(self, const_model, const_sol,
                                                   monkeypatch):
@@ -402,3 +545,20 @@ class TestBlockedComponents:
         outputs = sum(getattr(dec, name).nbytes for name in FIELDS[:-1])
         block = 8 * decomp._BLOCK_PATH_STEPS  # one float per path-step of a block
         assert peak < outputs + 48 * block, (peak, outputs, block)
+
+    def test_audits_peak_at_a_few_blocks(self, const_model, const_sol):
+        """The audits hold no decomposed batch, only blocks and per-path figures."""
+        batches = [simulate_gsde(const_model, ctl, [0.0], 1.0, 2e-3, 2000, seed=3)
+                   for ctl in [ConstantControl(1.0)] + extreme_controls(const_model.uncertainty)]
+        assert batches[0].X.shape == (2000, 501, 1) and len(batches) == 3
+        dec = compute_components(batches[0], const_sol, const_model)
+        block = 8 * decomp._BLOCK_PATH_STEPS  # one float per path-step of a block
+        for audit in (lambda: verify_bsde_residual(batches[0], const_sol, const_model),
+                      lambda: verify_martingales(dec, batches[1:], const_sol, const_model)):
+            tracemalloc.start()
+            try:
+                audit()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 48 * block, (peak, block)

@@ -782,6 +782,15 @@ class TestResidual:
         with pytest.raises(ShapeError):
             pde_residual(np.zeros(33), ou_model)
 
+    def test_parabolic_history_has_no_report(self, const_model):
+        grid = Grid.build([(-3.0, 3.0)], [65], horizon=1.0, time_steps=64)
+        sol = solve_parabolic(const_model, grid, 0.0)
+        assert np.isnan(sol.residual_linf) and np.isnan(sol.residual_l2)
+        with pytest.raises(ShapeError, match="not on the grid"):
+            pde_residual(sol, const_model)
+        with pytest.raises(ShapeError, match="not on the grid"):
+            pde_residual(sol.values, const_model, grid=grid)
+
 
 class TestGradientBound:
     def test_taming_level_dominates_discrete_gradient(self):

@@ -65,6 +65,20 @@ class TestPathGeneration:
         assert np.all(batch.Q[:, k_half - 1, 0, 0] == 1.2)
         assert np.all(batch.Q[:, k_half, 0, 0] == 0.8)
 
+    def test_constant_scenarios_keep_their_broadcasts(self):
+        ctl = PiecewiseControl([0.0, 0.5], [1.44, 0.64])
+        x3, x5 = np.zeros((3, 1)), np.zeros((5, 1))
+        q, root = ctl.matrices_and_roots(0.1, x3)
+        assert ctl.matrices_and_roots(0.2, x3)[0] is q  # kept for the row count
+        later, later_root = ctl.matrices_and_roots(0.7, x3)
+        assert np.all(later == 0.64) and np.all(later_root == 0.8)
+        assert np.all(ctl.matrices(0.3, x3) == 1.44) and np.all(root == 1.2)
+        assert ctl.matrices_and_roots(0.1, x5)[1].shape == (5, 1, 1)
+        const = ConstantControl(1.44)
+        q, root = const.matrices_and_roots(0.0, x5)
+        assert q.shape == root.shape == (5, 1, 1) and np.all(root == 1.2)
+        assert not q.flags.writeable and const.matrices(1.0, x5) is q
+
     def test_quadratic_variation_sandwich(self, ou_model, ou_sol):
         policy = worst_case_policy(ou_sol, ou_model)
         batch = simulate_gsde(ou_model, policy, [0.1], 1.0, 0.02, 16, seed=2)
