@@ -12,16 +12,22 @@ to the config's ``output.dir``), ``--seed N`` and ``--paths N``
 override the simulation block, ``--tol X`` overrides the solver
 tolerance.  Exit codes: 0 success, 2 regularity check failed, 3
 configuration error, 4 numerical failure.
+
+``solve``, ``decompose`` and ``price`` run the diagnostics of ``check``
+over the config's ``assumption_box`` before they solve, and warn when the
+dissipativity margin fails there.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .config import RunConfig, _path_count, build_control, load_config
-from .errors import ConfigurationError, NumericalError
+from .decomp import _dec_blocks, _residual, compute_components, reconstruct_D, verify_martingales
+from .errors import ConfigurationError, EvaluationError, NumericalError
 from .io import fmt17, write_json, write_solution_csv, write_traces_csv
 from .model import check_assumptions
 from .pde import solve_ergodic
@@ -63,8 +69,7 @@ def _out_dir(args, cfg: RunConfig) -> Path | None:
 
 
 def _run_check(cfg: RunConfig, args) -> int:
-    bounds, nodes = cfg.assumption_box
-    report = check_assumptions(cfg.model, bounds, nodes)
+    report = check_assumptions(cfg.model, *cfg.assumption_box)
     names = {
         "i": "symmetric covariation loadings",
         "ii": "finite Lipschitz and noise bounds",
@@ -86,6 +91,15 @@ def _run_check(cfg: RunConfig, args) -> int:
 def _solve(cfg: RunConfig, args):
     if cfg.grid is None:
         raise ConfigurationError("this command needs a 'grid' block")
+    # the one regularity diagnostic before a solve, over the box `check` judges
+    try:
+        report = check_assumptions(cfg.model, *cfg.assumption_box)
+    except EvaluationError as exc:  # a coefficient is not finite somewhere in the box
+        warnings.warn(f"assumption diagnostics failed ({exc}); continuing", stacklevel=2)
+    else:
+        if not report.clauses["iv"]:
+            warnings.warn(f"dissipativity margin is not positive (gap = {report.gap:.4g}); "
+                          "the long-horizon limit may be unreliable", stacklevel=2)
     s = cfg.solver
     tol = args.tol if args.tol is not None else s.tol
     return solve_ergodic(
@@ -131,9 +145,6 @@ def _sim_settings(cfg: RunConfig, args):
 
 
 def _run_decompose(cfg: RunConfig, args) -> int:
-    from .decomp import _dec_blocks, _residual, compute_components, reconstruct_D, \
-        verify_martingales
-
     sim, seed, n_paths = _sim_settings(cfg, args)  # settings errors before the solve
     sol = _solve(cfg, args)
     control = build_control(sim.control, cfg.model, sol)

@@ -23,6 +23,7 @@ from .errors import ConfigurationError
 from .gcore import UncertaintySet
 from .model import ModelSpec, _coeff_grid
 from .pde import Grid
+from .sim import ConstantControl, PiecewiseControl, extreme_controls, worst_case_policy
 
 __all__ = [
     "SolverSettings",
@@ -249,10 +250,10 @@ def _parse_solver(obj, m: int) -> SolverSettings:
         if len(anchor) != m or not all(math.isfinite(a) for a in anchor):
             raise ConfigurationError(f"solver.anchor must list {m} finite coordinates")
     mode = obj.get("mode", "pricing")
-    if mode not in ("pricing", "parabolic", "ergodic", "generic"):
+    if mode not in ("pricing", "parabolic", "ergodic"):
+        # 'generic' needs the drivers f and g, which a config cannot carry
         raise ConfigurationError(
-            "solver.mode must be 'pricing' (aliases 'parabolic', 'ergodic') "
-            "or 'generic'"
+            "solver.mode must be 'pricing' (aliases 'parabolic', 'ergodic')"
         )
     return SolverSettings(
         delta0=_get_number(obj, "delta0", where, default=0.5),
@@ -386,8 +387,6 @@ def load_config(path) -> RunConfig:
 
 def build_control(spec, model: ModelSpec, solution=None):
     """Materialize the control named by a config ``sim.control`` entry."""
-    from .sim import ConstantControl, PiecewiseControl, extreme_controls, worst_case_policy
-
     if isinstance(spec, str):
         if spec == "worst_case":
             if solution is None:

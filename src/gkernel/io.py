@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pde import ErgodicSolution, PdeSolution
+from .pde import ErgodicSolution, PdeSolution, nodal_gradient
 
 __all__ = [
     "fmt17",
@@ -62,8 +62,6 @@ def write_solution_csv(path, solution) -> None:
     grid = sol.grid
     pts = grid.points()
     values = sol.values.ravel()
-    from .pde import nodal_gradient
-
     grad = nodal_gradient(sol.values, grid).reshape(-1, grid.m)
     resid = (
         sol.residual.ravel()

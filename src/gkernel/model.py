@@ -349,7 +349,7 @@ class AssumptionReport:
 
 
 def _sample_box(box, nodes) -> np.ndarray:
-    axes = [np.linspace(lo, hi, int(n)) for (lo, hi), n in zip(box, nodes)]
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, nodes)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=-1)
 
@@ -360,7 +360,7 @@ def check_assumptions(model: ModelSpec, box, nodes) -> AssumptionReport:
     Args:
         model: the model to diagnose.
         box: sequence of (lo, hi) per state coordinate.
-        nodes: sample count per coordinate (>= 10 each).
+        nodes: integer sample count per coordinate (>= 10 each).
 
     The Lipschitz-type constant ``c1`` aggregates difference quotients of
     b, r, k, the symmetrized product v_i v_j, h and d_ij; ``c_sigma`` and
@@ -376,7 +376,8 @@ def check_assumptions(model: ModelSpec, box, nodes) -> AssumptionReport:
     box = [tuple(map(float, bb)) for bb in box]
     if len(box) != model.m:
         raise ShapeError(f"box has {len(box)} axes, model state dimension is {model.m}")
-    nodes = [int(n) for n in (nodes if isinstance(nodes, (list, tuple)) else [nodes] * model.m)]
+    nodes = [_size(n, "nodes")
+             for n in (nodes if isinstance(nodes, (list, tuple)) else [nodes] * model.m)]
     if any(n < 10 for n in nodes):
         raise ShapeError("assumption sampling needs at least 10 nodes per axis")
 
@@ -436,11 +437,8 @@ def check_assumptions(model: ModelSpec, box, nodes) -> AssumptionReport:
     drift_pair = np.einsum("pl,pl->p", dx, bval[ii] - bval[jj])
     eta_hat = float(np.min(-(gvals + drift_pair) / dist**2))
 
+    # the set stores its ellipticity constants: the extreme member eigenvalues if finite
     sig_lo2, sig_hi2 = model.uncertainty.lo, model.uncertainty.hi
-    if model.uncertainty.kind == "finite":
-        from .gcore import ellipticity_constants
-
-        sig_lo2, sig_hi2 = ellipticity_constants(model.uncertainty)
     sig_lo, sig_hi = math.sqrt(sig_lo2), math.sqrt(sig_hi2)
     price = 0.5 * (1.0 + sig_hi2) * (
         c_sigma * model.d

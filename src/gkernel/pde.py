@@ -47,8 +47,6 @@ from .errors import (
     CflError,
     ConvergenceError,
     DivergenceError,
-    DomainError,
-    EvaluationError,
     IterationError,
     ShapeError,
 )
@@ -536,6 +534,8 @@ class _Stepper:
 
     def __init__(self, model: ModelSpec, grid: Grid, mode: str = "pricing",
                  gradient_cap: float = math.inf, gamma2: np.ndarray | None = None):
+        if grid.m != model.m:
+            raise ShapeError(f"grid has {grid.m} axes, model state dimension is {model.m}")
         mode = _normalize_mode(mode)
         if mode == "generic" and model.g is None and model.f is None:
             raise ShapeError("generic mode needs model drivers f and/or g")
@@ -1044,7 +1044,6 @@ def solve_ergodic(
     max_halvings: int = 20,
     anchor: Sequence[float] | None = None,
     gradient_cap: float = math.inf,
-    check: bool = True,
 ) -> ErgodicSolution:
     """Eigenpair (u, lam) by Newton on the bordered stationary system.
 
@@ -1062,26 +1061,13 @@ def solve_ergodic(
     Newton iteration spends n_cand sweeps on its policy improvement, one
     pass over every candidate, and 3^m on its Jacobian.
 
-    When ``check`` is true a coarse dissipativity diagnostic runs first
-    and a failing margin produces a warning (not an error).
+    The solve does not judge the model's regularity: that is
+    :func:`~gkernel.model.check_assumptions`, which the CLI runs on the
+    config's ``assumption_box`` before it solves.
     """
     if delta0 <= 0.0:
         raise ShapeError(f"delta0 must be positive, got {delta0}")
     g2 = _damping_gamma2(gamma1, gamma2, model)
-    if check:
-        from .model import check_assumptions
-
-        try:
-            rep = check_assumptions(model, grid.bounds, [12] * grid.m)
-            if not rep.clauses["iv"]:
-                warnings.warn(
-                    f"dissipativity margin is not positive (gap = {rep.gap:.4g}); "
-                    "the long-horizon limit may be unreliable",
-                    stacklevel=2,
-                )
-        except (ShapeError, EvaluationError, DomainError) as exc:
-            # diagnostics must never block the solve
-            warnings.warn(f"assumption diagnostics failed ({exc}); continuing", stacklevel=2)
 
     anchor_idx = grid.anchor_index(anchor)
     a = int(np.ravel_multi_index(anchor_idx, grid.shape))

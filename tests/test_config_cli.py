@@ -8,16 +8,21 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gkernel import (
+    CoefficientFn,
     ConfigurationError,
     ConstantControl,
     FeedbackControl,
+    ModelSpec,
     PiecewiseControl,
+    UncertaintySet,
     build_control,
     load_config,
     parse_config,
@@ -175,6 +180,13 @@ class TestParsing:
         doc = sim_doc()
         mutate(doc)
         with pytest.raises(ConfigurationError):
+            parse_config(doc)
+
+    def test_generic_mode_rejected(self):
+        # generic mode needs the drivers f and g, which a config cannot carry
+        doc = base_doc()
+        doc["solver"] = {"mode": "generic"}
+        with pytest.raises(ConfigurationError, match=r"solver\.mode must be 'pricing'"):
             parse_config(doc)
 
     @pytest.mark.parametrize("anchor", [[0.5, 9.0], [], [float("nan")]],
@@ -520,3 +532,98 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+def tanh_doc(box=None) -> dict:
+    """Volatility that rises near x1 = 3: the margin passes over the grid
+    [-2, 2] (gap 0.96) and fails over [-5, 5] (gap -1.46)."""
+    doc = sim_doc()
+    doc["model"] = {"m": 1, "d": 1, "b": ["0.05 - x1"],
+                    "sigma": [["0.2 + 0.1 * tanh(4 * (x1 - 3))"]], "r": "x1"}
+    doc["uncertainty"] = {"kind": "interval", "lo": 0.8, "hi": 1.2}
+    doc["grid"] = {"bounds": [[-2.0, 2.0]], "nodes": [33]}
+    doc["payoff"] = "1"
+    if box is not None:
+        doc["assumption_box"] = {"bounds": [box], "nodes": [12]}
+    return doc
+
+
+class _GridOnlyRate(CoefficientFn):
+    """r = x, defined only on the given nodes; ``error`` is raised elsewhere."""
+
+    def __init__(self, nodes, error):
+        self.nodes, self.error = nodes, error
+
+    def __call__(self, x):
+        if not np.all(np.isin(x[:, 0], self.nodes)):
+            raise self.error("rate is tabulated on the solve grid only")
+        return x[:, 0].copy()
+
+
+class TestSolveDiagnostics:
+    """``solve``, ``decompose`` and ``price`` run the regularity check over
+    ``assumption_box`` before they solve."""
+
+    @pytest.mark.parametrize("command", ["solve", "decompose", "price"])
+    def test_margin_is_judged_over_the_assumption_box(self, run_cli, command):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(tanh_doc(), command)[0] == 0
+        doc = tanh_doc(box=[-5.0, 5.0])
+        assert run_cli(doc, "check")[0] == 2
+        with pytest.warns(UserWarning, match=r"dissipativity margin is not positive "
+                                             r"\(gap = -1\.463\)"):
+            code, out, _ = run_cli(doc, command)
+        assert code == 0
+        assert "lam=" in out or "price=" in out
+
+    def test_failing_margin_warns_but_solves(self, run_cli):
+        doc = base_doc()
+        doc["model"].update(b=["-0.1 * x1"], sigma=[["0.2 + 0.1 * tanh(x1)"]])
+        doc["grid"] = {"bounds": [[-1.0, 1.0]], "nodes": [33]}
+        with pytest.warns(UserWarning, match="dissipativity margin is not positive"):
+            code, out, _ = run_cli(doc, "solve", "--tol", "1e-5")
+        assert code == 0
+        assert "lam=" in out
+
+    def test_diagnostic_failure_warns_and_continues(self, run_cli):
+        # r is x1 on the grid [-1, 1] and not finite below -1.5, inside the box
+        doc = base_doc()
+        doc["model"]["r"] = "x1 + 0 * ln(x1 + 1.5)"
+        doc["grid"] = {"bounds": [[-1.0, 1.0]], "nodes": [33]}
+        doc["solver"] = {"tol": 1e-9}
+        doc["assumption_box"] = {"bounds": [[-2.0, 2.0]], "nodes": [12]}
+        with pytest.warns(UserWarning, match="assumption diagnostics failed"):
+            code, out, _ = run_cli(doc, "solve")
+        assert code == 0
+        del doc["assumption_box"]
+        doc["model"]["r"] = "x1"
+        _, plain, _ = run_cli(doc, "solve")
+        assert out.splitlines()[0] == plain.splitlines()[0]  # the same lam
+
+    def test_unexpected_diagnostic_errors_propagate(self, run_cli, monkeypatch):
+        cfg = parse_config(base_doc())
+        model = ModelSpec.build(
+            m=1, d=1, b=["0.05 - 1.0 * x1"], sigma=[["0.2"]],
+            r=_GridOnlyRate(cfg.grid.axes()[0], RuntimeError),
+            uncertainty=UncertaintySet.interval(0.8, 1.2),
+        )
+        monkeypatch.setattr(cli, "load_config", lambda path: replace(cfg, model=model))
+        with pytest.raises(RuntimeError, match="tabulated on the solve grid only"):
+            main(["solve", "--config", "unused.json"])
+
+    @pytest.mark.parametrize("grid_axes,box_axes,message", [
+        (2, None, "box has 2 axes"),
+        (1, 2, "box has 2 axes"),
+        (2, 1, "grid has 2 axes"),
+    ], ids=["grid", "assumption_box", "grid-under-1d-box"])
+    def test_axes_beyond_the_model_exit_3(self, run_cli, grid_axes, box_axes, message):
+        doc = json.loads((REPO_ROOT / "configs" / "mean_reverting.json").read_text())
+        doc["grid"] = {"bounds": [[-2.0, 2.0]] * grid_axes, "nodes": [17] * grid_axes}
+        if box_axes is not None:
+            doc["assumption_box"] = {"bounds": [[-2.0, 2.0]] * box_axes,
+                                     "nodes": [12] * box_axes}
+        code, out, err = run_cli(doc, "solve")
+        assert code == 3
+        assert out == ""
+        assert f"configuration error: {message}, model state dimension is 1" in err

@@ -92,7 +92,7 @@ class TestComponents:
             m=1, d=1, b=["-x1"], sigma=[["0.2"]], r=0.0,
             uncertainty=UncertaintySet.interval(1.0, 1.0),
         )
-        sol = solve_ergodic(model, Grid.build([(-2.0, 2.0)], [65]), tol=1e-7, check=False)
+        sol = solve_ergodic(model, Grid.build([(-2.0, 2.0)], [65]), tol=1e-7)
         batch = simulate_gsde(model, ConstantControl(1.0), [0.0], 1.0, 1e-2, 30, seed=1)
         dec = compute_components(batch, sol, model)
         assert np.max(np.abs(dec.K)) < 1e-12
@@ -180,7 +180,7 @@ class TestMartingaleAudit:
             m=1, d=1, b=["-x1"], sigma=[["0.2"]], r=0.0,
             uncertainty=UncertaintySet.interval(1.0, 1.0),
         )
-        sol = solve_ergodic(model, Grid.build([(-2.0, 2.0)], [65]), tol=1e-7, check=False)
+        sol = solve_ergodic(model, Grid.build([(-2.0, 2.0)], [65]), tol=1e-7)
         batch = simulate_gsde(model, ConstantControl(1.0), [0.0], 1.0, 1e-2, 30, seed=1)
         dec = compute_components(batch, sol, model)
         report = verify_martingales(dec, model=model)
@@ -250,7 +250,7 @@ class TestBsdeResidual:
     def test_step_residual_scales_linearly_in_dt(self):
         model = quadratic_rate_model()
         sol = solve_ergodic(
-            model, Grid.build([(-2.0, 2.0)], [257]), tol=1e-7, check=False)
+            model, Grid.build([(-2.0, 2.0)], [257]), tol=1e-7)
         ctl = ConstantControl(1.0)
         rms = {}
         for dt in (0.02, 0.01):
@@ -471,8 +471,7 @@ def blocked_case(request, ou_model, ou_sol):
         model, sol, x0 = ou_model, ou_sol, [0.05]
     else:
         model = _model_2d()
-        sol = solve_ergodic(model, Grid.build([(-2.5, 2.5)] * 2, [17, 17]), tol=1e-7,
-                            check=False)
+        sol = solve_ergodic(model, Grid.build([(-2.5, 2.5)] * 2, [17, 17]), tol=1e-7)
         x0 = [0.1, -0.1]
     controls = [worst_case_policy(sol, model)] + list(extreme_controls(model.uncertainty))
     return model, sol, [simulate_gsde(model, c, x0, 0.5, 0.01, 701, seed=31) for c in controls]

@@ -239,6 +239,10 @@ class TestCheckAssumptions:
         with pytest.raises(ShapeError):
             check_assumptions(ou_model, [(-1.0, 1.0)], [9])
 
+    def test_non_integer_node_count_rejected(self, ou_model):
+        with pytest.raises(ShapeError, match="nodes must be an integer, got 12.7"):
+            check_assumptions(ou_model, [(-1.0, 1.0)], [12.7])
+
     def test_box_dimension_mismatch(self, ou_model):
         with pytest.raises(ShapeError):
             check_assumptions(ou_model, [(-1.0, 1.0), (0.0, 1.0)], [11, 11])

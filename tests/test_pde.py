@@ -2,17 +2,14 @@
 
 import functools
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from gkernel import (
     CflError,
-    CoefficientFn,
     ConvergenceError,
     DivergenceError,
-    EvaluationError,
     Grid,
     IterationError,
     ModelSpec,
@@ -53,18 +50,6 @@ def generic_twin_2d() -> ModelSpec:
         sigma=[[0.2, 0.0], [0.0, 0.2]], r=0.0, uncertainty=THREE_MEMBERS,
         f=lambda x, y, z: -(x[:, 0] + x[:, 1]),
         g=[[_half_product(i, j) for j in range(2)] for i in range(2)])
-
-
-class _GridOnlyRate(CoefficientFn):
-    """r = x, defined only on the given nodes; ``error`` is raised elsewhere."""
-
-    def __init__(self, nodes, error):
-        self.nodes, self.error = nodes, error
-
-    def __call__(self, x):
-        if not np.all(np.isin(x[:, 0], self.nodes)):
-            raise self.error("rate is tabulated on the solve grid only")
-        return x[:, 0].copy()
 
 
 class TestHamiltonian:
@@ -169,6 +154,20 @@ class TestGrid:
         grid = Grid.build([(-1.0, 1.0)] * len(nodes), nodes)
         with pytest.raises(ShapeError, match=f"anchor needs {len(nodes)} finite coordinates"):
             grid.anchor_index(point)
+
+    @pytest.mark.parametrize("solve", [
+        lambda model, grid: solve_ergodic(model, grid),
+        lambda model, grid: solve_discounted(model, grid, 0.5),
+        lambda model, grid: solve_parabolic(model, grid, 0.0),
+    ], ids=["ergodic", "discounted", "parabolic"])
+    def test_solvers_need_one_axis_per_state_coordinate(self, ou_model, solve):
+        # 1D coefficients would otherwise broadcast over both axes of the grid
+        grid = Grid.build([(-1.0, 1.0)] * 2, [17, 17], horizon=1.0, time_steps=16)
+        with pytest.raises(ShapeError, match="grid has 2 axes, model state dimension is 1"):
+            solve(ou_model, grid)
+        grid = Grid.build([(-1.0, 1.0)], [17], horizon=1.0, time_steps=16)
+        with pytest.raises(ShapeError, match="grid has 1 axes, model state dimension is 2"):
+            solve(affine_three_member_model(), grid)
 
     def test_diffusion_cfl_value(self, const_model):
         grid = Grid.build([(-3.0, 3.0)], [65])
@@ -296,28 +295,24 @@ class TestErgodic:
             m=1, d=1, b=["-x1"], sigma=[["0.2"]], r=0.0,
             uncertainty=UncertaintySet.interval(1.0, 1.0),
         )
-        sol = solve_ergodic(model, Grid.build([(-2.0, 2.0)], [65]), tol=1e-7, check=False)
+        sol = solve_ergodic(model, Grid.build([(-2.0, 2.0)], [65]), tol=1e-7)
         assert sol.lam == 0.0
         assert np.max(np.abs(sol.u.values)) == 0.0
 
     def test_degenerate_drivers_and_dynamics(self, classical_zero_model):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sol = solve_ergodic(
-                classical_zero_model, Grid.build([(-1.0, 1.0)], [17]),
-                tol=1e-7, check=False)
+        sol = solve_ergodic(classical_zero_model, Grid.build([(-1.0, 1.0)], [17]), tol=1e-7)
         assert sol.lam == 0.0
 
     def test_curved_rate_against_closed_form(self):
         sol = solve_ergodic(
             quadratic_rate_model(), Grid.build([(-2.0, 2.0)], [129]),
-            tol=1e-7, check=False)
+            tol=1e-7)
         assert abs(sol.lam - quadratic_rate_lam()) < 5e-3
 
     def test_grid_insensitive_when_solution_is_affine(self, ou_model, ou_sol):
         # the affine eigenfunction is exact at any spacing, so both grids match
         coarse = solve_ergodic(
-            ou_model, Grid.build([(-2.0, 2.0)], [129]), tol=1e-7, check=False)
+            ou_model, Grid.build([(-2.0, 2.0)], [129]), tol=1e-7)
         assert abs(coarse.lam - OU_LAM) < 5e-6
         assert abs(ou_sol.lam - OU_LAM) < 5e-6
 
@@ -327,20 +322,20 @@ class TestErgodic:
             m=1, d=1, b=["0.05 - 1.0 * x1"], sigma=[["0.2"]], r="x1 + 0.01",
             uncertainty=UncertaintySet.interval(0.8, 1.2),
         )
-        lam0 = solve_ergodic(ou_model, grid, tol=1e-7, check=False).lam
-        lam1 = solve_ergodic(shifted, grid, tol=1e-7, check=False).lam
+        lam0 = solve_ergodic(ou_model, grid, tol=1e-7).lam
+        lam1 = solve_ergodic(shifted, grid, tol=1e-7).lam
         assert abs(lam1 - (lam0 - 0.01)) < 1e-6
 
     def test_anchor_and_damping_schedule_invariance(self, ou_model):
         grid = Grid.build([(-2.0, 2.0)], [129])
-        base = solve_ergodic(ou_model, grid, tol=1e-7, check=False)
+        base = solve_ergodic(ou_model, grid, tol=1e-7)
         moved = solve_ergodic(
-            ou_model, grid, tol=1e-7, check=False, anchor=[0.72], max_halvings=30)
+            ou_model, grid, tol=1e-7, anchor=[0.72], max_halvings=30)
         assert abs(moved.lam - base.lam) < 1e-6
         # off-anchor u differs by a constant only
         assert np.ptp(moved.u.values - base.u.values) < 1e-3
         assert moved.u.values[moved.anchor_index] == 0.0
-        rescheduled = solve_ergodic(ou_model, grid, tol=1e-7, check=False, delta0=0.8)
+        rescheduled = solve_ergodic(ou_model, grid, tol=1e-7, delta0=0.8)
         assert abs(rescheduled.lam - base.lam) < 1e-6
 
     @pytest.mark.parametrize("nodes,anchor", [([33], [0.5, 9.0]), ([17, 17], [0.5])],
@@ -353,56 +348,26 @@ class TestErgodic:
             uncertainty=UncertaintySet.finite([np.eye(m)]),
         )
         with pytest.raises(ShapeError, match=f"anchor needs {m} finite coordinates"):
-            solve_ergodic(model, Grid.build([(-2.0, 2.0)] * m, nodes), check=False,
+            solve_ergodic(model, Grid.build([(-2.0, 2.0)] * m, nodes),
                           anchor=anchor)
 
     def test_non_cauchy_trace_raises(self, ou_model):
         with pytest.raises(ConvergenceError):
             solve_ergodic(
                 ou_model, Grid.build([(-2.0, 2.0)], [33]),
-                tol=1e-15, max_halvings=1, check=False)
-
-    def test_failing_margin_warns_but_solves(self):
-        model = ModelSpec.build(
-            m=1, d=1, b=["-0.1 * x1"], sigma=[["0.2 + 0.1 * tanh(x1)"]], r=0.02,
-            uncertainty=UncertaintySet.interval(0.5, 1.0),
-        )
-        with pytest.warns(UserWarning):
-            solve_ergodic(model, Grid.build([(-1.0, 1.0)], [33]), tol=1e-5)
+                tol=1e-15, max_halvings=1)
 
     def test_general_damping_weights_eigenpair(self, const_model):
         # bordered residual max_c[S_c(u) + lam tr(Q_c gamma2)] + gamma1 lam at
         # constant u: 0.5 q (0.09 + lam) - 0.02 - 1.5 lam, maximal at q = 1
         sol = solve_ergodic(const_model, Grid.build([(-3.0, 3.0)], [65]), tol=1e-12,
-                            gamma1=-1.5, gamma2=0.5, check=False)
+                            gamma1=-1.5, gamma2=0.5)
         assert abs(sol.lam - CONST_LAM) < 1e-9
         assert np.max(np.abs(sol.u.values)) < 1e-9
 
-    def test_diagnostic_failure_warns_and_continues(self, ou_model):
-        grid = Grid.build([(-1.0, 1.0)], [33])
-        model = ModelSpec.build(
-            m=1, d=1, b=["0.05 - 1.0 * x1"], sigma=[["0.2"]],
-            r=_GridOnlyRate(grid.axes()[0], EvaluationError),
-            uncertainty=UncertaintySet.interval(0.8, 1.2),
-        )
-        with pytest.warns(UserWarning, match="assumption diagnostics failed"):
-            sol = solve_ergodic(model, grid, tol=1e-9)
-        assert sol.lam == pytest.approx(
-            solve_ergodic(ou_model, grid, tol=1e-9, check=False).lam, abs=1e-12)
-
-    def test_unexpected_diagnostic_errors_propagate(self):
-        grid = Grid.build([(-1.0, 1.0)], [33])
-        model = ModelSpec.build(
-            m=1, d=1, b=["0.05 - 1.0 * x1"], sigma=[["0.2"]],
-            r=_GridOnlyRate(grid.axes()[0], RuntimeError),
-            uncertainty=UncertaintySet.interval(0.8, 1.2),
-        )
-        with pytest.raises(RuntimeError):
-            solve_ergodic(model, grid, tol=1e-9)
-
     def test_damped_warm_start_after_failed_newton(self, ou_model, monkeypatch):
         grid = Grid.build([(-2.0, 2.0)], [65])
-        direct = solve_ergodic(ou_model, grid, tol=1e-9, check=False)
+        direct = solve_ergodic(ou_model, grid, tol=1e-9)
         newton, deltas = pde._newton, []
 
         def fail_first(stepper, w, lam, delta, *args):
@@ -412,7 +377,7 @@ class TestErgodic:
             return newton(stepper, w, lam, delta, *args)
 
         monkeypatch.setattr(pde, "_newton", fail_first)
-        sol = solve_ergodic(ou_model, grid, tol=1e-9, check=False, delta0=0.4)
+        sol = solve_ergodic(ou_model, grid, tol=1e-9, delta0=0.4)
         assert deltas == [0.0, 0.4, 0.0]
         assert [d for d, _ in sol.delta_trace] == [0.4, 0.0]
         assert sol.delta_trace[-1][1] == sol.lam
@@ -421,7 +386,7 @@ class TestErgodic:
 
     def test_failed_warm_start_moves_to_next_delta(self, ou_model, monkeypatch):
         grid = Grid.build([(-2.0, 2.0)], [65])
-        direct = solve_ergodic(ou_model, grid, tol=1e-9, check=False)
+        direct = solve_ergodic(ou_model, grid, tol=1e-9)
         newton, deltas = pde._newton, []
 
         def fail_first_two(stepper, w, lam, delta, *args):
@@ -431,7 +396,7 @@ class TestErgodic:
             return newton(stepper, w, lam, delta, *args)
 
         monkeypatch.setattr(pde, "_newton", fail_first_two)
-        sol = solve_ergodic(ou_model, grid, tol=1e-9, check=False, delta0=0.4)
+        sol = solve_ergodic(ou_model, grid, tol=1e-9, delta0=0.4)
         # no second Newton from u = 0: the failed warm start left the start as it was
         assert deltas == [0.0, 0.4, 0.2, 0.0]
         assert [d for d, _ in sol.delta_trace] == [0.2, 0.0]
@@ -444,7 +409,7 @@ class TestErgodic:
 
         monkeypatch.setattr(pde, "_newton", fail)
         with pytest.raises(ConvergenceError, match="3 damped warm starts: forced"):
-            solve_ergodic(ou_model, Grid.build([(-2.0, 2.0)], [65]), check=False,
+            solve_ergodic(ou_model, Grid.build([(-2.0, 2.0)], [65]),
                           max_halvings=2)
 
     def test_two_noise_finite_set_smoke(self):
@@ -454,7 +419,7 @@ class TestErgodic:
             v=[0.3, 0.1],
         )
         sol = solve_ergodic(
-            model, Grid.build([(-2.0, 2.0)], [65]), tol=1e-6, check=False)
+            model, Grid.build([(-2.0, 2.0)], [65]), tol=1e-6)
         # constant u: lam = G(v v^T) - r with the identity member maximizing
         assert abs(sol.lam - (0.05 - 0.02)) < 1e-5
         assert np.max(np.abs(sol.u.values)) < 1e-6
@@ -472,7 +437,7 @@ class TestNewtonStress:
 
     @staticmethod
     def _solve(model, bounds, nodes):
-        sol = solve_ergodic(model, Grid.build([bounds], [nodes]), tol=1e-8, check=False)
+        sol = solve_ergodic(model, Grid.build([bounds], [nodes]), tol=1e-8)
         assert len(sol.delta_trace) == 1
         return sol.lam
 
@@ -514,9 +479,8 @@ class TestTwoFactor:
             sigma=[[0.2, 0.0], [0.0, 0.2]], r="x1 + x2",
             uncertainty=UncertaintySet.finite([np.eye(2)]),
         )
-        sol1 = solve_ergodic(one, Grid.build([(-2.0, 2.0)], [65]), tol=1e-10, check=False)
-        sol2 = solve_ergodic(two, Grid.build([(-2.0, 2.0)] * 2, [65, 65]), tol=1e-10,
-                             check=False)
+        sol1 = solve_ergodic(one, Grid.build([(-2.0, 2.0)], [65]), tol=1e-10)
+        sol2 = solve_ergodic(two, Grid.build([(-2.0, 2.0)] * 2, [65, 65]), tol=1e-10)
         # u = -x per factor: lam = 2 (-kappa theta + sigma^2 / 2) = -0.06
         assert abs(sol2.lam - (-0.06)) < 1e-9
         assert abs(sol2.lam - 2.0 * sol1.lam) < 1e-9
@@ -530,7 +494,7 @@ class TestTwoFactor:
             uncertainty=UncertaintySet.finite([np.eye(2), [[1.0, 0.5], [0.5, 1.0]]]),
         )
         grid = Grid.build([(-2.0, 2.0)] * 2, [33, 33])
-        sol = solve_ergodic(model, grid, tol=1e-10, check=False)
+        sol = solve_ergodic(model, grid, tol=1e-10)
         # u = -(x1 + x2), z = (-0.2, -0.2): z^T Q z / 2 is largest (0.06) for
         # the correlated member, so lam = 0.06 - 2 * 0.05
         assert abs(sol.lam - (0.5 * 0.12 - 0.1)) < 1e-9
@@ -547,8 +511,8 @@ class TestGenericMode:
             g=[[lambda x, y, z: 0.5 * z[:, 0] ** 2]],
         )
         grid = Grid.build([(-2.0, 2.0)], [129])
-        ref = solve_ergodic(ou_model, grid, tol=1e-7, check=False)
-        gen = solve_ergodic(twin, grid, mode="generic", tol=1e-7, check=False)
+        ref = solve_ergodic(ou_model, grid, tol=1e-7)
+        gen = solve_ergodic(twin, grid, mode="generic", tol=1e-7)
         assert abs(gen.lam - ref.lam) < 1e-9
         assert np.max(np.abs(gen.u.values - ref.u.values)) < 1e-8
 
@@ -561,7 +525,7 @@ class TestGenericMode:
             g=[[lambda x, y, z: 0.5 * z[:, 0] ** 2]],
         )
         grid = Grid.build([(-2.0, 2.0)], [65])
-        weights = {"gamma1": -1.6, "gamma2": 0.5, "tol": 1e-10, "check": False}
+        weights = {"gamma1": -1.6, "gamma2": 0.5, "tol": 1e-10}
         ref = solve_ergodic(ou_model, grid, **weights)
         gen = solve_ergodic(twin, grid, mode="generic", **weights)
         assert abs(ref.lam - OU_LAM) < 1e-9
@@ -571,8 +535,8 @@ class TestGenericMode:
     def test_two_factor_three_member_set(self):
         # u = -(x1 + x2), z = (-0.2, -0.2), lam = max_c z^T Q_c z / 2 - 0.1
         grid = Grid.build([(-2.0, 2.0)] * 2, [33, 33])
-        ref = solve_ergodic(affine_three_member_model(), grid, tol=1e-10, check=False)
-        gen = solve_ergodic(generic_twin_2d(), grid, mode="generic", tol=1e-10, check=False)
+        ref = solve_ergodic(affine_three_member_model(), grid, tol=1e-10)
+        gen = solve_ergodic(generic_twin_2d(), grid, mode="generic", tol=1e-10)
         z = np.array([-0.2, -0.2])
         lam = max(0.5 * z @ q @ z for q in THREE_MEMBERS.candidates()) - 0.1
         assert lam == pytest.approx(-0.04, abs=1e-15)
@@ -583,7 +547,7 @@ class TestGenericMode:
     def test_generic_mode_needs_drivers(self, ou_model):
         grid = Grid.build([(-2.0, 2.0)], [33])
         with pytest.raises(ShapeError):
-            solve_ergodic(ou_model, grid, mode="generic", check=False)
+            solve_ergodic(ou_model, grid, mode="generic")
 
 
 # The per-candidate loop that the stacked operator of ``_Stepper`` replaced,
@@ -806,7 +770,7 @@ class TestGradientBound:
             sig_hi=1.0, sig_lo=math.sqrt(0.5), m_sigma=rep.m_sigma,
         )
         sol = solve_ergodic(
-            model, Grid.build([(-2.0, 2.0)], [129]), tol=1e-7, check=False,
+            model, Grid.build([(-2.0, 2.0)], [129]), tol=1e-7,
             gradient_cap=cap)
         x = sol.grid.axes()[0]
         grad = np.gradient(sol.u.values, x)
@@ -823,7 +787,7 @@ class TestGradientBound:
             r="x1 * x1 + x2", uncertainty=UncertaintySet.finite([np.eye(2)]),
         )
         with pytest.raises(ShapeError):
-            solve_ergodic(model, Grid.build([(-2.0, 2.0)] * 2, [17, 17]), check=False,
+            solve_ergodic(model, Grid.build([(-2.0, 2.0)] * 2, [17, 17]),
                           gradient_cap=0.01)
 
     def test_cap_rejected_in_generic_mode(self):
@@ -835,7 +799,7 @@ class TestGradientBound:
         )
         with pytest.raises(ShapeError):
             solve_ergodic(model, Grid.build([(-2.0, 2.0)], [33]), mode="generic",
-                          check=False, gradient_cap=1.0)
+                          gradient_cap=1.0)
 
 
 class TestInterpolation:

@@ -469,8 +469,7 @@ class TestStreamingMatchesHistory:
             r="x1 * x1 + x2",
             uncertainty=UncertaintySet.finite([np.eye(2), [[1.0, 0.5], [0.5, 1.0]]]),
         )
-        sol = solve_ergodic(model, Grid.build([(-2.0, 2.0)] * 2, [17, 17]), tol=1e-10,
-                            check=False)
+        sol = solve_ergodic(model, Grid.build([(-2.0, 2.0)] * 2, [17, 17]), tol=1e-10)
         policy = worst_case_policy(sol, model)
         batch = self._assert_same_mean(model, policy, sol, [-0.1, 0.1])
         assert 0.0 < np.mean(batch.Q[..., 0, 1] > 0.0) < 1.0
@@ -493,7 +492,7 @@ def _switching_model(m):
             uncertainty=UncertaintySet.finite([np.eye(2), [[1.0, 0.5], [0.5, 1.0]]]),
         )
         grid = Grid.build([(-2.0, 2.0)] * 2, [17, 17])
-    return model, solve_ergodic(model, grid, tol=1e-10, check=False)
+    return model, solve_ergodic(model, grid, tol=1e-10)
 
 
 def _const_kernel_2d():
@@ -574,7 +573,7 @@ class TestCoefficientBundle:
                 r="0.02 + 0.1 * x1", k=[["0.01 * x1"]], v=["0.1 + 0.05 * x1"],
                 h=[[["0.02 * x1"]]], uncertainty=UncertaintySet.interval(0.7, 1.3),
             )
-            sol = solve_ergodic(model, Grid.build([(-2.0, 2.0)], [65]), tol=1e-7, check=False)
+            sol = solve_ergodic(model, Grid.build([(-2.0, 2.0)], [65]), tol=1e-7)
         counts = collections.Counter()
         for name in ("b", "sigma", "r", "k", "v", "h", "dij", "h_effective"):
             orig = getattr(ModelSpec, f"eval_{name}")

@@ -75,3 +75,40 @@ def test_rule_sees_every_import_form():
               "def f():\n    import pandas as pd\n")
     assert [name for _, name in _foreign_imports(ast.parse(source))] == [
         "scipy.linalg", "scipy", "pandas"]
+
+
+def _deferred_package_imports(tree):
+    """(line, module) of every gkernel import below the top level of a module:
+    the package has no import cycle to break, so each module states its
+    dependencies up front."""
+    top = set(map(id, tree.body))
+    for node in ast.walk(tree):
+        if id(node) in top:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            name = "." * node.level + (node.module or "")
+            if node.level > 0 or name.split(".")[0] == "gkernel":
+                yield node.lineno, name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "gkernel":
+                    yield node.lineno, alias.name
+
+
+def test_package_imports_at_module_level():
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, name in _deferred_package_imports(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_rule_sees_every_deferred_import_form():
+    source = ("from . import pde\n"
+              "from .gcore import g_value\n"
+              "import gkernel.io\n"
+              "def f():\n    import json\n    from .sim import simulate_gsde\n"
+              "class C:\n    def g(self):\n        from .. import errors\n"
+              "        import gkernel.pde, numpy\n"
+              "if True:\n    from .model import ModelSpec\n")
+    assert sorted(_deferred_package_imports(ast.parse(source))) == [
+        (6, ".sim"), (9, ".."), (10, "gkernel.pde"), (12, ".model")]
