@@ -83,6 +83,7 @@ class _Call:
 
 
 def _eval_node(node, x: np.ndarray):
+    """Value of the tree at the states ``x``; the caller masks IEEE warnings."""
     if isinstance(node, _Num):
         return node.value
     if isinstance(node, _Var):
@@ -96,26 +97,24 @@ def _eval_node(node, x: np.ndarray):
     if isinstance(node, _Bin):
         a = _eval_node(node.left, x)
         b = _eval_node(node.right, x)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            return np.divide(a, b)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        return np.divide(a, b)
     # _Call
     args = [_eval_node(a, x) for a in node.args]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if node.name in _UNARY:
-            return _UNARY[node.name](args[0])
-        if node.name == "pow":
-            return np.power(args[0], args[1])
-        fold = np.minimum if node.name == "min" else np.maximum
-        out = args[0]
-        for extra in args[1:]:
-            out = fold(out, extra)
-        return out
+    if node.name in _UNARY:
+        return _UNARY[node.name](args[0])
+    if node.name == "pow":
+        return np.power(args[0], args[1])
+    fold = np.minimum if node.name == "min" else np.maximum
+    out = args[0]
+    for extra in args[1:]:
+        out = fold(out, extra)
+    return out
 
 
 def _print_node(node) -> str:
@@ -328,10 +327,20 @@ class Expression(CoefficientFn):
     def __init__(self, tree, source: str):
         self.tree = tree
         self.source = source
+        # only an operator or a function can warn; negation cannot
+        node = tree
+        while isinstance(node, _Neg):
+            node = node.child
+        self._can_warn = isinstance(node, (_Bin, _Call))
 
     def __call__(self, x):
         x = _check_states(x)
-        out = _eval_node(self.tree, x)
+        if self._can_warn:
+            # IEEE results (inf, nan) stand without warnings; one errstate per call
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                out = _eval_node(self.tree, x)
+        else:
+            out = _eval_node(self.tree, x)
         out = np.asarray(out, dtype=float)
         if out.ndim == 0:
             out = np.full(x.shape[0], float(out))

@@ -402,6 +402,15 @@ def _martingale_check(stats: dict, label: str, marks: list[int], dt: float) -> M
     )
 
 
+def _audit_marks(times: np.ndarray) -> tuple[list[int], float]:
+    """The audit's checkpoint steps, the quarter points of the horizon, and dt."""
+    n_steps = times.size - 1
+    marks = sorted(set(
+        s for s in (n_steps // 4, n_steps // 2, (3 * n_steps) // 4, n_steps) if s > 0
+    ))
+    return marks, float(times[1] - times[0])
+
+
 def verify_martingales(
     dec: Decomposition,
     batches: Sequence[ScenarioBatch] = (),
@@ -422,23 +431,31 @@ def verify_martingales(
     whole paths at a time, so none is held decomposed.
     """
     batches = list(batches)
+    _check_batches(dec, batches, solution, model)
+    marks, dt = _audit_marks(dec.times)
+    k_tol = 5.0 * dt if k_increment_tol is None else float(k_increment_tol)
+    ref = _path_stats(_dec_blocks(dec), marks, k_tol=k_tol)
+    return _verification(dec, ref, batches, solution, model, k_tol)
+
+
+def _check_batches(dec: Decomposition, batches: list, solution, model) -> None:
     if batches and (solution is None or model is None):
         raise ShapeError("decomposing extra batches needs solution and model")
-
     n_steps = dec.times.size - 1
     dt = float(dec.times[1] - dec.times[0])
-    marks = sorted(set(
-        s for s in (n_steps // 4, n_steps // 2, (3 * n_steps) // 4, n_steps) if s > 0
-    ))
-    k_tol = 5.0 * dt if k_increment_tol is None else float(k_increment_tol)
     for b in batches:
         if b.times.size - 1 != n_steps or abs(b.dt - dt) > 1e-12 * max(1.0, dt):
             raise ShapeError("all batches must share the reference time grid")
 
-    sources = [(dec.control_label, _dec_blocks(dec))] + [
-        (b.control_label, _path_blocks(b, solution, model, dec.lam)) for b in batches]
-    checks = [_martingale_check(_path_stats(blocks, marks, k_tol=k_tol), label, marks, dt)
-              for label, blocks in sources]
+
+def _verification(dec: Decomposition, ref_stats: dict, batches: list, solution, model,
+                  k_tol: float) -> VerificationReport:
+    """The report of ``verify_martingales``, the reference's path figures given."""
+    marks, dt = _audit_marks(dec.times)
+    checks = [_martingale_check(ref_stats, dec.control_label, marks, dt)] + [
+        _martingale_check(_path_stats(_path_blocks(b, solution, model, dec.lam), marks,
+                                      k_tol=k_tol), b.control_label, marks, dt)
+        for b in batches]
 
     ref = checks[0]
     degenerate = bool(model.uncertainty.degenerate) if model is not None else False
@@ -455,6 +472,21 @@ def verify_martingales(
         degenerate_set=degenerate,
         classical_k_max=float(classical_k_max),
     )
+
+
+def _audit_decomposition(dec: Decomposition, n_audit: int, batches: Sequence[ScenarioBatch],
+                         solution, model: ModelSpec):
+    """``verify_martingales`` of the first ``n_audit`` paths of ``dec`` against
+    ``batches``, and ``verify_bsde_residual`` of all of ``dec``, from one
+    reduction of ``dec``: its path figures do not depend on the other paths."""
+    batches = list(batches)
+    _check_batches(dec, batches, solution, model)
+    marks, dt = _audit_marks(dec.times)
+    window, keep = _window(dec.times, None)
+    stats = _path_stats(_dec_blocks(dec), marks, keep=keep, k_tol=5.0 * dt)
+    head = {name: values[:n_audit] for name, values in stats.items()}
+    return (_verification(dec, head, batches, solution, model, 5.0 * dt),
+            _residual(stats, keep, window))
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +533,14 @@ def verify_bsde_residual(
     which is decomposed and reduced one block of whole paths at a time.
     """
     lam = _resolve_lam(solution, lam)
-    return _residual(_path_blocks(batch, solution, model, lam), batch.times, window)
+    window, keep = _window(batch.times, window)
+    stats = _path_stats(_path_blocks(batch, solution, model, lam), keep=keep)
+    return _residual(stats, keep, window)
 
 
-def _residual(blocks, times: np.ndarray, window: tuple | None = None) -> BsdeResidualReport:
-    """The per-step residual report of a stream of whole-path blocks."""
+def _window(times: np.ndarray, window: tuple | None) -> tuple:
+    """The audited window (t0, t1), the whole batch by default, and the mask of
+    the steps inside it."""
     t0, t1 = (float(times[0]), float(times[-1])) if window is None else (
         float(window[0]), float(window[1]))
     if not (times[0] - 1e-12 <= t0 < t1 <= times[-1] + 1e-12):
@@ -516,7 +551,11 @@ def _residual(blocks, times: np.ndarray, window: tuple | None = None) -> BsdeRes
     keep = (times[:-1] >= t0 - 1e-12) & (times[1:] <= t1 + 1e-12)
     if not np.any(keep):
         raise ShapeError("window contains no full simulation step")
-    stats = _path_stats(blocks, keep=keep)
+    return (t0, t1), keep
+
+
+def _residual(stats: dict, keep: np.ndarray, window: tuple) -> BsdeResidualReport:
+    """The per-step residual report from the path figures of ``_path_stats``."""
     n_steps = int(np.count_nonzero(keep))
     return BsdeResidualReport(
         max_abs_step=float(np.max(stats["step_max"])),
@@ -525,5 +564,5 @@ def _residual(blocks, times: np.ndarray, window: tuple | None = None) -> BsdeRes
         mean_final_cumulative=float(np.mean(stats["cum_final"])),
         n_paths=int(stats["cum_final"].size),
         n_steps=n_steps,
-        window=(t0, t1),
+        window=window,
     )

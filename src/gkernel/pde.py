@@ -47,6 +47,7 @@ from .errors import (
     CflError,
     ConvergenceError,
     DivergenceError,
+    EvaluationError,
     IterationError,
     ShapeError,
 )
@@ -297,12 +298,39 @@ class _Interp:
         xc = self._clamp(x)
         return np.max(np.abs(x - xc) / (self._hi - self._lo), axis=-1)
 
+    def cells(self, x: np.ndarray) -> np.ndarray:
+        """The cell each query reads its fields from: the left node in 1D, the
+        lower-left node (row-major) in 2D.  A NaN query gets some cell."""
+        xc = self._clamp(x)
+        if self.grid.m == 1:
+            return self._cell_1d(xc[:, 0])[1]
+        return self._locate(xc)[0]
+
+    def cell_bounds(self) -> tuple:
+        """Least and greatest node value of each derivative field over the corners
+        of each cell, (n, m + m^2) each, the row being the cell's id from ``cells``.
+        The 2D ids of the last row and column of nodes name no cell; they repeat
+        the bounds of the cell next to them."""
+        if self.grid.m == 1:
+            d = self._derivs[0]
+            return np.minimum(d[:-1], d[1:]), np.maximum(d[:-1], d[1:])
+        f = self._derivs.reshape(self.grid.nodes + (-1,))
+        corners = (f[:-1, :-1], f[1:, :-1], f[:-1, 1:], f[1:, 1:])
+        pad = ((0, 1), (0, 1), (0, 0))
+        return tuple(np.pad(bound.reduce(corners), pad, mode="edge").reshape(self._derivs.shape)
+                     for bound in (np.minimum, np.maximum))
+
+    def _cell_1d(self, x: np.ndarray) -> tuple:
+        """The node at or left of each clamped 1D query, and the left node of the
+        cell used for slopes (the last node's is the cell before it)."""
+        j = _uniform_cell(self._axis_inf, x)
+        return j, np.minimum(j, self.axes[0].size - 2)
+
     def _locate(self, xc: np.ndarray) -> tuple:
         if self.grid.m == 1:
             a = self.axes[0]
             x = xc[:, 0]
-            j = _uniform_cell(self._axis_inf, x)
-            jl = np.minimum(j, a.size - 2)  # left node of the cell used for slopes
+            j, jl = self._cell_1d(x)
             hits = np.flatnonzero(a.take(j) == x)
             return jl, x - a.take(jl), hits, j.take(hits)
         a0, a1 = self.axes
@@ -511,6 +539,100 @@ def hamiltonian_H(x, u_val, grad, hess, model: ModelSpec, mode: str = "pricing")
     uv = np.array([float(u_val)]) if u_val is not None else None
     out = _hamiltonian_batch(model, x, grad, hess, uv, mode=mode)
     return out[0]
+
+
+# Certified picks.  When sigma, h - d, 2k and v v^T are constant, the worst-case
+# pick of a stationary pricing-mode solution, the first maximizer over candidates
+# c of s_c = tr(H Q_c) with H formed as above, depends on the cell of the grid
+# only through the cell's interpolated gradient and Hessian, which lie in the box
+# spanned by the cell's node values.  Over that box the gap s_c - s_c' is affine
+# in every Hessian and gradient entry but for z^T (Q_c - Q_c') z, z = sigma^T Du,
+# whose z_i z_j are enclosed by interval products; so interval arithmetic gives a
+# lower bound L of the exact gap.  c is the pick on the whole cell if, against
+# every other c', L > K u B, u = 2^-53 and B = sum_ij (|Q_c| + |Q_c'|)_ij Hmag_ij,
+# where Hmag_ij sums the magnitudes of the terms of H_ij over the cell.  In units
+# of u B the computed s_c - s_c' falls short of L by at most (to first order,
+# m <= 2, a chain of n roundings counted as n):
+#   14          reading the fields: each is within 7u of a convex combination of
+#               its node values (1D: quotient, product, sum; 2D: two products per
+#               weight, the weight and three sums), doubled in z_i z_j;
+#   10          forming H: sigma^T hess sigma, two products and four sums per term,
+#               then four sums of the five parts;
+#   d^2         the two scores, each a sum of d^2 products;
+#   2 d^2 + 11  computing L: Q_c - Q_c', sigma D sigma^T, the h - d and z
+#               contractions, the interval ends and the m^2 + m + d^2 + 1 sums.
+# That is 35 + 3 d^2, and 2 (35 + 3 d^2) <= 1024 = K with room for the second-order
+# terms while d <= 12.  Each computed score then errs by less than half the margin,
+# so s_c > s_c' holds as computed, strictly, for every query in the cell.
+# Rounding stays relative: the model's nonzero constants lie in [2^-100, 2^100] and
+# a certified cell's B in [2^-600, 2^600], so no sum or product overflows, and an
+# underflow, at most 2^-1075 times the later factors, stays far below u B.
+# Candidates equal entry for entry score equal, so the first of them wins.
+_CERT_K = 1024.0
+_CERT_MAX_D = 12
+
+
+def _within(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    mag = np.abs(a)
+    return (mag >= lo) & (mag <= hi)
+
+
+def _certified_candidates(solution, model: ModelSpec) -> tuple | None:
+    """The candidate the pricing-mode pick returns on each grid cell of ``solution``.
+
+    The pick is ``_best_candidate`` of ``_hamiltonian_batch`` at the gradient and
+    Hessian the solution's interpolant reads.  Returns the candidates, -1 where
+    the certificate above cannot decide, and the function giving the cell id of
+    each query (``_Interp.cells``) that indexes them.  None unless ``solution``
+    is stationary and the model's sigma, h - d, 2k and v v^T are constant, with
+    d <= 12 and every constant in range.
+    """
+    u = solution.u if isinstance(solution, ErgodicSolution) else solution
+    if not (isinstance(u, PdeSolution) and u.kind == "stationary") or model.d > _CERT_MAX_D:
+        return None
+    interp = u._interp(None)
+    one = interp._lo[None, :]
+    try:
+        tensors = [model._constant(name, one) for name in ("sigma", "h_eff", "two_k", "vv")]
+    except EvaluationError:  # a non-finite constant: the pick raises it, as before
+        return None
+    if any(t is None for t in tensors):
+        return None
+    sig, heff, two_k, vv = (t[0] for t in tensors)
+    cands = np.stack(model.uncertainty.candidates())
+    if not all(np.all(_within(a[a != 0.0], 2.0**-100, 2.0**100))
+               for a in (sig, heff, two_k, vv, cands)):
+        return None
+
+    m = model.m
+    lo, hi = interp.cell_bounds()
+    mag = np.maximum(np.abs(lo), np.abs(hi))
+    (glo, hlo), (ghi, hhi), (gmag, hmag) = ((a[:, :m], a[:, m:]) for a in (lo, hi, mag))
+    # z = sigma^T grad per coordinate, and z_i z_j, as intervals
+    zlo = sum(np.minimum(glo[:, l, None] * sig[l], ghi[:, l, None] * sig[l]) for l in range(m))
+    zhi = sum(np.maximum(glo[:, l, None] * sig[l], ghi[:, l, None] * sig[l]) for l in range(m))
+    ends = [a[:, :, None] * b[:, None, :] for a in (zlo, zhi) for b in (zlo, zhi)]
+    zzlo, zzhi = np.minimum.reduce(ends), np.maximum.reduce(ends)
+    zmag = gmag @ np.abs(sig)
+    hterms = (np.einsum("nab,ai,bj->nij", hmag.reshape(-1, m, m), np.abs(sig), np.abs(sig))
+              + 2.0 * np.einsum("nl,ijl->nij", gmag, np.abs(heff))
+              + np.abs(two_k) + np.abs(vv) + zmag[:, :, None] * zmag[:, None, :])
+
+    ok = np.ones((lo.shape[0], len(cands)), dtype=bool)
+    for c, other in itertools.permutations(range(len(cands)), 2):
+        if np.array_equal(cands[c], cands[other]):
+            ok[:, c] &= c < other
+            continue
+        gap = cands[c] - cands[other]
+        alpha = (sig @ gap @ sig.T).ravel()           # per Hessian entry (a, b)
+        beta = 2.0 * np.einsum("ij,ijl->l", gap, heff)  # per gradient entry
+        low = (np.minimum(alpha * hlo, alpha * hhi).sum(axis=1)
+               + np.minimum(beta * glo, beta * ghi).sum(axis=1)
+               + np.sum(gap * (vv - two_k))
+               + np.minimum(gap * zzlo, gap * zzhi).sum(axis=(1, 2)))
+        scale = np.einsum("nij,ij->n", hterms, np.abs(cands[c]) + np.abs(cands[other]))
+        ok[:, c] &= (low > _CERT_K * 2.0**-53 * scale) & _within(scale, 2.0**-600, 2.0**600)
+    return np.where(ok.any(axis=1), ok.argmax(axis=1), -1), interp.cells
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Expression grammar, evaluation semantics, and round-trip printing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from gkernel import (
     Affine,
     Constant,
+    EvaluationError,
     ExpressionError,
     Table,
     as_coefficient,
@@ -54,6 +56,27 @@ class TestEvaluation:
         with np.errstate(divide="ignore"):
             assert _at(parse_coefficient("1 / x1"), 0.0) == math.inf
             assert _at(parse_coefficient("-1 / x1"), 0.0) == -math.inf
+
+    def test_ieee_results_warn_nowhere_and_leave_the_error_state(self):
+        x = np.array([[0.0, -1.0], [1e308, 2.0], [-1e308, np.nan]])
+        sources = ["1 / x1", "ln(x2)", "x1 * x1 - x1 * x1", "exp(x1) + sqrt(x2)",
+                   "pow(x1, 3) / min(x1, x2, 0)", "-(x1 * 10) / (x2 - x2)", "-(1 / x1)", "-x2"]
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                values = [parse_coefficient(src)(x) for src in sources]
+                with pytest.raises(EvaluationError):
+                    parse_coefficient("x3 / 0")(x)
+                assert np.geterr() == {**before, "divide": "raise", "over": "raise",
+                                       "invalid": "raise"}
+        assert np.geterr() == before
+        with np.errstate(all="ignore"):  # the same operations, done directly
+            x1, x2 = x[:, 0], x[:, 1]
+            expect = [1 / x1, np.log(x2), x1 * x1 - x1 * x1, np.exp(x1) + np.sqrt(x2),
+                      np.power(x1, 3) / np.minimum(np.minimum(x1, x2), 0.0),
+                      -(x1 * 10.0) / (x2 - x2), -(1 / x1), -x2]
+        assert [v.tobytes() for v in values] == [e.tobytes() for e in expect]
 
     def test_scientific_literals(self):
         assert _at(parse_coefficient("1.5e-3 + 2E2"), 0.0) == pytest.approx(200.0015)

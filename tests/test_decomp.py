@@ -175,6 +175,23 @@ class TestMartingaleAudit:
             monkeypatch.setattr(decomp, "_BLOCK_PATH_STEPS", paths * const_wc_dec.times.size)
             assert reports() == default
 
+    @pytest.mark.parametrize("n_audit", [200, 70])
+    def test_one_reduction_feeds_both_reports(self, const_model, const_sol, const_wc_batch,
+                                              const_wc_dec, n_audit, monkeypatch):
+        extra = [simulate_gsde(const_model, ctl, [0.0], 1.0, 1e-3, n_audit, seed=13)
+                 for ctl in extreme_controls(const_model.uncertainty)]
+        mart = verify_martingales(const_wc_dec.path_slice(0, n_audit), extra, const_sol,
+                                  const_model)
+        bsde = verify_bsde_residual(const_wc_batch, const_sol, const_model)
+        calls = []
+        real = decomp._path_stats
+        monkeypatch.setattr(decomp, "_path_stats",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        got = decomp._audit_decomposition(const_wc_dec, n_audit, extra, const_sol, const_model)
+        assert json.dumps([r.to_dict() for r in got]) == json.dumps([mart.to_dict(),
+                                                                     bsde.to_dict()])
+        assert len(calls) == 1 + len(extra)  # one reduction of the reference
+
     def test_degenerate_set_triggers_classical_check(self):
         model = ModelSpec.build(
             m=1, d=1, b=["-x1"], sigma=[["0.2"]], r=0.0,

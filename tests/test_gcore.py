@@ -11,7 +11,7 @@ from gkernel import (
     g_value,
     g_value_batch,
 )
-from gkernel.gcore import _best_candidate, _candidate_scores, _first_max
+from gkernel.gcore import _best_candidate, _candidate_scores, _first_max, _first_of_two
 
 HALF_OPEN = UncertaintySet.interval(0.5, 1.0)
 
@@ -235,3 +235,50 @@ class TestBestCandidate:
         mats[:3] = [[[np.nan, 0.0], [0.0, 1.0]], np.zeros((2, 2)), -np.zeros((2, 2))]
         assert np.array_equal(_best_candidate(mats, sigma_set),
                               _candidate_scores(mats, sigma_set)[1])
+
+
+class TestPickProperties:
+    """Seeded property test: every pick equals np.argmax of the scores it compares,
+    ties, signed zeros, infinities and NaNs included.  The policy's certified
+    table relies on the same first-max rule."""
+
+    POOL = np.array([-1.0, 0.0, -0.0, 0.5, 2.0, np.inf, -np.inf, np.nan])
+
+    def _scores(self, rng, n, k):
+        scores = rng.choice(self.POOL, size=(n, k))
+        scores[: n // 4, :] = scores[: n // 4, :1]  # every column tied
+        if k > 1:
+            rows = slice(n // 4, n // 2)
+            scores[rows, -1] = scores[rows, -2]  # the last two tied
+        return scores
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_first_max_and_first_of_two(self, k):
+        for seed in range(5):
+            scores = self._scores(np.random.default_rng([k, seed]), 3000, k)
+            expect = np.argmax(scores, axis=-1)
+            assert np.array_equal(_first_max(scores), expect)
+            if k == 2:
+                assert np.array_equal(_first_of_two(scores[:, 0], scores[:, 1]), expect)
+
+    @pytest.mark.parametrize("sigma_set", [
+        UncertaintySet.finite([[[1.0, 0.3], [0.3, 0.8]]]),
+        UncertaintySet.interval(0.7, 0.7),
+        UncertaintySet.interval(0.5, 2.0),
+        UncertaintySet.finite([np.eye(2), [[1.0, 0.5], [0.5, 1.0]]]),
+        UncertaintySet.finite([np.eye(2), [[1.0, 0.5], [0.5, 1.0]], [[0.6, -0.2], [-0.2, 0.9]]]),
+    ], ids=["one", "degenerate", "band", "two", "three"])
+    def test_best_candidate(self, sigma_set):
+        d = sigma_set.dim
+        cands = sigma_set.candidates()
+        for seed in range(5):
+            rng = np.random.default_rng([d, len(cands), seed])
+            mats = rng.choice(self.POOL, size=(3000, d, d))
+            mats = np.where(rng.random(mats.shape) < 0.5, mats, rng.normal(size=mats.shape))
+            mats = np.triu(mats) + np.swapaxes(np.triu(mats, 1), 1, 2)  # symmetric
+            mats[:300] = 0.0
+            mats[300:600] = -0.0
+            with np.errstate(invalid="ignore", over="ignore"):
+                scores = np.stack([np.einsum("nij,ij->n", mats, q) for q in cands], axis=-1)
+                got = _best_candidate(mats, sigma_set)
+            assert np.array_equal(got, np.argmax(scores, axis=-1))

@@ -1,6 +1,7 @@
 """Scenario simulation, streaming deflator estimators, and control policies."""
 
 import collections
+import itertools
 import math
 
 import numpy as np
@@ -822,3 +823,107 @@ class TestStreamingOracle:
         for seed, lo, hi in ((7, 0, 3), (7, 5, 42), (2**64 + 9, 2**64 - 2, 2**64 + 3)):
             got = sim._chunk_draws(seed, lo, hi, 13, d)
             assert got.tobytes() == _oracle_chunk_draws(seed, lo, hi, 13, d).tobytes()
+
+
+def _stand_in(model, grid, values):
+    return PdeSolution(grid=grid, kind="stationary", values=values.reshape(grid.shape))
+
+
+def _degenerate_case():
+    """A single-point interval: the two candidates score equal, so the first wins
+    even where the curvature of the stand-in solution changes sign."""
+    model = ModelSpec.build(m=1, d=1, b=["0.05 - x1"], sigma=[[0.25]], r="0.02 + 0.1 * x1",
+                            uncertainty=UncertaintySet.interval(0.7, 0.7))
+    grid = Grid.build([(-1.5, 1.5)], [33])
+    return model, _stand_in(model, grid, 10.0 * (grid.points()[:, 0] - 0.05) ** 3)
+
+
+def _three_member_case():
+    model = ModelSpec.build(m=2, d=2, b=["-x1", "-0.5 * x2"], sigma=[[0.2, 0.05], [0.0, 0.15]],
+                            r="0.02 + 0.1 * x1", v=[0.2, -0.1],
+                            uncertainty=UncertaintySet.finite(_THREE))
+    return model, solve_ergodic(model, Grid.build([(-1.5, 1.5)] * 2, [17, 16]), tol=1e-9)
+
+
+def _table_queries(grid, rng):
+    """Nodes, one ulp either side of them, cell midpoints and random points on
+    every axis (in 2D every pairing of those), points beyond the grid, and rows
+    with an infinite or a NaN coordinate."""
+    lo = np.array([b[0] for b in grid.bounds])
+    hi = np.array([b[1] for b in grid.bounds])
+    per_axis = []
+    for ax, (a, b) in zip(grid.axes(), grid.bounds):
+        per_axis.append(np.concatenate([
+            ax, np.nextafter(ax, -np.inf), np.nextafter(ax, np.inf), 0.5 * (ax[:-1] + ax[1:]),
+            rng.uniform(a, b, 40), [a - 1.0, b + 0.5]]))
+    mesh = np.meshgrid(*per_axis, indexing="ij")
+    special = [np.inf, -np.inf, np.nan, 0.1]
+    odd = np.array(list(itertools.product(special, repeat=grid.m)))
+    return np.concatenate([
+        np.stack([g.ravel() for g in mesh], axis=-1),
+        rng.uniform(lo, hi, (3000, grid.m)),
+        rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), (1000, grid.m)),
+        odd[np.isnan(odd).any(axis=1) | np.isinf(odd).any(axis=1)],
+    ])
+
+
+TABLE_CASES = {
+    "const_1d": lambda f: (f("const_model"), f("const_sol")),
+    "const_2d": lambda f: _const_kernel_2d(),
+    "ou": lambda f: (f("ou_model"), f("ou_sol")),
+    "switching_2d": lambda f: _switching_model(2),
+    "1d_all_absent": lambda f: _oracle_case(*ORACLE_CASES["1d_all_absent"]),
+    "2d_all_const": lambda f: _oracle_case(*ORACLE_CASES["2d_all_const"]),
+    "degenerate": lambda f: _degenerate_case(),
+    "three_member": lambda f: _three_member_case(),
+}
+
+
+class TestPickTable:
+    """The worst-case policy's certified per-cell table returns the pick of the
+    full evaluation on every query: the oracle is a policy on the same pick
+    without a table."""
+
+    @pytest.mark.parametrize("case", list(TABLE_CASES))
+    def test_table_pick_equals_the_full_pick(self, case, request):
+        model, solution = TABLE_CASES[case](request.getfixturevalue)
+        policy = worst_case_policy(solution, model)
+        assert policy.table is not None
+        reference = sim._CandidatePolicy(policy.pick, policy.candidates, "reference")
+        x = _table_queries(solution.grid, np.random.default_rng(len(case)))
+        got = policy.matrices_and_roots(0.0, x, coeffs=model.evaluate(x))
+        ref = reference.matrices_and_roots(0.0, x)
+        for a, b in zip(got, ref):
+            assert np.ascontiguousarray(a).tobytes() == b.tobytes()
+        assert np.array_equal(policy.matrices(0.0, x), ref[0])
+        open_cells = policy.table < 0
+        if case in ("switching_2d", "1d_all_absent", "2d_all_const"):
+            # the table decides some cells for several candidates and leaves others open
+            assert open_cells.any() and len(np.unique(policy.table[~open_cells])) >= 2
+            assert policy.uniform is None
+        else:
+            assert policy.uniform is not None
+
+    def test_uniform_table_reads_no_derivatives(self, const_model, const_sol, monkeypatch):
+        policy = worst_case_policy(const_sol, const_model)
+        calls = []
+        real = pde.PdeSolution.derivatives_at
+        monkeypatch.setattr(pde.PdeSolution, "derivatives_at",
+                            lambda self, *a, **k: calls.append(1) or real(self, *a, **k))
+        x = np.random.default_rng(3).uniform(-4.0, 4.0, (500, 1))
+        policy.matrices_and_roots(0.0, x)
+        assert calls == []
+        x[7] = np.nan  # a NaN row goes through the full pick
+        q, _ = policy.matrices_and_roots(0.0, x)
+        assert len(calls) == 1 and q[7, 0, 0] == const_model.uncertainty.hi
+
+    def test_models_and_solutions_without_a_table(self, ou_model):
+        switching, sol = _switching_model(1)  # k = 0.3 x1 depends on the state
+        assert worst_case_policy(sol, switching).table is None
+        stateful = _oracle_case(*ORACLE_CASES["1d_h_state_k_absent_v_const_sigma_state"])
+        assert worst_case_policy(stateful[1], stateful[0]).table is None
+        generic_model, generic_sol = _oracle_case(*ORACLE_CASES["1d_generic"])
+        assert worst_case_policy(generic_sol, generic_model, "generic").table is None
+        grid = Grid.build([(-2.0, 2.0)], [33], horizon=0.5, time_steps=400)
+        parabolic = pde.solve_parabolic(ou_model, grid, np.zeros(grid.shape))
+        assert worst_case_policy(parabolic, ou_model).table is None
