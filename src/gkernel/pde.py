@@ -591,6 +591,8 @@ def _certified_candidates(solution, model: ModelSpec) -> tuple | None:
     if not (isinstance(u, PdeSolution) and u.kind == "stationary") or model.d > _CERT_MAX_D:
         return None
     interp = u._interp(None)
+    if interp.grid.m != model.m:  # the pick fails on such a pair, as before
+        return None
     one = interp._lo[None, :]
     try:
         tensors = [model._constant(name, one) for name in ("sigma", "h_eff", "two_k", "vv")]
