@@ -402,15 +402,6 @@ def _martingale_check(stats: dict, label: str, marks: list[int], dt: float) -> M
     )
 
 
-def _audit_marks(times: np.ndarray) -> tuple[list[int], float]:
-    """The audit's checkpoint steps, the quarter points of the horizon, and dt."""
-    n_steps = times.size - 1
-    marks = sorted(set(
-        s for s in (n_steps // 4, n_steps // 2, (3 * n_steps) // 4, n_steps) if s > 0
-    ))
-    return marks, float(times[1] - times[0])
-
-
 def verify_martingales(
     dec: Decomposition,
     batches: Sequence[ScenarioBatch] = (),
@@ -431,14 +422,16 @@ def verify_martingales(
     whole paths at a time, so none is held decomposed.
     """
     batches = list(batches)
-    _check_batches(dec, batches, solution, model)
-    marks, dt = _audit_marks(dec.times)
-    k_tol = 5.0 * dt if k_increment_tol is None else float(k_increment_tol)
-    ref = _path_stats(_dec_blocks(dec), marks, k_tol=k_tol)
-    return _verification(dec, ref, batches, solution, model, k_tol)
+    plan = _audit_plan(dec, batches, solution, model, k_increment_tol)
+    ref = _path_stats(_dec_blocks(dec), plan[0], k_tol=plan[2])
+    return _verification(dec, ref, batches, solution, model, plan)
 
 
-def _check_batches(dec: Decomposition, batches: list, solution, model) -> None:
+def _audit_plan(dec: Decomposition, batches: list, solution, model,
+                k_increment_tol: float | None) -> tuple[list[int], float, float]:
+    """Check that every batch can be audited against ``dec``; the audit's
+    checkpoint steps (the quarter points of the horizon), dt and per-step K
+    tolerance (5 dt by default)."""
     if batches and (solution is None or model is None):
         raise ShapeError("decomposing extra batches needs solution and model")
     n_steps = dec.times.size - 1
@@ -446,12 +439,17 @@ def _check_batches(dec: Decomposition, batches: list, solution, model) -> None:
     for b in batches:
         if b.times.size - 1 != n_steps or abs(b.dt - dt) > 1e-12 * max(1.0, dt):
             raise ShapeError("all batches must share the reference time grid")
+    marks = sorted(set(
+        s for s in (n_steps // 4, n_steps // 2, (3 * n_steps) // 4, n_steps) if s > 0
+    ))
+    k_tol = 5.0 * dt if k_increment_tol is None else float(k_increment_tol)
+    return marks, dt, k_tol
 
 
 def _verification(dec: Decomposition, ref_stats: dict, batches: list, solution, model,
-                  k_tol: float) -> VerificationReport:
+                  plan: tuple) -> VerificationReport:
     """The report of ``verify_martingales``, the reference's path figures given."""
-    marks, dt = _audit_marks(dec.times)
+    marks, dt, k_tol = plan
     checks = [_martingale_check(ref_stats, dec.control_label, marks, dt)] + [
         _martingale_check(_path_stats(_path_blocks(b, solution, model, dec.lam), marks,
                                       k_tol=k_tol), b.control_label, marks, dt)
@@ -480,12 +478,11 @@ def _audit_decomposition(dec: Decomposition, n_audit: int, batches: Sequence[Sce
     ``batches``, and ``verify_bsde_residual`` of all of ``dec``, from one
     reduction of ``dec``: its path figures do not depend on the other paths."""
     batches = list(batches)
-    _check_batches(dec, batches, solution, model)
-    marks, dt = _audit_marks(dec.times)
+    plan = _audit_plan(dec, batches, solution, model, None)
     window, keep = _window(dec.times, None)
-    stats = _path_stats(_dec_blocks(dec), marks, keep=keep, k_tol=5.0 * dt)
+    stats = _path_stats(_dec_blocks(dec), plan[0], keep=keep, k_tol=plan[2])
     head = {name: values[:n_audit] for name, values in stats.items()}
-    return (_verification(dec, head, batches, solution, model, 5.0 * dt),
+    return (_verification(dec, head, batches, solution, model, plan),
             _residual(stats, keep, window))
 
 

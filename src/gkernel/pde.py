@@ -298,39 +298,24 @@ class _Interp:
         xc = self._clamp(x)
         return np.max(np.abs(x - xc) / (self._hi - self._lo), axis=-1)
 
-    def cells(self, x: np.ndarray) -> np.ndarray:
-        """The cell each query reads its fields from: the left node in 1D, the
-        lower-left node (row-major) in 2D.  A NaN query gets some cell."""
-        xc = self._clamp(x)
-        if self.grid.m == 1:
-            return self._cell_1d(xc[:, 0])[1]
-        return self._locate(xc)[0]
-
     def cell_bounds(self) -> tuple:
         """Least and greatest node value of each derivative field over the corners
-        of each cell, (n, m + m^2) each, the row being the cell's id from ``cells``.
-        The 2D ids of the last row and column of nodes name no cell; they repeat
-        the bounds of the cell next to them."""
+        of each cell, (cells, m + m^2) each: every query, clamped, reads a convex
+        combination of one cell's corner values."""
         if self.grid.m == 1:
             d = self._derivs[0]
             return np.minimum(d[:-1], d[1:]), np.maximum(d[:-1], d[1:])
         f = self._derivs.reshape(self.grid.nodes + (-1,))
         corners = (f[:-1, :-1], f[1:, :-1], f[:-1, 1:], f[1:, 1:])
-        pad = ((0, 1), (0, 1), (0, 0))
-        return tuple(np.pad(bound.reduce(corners), pad, mode="edge").reshape(self._derivs.shape)
+        return tuple(bound.reduce(corners).reshape(-1, f.shape[-1])
                      for bound in (np.minimum, np.maximum))
-
-    def _cell_1d(self, x: np.ndarray) -> tuple:
-        """The node at or left of each clamped 1D query, and the left node of the
-        cell used for slopes (the last node's is the cell before it)."""
-        j = _uniform_cell(self._axis_inf, x)
-        return j, np.minimum(j, self.axes[0].size - 2)
 
     def _locate(self, xc: np.ndarray) -> tuple:
         if self.grid.m == 1:
             a = self.axes[0]
             x = xc[:, 0]
-            j, jl = self._cell_1d(x)
+            j = _uniform_cell(self._axis_inf, x)
+            jl = np.minimum(j, a.size - 2)  # left node of the cell used for slopes
             hits = np.flatnonzero(a.take(j) == x)
             return jl, x - a.take(jl), hits, j.take(hits)
         a0, a1 = self.axes
@@ -567,7 +552,9 @@ def hamiltonian_H(x, u_val, grad, hess, model: ModelSpec, mode: str = "pricing")
 # Rounding stays relative: the model's nonzero constants lie in [2^-100, 2^100] and
 # a certified cell's B in [2^-600, 2^600], so no sum or product overflows, and an
 # underflow, at most 2^-1075 times the later factors, stays far below u B.
-# Candidates equal entry for entry score equal, so the first of them wins.
+# Candidates equal entry for entry score equal, so the first of them wins.  Only a
+# candidate certified on every cell is used: it is the pick at every point, read
+# with no cell lookup, and a query beyond the grid reads an edge cell's fields.
 _CERT_K = 1024.0
 _CERT_MAX_D = 12
 
@@ -577,15 +564,14 @@ def _within(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return (mag >= lo) & (mag <= hi)
 
 
-def _certified_candidates(solution, model: ModelSpec) -> tuple | None:
-    """The candidate the pricing-mode pick returns on each grid cell of ``solution``.
+def _certified_candidate(solution, model: ModelSpec) -> int | None:
+    """The candidate the pricing-mode pick returns at every point of ``solution``.
 
     The pick is ``_best_candidate`` of ``_hamiltonian_batch`` at the gradient and
-    Hessian the solution's interpolant reads.  Returns the candidates, -1 where
-    the certificate above cannot decide, and the function giving the cell id of
-    each query (``_Interp.cells``) that indexes them.  None unless ``solution``
-    is stationary and the model's sigma, h - d, 2k and v v^T are constant, with
-    d <= 12 and every constant in range.
+    Hessian the solution's interpolant reads; the certificate above must hold
+    for the candidate on every grid cell.  None when it holds for no candidate,
+    or unless ``solution`` is stationary and the model's sigma, h - d, 2k and
+    v v^T are constant, with d <= 12 and every constant in range.
     """
     u = solution.u if isinstance(solution, ErgodicSolution) else solution
     if not (isinstance(u, PdeSolution) and u.kind == "stationary") or model.d > _CERT_MAX_D:
@@ -620,11 +606,10 @@ def _certified_candidates(solution, model: ModelSpec) -> tuple | None:
               + 2.0 * np.einsum("nl,ijl->nij", gmag, np.abs(heff))
               + np.abs(two_k) + np.abs(vv) + zmag[:, :, None] * zmag[:, None, :])
 
-    ok = np.ones((lo.shape[0], len(cands)), dtype=bool)
-    for c, other in itertools.permutations(range(len(cands)), 2):
+    def beats(c: int, other: int) -> bool:
+        """Whether the pick prefers c to ``other`` at every point, as computed."""
         if np.array_equal(cands[c], cands[other]):
-            ok[:, c] &= c < other
-            continue
+            return c < other
         gap = cands[c] - cands[other]
         alpha = (sig @ gap @ sig.T).ravel()           # per Hessian entry (a, b)
         beta = 2.0 * np.einsum("ij,ijl->l", gap, heff)  # per gradient entry
@@ -633,8 +618,11 @@ def _certified_candidates(solution, model: ModelSpec) -> tuple | None:
                + np.sum(gap * (vv - two_k))
                + np.minimum(gap * zzlo, gap * zzhi).sum(axis=(1, 2)))
         scale = np.einsum("nij,ij->n", hterms, np.abs(cands[c]) + np.abs(cands[other]))
-        ok[:, c] &= (low > _CERT_K * 2.0**-53 * scale) & _within(scale, 2.0**-600, 2.0**600)
-    return np.where(ok.any(axis=1), ok.argmax(axis=1), -1), interp.cells
+        return bool(np.all((low > _CERT_K * 2.0**-53 * scale)
+                           & _within(scale, 2.0**-600, 2.0**600)))
+
+    return next((c for c in range(len(cands))
+                 if all(beats(c, other) for other in range(len(cands)) if other != c)), None)
 
 
 # ---------------------------------------------------------------------------

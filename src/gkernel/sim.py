@@ -35,7 +35,7 @@ from .coefficients import as_coefficient
 from .errors import DivergenceError, InvalidSetError, ShapeError
 from .gcore import UncertaintySet, _best_candidate
 from .model import ModelSpec
-from .pde import _certified_candidates, _hamiltonian_batch, _normalize_mode
+from .pde import _certified_candidate, _hamiltonian_batch, _normalize_mode
 
 __all__ = [
     "VolControl",
@@ -193,40 +193,32 @@ class _CandidatePolicy(FeedbackControl):
 
     ``pick(t, x, coeffs)`` returns indices into ``candidates``; the square
     roots of the candidates are taken once instead of on every step.
-    ``table``, when given, is a pair: per cell id the index that ``pick``
-    returns on the whole cell, or -1, and the function ``cells(x)`` giving
-    each row's cell id.  Rows in a -1 cell and rows with a NaN coordinate go
-    through ``pick``.  A table with one index on every cell is read without
-    a cell lookup.
+    ``uniform``, when given, is the index ``pick`` returns at every point:
+    rows then read it, and only rows with a NaN coordinate go through
+    ``pick``.  ``matrices`` returns a fresh array; ``matrices_and_roots``
+    may return read-only views, as ``ConstantControl``'s does.
     """
 
     def __init__(self, pick: Callable[..., np.ndarray], candidates: np.ndarray, label: str,
-                 table: tuple | None = None):
-        super().__init__(self.matrices, label=label)
+                 uniform: int | None = None):
+        # both public reads gather from the same indices
+        super().__init__(lambda t, x: candidates.take(self._indices(t, x, None), axis=0),
+                         label=label)
         self.pick = pick
         self.candidates = candidates
         self.roots = _sqrt_psd(candidates)
-        self.table, self.cells = table or (None, None)
-        picks, self.uniform = self.table, None
-        if picks is not None and picks[0] >= 0 and np.all(picks == picks[0]):
-            self.uniform = int(picks[0])
+        self.uniform = uniform
         self._views: dict = {}
 
     def _indices(self, t: float, x: np.ndarray, coeffs) -> np.ndarray:
-        if self.table is None:
+        if self.uniform is None:
             return self.pick(t, x, coeffs)
-        if self.uniform is not None:
-            idx = np.full(x.shape[0], self.uniform)
-        else:
-            idx = self.table.take(self.cells(x))
-        redo = (idx < 0) | np.isnan(x).any(axis=1)
-        if redo.any():
+        idx = np.full(x.shape[0], self.uniform)
+        nan = np.isnan(x).any(axis=1)
+        if nan.any():
             # the bundle covers all rows; the pick evaluates the model on its own
-            idx[redo] = self.pick(t, x[redo], None)
+            idx[nan] = self.pick(t, x[nan], None)
         return idx
-
-    def matrices(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.matrices_and_roots(t, x)[0]
 
     def matrices_and_roots(self, t: float, x: np.ndarray,
                            coeffs=None) -> tuple[np.ndarray, np.ndarray]:
@@ -250,12 +242,13 @@ def worst_case_policy(solution, model: ModelSpec, mode: str = "pricing") -> Feed
     range.
 
     For a stationary solution in pricing mode, on a model whose sigma,
-    h - d_ij, k and v are constant, the candidate of each grid cell is
-    certified once, here (``pde._certified_candidates``), and each step
-    reads it from that table.  Rows in a cell the certificate leaves open,
-    rows with a NaN coordinate, and every row of any other model, solution
-    or mode take the full evaluation of H.  The picks, and every output,
-    are the same either way.
+    h - d_ij, k and v are constant, the pick is certified once, here
+    (``pde._certified_candidate``): when one candidate wins on every grid
+    cell with a margin above the rounding error, each step returns it
+    without evaluating H.  Rows with a NaN coordinate, every model or
+    solution on which no candidate wins everywhere, and any other model,
+    solution or mode take the full evaluation of H.  The picks, and every
+    output, are the same either way.
     """
     # the pricing-mode Hamiltonian does not read the value itself
     needs_value = _normalize_mode(mode) == "generic"
@@ -269,8 +262,8 @@ def worst_case_policy(solution, model: ModelSpec, mode: str = "pricing") -> Feed
         return _best_candidate(hmat, model.uncertainty)
 
     cands = np.stack(model.uncertainty.candidates())
-    table = None if needs_value else _certified_candidates(solution, model)
-    return _CandidatePolicy(pick, cands, label="worst_case", table=table)
+    uniform = None if needs_value else _certified_candidate(solution, model)
+    return _CandidatePolicy(pick, cands, label="worst_case", uniform=uniform)
 
 
 def extreme_controls(sigma_set: UncertaintySet) -> list[ConstantControl]:

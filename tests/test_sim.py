@@ -838,6 +838,25 @@ def _degenerate_case():
     return model, _stand_in(model, grid, 10.0 * (grid.points()[:, 0] - 0.05) ** 3)
 
 
+def _interior_switch_case(m):
+    """Every node picks the high volatility, but inside the middle cells, where
+    the gradient u_1 = 200 x1 changes sign, the quadratic term (sigma^T Du)^2
+    drops and the low one wins: H = u_11 - 2k + u_1^2 = 200 - 250 + u_1^2."""
+    model = ModelSpec.build(m=m, d=1, b=["-x1", "-x2"][:m], sigma=[[1.0], [0.0]][:m], r=0.02,
+                            k=[[125.0]], uncertainty=UncertaintySet.interval(0.5, 1.5))
+    grid = Grid.build([(-1.05, 1.05), (-1.0, 1.0)][:m], [22, 16][:m])  # x1 = +-0.05, not 0
+    return model, _stand_in(model, grid, 100.0 * grid.points()[:, 0] ** 2)
+
+
+def _rounding_tie_case():
+    """H = -2k + u'^2 = -1 + 1 up to the rounding of the interpolated gradient of
+    u = x1, so the computed pick flips between the candidates across the grid."""
+    model = ModelSpec.build(m=1, d=1, b=["-x1"], sigma=[[1.0]], r=0.02, k=[[0.5]],
+                            uncertainty=UncertaintySet.interval(0.5, 1.5))
+    grid = Grid.build([(-1.05, 1.05)], [22])
+    return model, _stand_in(model, grid, grid.points()[:, 0])
+
+
 def _three_member_case():
     model = ModelSpec.build(m=2, d=2, b=["-x1", "-0.5 * x2"], sigma=[[0.2, 0.05], [0.0, 0.15]],
                             r="0.02 + 0.1 * x1", v=[0.2, -0.1],
@@ -876,35 +895,39 @@ TABLE_CASES = {
     "2d_all_const": lambda f: _oracle_case(*ORACLE_CASES["2d_all_const"]),
     "degenerate": lambda f: _degenerate_case(),
     "three_member": lambda f: _three_member_case(),
+    "interior_switch_1d": lambda f: _interior_switch_case(1),
+    "interior_switch_2d": lambda f: _interior_switch_case(2),
+    "rounding_tie": lambda f: _rounding_tie_case(),
 }
+# the full pick returns more than one candidate on these, so none may be certified
+SWITCHING_CASES = ("switching_2d", "1d_all_absent", "2d_all_const", "interior_switch_1d",
+                   "interior_switch_2d", "rounding_tie")
 
 
 class TestPickTable:
-    """The worst-case policy's certified per-cell table returns the pick of the
-    full evaluation on every query: the oracle is a policy on the same pick
-    without a table."""
+    """The worst-case policy's certified candidate is the pick of the full
+    evaluation on every query: the oracle is a policy on the same pick
+    without a certified candidate."""
 
     @pytest.mark.parametrize("case", list(TABLE_CASES))
-    def test_table_pick_equals_the_full_pick(self, case, request):
+    def test_certified_pick_equals_the_full_pick(self, case, request):
         model, solution = TABLE_CASES[case](request.getfixturevalue)
         policy = worst_case_policy(solution, model)
-        assert policy.table is not None
         reference = sim._CandidatePolicy(policy.pick, policy.candidates, "reference")
         x = _table_queries(solution.grid, np.random.default_rng(len(case)))
         got = policy.matrices_and_roots(0.0, x, coeffs=model.evaluate(x))
         ref = reference.matrices_and_roots(0.0, x)
         for a, b in zip(got, ref):
             assert np.ascontiguousarray(a).tobytes() == b.tobytes()
-        assert np.array_equal(policy.matrices(0.0, x), ref[0])
-        open_cells = policy.table < 0
-        if case in ("switching_2d", "1d_all_absent", "2d_all_const"):
-            # the table decides some cells for several candidates and leaves others open
-            assert open_cells.any() and len(np.unique(policy.table[~open_cells])) >= 2
-            assert policy.uniform is None
+        assert policy.matrices(0.0, x).tobytes() == ref[0].tobytes()
+        # a row with a NaN coordinate scores NaN and goes through the full pick
+        picked = len(np.unique(ref[0][~np.isnan(x).any(axis=1)].reshape(-1, model.d**2), axis=0))
+        if case in SWITCHING_CASES:
+            assert picked >= 2 and policy.uniform is None
         else:
-            assert policy.uniform is not None
+            assert picked == 1 and policy.uniform is not None
 
-    def test_uniform_table_reads_no_derivatives(self, const_model, const_sol, monkeypatch):
+    def test_certified_pick_reads_no_derivatives(self, const_model, const_sol, monkeypatch):
         policy = worst_case_policy(const_sol, const_model)
         calls = []
         real = pde.PdeSolution.derivatives_at
@@ -917,13 +940,13 @@ class TestPickTable:
         q, _ = policy.matrices_and_roots(0.0, x)
         assert len(calls) == 1 and q[7, 0, 0] == const_model.uncertainty.hi
 
-    def test_models_and_solutions_without_a_table(self, ou_model):
+    def test_models_and_solutions_without_a_certificate(self, ou_model):
         switching, sol = _switching_model(1)  # k = 0.3 x1 depends on the state
-        assert worst_case_policy(sol, switching).table is None
+        assert pde._certified_candidate(sol, switching) is None
         stateful = _oracle_case(*ORACLE_CASES["1d_h_state_k_absent_v_const_sigma_state"])
-        assert worst_case_policy(stateful[1], stateful[0]).table is None
+        assert pde._certified_candidate(stateful[1], stateful[0]) is None
         generic_model, generic_sol = _oracle_case(*ORACLE_CASES["1d_generic"])
-        assert worst_case_policy(generic_sol, generic_model, "generic").table is None
+        assert worst_case_policy(generic_sol, generic_model, "generic").uniform is None
         grid = Grid.build([(-2.0, 2.0)], [33], horizon=0.5, time_steps=400)
         parabolic = pde.solve_parabolic(ou_model, grid, np.zeros(grid.shape))
-        assert worst_case_policy(parabolic, ou_model).table is None
+        assert pde._certified_candidate(parabolic, ou_model) is None
