@@ -8,175 +8,23 @@ PDEs with a vanishing-damping long-run solver (:mod:`gkernel.pde`),
 scenario simulation (:mod:`gkernel.sim`), the pathwise factorization of
 the deflator with its verification suite (:mod:`gkernel.decomp`), and a
 JSON-configured command line (:mod:`gkernel.cli`).
+
+Each module's ``__all__`` is its public API, and the package re-exports
+all of them: ``__all__`` here is their concatenation.
 """
 
-from .coefficients import (
-    Affine,
-    CoefficientFn,
-    Constant,
-    Expression,
-    Table,
-    as_coefficient,
-    parse_coefficient,
-)
-from .config import (
-    OutputSettings,
-    RunConfig,
-    SimSettings,
-    SolverSettings,
-    build_control,
-    load_config,
-    parse_config,
-)
-from .decomp import (
-    BsdeResidualReport,
-    Decomposition,
-    MartingaleCheck,
-    VerificationReport,
-    compute_components,
-    reconstruct_D,
-    verify_bsde_residual,
-    verify_martingales,
-)
-from .errors import (
-    CflError,
-    ConfigurationError,
-    ConvergenceError,
-    CoverageError,
-    DivergenceError,
-    DomainError,
-    EvaluationError,
-    ExpressionError,
-    GKernelError,
-    InvalidSetError,
-    IterationError,
-    NumericalError,
-    ShapeError,
-)
-from .gcore import (
-    GEvaluation,
-    UncertaintySet,
-    ellipticity_constants,
-    g_value,
-    g_value_batch,
-)
-from .io import write_batch_csv, write_json, write_solution_csv, write_traces_csv
-from .model import (
-    AssumptionReport,
-    Coefficients,
-    CustomUtility,
-    EquilibriumPoint,
-    EquilibriumSpec,
-    LogUtility,
-    ModelSpec,
-    PowerUtility,
-    check_assumptions,
-    equilibrium_model,
-    truncation_level,
-)
-from .pde import (
-    ErgodicSolution,
-    Grid,
-    PdeSolution,
-    ResidualReport,
-    hamiltonian_H,
-    pde_residual,
-    solve_discounted,
-    solve_ergodic,
-    solve_parabolic,
-)
-from .sim import (
-    ConstantControl,
-    FeedbackControl,
-    PiecewiseControl,
-    PriceEstimate,
-    ScenarioBatch,
-    VolControl,
-    YieldEstimate,
-    extreme_controls,
-    long_term_yield_mc,
-    simulate_gsde,
-    upper_price_mc,
-    worst_case_policy,
-)
+from . import coefficients, config, decomp, errors, gcore, io, model, pde, sim
+from .coefficients import *
+from .config import *
+from .decomp import *
+from .errors import *
+from .gcore import *
+from .io import *
+from .model import *
+from .pde import *
+from .sim import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Affine",
-    "AssumptionReport",
-    "BsdeResidualReport",
-    "CflError",
-    "CoefficientFn",
-    "Coefficients",
-    "ConfigurationError",
-    "ConstantControl",
-    "Constant",
-    "ConvergenceError",
-    "CoverageError",
-    "CustomUtility",
-    "Decomposition",
-    "MartingaleCheck",
-    "DivergenceError",
-    "DomainError",
-    "EquilibriumPoint",
-    "EquilibriumSpec",
-    "ErgodicSolution",
-    "EvaluationError",
-    "Expression",
-    "ExpressionError",
-    "FeedbackControl",
-    "GEvaluation",
-    "GKernelError",
-    "Grid",
-    "InvalidSetError",
-    "IterationError",
-    "LogUtility",
-    "VerificationReport",
-    "ModelSpec",
-    "NumericalError",
-    "PdeSolution",
-    "PiecewiseControl",
-    "PowerUtility",
-    "PriceEstimate",
-    "ResidualReport",
-    "RunConfig",
-    "ScenarioBatch",
-    "ShapeError",
-    "SimSettings",
-    "OutputSettings",
-    "SolverSettings",
-    "Table",
-    "UncertaintySet",
-    "VolControl",
-    "YieldEstimate",
-    "as_coefficient",
-    "build_control",
-    "check_assumptions",
-    "compute_components",
-    "ellipticity_constants",
-    "equilibrium_model",
-    "extreme_controls",
-    "g_value",
-    "g_value_batch",
-    "hamiltonian_H",
-    "load_config",
-    "long_term_yield_mc",
-    "parse_coefficient",
-    "parse_config",
-    "pde_residual",
-    "reconstruct_D",
-    "simulate_gsde",
-    "solve_discounted",
-    "solve_ergodic",
-    "solve_parabolic",
-    "truncation_level",
-    "upper_price_mc",
-    "verify_bsde_residual",
-    "verify_martingales",
-    "worst_case_policy",
-    "write_batch_csv",
-    "write_json",
-    "write_solution_csv",
-    "write_traces_csv",
-]
+__all__ = [name for module in (coefficients, config, decomp, errors, gcore, io, model, pde, sim)
+           for name in module.__all__]

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig, _path_count, build_control, load_config
@@ -100,15 +101,8 @@ def _solve(cfg: RunConfig, args):
         if not report.clauses["iv"]:
             warnings.warn(f"dissipativity margin is not positive (gap = {report.gap:.4g}); "
                           "the long-horizon limit may be unreliable", stacklevel=2)
-    s = cfg.solver
-    tol = args.tol if args.tol is not None else s.tol
-    return solve_ergodic(
-        cfg.model, cfg.grid,
-        delta0=s.delta0, tol=tol, gamma1=s.gamma1, gamma2=s.gamma2,
-        mode=s.mode, tol_inner=s.tol_inner, max_sweeps=s.max_sweeps,
-        max_halvings=s.max_halvings, anchor=s.anchor,
-        gradient_cap=s.gradient_cap,
-    )
+    settings = cfg.solver if args.tol is None else replace(cfg.solver, tol=args.tol)
+    return solve_ergodic(cfg.model, cfg.grid, **vars(settings))
 
 
 def _solution_payload(sol) -> dict:

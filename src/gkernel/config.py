@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +45,6 @@ _MODEL_KEYS = {"m", "d", "b", "sigma", "r", "k", "v", "h"}
 _UNC_KEYS_INTERVAL = {"kind", "lo", "hi"}
 _UNC_KEYS_FINITE = {"kind", "members"}
 _GRID_KEYS = {"bounds", "nodes", "horizon", "time_steps"}
-_SOLVER_KEYS = {
-    "delta0", "tol", "tol_inner", "gamma1", "gamma2", "max_halvings",
-    "max_sweeps", "mode", "anchor", "gradient_cap",
-}
 _SIM_KEYS = {"x0", "horizon", "dt", "n_steps", "n_paths", "seed", "control",
              "checkpoints"}
 _BOX_KEYS = {"bounds", "nodes"}
@@ -238,35 +234,33 @@ def _parse_solver(obj, m: int) -> SolverSettings:
         return SolverSettings()
     where = "solver"
     obj = _require_mapping(obj, where)
-    _reject_unknown(obj, _SOLVER_KEYS, where)
+    _reject_unknown(obj, {f.name for f in fields(SolverSettings)}, where)
+    values = {}
     gamma2 = obj.get("gamma2")
     if gamma2 is not None:
         if not isinstance(gamma2, list):
             raise ConfigurationError("solver.gamma2 must be a nested list")
-        gamma2 = tuple(_numbers(row, f"solver.gamma2[{i}]") for i, row in enumerate(gamma2))
+        values["gamma2"] = tuple(_numbers(row, f"solver.gamma2[{i}]")
+                                 for i, row in enumerate(gamma2))
     anchor = obj.get("anchor")
     if anchor is not None:
-        anchor = _numbers(anchor, "solver.anchor")
+        values["anchor"] = anchor = _numbers(anchor, "solver.anchor")
         if len(anchor) != m or not all(math.isfinite(a) for a in anchor):
             raise ConfigurationError(f"solver.anchor must list {m} finite coordinates")
-    mode = obj.get("mode", "pricing")
-    if mode not in ("pricing", "parabolic", "ergodic"):
-        # 'generic' needs the drivers f and g, which a config cannot carry
-        raise ConfigurationError(
-            "solver.mode must be 'pricing' (aliases 'parabolic', 'ergodic')"
-        )
-    return SolverSettings(
-        delta0=_get_number(obj, "delta0", where, default=0.5),
-        tol=_get_number(obj, "tol", where, default=1e-6),
-        tol_inner=_get_number(obj, "tol_inner", where, default=1e-10),
-        gamma1=_get_number(obj, "gamma1", where, default=-1.0),
-        gamma2=gamma2,
-        max_halvings=_get_int(obj, "max_halvings", where, default=20),
-        max_sweeps=_get_int(obj, "max_sweeps", where, default=500_000),
-        mode=mode,
-        anchor=anchor,
-        gradient_cap=_get_number(obj, "gradient_cap", where, default=math.inf),
-    )
+    if "mode" in obj:
+        if obj["mode"] not in ("pricing", "parabolic", "ergodic"):
+            # 'generic' needs the drivers f and g, which a config cannot carry
+            raise ConfigurationError(
+                "solver.mode must be 'pricing' (aliases 'parabolic', 'ergodic')"
+            )
+        values["mode"] = obj["mode"]
+    # the dataclass declares the settings: a numeric default gives the key's
+    # type, and a key left out keeps the default
+    for f in fields(SolverSettings):
+        if f.name in obj and isinstance(f.default, (int, float)):
+            get = _get_int if isinstance(f.default, int) else _get_number
+            values[f.name] = get(obj, f.name, where)
+    return SolverSettings(**values)
 
 
 def _parse_sim(obj, m: int) -> SimSettings | None:

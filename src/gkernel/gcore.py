@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidSetError, ShapeError
 
-__all__ = ["UncertaintySet", "GEvaluation", "g_value", "ellipticity_constants"]
+__all__ = ["UncertaintySet", "GEvaluation", "g_value", "g_value_batch", "ellipticity_constants"]
 
 _SYM_TOL = 1e-12
 

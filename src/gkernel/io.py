@@ -16,12 +16,13 @@ import numpy as np
 from .pde import ErgodicSolution, PdeSolution, nodal_gradient
 
 __all__ = [
-    "fmt17",
     "write_json",
     "write_solution_csv",
     "write_batch_csv",
     "write_traces_csv",
 ]
+
+_BLOCK_ROWS = 4096  # CSV rows formatted at a time, so only one block's text is held
 
 
 def fmt17(x) -> str:
@@ -50,6 +51,23 @@ def write_json(path, payload: dict) -> None:
     Path(path).write_text(text + "\n")
 
 
+def _write_table(path, header: list[str], blocks) -> None:
+    """CSV of ``header`` and the rows of ``blocks``, formatted one block at a time.
+
+    Each block is a pair (path id or None, 2D table): a path id starts every
+    row of its block as an integer, and each table value is written "%.17g".
+    """
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for path_id, table in blocks:
+            row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+            if path_id is not None:
+                row = f"{path_id}," + row  # an int never holds a '%'
+            for lo in range(0, table.shape[0], _BLOCK_ROWS):
+                part = table[lo:lo + _BLOCK_ROWS]
+                fh.write((row * part.shape[0]) % tuple(part.ravel().tolist()))
+
+
 def write_solution_csv(path, solution) -> None:
     """Nodal dump of a stationary solution: coordinates, value, gradient,
     residual."""
@@ -60,7 +78,6 @@ def write_solution_csv(path, solution) -> None:
     if not isinstance(sol, PdeSolution) or sol.kind != "stationary":
         raise TypeError("solution CSV export expects a stationary solution")
     grid = sol.grid
-    pts = grid.points()
     values = sol.values.ravel()
     grad = nodal_gradient(sol.values, grid).reshape(-1, grid.m)
     resid = (
@@ -74,16 +91,7 @@ def write_solution_csv(path, solution) -> None:
         + [f"gradient_{ax + 1}" for ax in range(grid.m)]
         + ["residual"]
     )
-    lines = [",".join(header)]
-    for i in range(pts.shape[0]):
-        row = (
-            [fmt17(pts[i, ax]) for ax in range(grid.m)]
-            + [fmt17(values[i])]
-            + [fmt17(grad[i, ax]) for ax in range(grid.m)]
-            + [fmt17(resid[i])]
-        )
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, header, [(None, np.column_stack([grid.points(), values, grad, resid]))])
 
 
 def write_batch_csv(path, batch, max_paths: int | None = None) -> None:
@@ -101,16 +109,12 @@ def write_batch_csv(path, batch, max_paths: int | None = None) -> None:
         + [f"QV_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
         + [f"X_{i + 1}" for i in range(m)]
     )
-    lines = [",".join(header)]
-    qv = batch.path_slice(0, n_write).QV  # derived on each read, so read once
-    for p in range(n_write):
-        for s in range(k1):
-            row = [str(batch.path_offset + p), fmt17(batch.times[s])]
-            row += [fmt17(batch.B[p, s, i]) for i in range(d)]
-            row += [fmt17(qv[p, s, i, j]) for i in range(d) for j in range(d)]
-            row += [fmt17(batch.X[p, s, i]) for i in range(m)]
-            lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    # QV is derived on each read, so it is read one path at a time
+    _write_table(path, header, (
+        (batch.path_offset + p,
+         np.column_stack([batch.times, batch.B[p],
+                          batch.path_slice(p, p + 1).QV[0].reshape(k1, d * d), batch.X[p]]))
+        for p in range(n_write)))
 
 
 def write_traces_csv(path, decomp, max_paths: int | None = None) -> None:
@@ -129,19 +133,9 @@ def write_traces_csv(path, decomp, max_paths: int | None = None) -> None:
         + [f"Z_{i + 1}" for i in range(d)]
         + ["ln_M", "K", "ln_D_direct", "ln_D_reconstructed"]
     )
-    lines = [",".join(header)]
-    recon = decomp.path_slice(0, n_write).ln_D_reconstructed  # derived on each read, so read once
-    for p in range(n_write):
-        for s in range(k1):
-            row = [str(p), fmt17(decomp.times[s])]
-            row += [fmt17(decomp.X[p, s, i]) for i in range(m)]
-            row.append(fmt17(decomp.u[p, s]))
-            row += [fmt17(decomp.Z[p, s, i]) for i in range(d)]
-            row += [
-                fmt17(decomp.ln_M[p, s]),
-                fmt17(decomp.K[p, s]),
-                fmt17(decomp.ln_D_direct[p, s]),
-                fmt17(recon[p, s]),
-            ]
-            lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    # ln_D_reconstructed is derived on each read, so it is read one path at a time
+    _write_table(path, header, (
+        (p, np.column_stack([decomp.times, decomp.X[p], decomp.u[p], decomp.Z[p], decomp.ln_M[p],
+                             decomp.K[p], decomp.ln_D_direct[p],
+                             decomp.path_slice(p, p + 1).ln_D_reconstructed[0]]))
+        for p in range(n_write)))

@@ -106,14 +106,19 @@ class VolControl:
         """Static controls check set membership up front; others opt out."""
 
 
+def _scenario(q) -> np.ndarray:
+    """A covariance scenario as a symmetrized square matrix; a scalar is 1 x 1."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim == 0:
+        q = q.reshape(1, 1)
+    if q.ndim != 2 or q.shape[0] != q.shape[1]:
+        raise ShapeError(f"covariance scenario must be square, got shape {q.shape}")
+    return 0.5 * (q + q.T)
+
+
 class ConstantControl(VolControl):
     def __init__(self, q, label: str | None = None):
-        q = np.asarray(q, dtype=float)
-        if q.ndim == 0:
-            q = q.reshape(1, 1)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise ShapeError(f"covariance scenario must be square, got shape {q.shape}")
-        self.q = 0.5 * (q + q.T)
+        self.q = _scenario(q)
         self.root = _sqrt_psd(self.q)
         self.label = label or "constant"
         self._views: dict = {}
@@ -141,12 +146,13 @@ class PiecewiseControl(VolControl):
             raise ShapeError("piecewise control needs breakpoints starting at 0")
         if np.any(np.diff(times) <= 0.0):
             raise ShapeError("piecewise breakpoints must be strictly increasing")
-        ms = [np.asarray(m, dtype=float) for m in mats]
-        ms = [m.reshape(1, 1) if m.ndim == 0 else m for m in ms]
+        ms = [_scenario(m) for m in mats]
         if len(ms) != times.size:
             raise ShapeError("piecewise control needs one matrix per breakpoint")
+        if len({m.shape for m in ms}) != 1:
+            raise ShapeError(f"piecewise segments differ in shape: {[m.shape for m in ms]}")
         self.times = times
-        self.mats = np.stack([0.5 * (m + m.T) for m in ms])
+        self.mats = np.stack(ms)
         self.roots = _sqrt_psd(self.mats)  # one root per segment, as ConstantControl
         self.label = label or "piecewise"
         self._views: dict = {}
@@ -194,39 +200,34 @@ class _CandidatePolicy(FeedbackControl):
     ``pick(t, x, coeffs)`` returns indices into ``candidates``; the square
     roots of the candidates are taken once instead of on every step.
     ``uniform``, when given, is the index ``pick`` returns at every point:
-    rows then read it, and only rows with a NaN coordinate go through
-    ``pick``.  ``matrices`` returns a fresh array; ``matrices_and_roots``
-    may return read-only views, as ``ConstantControl``'s does.
+    ``matrices_and_roots`` then reads it, and only rows with a NaN
+    coordinate go through ``pick``; it may return read-only views, as
+    ``ConstantControl``'s does.  ``matrices`` is the policy's definition,
+    the full pick gathered into a fresh array.
     """
 
     def __init__(self, pick: Callable[..., np.ndarray], candidates: np.ndarray, label: str,
                  uniform: int | None = None):
-        # both public reads gather from the same indices
-        super().__init__(lambda t, x: candidates.take(self._indices(t, x, None), axis=0),
-                         label=label)
+        super().__init__(lambda t, x: candidates.take(pick(t, x, None), axis=0), label=label)
         self.pick = pick
         self.candidates = candidates
         self.roots = _sqrt_psd(candidates)
         self.uniform = uniform
         self._views: dict = {}
 
-    def _indices(self, t: float, x: np.ndarray, coeffs) -> np.ndarray:
-        if self.uniform is None:
-            return self.pick(t, x, coeffs)
-        idx = np.full(x.shape[0], self.uniform)
-        nan = np.isnan(x).any(axis=1)
-        if nan.any():
-            # the bundle covers all rows; the pick evaluates the model on its own
-            idx[nan] = self.pick(t, x[nan], None)
-        return idx
-
     def matrices_and_roots(self, t: float, x: np.ndarray,
                            coeffs=None) -> tuple[np.ndarray, np.ndarray]:
-        if self.uniform is not None and not np.isnan(x).any():
+        if self.uniform is None:
+            idx = self.pick(t, x, coeffs)
+        elif not np.isnan(x).any():
             c = self.uniform
             return _broadcast_rows(self._views, None, (self.candidates[c], self.roots[c]),
                                    x.shape[0])
-        idx = self._indices(t, x, coeffs)
+        else:
+            idx = np.full(x.shape[0], self.uniform)
+            nan = np.isnan(x).any(axis=1)
+            # the bundle covers all rows; the pick evaluates the model on its own
+            idx[nan] = self.pick(t, x[nan], None)
         # take() gathers whole (d, d) blocks several times faster than indexing
         return self.candidates.take(idx, axis=0), self.roots.take(idx, axis=0)
 

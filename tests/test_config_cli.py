@@ -1,6 +1,7 @@
 """Strict configuration parsing, deterministic writers, and the CLI."""
 
 import copy
+import inspect
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import shutil
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,14 +20,20 @@ from gkernel import (
     CoefficientFn,
     ConfigurationError,
     ConstantControl,
+    Decomposition,
     FeedbackControl,
+    Grid,
     ModelSpec,
+    PdeSolution,
     PiecewiseControl,
+    ScenarioBatch,
+    SolverSettings,
     UncertaintySet,
     build_control,
     load_config,
     parse_config,
     simulate_gsde,
+    solve_ergodic,
     write_batch_csv,
     write_json,
     write_solution_csv,
@@ -35,6 +42,7 @@ from gkernel import (
 from gkernel import cli
 from gkernel.cli import main
 from gkernel.io import fmt17
+from gkernel.pde import nodal_gradient
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -138,6 +146,27 @@ class TestParsing:
         assert cfg.output.dir == "artifacts"
         assert cfg.output.formats == ("json",)
         assert float(cfg.payoff(np.array([[2.0]]))[0]) == 2.0
+
+    def test_solver_settings_mirror_solve_ergodic(self):
+        params = list(inspect.signature(solve_ergodic).parameters.values())[2:]
+        assert {p.name: p.default for p in params} == {
+            f.name: f.default for f in fields(SolverSettings)}
+
+    def test_solver_keys_given_are_parsed_and_the_rest_keep_their_defaults(self):
+        given = {"delta0": 0.25, "tol": 1e-7, "tol_inner": 1e-11, "gamma1": -2.0,
+                 "gamma2": [[0.5]], "max_halvings": 3, "max_sweeps": 900, "mode": "parabolic",
+                 "anchor": [0.3], "gradient_cap": 40}
+        doc = base_doc()
+        doc["solver"] = given
+        parsed = parse_config(doc).solver
+        assert parsed == SolverSettings(**{**given, "gamma2": ((0.5,),), "anchor": (0.3,),
+                                           "gradient_cap": 40.0})
+        assert type(parsed.max_sweeps) is int and type(parsed.gradient_cap) is float
+        doc["solver"] = {"tol": 1e-7}
+        assert parse_config(doc).solver == SolverSettings(tol=1e-7)
+        doc["solver"] = {"max_sweeps": 1.5}
+        with pytest.raises(ConfigurationError, match=r"solver\.max_sweeps must be an integer"):
+            parse_config(doc)
 
     def test_finite_uncertainty(self):
         doc = base_doc()
@@ -308,12 +337,121 @@ class TestBuildControl:
                           const_model)
 
 
+# The three CSV writers as they were before they shared one table writer,
+# one row and one value at a time, kept as the oracle of their bytes.
+
+
+def _oracle_solution_csv(path, sol):
+    grid = sol.grid
+    pts = grid.points()
+    values = sol.values.ravel()
+    grad = nodal_gradient(sol.values, grid).reshape(-1, grid.m)
+    resid = sol.residual.ravel() if sol.residual is not None else np.full(values.shape, np.nan)
+    header = ([f"x{ax + 1}" for ax in range(grid.m)] + ["value"]
+              + [f"gradient_{ax + 1}" for ax in range(grid.m)] + ["residual"])
+    lines = [",".join(header)]
+    for i in range(pts.shape[0]):
+        row = ([fmt17(pts[i, ax]) for ax in range(grid.m)] + [fmt17(values[i])]
+               + [fmt17(grad[i, ax]) for ax in range(grid.m)] + [fmt17(resid[i])])
+        lines.append(",".join(row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _oracle_batch_csv(path, batch, max_paths):
+    n, k1, d = batch.B.shape
+    m = batch.X.shape[2]
+    n_write = n if max_paths is None else min(n, max_paths)
+    header = (["path", "t"] + [f"B_{i + 1}" for i in range(d)]
+              + [f"QV_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
+              + [f"X_{i + 1}" for i in range(m)])
+    lines = [",".join(header)]
+    qv = batch.path_slice(0, n_write).QV
+    for p in range(n_write):
+        for s in range(k1):
+            row = [str(batch.path_offset + p), fmt17(batch.times[s])]
+            row += [fmt17(batch.B[p, s, i]) for i in range(d)]
+            row += [fmt17(qv[p, s, i, j]) for i in range(d) for j in range(d)]
+            row += [fmt17(batch.X[p, s, i]) for i in range(m)]
+            lines.append(",".join(row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _oracle_traces_csv(path, dec, max_paths):
+    n, k1, m = dec.X.shape
+    d = dec.Z.shape[2]
+    n_write = n if max_paths is None else min(n, max_paths)
+    header = (["path", "t"] + [f"x_{i + 1}" for i in range(m)] + ["u"]
+              + [f"Z_{i + 1}" for i in range(d)]
+              + ["ln_M", "K", "ln_D_direct", "ln_D_reconstructed"])
+    lines = [",".join(header)]
+    recon = dec.path_slice(0, n_write).ln_D_reconstructed
+    for p in range(n_write):
+        for s in range(k1):
+            row = [str(p), fmt17(dec.times[s])]
+            row += [fmt17(dec.X[p, s, i]) for i in range(m)]
+            row.append(fmt17(dec.u[p, s]))
+            row += [fmt17(dec.Z[p, s, i]) for i in range(d)]
+            row += [fmt17(v) for v in (dec.ln_M[p, s], dec.K[p, s], dec.ln_D_direct[p, s],
+                                       recon[p, s])]
+            lines.append(",".join(row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+_SPECIALS = (-0.0, math.inf, -math.inf, math.nan, 5e-324)
+
+
+def _awkward(rng, shape):
+    """Values over the whole double range, with every special value in it."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    flat = x.reshape(-1)
+    at = rng.choice(flat.size, size=4 * len(_SPECIALS), replace=False)
+    flat[at] = np.tile(_SPECIALS, 4)
+    return x
+
+
+def _same_bytes(tmp_path, write, oracle, *args):
+    write(tmp_path / "new.csv", *args)
+    oracle(tmp_path / "old.csv", *args)
+    return (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 class TestWriters:
     def test_fmt17_round_trips_bitwise(self):
         rng = np.random.default_rng(0)
         xs = list(rng.normal(scale=1e3, size=200)) + [1e-300, 1e300, 0.0, -0.0]
         for x in xs:
             assert float(fmt17(x)) == x
+
+    @pytest.mark.parametrize("m,d", [(1, 1), (2, 2)])
+    def test_writers_match_their_row_by_row_oracle(self, tmp_path, m, d):
+        rng = np.random.default_rng(40 + m)
+        n, k1 = 20, 7
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.1, k1 - 1))])
+        q = _awkward(rng, (n, k1 - 1, d, d))
+        for offset in (0, 2**53 + 1, 2**64 + 3):
+            batch = ScenarioBatch(times=times, noise=_awkward(rng, (n, k1 - 1, d)),
+                                  B=_awkward(rng, (n, k1, d)), X=_awkward(rng, (n, k1, m)),
+                                  Q=q, control_label="c", seed=1, path_offset=offset)
+            dec = Decomposition(times=times, X=batch.X, u=_awkward(rng, (n, k1)),
+                                Z=_awkward(rng, (n, k1, d)), ln_M=_awkward(rng, (n, k1)),
+                                K=_awkward(rng, (n, k1)), ln_D_direct=_awkward(rng, (n, k1)),
+                                lam=0.25, control_label="c")
+            with np.errstate(all="ignore"):
+                for max_paths in (None, 3, 16):
+                    assert _same_bytes(tmp_path, write_batch_csv, _oracle_batch_csv,
+                                       batch, max_paths)
+                    assert _same_bytes(tmp_path, write_traces_csv, _oracle_traces_csv,
+                                       dec, max_paths)
+
+    @pytest.mark.parametrize("nodes", [[257], [65, 65]])  # 65 x 65 spans two row blocks
+    def test_solution_writer_matches_its_row_by_row_oracle(self, tmp_path, nodes):
+        rng = np.random.default_rng(len(nodes))
+        grid = Grid.build([[-1.0, 2.0]] * len(nodes), nodes)
+        shape = tuple(nodes)
+        for resid in (_awkward(rng, shape), None):
+            sol = PdeSolution(grid, "stationary", _awkward(rng, shape), residual=resid)
+            with np.errstate(all="ignore"):
+                assert _same_bytes(tmp_path, write_solution_csv, _oracle_solution_csv, sol)
 
     def test_write_json_deterministic(self, tmp_path):
         payload = {"b": 1.5, "a": [math.inf, float("nan")], "c": {"z": True}}

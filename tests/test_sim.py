@@ -183,6 +183,15 @@ class TestValidation:
         with pytest.raises(ShapeError):
             ConstantControl(np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("mats", [
+        [[[1.0, 2.0, 3.0]]],                  # (1, 3): would broadcast to 3 x 3
+        [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],  # (2, 3)
+        [1.0, [[1.0, 0.0], [0.0, 1.0]]],       # 1 x 1, then 2 x 2
+    ])
+    def test_piecewise_segments_are_square_and_of_one_shape(self, mats):
+        with pytest.raises(ShapeError):
+            PiecewiseControl([0.0, 0.5][:len(mats)], mats)
+
     def test_feedback_output_shape_checked(self, const_model):
         bad = FeedbackControl(lambda t, x: np.ones((x.shape[0], 2)))
         with pytest.raises(ShapeError):

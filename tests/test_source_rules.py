@@ -1,8 +1,11 @@
 """Rules on the package source that no runtime test can see."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
+
+import gkernel
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gkernel"
 
@@ -112,3 +115,19 @@ def test_rule_sees_every_deferred_import_form():
               "if True:\n    from .model import ModelSpec\n")
     assert sorted(_deferred_package_imports(ast.parse(source))) == [
         (6, ".sim"), (9, ".."), (10, "gkernel.pde"), (12, ".model")]
+
+
+PUBLIC_MODULES = ("coefficients", "config", "decomp", "errors", "gcore", "io", "model", "pde",
+                  "sim")
+
+
+def test_package_api_is_the_module_apis():
+    # each module's __all__ is its public API, declared there and nowhere else;
+    # the command line is the one module that exports nothing
+    assert sorted(p.stem for p in SRC.glob("*.py")) == sorted(PUBLIC_MODULES + ("__init__", "cli"))
+    modules = [importlib.import_module(f"gkernel.{name}") for name in PUBLIC_MODULES]
+    assert gkernel.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(gkernel.__all__)) == len(gkernel.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(gkernel, name) is getattr(module, name), f"{module.__name__}.{name}"
