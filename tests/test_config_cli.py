@@ -337,8 +337,8 @@ class TestBuildControl:
                           const_model)
 
 
-# The three CSV writers as they were before they shared one table writer,
-# one row and one value at a time, kept as the oracle of their bytes.
+# The three CSV writers written one row and one value at a time, kept as the
+# oracle of the bytes of the table writer they share.
 
 
 def _oracle_solution_csv(path, sol):
