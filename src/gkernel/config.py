@@ -272,6 +272,10 @@ def _parse_sim(obj, m: int) -> SimSettings | None:
     x0 = obj.get("x0")
     if not isinstance(x0, list) or len(x0) != m:
         raise ConfigurationError(f"sim.x0 must list {m} coordinates")
+    x0 = _numbers(x0, "sim.x0")
+    for i, xi in enumerate(x0):
+        if not math.isfinite(xi):  # json reads NaN and Infinity
+            raise ConfigurationError(f"sim.x0[{i}] must be finite, got {xi}")
     control = obj.get("control", "worst_case")
     if not isinstance(control, (str, dict)):
         raise ConfigurationError("sim.control must be a string or an object")
@@ -291,7 +295,7 @@ def _parse_sim(obj, m: int) -> SimSettings | None:
     if not (dt > 0.0 and dt <= horizon):
         raise ConfigurationError("sim.dt must lie in (0, horizon]")
     return SimSettings(
-        x0=_numbers(x0, "sim.x0"),
+        x0=x0,
         horizon=horizon,
         dt=dt,
         n_paths=_path_count(_get_int(obj, "n_paths", where, required=True), "sim.n_paths"),

@@ -105,6 +105,12 @@ class VolControl:
     def validate(self, sigma_set: UncertaintySet) -> None:
         """Static controls check set membership up front; others opt out."""
 
+    def _fixed_scenario(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(q, root)`` when every step applies this one scenario to every row
+        without a NaN coordinate, else None.  The streaming estimators march
+        controls whose ``(q, root)`` are byte-equal once per chunk."""
+        return None
+
 
 def _scenario(q) -> np.ndarray:
     """A covariance scenario as a symmetrized square matrix; a scalar is 1 x 1."""
@@ -129,6 +135,12 @@ class ConstantControl(VolControl):
     def matrices_and_roots(self, t: float, x: np.ndarray,
                            coeffs=None) -> tuple[np.ndarray, np.ndarray]:
         return _broadcast_rows(self._views, None, (self.q, self.root), x.shape[0])
+
+    def _fixed_scenario(self) -> tuple[np.ndarray, np.ndarray] | None:
+        # a subclass that steps otherwise applies a scenario of its own
+        if type(self).matrices_and_roots is not ConstantControl.matrices_and_roots:
+            return None
+        return self.q, self.root
 
     def validate(self, sigma_set: UncertaintySet) -> None:
         if not sigma_set.contains(self.q):
@@ -230,6 +242,11 @@ class _CandidatePolicy(FeedbackControl):
             idx[nan] = self.pick(t, x[nan], None)
         # take() gathers whole (d, d) blocks several times faster than indexing
         return self.candidates.take(idx, axis=0), self.roots.take(idx, axis=0)
+
+    def _fixed_scenario(self) -> tuple[np.ndarray, np.ndarray] | None:
+        if self.uniform is None:
+            return None
+        return self.candidates[self.uniform], self.roots[self.uniform]
 
 
 def worst_case_policy(solution, model: ModelSpec, mode: str = "pricing") -> FeedbackControl:
@@ -364,6 +381,8 @@ def _start_point(model: ModelSpec, x0) -> np.ndarray:
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (model.m,):
         raise ShapeError(f"x0 must have {model.m} coordinates")
+    if not np.isfinite(x0).all():
+        raise ShapeError(f"x0 must be finite, got {x0.tolist()}")
     return x0
 
 
@@ -471,8 +490,9 @@ def _deflator_scan(
     draws: np.ndarray,
     checkpoint_steps: Sequence[int],
     payoff: Callable[[np.ndarray], np.ndarray] | None,
-) -> dict:
-    """March one chunk without history; return deflated sums per checkpoint.
+) -> tuple[dict, np.ndarray]:
+    """March one chunk without history; return deflated sums per checkpoint
+    and the final state.
 
     ``draws`` holds the chunk's standard-normal increments, shape
     (paths, steps, d).  The deflator accrues d ln D = -r dt - k : dQV -
@@ -494,7 +514,24 @@ def _deflator_scan(
             if payoff is not None:
                 w = w * payoff(x_next)
             out[k + 1] = (float(np.sum(w)), float(np.sum(w * w)))
-    return out
+    return out, x_next
+
+
+def _march_groups(controls: Sequence[VolControl]) -> list[list[int]]:
+    """Indices of ``controls`` grouped by a byte-equal fixed scenario, in call
+    order; a control without a fixed scenario is a group of its own."""
+    groups: list[list[int]] = []
+    by_scenario: dict = {}
+    for i, ctl in enumerate(controls):
+        fixed = ctl._fixed_scenario()
+        key = None if fixed is None else tuple((a.shape, a.tobytes()) for a in fixed)
+        if key in by_scenario:
+            by_scenario[key].append(i)
+        else:
+            groups.append([i])
+            if key is not None:
+                by_scenario[key] = groups[-1]
+    return groups
 
 
 def _streaming_deflated_means(
@@ -505,7 +542,13 @@ def _streaming_deflated_means(
 
     Each chunk's draws are generated once and every control marches on
     them; per-path streams make this the same as a separate run per
-    control.
+    control.  Controls that apply one byte-equal fixed scenario
+    (``VolControl._fixed_scenario``) share one march per chunk, the first
+    of them marching for all.  They can differ only on a row with a NaN
+    coordinate, where the worst-case policy takes its full pick; a NaN
+    stays NaN, so when the shared march ends with such a row, the others
+    march on their own for that chunk.  The sums equal a separate run per
+    control, bit for bit.
     """
     _check_sizes(n_paths, chunk_size)
     x0 = _start_point(model, x0)
@@ -513,12 +556,20 @@ def _streaming_deflated_means(
         ctl.validate(model.uncertainty)
     dt = T / n_steps
     sums = [{int(s): [0.0, 0.0] for s in checkpoint_steps} for _ in controls]
+    groups = _march_groups(controls)
     for _, _, draws in _chunks(seed, 0, n_paths, n_steps, model.d, chunk_size):
-        for ctl, ctl_sums in zip(controls, sums):
-            part = _deflator_scan(model, ctl, x0, dt, draws, checkpoint_steps, payoff)
-            for s, (a, b) in part.items():
-                ctl_sums[s][0] += a
-                ctl_sums[s][1] += b
+        for first, *rest in groups:
+            part, x_end = _deflator_scan(model, controls[first], x0, dt, draws,
+                                         checkpoint_steps, payoff)
+            parts = {first: part}
+            shared = not np.isnan(x_end).any()
+            for i in rest:
+                parts[i] = part if shared else _deflator_scan(
+                    model, controls[i], x0, dt, draws, checkpoint_steps, payoff)[0]
+            for i, p in parts.items():
+                for s, (a, b) in p.items():
+                    sums[i][s][0] += a
+                    sums[i][s][1] += b
     out = []
     for ctl_sums in sums:
         res = {}
@@ -568,9 +619,17 @@ def upper_price_mc(
     Evaluates E[D_T payoff(X_T)] under each control in ``controls``
     (default: the extreme constant scenarios of the ambiguity set), all
     sharing one noise seed (common random numbers), and reports the
-    largest estimate together with the full per-control table.
-    ``payoff`` may be a coefficient expression or a callable on terminal
-    states; None means the constant 1.  ``x0`` defaults to the origin.
+    largest estimate together with the full per-control table, keyed by
+    label in call order.  Controls that apply the same fixed scenario,
+    such as the worst-case policy certified to one extreme and that
+    extreme, share one Euler march per chunk; every entry still equals
+    pricing its control alone, bit for bit.  ``payoff`` may be a
+    coefficient expression or a callable on terminal states; None means
+    the constant 1.  ``x0`` defaults to the origin and must be finite.
+
+    Raises ``ShapeError`` when two controls share a label, and
+    ``DivergenceError``, naming the control, when a control's mean is not
+    finite.
     """
     n_steps = _resolve_steps(T, dt)
     pay = None
@@ -580,6 +639,9 @@ def upper_price_mc(
         controls = extreme_controls(model.uncertainty)
     if not controls:
         raise ShapeError("need at least one control scenario to price under")
+    labels = [ctl.label for ctl in controls]
+    if len(set(labels)) < len(labels):
+        raise ShapeError(f"control labels must be distinct, got {labels}")
     if x0 is None:
         x0 = np.zeros(model.m)
 
@@ -590,6 +652,10 @@ def upper_price_mc(
     best = (-math.inf, math.nan, "")
     for ctl, res in zip(controls, results):
         mean, se = res[n_steps]
+        if not math.isfinite(mean):
+            raise DivergenceError(f"price mean {mean!r} under control {ctl.label!r} is not "
+                                  "finite; the run has numerically degenerated",
+                                  where=f"T={T}")
         table[ctl.label] = (mean, se)
         if mean > best[0]:
             best = (mean, se, ctl.label)

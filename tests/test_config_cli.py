@@ -641,6 +641,18 @@ class TestCli:
         assert code == 3
         assert "configuration error: --paths must be at least 1" in err
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_point_named_before_solving(self, run_cli, bad, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the start point was checked")
+
+        monkeypatch.setattr(cli, "solve_ergodic", no_solve)
+        doc = sim_doc()
+        doc["sim"]["x0"] = [bad]  # json writes and reads NaN and Infinity
+        code, _, err = run_cli(doc, "price")
+        assert code == 3
+        assert "sim.x0[0] must be finite" in err
+
     def test_sim_block_required_for_paths(self, run_cli):
         code, _, err = run_cli(base_doc(), "decompose")
         assert code == 3

@@ -164,6 +164,24 @@ class TestValidation:
             long_term_yield_mc(const_model, [0.5, 1.0], ConstantControl(1.0), dt=0.1,
                                n_paths=2, x0=[0.1, 0.2])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", ["simulate_gsde", "upper_price_mc", "long_term_yield_mc"])
+    def test_non_finite_start_point_rejected(self, const_model, entry, bad, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("simulated before the start point was checked")
+
+        monkeypatch.setattr(sim, "_chunk_draws", no_draws)
+        ctl = ConstantControl(1.0)
+        run = {
+            "simulate_gsde": lambda: simulate_gsde(const_model, ctl, [bad], 1.0, 0.1, 2),
+            "upper_price_mc": lambda: upper_price_mc(const_model, None, 1.0, dt=0.1, n_paths=2,
+                                                     x0=[bad]),
+            "long_term_yield_mc": lambda: long_term_yield_mc(const_model, [0.5, 1.0], ctl,
+                                                             dt=0.1, n_paths=2, x0=[bad]),
+        }[entry]
+        with pytest.raises(ShapeError, match="x0 must be finite"):
+            run()
+
     def test_control_membership(self, const_model):
         with pytest.raises(InvalidSetError):
             simulate_gsde(const_model, ConstantControl(2.0), [0.0], 1.0, 0.1, 2)
@@ -356,6 +374,23 @@ class TestPricing:
         with pytest.raises(ShapeError):
             upper_price_mc(const_model, None, 1.0, [], dt=0.1, n_paths=16)
 
+    def test_duplicate_labels_rejected(self, const_model):
+        # the table is keyed by label, so one entry would hide the other
+        with pytest.raises(ShapeError, match="distinct"):
+            upper_price_mc(const_model, None, 1.0, [ConstantControl(1.0), ConstantControl(0.5)],
+                           dt=0.1, n_paths=16)
+
+    def test_non_finite_mean_named(self, const_model):
+        # sqrt of a state that turns negative is NaN under every control
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError, match="'upper'"):
+            upper_price_mc(const_model, "sqrt(x1)", 1.0, dt=0.1, n_paths=64, x0=[0.0])
+        # a NaN mean next to a finite one is named, not left out of the supremum
+        model = ModelSpec.build(m=1, d=1, b=["0.0"], sigma=[["1.0"]], r=0.0,
+                                uncertainty=UncertaintySet.interval(1e-12, 1.0))
+        controls = [ConstantControl(1e-12, label="still"), ConstantControl(1.0, label="moving")]
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError, match="'moving'"):
+            upper_price_mc(model, "sqrt(x1)", 1.0, controls, dt=0.1, n_paths=64, x0=[0.5])
+
     @staticmethod
     def _assert_joint_equals_separate(model, controls, x0):
         # every control in one call shares each chunk's draws; the table
@@ -394,6 +429,96 @@ class TestPricing:
         joint = self._assert_joint_equals_separate(model, controls, [0.0])
         assert np.any(cands[1] != np.diag(np.diag(cands[1])))
         assert joint.table["member_1_feedback"] == joint.table["member_1"]
+
+
+class _OwnStep(ConstantControl):
+    """Holds the scenario ``q`` but steps with ``stepped``."""
+
+    def __init__(self, q, stepped, label):
+        super().__init__(q, label=label)
+        self.stepped = ConstantControl(stepped)
+
+    def matrices_and_roots(self, t, x, coeffs=None):
+        return self.stepped.matrices_and_roots(t, x, coeffs)
+
+
+def _mixed_controls(model, sol):
+    """The certified policy, every extreme, a second copy of the policy's
+    candidate, a piecewise control and a control that holds the policy's
+    candidate but steps with another; and the number of marches they need."""
+    policy = worst_case_policy(sol, model)
+    assert policy.uniform is not None
+    extremes = extreme_controls(model.uncertainty)
+    cands = model.uncertainty.candidates()
+    win, other = cands[policy.uniform], cands[1 - policy.uniform]
+    controls = extremes + [
+        policy,
+        ConstantControl(win, label="again"),
+        PiecewiseControl([0.0, 0.5], [other, win]),
+        _OwnStep(win, other, label="own_step"),
+    ]
+    # one march for the policy, its extreme and the copy; one for the other
+    # extreme; one each for the piecewise control and the subclass
+    return controls, 4
+
+
+class TestSharedMarch:
+    """Controls that apply one fixed scenario share one march per chunk; every
+    table entry equals pricing its control alone, bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_mixed_controls_equal_separate_runs(self, m, const_model, const_sol):
+        model, sol = (const_model, const_sol) if m == 1 else _const_kernel_2d()
+        controls, _ = _mixed_controls(model, sol)
+        TestPricing._assert_joint_equals_separate(model, controls, [0.1] * m)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_one_model_evaluation_per_march_step(self, m, const_model, const_sol, monkeypatch):
+        model, sol = (const_model, const_sol) if m == 1 else _const_kernel_2d()
+        controls, marches = _mixed_controls(model, sol)
+        calls = []
+        real = ModelSpec.evaluate
+        monkeypatch.setattr(ModelSpec, "evaluate",
+                            lambda self, x: calls.append(1) or real(self, x))
+        n_paths, chunk, n_steps = 120, 50, 20
+        upper_price_mc(model, None, 1.0, controls, dt=1.0 / n_steps, n_paths=n_paths,
+                       chunk_size=chunk, x0=[0.1] * m)
+        assert len(calls) == marches * -(-n_paths // chunk) * n_steps
+
+    def test_subclass_that_steps_otherwise_marches_alone(self, const_model):
+        hi, lo = const_model.uncertainty.candidates()
+        own = _OwnStep(hi, lo, label="own_step")
+        assert own._fixed_scenario() is None
+        kw = dict(dt=0.05, n_paths=200, seed=4, x0=[0.1])
+        joint = upper_price_mc(const_model, None, 1.0, [ConstantControl(hi), own], **kw)
+        ref = upper_price_mc(const_model, None, 1.0, [ConstantControl(lo, label="own_step")],
+                             **kw)
+        assert joint.table["own_step"] == ref.table["own_step"] != joint.table["constant"]
+
+    @pytest.mark.parametrize("policy_first", [True, False])
+    def test_nan_rows_fall_back_to_separate_marches(self, policy_first):
+        # sigma dB overflows to +-inf on the first steps and to inf - inf = NaN
+        # after, on constant coefficients that a NaN state can still evaluate;
+        # k dQV = q per step keeps the deflator finite and tells the picks apart
+        model = ModelSpec.build(m=1, d=1, b=[0.0], sigma=[[1e300]], r=0.0, k=[[1e-20]],
+                                uncertainty=UncertaintySet.interval(0.5, 1.0))
+        cands = np.stack(model.uncertainty.candidates())
+        # certified to the lower candidate; a row with a NaN coordinate picks
+        # the upper one, as the full worst-case pick does where H is NaN
+        policy = sim._CandidatePolicy(
+            lambda t, x, coeffs: np.where(np.isnan(x).any(axis=1), 0, 1), cands,
+            label="worst_case", uniform=1)
+        lower = ConstantControl(cands[1], label="lower")
+        controls = [policy, lower] if policy_first else [lower, policy]
+        assert len(sim._march_groups(controls)) == 1
+        kw = dict(dt=1e20, n_paths=64, seed=9, x0=[0.0], chunk_size=20)
+        with np.errstate(over="ignore", invalid="ignore"):
+            joint = upper_price_mc(model, None, 3e20, controls, **kw)
+            alone = {c.label: upper_price_mc(model, None, 3e20, [c], **kw).table[c.label]
+                     for c in controls}
+        for label, entry in alone.items():
+            assert [v.hex() for v in joint.table[label]] == [v.hex() for v in entry]
+        assert joint.table["worst_case"] != joint.table["lower"]
 
 
 class TestYield:
@@ -598,8 +723,10 @@ class TestCoefficientBundle:
         n_paths, chunk, n_steps = 120, 50, 20
         upper_price_mc(model, None, 1.0, controls, dt=1.0 / n_steps, n_paths=n_paths,
                        chunk_size=chunk)
-        control_steps = len(controls) * -(-n_paths // chunk) * n_steps
-        # the step reads b on every control-step, the deflator r
+        # the policy certified on a constant kernel shares its extreme's march
+        marches = len(controls) if kernel == "state_1d" else len(controls) - 1
+        control_steps = marches * -(-n_paths // chunk) * n_steps
+        # the step reads b on every marched control-step, the deflator r
         assert counts["b"] == control_steps
         if kernel == "state_1d":
             assert counts["r"] == control_steps
