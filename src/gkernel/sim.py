@@ -520,18 +520,12 @@ def _deflator_scan(
 def _march_groups(controls: Sequence[VolControl]) -> list[list[int]]:
     """Indices of ``controls`` grouped by a byte-equal fixed scenario, in call
     order; a control without a fixed scenario is a group of its own."""
-    groups: list[list[int]] = []
-    by_scenario: dict = {}
+    groups: dict = {}
     for i, ctl in enumerate(controls):
         fixed = ctl._fixed_scenario()
-        key = None if fixed is None else tuple((a.shape, a.tobytes()) for a in fixed)
-        if key in by_scenario:
-            by_scenario[key].append(i)
-        else:
-            groups.append([i])
-            if key is not None:
-                by_scenario[key] = groups[-1]
-    return groups
+        key = i if fixed is None else tuple((a.shape, a.tobytes()) for a in fixed)
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
 
 
 def _streaming_deflated_means(
