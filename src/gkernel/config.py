@@ -81,6 +81,15 @@ def _numbers(seq, where: str) -> tuple:
     return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(seq))
 
 
+def _finite(values: tuple, where: str) -> tuple:
+    """``values`` if every entry is finite (json reads NaN and Infinity); else
+    the first that is not is named."""
+    for i, v in enumerate(values):
+        if not math.isfinite(v):
+            raise ConfigurationError(f"{where}[{i}] must be finite, got {v}")
+    return values
+
+
 def _get_number(obj: dict, key: str, where: str, default=None, required=False):
     if key not in obj:
         if required:
@@ -272,17 +281,16 @@ def _parse_sim(obj, m: int) -> SimSettings | None:
     x0 = obj.get("x0")
     if not isinstance(x0, list) or len(x0) != m:
         raise ConfigurationError(f"sim.x0 must list {m} coordinates")
-    x0 = _numbers(x0, "sim.x0")
-    for i, xi in enumerate(x0):
-        if not math.isfinite(xi):  # json reads NaN and Infinity
-            raise ConfigurationError(f"sim.x0[{i}] must be finite, got {xi}")
+    x0 = _finite(_numbers(x0, "sim.x0"), "sim.x0")
     control = obj.get("control", "worst_case")
     if not isinstance(control, (str, dict)):
         raise ConfigurationError("sim.control must be a string or an object")
     checkpoints = obj.get("checkpoints")
     if checkpoints is not None:
-        checkpoints = _numbers(checkpoints, "sim.checkpoints")
+        checkpoints = _finite(_numbers(checkpoints, "sim.checkpoints"), "sim.checkpoints")
     horizon = _get_number(obj, "horizon", where, required=True)
+    if not math.isfinite(horizon):
+        raise ConfigurationError(f"sim.horizon must be finite, got {horizon}")
     if ("dt" in obj) == ("n_steps" in obj):
         raise ConfigurationError("sim needs exactly one of 'dt' or 'n_steps'")
     if "dt" in obj:

@@ -112,24 +112,33 @@ def _empty(batch: ScenarioBatch, d: int, lam: float) -> Decomposition:
 
 
 def _fill(dec: Decomposition, batch: ScenarioBatch, solution, model: ModelSpec) -> None:
-    """Write every factor of the paths of ``batch`` into the same paths of ``dec``."""
+    """Write every factor of the paths of ``batch`` into the same paths of ``dec``.
+
+    u and its derivatives come from one cell lookup per node, component-major.
+    Z and the quadratic form a^T dQV a of ln M are formed one entry at a time,
+    the einsum formulas' products summed from zero in their order.
+    """
     p, n_nodes, m = batch.X.shape
     n_steps = n_nodes - 1
     d = model.d
     dt = batch.dt
     x = batch.X
     flat = x.reshape(-1, m)
-    dec.u[...] = solution.value_at(flat).reshape(p, n_nodes)
-    grad, hess = solution.derivatives_at(flat)
-    grad = grad.reshape(p, n_nodes, m)
-    sig = model.evaluate(flat)["sigma"].reshape(p, n_nodes, m, d)
-    dec.Z[...] = np.einsum("nkld,nkl->nkd", sig, grad)
+    u, grad, hess = solution._fields_at(flat)
+    dec.u[...] = u.reshape(p, n_nodes)
+    sig = model.evaluate(flat)["sigma"]
+    for j in range(d):  # Z = sigma^T Du
+        z = np.zeros(flat.shape[0])
+        for ax in range(m):
+            z += sig[:, ax, j] * grad[ax]
+        dec.Z[..., j] = z.reshape(p, n_nodes)
 
-    # left-endpoint quantities driving the increments
+    # left-endpoint quantities driving the increments, the fields with contiguous rows
     flat_l = x[:, :-1].reshape(-1, m)
     coeffs_l = model.evaluate(flat_l)
-    hess_l = hess.reshape(p, n_nodes, m, m)[:, :-1].reshape(-1, m, m)
-    h_l = _hamiltonian_batch(model, flat_l, grad[:, :-1].reshape(-1, m), hess_l,
+    grad_l = np.ascontiguousarray(grad.reshape(m, p, n_nodes)[..., :-1]).reshape(m, -1)
+    hess_l = np.ascontiguousarray(hess.reshape(m, m, p, n_nodes)[..., :-1]).reshape(m, m, -1)
+    h_l = _hamiltonian_batch(model, flat_l, grad_l.T, hess_l.transpose(2, 0, 1),
                              mode="pricing", precomputed=coeffs_l)
     gvals, _ = g_value_batch(h_l, model.uncertainty)
     gvals = gvals.reshape(p, n_steps)
@@ -143,10 +152,11 @@ def _fill(dec: Decomposition, batch: ScenarioBatch, solution, model: ModelSpec) 
     dqv = q * dt  # same product the simulator accrued, step by step
 
     a = dec.Z[:, :-1] - v_l
-    d_ln_m = (
-        -0.5 * np.einsum("nki,nkij,nkj->nk", a, dqv, a)
-        + np.einsum("nki,nki->nk", a, db)
-    )
+    quad = np.zeros((p, n_steps))  # np.einsum("nki,nkij,nkj->nk", a, dqv, a)
+    for i in range(d):
+        for j in range(d):
+            quad += (a[..., i] * dqv[..., i, j]) * a[..., j]
+    d_ln_m = -0.5 * quad + np.einsum("nki,nki->nk", a, db)
     # the half-spread rate is taken from the same maximizer as gvals, so the
     # worst-case scenario cancels before the dt multiplication
     d_k = (0.5 * np.einsum("nkij,nkij->nk", h_l, q) - gvals) * dt
@@ -201,9 +211,8 @@ def compute_components(
 ) -> Decomposition:
     """Evaluate every factor of the decomposition along a scenario batch.
 
-    ``solution`` must expose ``value_at``, ``derivatives_at`` and
-    ``coverage_excess`` (an :class:`ErgodicSolution` does); ``lam``
-    defaults to its eigenvalue.
+    ``solution`` is an :class:`ErgodicSolution` or a stationary
+    :class:`PdeSolution`; ``lam`` defaults to the eigenvalue of the former.
     Paths straying more than 20% of the box width outside the solution
     grid, or holding a NaN state, abort with :class:`CoverageError`.
 
@@ -343,16 +352,18 @@ def _dec_blocks(dec: Decomposition):
         yield dec.path_slice(lo, min(lo + size, dec.n_paths))
 
 
-def _path_stats(blocks, marks: Sequence[int] = (), keep: np.ndarray | None = None,
-                k_tol: float = math.inf) -> dict:
-    """Every audit figure of each path, over blocks of whole paths, in path order.
+def _path_stats(blocks, marks: Sequence[int] | None = None, keep: np.ndarray | None = None,
+                k_tol: float = math.inf, residual: bool = False) -> dict:
+    """The audit figures of each path, over blocks of whole paths, in path order.
 
     The per-step residual rho = diff(gap) is restricted to the steps in
-    ``keep`` (default all) before its norms and its cumulative sums, which
-    start from 0 at the first kept step.  Blocks hold whole paths, so each
-    figure is final when its block is seen and nothing carries over; the
-    caller reduces over paths once.  ``m`` and ``mk`` hold M and M e^K at
-    the ``marks``, one column per mark.
+    ``keep`` (default all) before its norms, which every audit reads.  The
+    martingale figures are formed only when ``marks`` are given: ``m`` and
+    ``mk`` hold M and M e^K at the marks, one column per mark, next to the
+    K statistics and the identity gap.  The cumulative sums of rho, which
+    start from 0 at the first kept step, are formed only for a ``residual``
+    report.  Blocks hold whole paths, so each figure is final when its block
+    is seen and nothing carries over; the caller reduces over paths once.
     """
     parts = []
     for dec in blocks:
@@ -360,21 +371,23 @@ def _path_stats(blocks, marks: Sequence[int] = (), keep: np.ndarray | None = Non
         rho = np.diff(gap, axis=1)
         if keep is not None:
             rho = rho[:, keep]
-        cum = np.cumsum(rho, axis=1)
-        dk = np.diff(dec.K, axis=1)
-        ln_m = dec.ln_M[:, marks]
-        parts.append({
-            "m": np.exp(ln_m), "mk": np.exp(ln_m + dec.K[:, marks]),
-            "k_viol": np.count_nonzero(~(dk <= k_tol), axis=1),  # a NaN step violates
-            "k_max_inc": np.max(dk, axis=1),
-            "k_max_abs": np.max(np.abs(dec.K), axis=1),
-            "k_final": np.abs(dec.K[:, -1]),
-            "identity": np.max(np.abs(gap), axis=1),
-            "step_max": np.max(np.abs(rho), axis=1),
-            "step_sumsq": np.sum(rho**2, axis=1),
-            "cum_max": np.max(np.abs(cum), axis=1),
-            "cum_final": cum[:, -1].copy(),  # not a view that keeps the block alive
-        })
+        part = {"step_max": np.max(np.abs(rho), axis=1), "step_sumsq": np.sum(rho**2, axis=1)}
+        if marks is not None:
+            dk = np.diff(dec.K, axis=1)
+            ln_m = dec.ln_M[:, marks]
+            part.update({
+                "m": np.exp(ln_m), "mk": np.exp(ln_m + dec.K[:, marks]),
+                "k_viol": np.count_nonzero(~(dk <= k_tol), axis=1),  # a NaN step violates
+                "k_max_inc": np.max(dk, axis=1),
+                "k_max_abs": np.max(np.abs(dec.K), axis=1),
+                "k_final": np.abs(dec.K[:, -1]),
+                "identity": np.max(np.abs(gap), axis=1),
+            })
+        if residual:
+            cum = np.cumsum(rho, axis=1)
+            part["cum_max"] = np.max(np.abs(cum), axis=1)
+            part["cum_final"] = cum[:, -1].copy()  # not a view that keeps the block alive
+        parts.append(part)
     return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
 
 
@@ -480,7 +493,7 @@ def _audit_decomposition(dec: Decomposition, n_audit: int, batches: Sequence[Sce
     batches = list(batches)
     plan = _audit_plan(dec, batches, solution, model, None)
     window, keep = _window(dec.times, None)
-    stats = _path_stats(_dec_blocks(dec), plan[0], keep=keep, k_tol=plan[2])
+    stats = _path_stats(_dec_blocks(dec), plan[0], keep=keep, k_tol=plan[2], residual=True)
     head = {name: values[:n_audit] for name, values in stats.items()}
     return (_verification(dec, head, batches, solution, model, plan),
             _residual(stats, keep, window))
@@ -531,7 +544,7 @@ def verify_bsde_residual(
     """
     lam = _resolve_lam(solution, lam)
     window, keep = _window(batch.times, window)
-    stats = _path_stats(_path_blocks(batch, solution, model, lam), keep=keep)
+    stats = _path_stats(_path_blocks(batch, solution, model, lam), keep=keep, residual=True)
     return _residual(stats, keep, window)
 
 

@@ -59,7 +59,6 @@ __all__ = [
     "PdeSolution",
     "ErgodicSolution",
     "ResidualReport",
-    "hamiltonian_H",
     "solve_parabolic",
     "solve_discounted",
     "solve_ergodic",
@@ -237,18 +236,38 @@ def _uniform_cell(a_inf: np.ndarray, x: np.ndarray) -> np.ndarray:
     return j
 
 
+def _uniform_left_cell(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.clip(np.searchsorted(a, x) - 1, 0, a.size - 2)`` for x in [a[0], a[-1]].
+
+    The cell of a uniform axis ``a`` is guessed from the spacing and corrected
+    by one comparison on each side, as in ``_uniform_cell``; a node is the
+    right end of its cell (the first node the left end of the first cell), as
+    searchsorted's left side gives.  A NaN reads the first cell.
+    """
+    n = a.size
+    with np.errstate(invalid="ignore"):
+        j = ((x - a[0]) * ((n - 1) / (a[n - 1] - a[0]))).astype(np.intp)
+    np.minimum(np.maximum(j, 0, out=j), n - 2, out=j)
+    j -= a.take(j) >= x  # -1 only at x = a[0]
+    j += a.take(j + 1) < x
+    return np.maximum(j, 0, out=j)
+
+
 class _Interp:
     """Piecewise-(bi)linear interpolation with linear value extension.
 
     Values extend beyond the grid with the boundary gradient held constant;
     derivative fields are clamped to their boundary values.  Query points
-    are (n, m) arrays.  Each query locates its cells once and reads every
-    requested field from them; in 1D the result equals ``np.interp``
-    bit for bit.  The per-field work that does not depend on the query is
-    done here once: the slopes of each field in 1D, and the gradient and
-    Hessian entries stacked per node, so one gather per cell corner (per
-    cell end in 1D) reads them all.  2D fields are kept flat over the
-    nodes, so that a corner is one ``take`` of a row-major node index.
+    are (n, m) arrays.  ``fields`` reads the value, gradient and Hessian of
+    each query from one clamp and one cell lookup, component-major: the
+    value (n,), the gradient (m, n) and the Hessian (m, m, n).  In 1D every
+    field equals ``np.interp`` bit for bit; the slopes of each field are
+    formed here once, and the gradient and Hessian are stacked per node so
+    that one gather per cell end reads both.  In 2D each field (the value,
+    each gradient entry, each Hessian entry) is one contiguous row over the
+    row-major nodes, read one row at a time: four gathers of the cell's
+    corners and the bilinear weights in one fixed order, one ufunc per
+    n-vector.  The Hessian's two mixed entries are one node field, read once.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):
@@ -256,9 +275,10 @@ class _Interp:
         self.axes = grid.axes()
         self._lo = np.array([a[0] for a in self.axes])
         self._hi = np.array([a[-1] for a in self.axes])
+        m = grid.m
         grad = nodal_gradient(values, grid)
         hess = nodal_hessian(values, grid)
-        if grid.m == 1:
+        if m == 1:
             # each field with np.interp's cell slopes
             step = np.diff(self.axes[0])
             self._axis_inf = np.append(self.axes[0], np.inf)
@@ -267,36 +287,49 @@ class _Interp:
             self._derivs = derivs, np.diff(derivs, axis=0) / step[:, None]
         else:
             nodes = values.size
-            self._value = values.reshape(nodes)
-            self._derivs = np.concatenate(
-                [grad.reshape(nodes, grid.m), hess.reshape(nodes, grid.m**2)], axis=-1)
+            # rows: the value, the gradient entries, the Hessian entries row-major
+            self._rows = np.concatenate([values.reshape(1, nodes), grad.reshape(nodes, m).T,
+                                         hess.reshape(nodes, m * m).T])
 
-    def _clamp(self, x: np.ndarray) -> np.ndarray:
-        """``np.clip(x, lo, hi)`` by the ufuncs.  A zero tying a bound of the
-        other sign takes the bound's sign, as np.clip does for m = 2; in 1D
-        that sign reaches no output, since the node value is read there."""
-        return np.minimum(np.maximum(x, self._lo), self._hi)
+    def _clamp(self, x: np.ndarray) -> list:
+        """The columns of ``np.clip(x, lo, hi)``, by the ufuncs.  A zero tying a
+        bound of the other sign takes the bound's sign, as np.clip does for
+        m = 2; in 1D that sign reaches no output, since the node value is read
+        there."""
+        return [np.minimum(np.maximum(x[:, ax], self._lo[ax]), self._hi[ax])
+                for ax in range(self.grid.m)]
 
-    def value(self, x: np.ndarray) -> np.ndarray:
+    def fields(self, x: np.ndarray, value: bool = True, derivs: bool = True) -> tuple:
+        """Value (n,), gradient (m, n) and Hessian (m, m, n) at ``x`` from one
+        clamp and one cell lookup; the value, or the gradient and Hessian, are
+        None when not asked for.  Beyond the grid the value adds
+        <grad(clamped point), x - clamped>, summed from zero over the axes."""
+        m = self.grid.m
         xc = self._clamp(x)
         cells = self._locate(xc)
-        inside = self._read(self._value, cells)
-        # linear extension: add <grad(clamped point), x - clamped>
-        delta = x - xc
-        if np.any(delta):
-            g = self._read(self._derivs, cells)[:, :self.grid.m]
-            inside = inside + np.einsum("nl,nl->n", g, delta)
-        return inside
-
-    def derivatives(self, x: np.ndarray) -> tuple:
-        """Clamped gradient (n, m) and Hessian (n, m, m) from one cell lookup."""
-        m = self.grid.m
-        out = self._read(self._derivs, self._locate(self._clamp(x)))
-        return out[:, :m], out[:, m:].reshape(-1, m, m)
+        delta = [x[:, ax] - xc[ax] for ax in range(m)] if value else []
+        extend = any(np.any(dx) for dx in delta)
+        grad = hess = None
+        if derivs or extend:
+            grad, hess = self._read_derivs(cells, hessian=derivs)
+        u = None
+        if value:
+            u = self._read_value(cells)
+            if extend:
+                step = np.zeros(u.shape)
+                for ax in range(m):
+                    step += grad[ax] * delta[ax]
+                u = u + step
+        return u, (grad if derivs else None), hess
 
     def excess(self, x: np.ndarray) -> np.ndarray:
-        xc = self._clamp(x)
-        return np.max(np.abs(x - xc) / (self._hi - self._lo), axis=-1)
+        """How far each query lies beyond the grid, in box widths along its
+        farthest axis."""
+        out = None
+        for ax, col in enumerate(self._clamp(x)):
+            over = np.abs(x[:, ax] - col) / (self._hi[ax] - self._lo[ax])
+            out = over if out is None else np.maximum(out, over)
+        return out
 
     def cell_bounds(self) -> tuple:
         """Least and greatest node value of each derivative field over the corners
@@ -305,46 +338,79 @@ class _Interp:
         if self.grid.m == 1:
             d = self._derivs[0]
             return np.minimum(d[:-1], d[1:]), np.maximum(d[:-1], d[1:])
-        f = self._derivs.reshape(self.grid.nodes + (-1,))
-        corners = (f[:-1, :-1], f[1:, :-1], f[:-1, 1:], f[1:, 1:])
-        return tuple(bound.reduce(corners).reshape(-1, f.shape[-1])
+        f = self._rows[1:].reshape((-1,) + self.grid.nodes)
+        corners = (f[:, :-1, :-1], f[:, 1:, :-1], f[:, :-1, 1:], f[:, 1:, 1:])
+        return tuple(np.ascontiguousarray(bound.reduce(corners).reshape(f.shape[0], -1).T)
                      for bound in (np.minimum, np.maximum))
 
-    def _locate(self, xc: np.ndarray) -> tuple:
+    def _locate(self, xc: list) -> tuple:
         if self.grid.m == 1:
             a = self.axes[0]
-            x = xc[:, 0]
+            x = xc[0]
             j = _uniform_cell(self._axis_inf, x)
             jl = np.minimum(j, a.size - 2)  # left node of the cell used for slopes
             hits = np.flatnonzero(a.take(j) == x)
             return jl, x - a.take(jl), hits, j.take(hits)
-        a0, a1 = self.axes
-        i0 = np.minimum(np.maximum(np.searchsorted(a0, xc[:, 0]) - 1, 0), a0.size - 2)
-        i1 = np.minimum(np.maximum(np.searchsorted(a1, xc[:, 1]) - 1, 0), a1.size - 2)
-        t0 = (xc[:, 0] - a0[i0]) / (a0[i0 + 1] - a0[i0])
-        t1 = (xc[:, 1] - a1[i1]) / (a1[i1 + 1] - a1[i1])
-        return i0 * a1.size + i1, a1.size, t0, t1  # lower-left node, row stride
+        (a0, a1), (x0, x1) = self.axes, xc
+        i0, i1 = _uniform_left_cell(a0, x0), _uniform_left_cell(a1, x1)
+        t0 = (x0 - a0.take(i0)) / (a0.take(i0 + 1) - a0.take(i0))
+        t1 = (x1 - a1.take(i1)) / (a1.take(i1 + 1) - a1.take(i1))
+        k00 = i0 * a1.size + i1  # the lower-left node, row-major
+        k10 = k00 + a1.size
+        return (k00, k10, k00 + 1, k10 + 1), (t0, t1, 1 - t0, 1 - t1)
 
-    def _read(self, field, cells: tuple) -> np.ndarray:
+    def _read_value(self, cells: tuple) -> np.ndarray:
         if self.grid.m == 1:
-            # np.interp's arithmetic: slope * (x - a[j]) + arr[j] off the
-            # nodes, the nodal value itself on them
-            arr, slope = field
-            jl, offset, hits, j_hits = cells
-            if arr.ndim > 1:  # fields stacked along a trailing axis
-                offset = offset[:, None]
-            out = slope.take(jl, axis=0) * offset + arr.take(jl, axis=0)
-            out[hits] = arr.take(j_hits, axis=0)
-            return out
-        k, stride, t0, t1 = cells
-        if field.ndim > 1:  # fields stacked along a trailing axis
-            t0, t1 = t0[:, None], t1[:, None]
-        s0, s1 = 1 - t0, 1 - t1
-        v00 = field.take(k, axis=0)
-        v10 = field.take(k + stride, axis=0)
-        v01 = field.take(k + 1, axis=0)
-        v11 = field.take(k + stride + 1, axis=0)
-        return v00 * s0 * s1 + v10 * t0 * s1 + v01 * s0 * t1 + v11 * t0 * t1
+            return self._read_1d(self._value, cells)
+        return self._bilinear(0, cells, np.empty(cells[1][0].shape))
+
+    def _read_derivs(self, cells: tuple, hessian: bool) -> tuple:
+        m = self.grid.m
+        if m == 1:
+            out = self._read_1d(self._derivs, cells).T
+            return out[:1], out[1:].reshape(1, 1, -1)
+        n = cells[1][0].shape[0]
+        grad = np.empty((m, n))
+        for ax in range(m):
+            self._bilinear(1 + ax, cells, grad[ax])
+        if not hessian:
+            return grad, None
+        hess = np.empty((m, m, n))
+        for a in range(m):
+            for b in range(m):
+                if b < a:  # the mixed entries are one node field
+                    hess[a, b] = hess[b, a]
+                else:
+                    self._bilinear(1 + m + a * m + b, cells, hess[a, b])
+        return grad, hess
+
+    @staticmethod
+    def _read_1d(field, cells: tuple) -> np.ndarray:
+        # np.interp's arithmetic: slope * (x - a[j]) + arr[j] off the
+        # nodes, the nodal value itself on them
+        arr, slope = field
+        jl, offset, hits, j_hits = cells
+        if arr.ndim > 1:  # fields stacked along a trailing axis
+            offset = offset[:, None]
+        out = slope.take(jl, axis=0) * offset + arr.take(jl, axis=0)
+        out[hits] = arr.take(j_hits, axis=0)
+        return out
+
+    def _bilinear(self, row: int, cells: tuple, out: np.ndarray) -> np.ndarray:
+        """Field ``row`` at the cells into ``out``:
+        ((v00 s0 s1 + v10 t0 s1) + v01 s0 t1) + v11 t0 t1, each product left to right."""
+        (k00, k10, k01, k11), (t0, t1, s0, s1) = cells
+        f = self._rows[row]
+        tmp = np.empty(out.shape)
+        f.take(k00, out=out, mode="clip")  # out= buffers unless the mode is set
+        out *= s0
+        out *= s1
+        for k, w0, w1 in ((k10, t0, s1), (k01, s0, t1), (k11, t0, t1)):
+            f.take(k, out=tmp, mode="clip")
+            tmp *= w0
+            tmp *= w1
+            out += tmp
+        return out
 
 
 @dataclass
@@ -384,18 +450,21 @@ class PdeSolution:
         q = min(max(q, 0), self.grid.time_steps)
         return self._interp(q)
 
+    def _fields_at(self, x: np.ndarray, t: float | None = None) -> tuple:
+        """Value (n,), gradient (m, n) and Hessian (m, m, n), component-major,
+        read from one cell lookup."""
+        return self._spatial(t).fields(np.atleast_2d(np.asarray(x, dtype=float)))
+
     def value_at(self, x: np.ndarray, t: float | None = None) -> np.ndarray:
-        return self._spatial(t).value(np.atleast_2d(np.asarray(x, dtype=float)))
-
-    def gradient_at(self, x: np.ndarray, t: float | None = None) -> np.ndarray:
-        return self.derivatives_at(x, t)[0]
-
-    def hessian_at(self, x: np.ndarray, t: float | None = None) -> np.ndarray:
-        return self.derivatives_at(x, t)[1]
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return self._spatial(t).fields(x, derivs=False)[0]
 
     def derivatives_at(self, x: np.ndarray, t: float | None = None) -> tuple:
-        """Gradient (n, m) and Hessian (n, m, m) read from one cell lookup."""
-        return self._spatial(t).derivatives(np.atleast_2d(np.asarray(x, dtype=float)))
+        """Gradient (n, m) and Hessian (n, m, m) read from one cell lookup: views
+        of the component-major fields."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        _, grad, hess = self._spatial(t).fields(x, value=False)
+        return grad.T, hess.transpose(2, 0, 1)
 
     def coverage_excess(self, x: np.ndarray, t: float | None = None) -> np.ndarray:
         return self._spatial(t).excess(np.atleast_2d(np.asarray(x, dtype=float)))
@@ -422,14 +491,11 @@ class ErgodicSolution:
     def value_at(self, x, t=None):
         return self.u.value_at(x)
 
-    def gradient_at(self, x, t=None):
-        return self.u.gradient_at(x)
-
-    def hessian_at(self, x, t=None):
-        return self.u.hessian_at(x)
-
     def derivatives_at(self, x, t=None):
         return self.u.derivatives_at(x)
+
+    def _fields_at(self, x, t=None):
+        return self.u._fields_at(x)
 
     def coverage_excess(self, x, t=None):
         return self.u.coverage_excess(x)
@@ -453,18 +519,18 @@ def _normalize_mode(mode: str) -> str:
     raise ShapeError(f"unknown Hamiltonian mode {mode!r}")
 
 
-def _hessian_term(hess: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """sigma^T hess sigma per row, (n, d, d).
+def _hessian_term(hess: np.ndarray, sig: np.ndarray, i: int, j: int) -> np.ndarray:
+    """(sigma^T hess sigma)_ij per row, (n,).
 
-    Equal bit for bit to ``np.einsum("nab,nai,nbj->nij", hess, sig, sig)``:
-    the same products, summed from zero over (a, b) in the same order.
+    Equal bit for bit to ``np.einsum("nab,nai,nbj->nij", hess, sig, sig)[:, i, j]``:
+    the same products (hess_ab sigma_ai) sigma_bj, summed from zero over
+    (a, b) in the same order.
     """
-    m, d = sig.shape[1:]
-    out = np.zeros((hess.shape[0], d, d))
+    m = sig.shape[1]
+    out = np.zeros(hess.shape[0])
     for a in range(m):
-        left = sig[:, a, :, None]
         for b in range(m):
-            out += (hess[:, a, b, None, None] * left) * sig[:, b, None, :]
+            out += (hess[:, a, b] * sig[:, a, i]) * sig[:, b, j]
     return out
 
 
@@ -479,51 +545,51 @@ def _hamiltonian_batch(
 ) -> np.ndarray:
     """H matrices (n, d, d) for a batch of points/derivatives.
 
-    ``precomputed`` is the ``Coefficients`` bundle at ``x``; by default it
-    is evaluated here.  In pricing mode h - d_ij, 2k and v v^T are the
-    bundle's products, formed once per model when their tensors are constant.
-    """
-    mode = _normalize_mode(mode)
-    pre = model.evaluate(x) if precomputed is None else precomputed
-    sig = pre["sigma"]
-    hess_term = _hessian_term(hess, sig)
-    z = np.einsum("nlj,nl->nj", sig, grad)
-    if mode == "pricing":
-        return (
-            hess_term
-            + 2.0 * np.einsum("nl,nijl->nij", grad, pre["h_eff"])
-            - pre["two_k"]
-            + pre["vv"]
-            + np.einsum("ni,nj->nij", z, z)
-        )
-    y = np.zeros(x.shape[0]) if u_val is None else np.asarray(u_val, dtype=float)
-    d = model.d
-    gmat = np.zeros((x.shape[0], d, d))
-    if model.g is not None:
-        for i in range(d):
-            for j in range(d):
-                gmat[:, i, j] = model.g[i][j](x, y, z)
-    return hess_term + 2.0 * np.einsum("nl,nijl->nij", grad, pre["h"]) + 2.0 * gmat
-
-
-def hamiltonian_H(x, u_val, grad, hess, model: ModelSpec, mode: str = "pricing") -> np.ndarray:
-    """Driver matrix H at a single point.
-
     Pricing mode (aliases "parabolic" and "ergodic" select the same form):
         H_ij = <hess sigma_col_i, sigma_col_j> + 2 <grad, h_ij - d_ij>
                - 2 k_ij + v_i v_j + z_i z_j,        z = sigma^T grad.
     Generic mode replaces the last three terms with 2 g_ij(x, u_val, z)
     and uses the raw covariation loading h.
+
+    ``precomputed`` is the ``Coefficients`` bundle at ``x``; by default it
+    is evaluated here.  In pricing mode h - d_ij, 2k and v v^T are the
+    bundle's products, formed once per model when their tensors are constant.
+    Each entry is formed on its own, one ufunc per n-vector, so the inputs
+    read fastest with contiguous columns, such as the component-major fields
+    of the interpolant.  The sums are those of the einsum formulas, in their
+    order: the Hessian term as ``_hessian_term``, z and the h contraction
+    from zero over the state axes, then the parts left to right.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
-    grad = np.atleast_1d(np.asarray(grad, dtype=float)).reshape(1, -1)
-    hess = np.asarray(hess, dtype=float)
-    if hess.ndim == 0:
-        hess = hess.reshape(1, 1)
-    hess = hess.reshape(1, x.shape[1], x.shape[1])
-    uv = np.array([float(u_val)]) if u_val is not None else None
-    out = _hamiltonian_batch(model, x, grad, hess, uv, mode=mode)
-    return out[0]
+    mode = _normalize_mode(mode)
+    pre = model.evaluate(x) if precomputed is None else precomputed
+    sig = pre["sigma"]
+    n, m = grad.shape
+    d = model.d
+    z = np.zeros((d, n))
+    for j in range(d):
+        for l in range(m):
+            z[j] += sig[:, l, j] * grad[:, l]
+    pricing = mode == "pricing"
+    h = pre["h_eff"] if pricing else pre["h"]
+    if not pricing:
+        y = np.zeros(n) if u_val is None else np.asarray(u_val, dtype=float)
+        z_rows = np.ascontiguousarray(z.T)  # g reads z as (n, d)
+    out = np.empty((n, d, d))
+    for i in range(d):
+        for j in range(d):
+            drift = np.zeros(n)
+            for l in range(m):
+                drift += grad[:, l] * h[:, i, j, l]
+            entry = _hessian_term(hess, sig, i, j) + 2.0 * drift
+            if pricing:
+                entry = ((entry - pre["two_k"][:, i, j]) + pre["vv"][:, i, j]) + z[i] * z[j]
+            else:
+                g = np.zeros(n)
+                if model.g is not None:
+                    g[:] = model.g[i][j](x, y, z_rows)
+                entry = entry + 2.0 * g
+            out[:, i, j] = entry
+    return out
 
 
 # Certified picks.  When sigma, h - d, 2k and v v^T are constant, the worst-case

@@ -653,6 +653,26 @@ class TestCli:
         assert code == 3
         assert "sim.x0[0] must be finite" in err
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["sim.horizon", "sim.checkpoints[1]"])
+    def test_non_finite_horizon_and_checkpoints_named_before_solving(self, run_cli, name, bad,
+                                                                     monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the sim block was checked")
+
+        monkeypatch.setattr(cli, "solve_ergodic", no_solve)
+        doc = sim_doc()
+        if name == "sim.horizon":
+            doc["sim"]["horizon"] = bad
+        else:
+            doc["sim"]["checkpoints"] = [0.1, bad]
+        with pytest.raises(ConfigurationError, match=re.escape(f"{name} must be finite")):
+            parse_config(doc)
+        for command in ("price", "decompose"):
+            code, _, err = run_cli(doc, command)
+            assert code == 3
+            assert f"{name} must be finite" in err
+
     def test_sim_block_required_for_paths(self, run_cli):
         code, _, err = run_cli(base_doc(), "decompose")
         assert code == 3

@@ -26,7 +26,6 @@ from gkernel import (
     worst_case_policy,
 )
 from gkernel import decomp
-from gkernel.pde import _hamiltonian_batch
 from conftest import quadratic_rate_model
 
 FIELDS = ("u", "Z", "ln_M", "K", "ln_D_direct", "ln_D_reconstructed")
@@ -192,6 +191,28 @@ class TestMartingaleAudit:
                                                                      bsde.to_dict()])
         assert len(calls) == 1 + len(extra)  # one reduction of the reference
 
+    def test_each_audit_forms_only_the_figures_it_reads(self, const_model, const_sol,
+                                                        const_wc_batch, const_wc_dec,
+                                                        monkeypatch):
+        extra = [simulate_gsde(const_model, ctl, [0.0], 1.0, 1e-3, 50, seed=13)
+                 for ctl in extreme_controls(const_model.uncertainty)]
+        formed = []
+        real = decomp._path_stats
+        monkeypatch.setattr(decomp, "_path_stats",
+                            lambda *a, **k: formed.append(set(out := real(*a, **k))) or out)
+        norms = {"step_max", "step_sumsq"}
+        martingale = norms | {"m", "mk", "k_viol", "k_max_inc", "k_max_abs", "k_final",
+                              "identity"}
+        residual = norms | {"cum_max", "cum_final"}
+        verify_martingales(const_wc_dec, extra, const_sol, const_model)
+        assert formed == [martingale] * (1 + len(extra))
+        formed.clear()
+        verify_bsde_residual(const_wc_batch, const_sol, const_model)
+        assert formed == [residual]
+        formed.clear()
+        decomp._audit_decomposition(const_wc_dec, 50, extra, const_sol, const_model)
+        assert formed == [martingale | residual] + [martingale] * len(extra)
+
     def test_degenerate_set_triggers_classical_check(self):
         model = ModelSpec.build(
             m=1, d=1, b=["-x1"], sigma=[["0.2"]], r=0.0,
@@ -318,8 +339,12 @@ def _whole_batch(batch, solution, model, lam):
     flat_l = batch.X[:, :-1].reshape(-1, m)
     coeffs = model.evaluate(flat_l)
     hess_l = hess.reshape(n, n_nodes, m, m)[:, :-1].reshape(-1, m, m)
-    h_l = _hamiltonian_batch(model, flat_l, grad[:, :-1].reshape(-1, m), hess_l,
-                             mode="pricing", precomputed=coeffs)
+    grad_l = grad[:, :-1].reshape(-1, m)
+    sig_l = coeffs["sigma"]
+    z_l = np.einsum("nlj,nl->nj", sig_l, grad_l)
+    h_l = (np.einsum("nab,nai,nbj->nij", hess_l, sig_l, sig_l)
+           + 2.0 * np.einsum("nl,nijl->nij", grad_l, coeffs["h_eff"]) - coeffs["two_k"]
+           + coeffs["vv"] + np.einsum("ni,nj->nij", z_l, z_l))
     gvals = g_value_batch(h_l, model.uncertainty)[0].reshape(n, n_nodes - 1)
     h_l = h_l.reshape(n, n_nodes - 1, d, d)
     v = coeffs["v"].reshape(n, n_nodes - 1, d)

@@ -17,7 +17,6 @@ from gkernel import (
     ShapeError,
     UncertaintySet,
     check_assumptions,
-    hamiltonian_H,
     pde_residual,
     solve_discounted,
     solve_ergodic,
@@ -52,29 +51,77 @@ def generic_twin_2d() -> ModelSpec:
         g=[[_half_product(i, j) for j in range(2)] for i in range(2)])
 
 
+def hamiltonian_at(x, u_val, grad, hess, model: ModelSpec, mode: str = "pricing"):
+    """H at a single point, from the batch kernel."""
+    m = model.m
+    uv = None if u_val is None else np.array([float(u_val)])
+    return pde._hamiltonian_batch(
+        model, np.reshape(np.asarray(x, dtype=float), (1, m)),
+        np.reshape(np.asarray(grad, dtype=float), (1, m)),
+        np.reshape(np.asarray(hess, dtype=float), (1, m, m)), uv, mode=mode)[0]
+
+
+def einsum_hamiltonian(model, x, grad, hess, u_val, mode, pre):
+    """The driver matrices by the literal einsum formula, term by term."""
+    sig = pre["sigma"]
+    hess_term = np.einsum("nab,nai,nbj->nij", hess, sig, sig)
+    z = np.einsum("nlj,nl->nj", sig, grad)
+    if pde._normalize_mode(mode) == "pricing":
+        return (hess_term + 2.0 * np.einsum("nl,nijl->nij", grad, pre["h_eff"])
+                - pre["two_k"] + pre["vv"] + np.einsum("ni,nj->nij", z, z))
+    y = np.zeros(x.shape[0]) if u_val is None else u_val
+    gmat = np.zeros((x.shape[0], model.d, model.d))
+    if model.g is not None:
+        for i in range(model.d):
+            for j in range(model.d):
+                gmat[:, i, j] = model.g[i][j](x, y, z)
+    return hess_term + 2.0 * np.einsum("nl,nijl->nij", grad, pre["h"]) + 2.0 * gmat
+
+
+def _oracle_model(m: int, d: int, state: bool, generic: bool) -> ModelSpec:
+    """Every loading present; sigma, h, k and v state-dependent or constant."""
+    x = [f"x{i + 1}" for i in range(m)]
+    sigma = [[f"0.2 + 0.1 * {x[a]} * {x[-1]}" if (a + i) % 2 == 0 else f"0.05 * {x[a]}"
+              for i in range(d)] for a in range(m)] if state else \
+        [[0.2 if a == i else 0.0 for i in range(d)] for a in range(m)]
+    h = [[[f"0.01 * {x[l]}" if state else 0.01 * (1 + i + j + l) for l in range(m)]
+          for j in range(d)] for i in range(d)]
+    k = [[f"0.02 * {x[0]}" if state else 0.02 - 0.01 * (i != j) for j in range(d)]
+         for i in range(d)]
+    v = [f"0.3 - 0.1 * {x[-1]}" if state else 0.3 - 0.1 * i for i in range(d)]
+    uncertainty = (UncertaintySet.interval(0.5, 1.0) if d == 1
+                   else UncertaintySet.finite([np.eye(2), [[1.0, 0.5], [0.5, 1.0]]]))
+    extra = {}
+    if generic:
+        extra["g"] = [[(lambda i, j: lambda x, y, z: 0.5 * z[:, i] * z[:, j] + 0.1 * y)(i, j)
+                       for j in range(d)] for i in range(d)]
+    return ModelSpec.build(m=m, d=d, b=["0.0"] * m, sigma=sigma, r=0.0, h=h, k=k, v=v,
+                           uncertainty=uncertainty, **extra)
+
+
 class TestHamiltonian:
     def test_noise_loading_term_only(self, const_model):
-        H = hamiltonian_H([0.0], 0.0, [0.0], [[0.0]], const_model)
+        H = hamiltonian_at([0.0], 0.0, [0.0], [[0.0]], const_model)
         assert H.shape == (1, 1)
         assert H[0, 0] == pytest.approx(0.09, abs=1e-15)
 
     def test_all_zero_inputs(self, ou_model):
-        H = hamiltonian_H([0.3], 0.0, [0.0], [[0.0]], ou_model)
+        H = hamiltonian_at([0.3], 0.0, [0.0], [[0.0]], ou_model)
         assert H[0, 0] == 0.0
 
     def test_quadratic_gradient_term(self, ou_model):
-        H = hamiltonian_H([0.0], 0.0, [-1.0], [[0.0]], ou_model)
+        H = hamiltonian_at([0.0], 0.0, [-1.0], [[0.0]], ou_model)
         assert H[0, 0] == pytest.approx(0.04, abs=1e-15)
 
     def test_mode_aliases_share_the_pricing_form(self, const_model):
-        base = hamiltonian_H([0.1], 0.0, [0.4], [[0.2]], const_model, mode="pricing")
+        base = hamiltonian_at([0.1], 0.0, [0.4], [[0.2]], const_model, mode="pricing")
         for alias in ("parabolic", "ergodic"):
-            alt = hamiltonian_H([0.1], 0.0, [0.4], [[0.2]], const_model, mode=alias)
+            alt = hamiltonian_at([0.1], 0.0, [0.4], [[0.2]], const_model, mode=alias)
             assert np.array_equal(alt, base)
 
     def test_unknown_mode_rejected(self, const_model):
         with pytest.raises(ShapeError):
-            hamiltonian_H([0.0], 0.0, [0.0], [[0.0]], const_model, mode="elliptic")
+            hamiltonian_at([0.0], 0.0, [0.0], [[0.0]], const_model, mode="elliptic")
 
     def test_generic_driver_form(self):
         model = ModelSpec.build(
@@ -83,7 +130,7 @@ class TestHamiltonian:
             g=[[lambda x, y, z: y + z[:, 0]]],
         )
         # H = hess sigma^2 + 2 g(x, u, sigma * grad)
-        H = hamiltonian_H([0.0], 3.0, [5.0], [[10.0]], model, mode="generic")
+        H = hamiltonian_at([0.0], 3.0, [5.0], [[10.0]], model, mode="generic")
         assert H[0, 0] == pytest.approx(10.0 * 0.04 + 2.0 * (3.0 + 1.0), abs=1e-13)
 
     def test_output_symmetric_with_two_noises(self):
@@ -92,7 +139,7 @@ class TestHamiltonian:
             uncertainty=UncertaintySet.finite([np.eye(2)]),
             v=[0.1, 0.4], k=[[0.01, 0.02], [0.02, 0.03]],
         )
-        H = hamiltonian_H([0.5], 0.0, [0.7], [[0.4]], model)
+        H = hamiltonian_at([0.5], 0.0, [0.7], [[0.4]], model)
         assert H.shape == (2, 2)
         assert np.allclose(H, H.T, atol=1e-15)
 
@@ -110,9 +157,49 @@ class TestHamiltonian:
         elif case == "broadcast_sigma":  # a constant sigma from ModelSpec.evaluate
             sig = np.broadcast_to(sig[0], sig.shape)
         ref = np.einsum("nab,nai,nbj->nij", hess, sig, sig)
-        got = pde._hessian_term(hess, sig)
-        assert got.shape == ref.shape
-        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        for i in range(d):
+            for j in range(d):
+                got = pde._hessian_term(hess, sig, i, j)
+                assert got.shape == (n,)
+                assert np.array_equal(got.view(np.int64), ref[:, i, j].view(np.int64))
+
+    @pytest.mark.parametrize("m,d", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("mode", ["pricing", "generic"])
+    @pytest.mark.parametrize("state", [True, False], ids=["state_sigma", "broadcast_sigma"])
+    @pytest.mark.parametrize("layout", ["rows", "columns"])
+    def test_batch_matches_einsum_formula_bitwise(self, m, d, mode, state, layout):
+        model = _oracle_model(m, d, state, generic=mode == "generic")
+        rng = np.random.default_rng(100 * m + 10 * d + state)
+        n = 3000
+        x = rng.uniform(-1.0, 1.0, (n, m))
+        grad = rng.standard_normal((n, m)) * np.exp(rng.uniform(-8.0, 8.0, (n, m)))
+        hess = rng.standard_normal((n, m, m)) * np.exp(rng.uniform(-8.0, 8.0, (n, 1, 1)))
+        hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
+        u_val = rng.standard_normal(n)
+        # signed zeros in the states, the derivatives and so in sigma, h, k and v
+        x[rng.random((n, m)) < 0.1] = -0.0
+        x[rng.random((n, m)) < 0.1] = 0.0
+        grad[rng.random((n, m)) < 0.2] = -0.0
+        hess[rng.random((n, m, m)) < 0.2] = -0.0
+        # NaN rows: a NaN state (a state-dependent loading rejects it), a NaN
+        # gradient, a NaN Hessian
+        if not state:
+            x[rng.random(n) < 0.02, 0] = np.nan
+        grad[rng.random(n) < 0.02, -1] = np.nan
+        hess[rng.random(n) < 0.02, 0, -1] = np.nan
+        if layout == "columns":  # component-major, as the interpolant reads them
+            grad = np.ascontiguousarray(grad.T).T
+            hess = np.ascontiguousarray(hess.transpose(1, 2, 0)).transpose(2, 0, 1)
+        pre = model.evaluate(x)
+        if not state:
+            assert pre["sigma"].strides[0] == 0
+        ref = einsum_hamiltonian(model, x, grad, hess, u_val, mode, pre)
+        for given in (pre, None):
+            got = pde._hamiltonian_batch(model, x, grad, hess, u_val, mode=mode,
+                                         precomputed=given)
+            assert got.shape == ref.shape and got.flags.c_contiguous
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert np.isnan(ref).any()
 
 
 class TestGrid:
@@ -888,7 +975,88 @@ class TestInterpolation:
                        else self._bilinear(h_nodes[..., ax, bx], axes, xc))
                 assert np.array_equal(hess[:, ax, bx].view(np.int64), ref.view(np.int64))
 
-    def test_joint_derivatives_equal_separate_accessors(self, ou_sol):
+    @staticmethod
+    def _row_major_read(values, grid, x):
+        """The 2D read before the fields went component-major: value, gradient and
+        Hessian stacked per node, clamped by broadcasting, the cell found by
+        binary search, one gather per corner for every field at once."""
+        axes, nodes = grid.axes(), values.size
+        lo, hi = np.array([a[0] for a in axes]), np.array([a[-1] for a in axes])
+        derivs = np.concatenate([nodal_gradient(values, grid).reshape(nodes, 2),
+                                 nodal_hessian(values, grid).reshape(nodes, 4)], axis=-1)
+        xc = np.minimum(np.maximum(x, lo), hi)
+        a0, a1 = axes
+        i0 = np.minimum(np.maximum(np.searchsorted(a0, xc[:, 0]) - 1, 0), a0.size - 2)
+        i1 = np.minimum(np.maximum(np.searchsorted(a1, xc[:, 1]) - 1, 0), a1.size - 2)
+        t0 = (xc[:, 0] - a0[i0]) / (a0[i0 + 1] - a0[i0])
+        t1 = (xc[:, 1] - a1[i1]) / (a1[i1 + 1] - a1[i1])
+        k, stride = i0 * a1.size + i1, a1.size
+
+        def read(field):
+            w0, w1 = (t0[:, None], t1[:, None]) if field.ndim > 1 else (t0, t1)
+            s0, s1 = 1 - w0, 1 - w1
+            return (field.take(k, axis=0) * s0 * s1 + field.take(k + stride, axis=0) * w0 * s1
+                    + field.take(k + 1, axis=0) * s0 * w1
+                    + field.take(k + stride + 1, axis=0) * w0 * w1)
+
+        d = read(derivs)
+        value = read(values.reshape(nodes))
+        delta = x - xc
+        if np.any(delta):
+            value = value + np.einsum("nl,nl->n", d[:, :2], delta)
+        return value, d[:, :2], d[:, 2:].reshape(-1, 2, 2)
+
+    @pytest.mark.parametrize("bounds", [[(-1.0, 1.0), (-2.0, 2.0)], [(0.0, 2.0), (-2.0, -0.0)],
+                                        [(0.1, 0.7), (-1e3, 7.3)]], ids=["box", "zero", "odd"])
+    @pytest.mark.parametrize("where", ["inside", "nodes", "beyond", "nan"])
+    def test_2d_fused_lookup_equals_row_major_read_bitwise(self, bounds, where):
+        rng = np.random.default_rng(7)
+        grid = Grid.build(bounds, [17, 21])
+        pts = grid.points()
+        lo, hi = np.array(bounds).T
+        values = (np.sin(3.0 * pts[:, 0] / hi[0]) * np.cos(pts[:, 1] / (hi[1] - lo[1]))
+                  + rng.normal(size=len(pts))).reshape(grid.shape)
+        values[3, 5] = 0.0  # an anchor-like zero node
+        x = {
+            "inside": lambda: lo + (hi - lo) * rng.random((3000, 2)),
+            "nodes": lambda: np.concatenate([pts, np.nextafter(pts, np.inf),
+                                             np.nextafter(pts, -np.inf)]).clip(lo, hi),
+            "beyond": lambda: lo + (hi - lo) * rng.uniform(-0.5, 1.5, (3000, 2)),
+            "nan": lambda: np.concatenate([
+                np.stack(np.meshgrid(*[[-0.0, 0.0, np.nan, lo[i], hi[i], 2 * hi[i] - lo[i]]
+                                       for i in range(2)]), axis=-1).reshape(-1, 2),
+                lo + (hi - lo) * rng.uniform(-0.5, 1.5, (500, 2))]),
+        }[where]()
+        # and a field of -0.0, whose value beyond the grid keeps or drops the sign
+        # by the order of the extension's sum
+        for field in (values, np.full(grid.shape, -0.0)):
+            sol = PdeSolution(grid=grid, kind="stationary", values=field)
+            ref = self._row_major_read(field, grid, x)
+            got = sol._fields_at(x)
+            pairs = [(got[0], ref[0]), (got[1].T, ref[1]), (got[2].transpose(2, 0, 1), ref[2]),
+                     (sol.value_at(x), ref[0])] + list(zip(sol.derivatives_at(x), ref[1:]))
+            for a, b in pairs:
+                assert a.shape == b.shape
+                assert np.array_equal(np.ascontiguousarray(a).view(np.int64),
+                                      np.ascontiguousarray(b).view(np.int64))
+            assert np.any(np.isnan(ref[0])) == (where == "nan")
+
+    @pytest.mark.parametrize("bounds,nodes", [((-3.0, 3.0), 257), ((0.1, 0.7), 16),
+                                              ((-1e3, 7.3), 1001), ((0.0, 2.0), 33),
+                                              ((-2.0, -0.0), 17), ((-2.0, 2.0), 2)])
+    def test_2d_uniform_cell_is_searchsorted_left_cell(self, bounds, nodes):
+        axis = Grid.build([bounds], [nodes]).axes()[0] if nodes > 2 else np.array(bounds)
+        rng = np.random.default_rng(nodes)
+        x = np.concatenate([axis, np.nextafter(axis, np.inf), np.nextafter(axis, -np.inf),
+                            rng.uniform(axis[0], axis[-1], 5000), [-0.0, 0.0]])
+        x = x[(x >= axis[0]) & (x <= axis[-1])]
+        ref = np.clip(np.searchsorted(axis, x) - 1, 0, axis.size - 2)
+        assert np.array_equal(pde._uniform_left_cell(axis, x), ref)
+        # a node is the right end of its cell, the first node the left end of the first
+        assert np.array_equal(pde._uniform_left_cell(axis, axis),
+                              np.maximum(np.arange(axis.size) - 1, 0))
+
+    def test_derivatives_at_equals_the_fused_lookup(self, ou_sol):
         rng = np.random.default_rng(4)
         grid2 = Grid.build([[-1.0, 1.0], [-2.0, 2.0]], [17, 21])
         pts = grid2.points()
@@ -898,8 +1066,11 @@ class TestInterpolation:
         x2 = rng.uniform(-2.5, 2.5, (500, 2))
         for sol, x in ((ou_sol, x1), (sol2, x2)):
             grad, hess = sol.derivatives_at(x)
-            assert np.array_equal(grad, sol.gradient_at(x))
-            assert np.array_equal(hess, sol.hessian_at(x))
+            value, grad_cm, hess_cm = sol._fields_at(x)
+            m = x.shape[1]
+            assert grad.shape == (500, m) and hess.shape == (500, m, m)
+            assert np.array_equal(grad, grad_cm.T) and np.array_equal(hess, hess_cm.transpose(2, 0, 1))
+            assert np.array_equal(sol.value_at(x), value)
         assert np.allclose(hess, np.swapaxes(hess, 1, 2))
 
     def test_parabolic_hessian_reads_its_time_slice(self, ou_model):
@@ -910,5 +1081,5 @@ class TestInterpolation:
         for q in (0, 17, 64):
             ref = np.interp(np.clip(x[:, 0], -2.0, 2.0), axis,
                             nodal_hessian(sol.values[q], grid)[:, 0, 0])
-            assert np.array_equal(sol.hessian_at(x, q * grid.dt)[:, 0, 0], ref)
-        assert not np.array_equal(sol.hessian_at(x, 0.0), sol.hessian_at(x, 0.5))
+            assert np.array_equal(sol.derivatives_at(x, q * grid.dt)[1][:, 0, 0], ref)
+        assert not np.array_equal(sol.derivatives_at(x, 0.0)[1], sol.derivatives_at(x, 0.5)[1])

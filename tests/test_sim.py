@@ -758,7 +758,7 @@ def _oracle_chunk_draws(seed, path_lo, path_hi, n_steps, d):
 def _oracle_hamiltonian(model, x, grad, hess, u_val, mode, pre):
     """H with every product formed from the bundle's tensors on every call."""
     sig = pre["sigma"]
-    hess_term = pde._hessian_term(hess, sig)
+    hess_term = np.einsum("nab,nai,nbj->nij", hess, sig, sig)
     z = np.einsum("nlj,nl->nj", sig, grad)
     if mode == "pricing":
         vval = pre["v"]
