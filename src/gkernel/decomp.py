@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CoverageError, ShapeError
-from .gcore import g_value_batch
+from .gcore import _g_values
 from .model import ModelSpec
 from .pde import ErgodicSolution, _hamiltonian_batch
 from .sim import ScenarioBatch
@@ -140,7 +140,7 @@ def _fill(dec: Decomposition, batch: ScenarioBatch, solution, model: ModelSpec) 
     hess_l = np.ascontiguousarray(hess.reshape(m, m, p, n_nodes)[..., :-1]).reshape(m, m, -1)
     h_l = _hamiltonian_batch(model, flat_l, grad_l.T, hess_l.transpose(2, 0, 1),
                              mode="pricing", precomputed=coeffs_l)
-    gvals, _ = g_value_batch(h_l, model.uncertainty)
+    gvals = _g_values(h_l, model.uncertainty)[0]  # the maximizers are not read
     gvals = gvals.reshape(p, n_steps)
     h_l = h_l.reshape(p, n_steps, d, d)
 

@@ -164,10 +164,16 @@ def g_value_batch(mats: np.ndarray, sigma_set: UncertaintySet):
         are computed as trace(A Q*)/2 from the selected maximizer so that
         downstream cancellation checks hold bitwise.
     """
-    stacked, pick = _candidate_scores(mats, sigma_set)
-    values = 0.5 * np.take_along_axis(stacked, pick[..., None], axis=-1)[..., 0]
+    values, pick = _g_values(mats, sigma_set)
     maximizers = np.stack(sigma_set.candidates(), axis=0)[pick]
     return values, maximizers
+
+
+def _g_values(mats, sigma_set: UncertaintySet):
+    """The values of ``g_value_batch`` and the index of each maximizer, which
+    is not gathered."""
+    stacked, pick = _candidate_scores(mats, sigma_set)
+    return 0.5 * np.take_along_axis(stacked, pick[..., None], axis=-1)[..., 0], pick
 
 
 def _candidate_scores(mats, sigma_set: UncertaintySet):

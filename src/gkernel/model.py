@@ -87,13 +87,13 @@ def _coeff_grid(entries, shape, where: str):
 def _eval_checked(fn: CoefficientFn, x: np.ndarray, name: str, shape: tuple, j: int) -> np.ndarray:
     """``fn(x)`` for entry ``j`` (row-major) of tensor ``name``, checked finite."""
     out = fn(x)
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        label = name + "".join(f"[{i}]" for i in np.unravel_index(j, shape))
-        raise EvaluationError(
-            f"{label} evaluated to a non-finite value at x = {x[int(np.argmax(bad))].tolist()}"
-        )
-    return out
+    if np.isfinite(out).all():
+        return out
+    bad = ~np.isfinite(out)  # formed, with the label, only for the message
+    label = name + "".join(f"[{i}]" for i in np.unravel_index(j, shape))
+    raise EvaluationError(
+        f"{label} evaluated to a non-finite value at x = {x[int(np.argmax(bad))].tolist()}"
+    )
 
 
 def _dij(sig: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -144,6 +144,38 @@ class Coefficients(dict):
         if out is None:
             out = (_DERIVED[name][1](self) if name in _DERIVED
                    else getattr(self.model, f"eval_{name}")(self.x))
+        self[name] = out
+        return out
+
+    def rows(self, rows: slice) -> "Coefficients":
+        """The bundle at ``x[rows]``, ``rows`` a slice: this bundle itself when it
+        takes every row, else a view whose tensors are this bundle's rows."""
+        if rows == slice(0, len(self.x)):
+            return self
+        return _RowView(self, rows)
+
+
+class _RowView(Coefficients):
+    """``Coefficients`` at a slice of the rows of another bundle.
+
+    A tensor, and a product whose tensors are all constant, is the slice of
+    the whole bundle's, computed there if it is not yet; a product that
+    varies is formed on these rows alone, from their tensors.  Every entry
+    is a function of its own row, so each equals the bundle evaluated at
+    ``x[rows]``, bit for bit.
+    """
+
+    def __init__(self, whole: Coefficients, rows: slice):
+        super().__init__(whole.model, whole.x[rows])
+        self.whole = whole
+        self._rows = rows
+
+    def __missing__(self, name: str) -> np.ndarray:
+        if (name in _DERIVED and name not in self.whole
+                and self.model._constant(name, self.whole.x) is None):
+            out = _DERIVED[name][1](self)
+        else:
+            out = self.whole[name][self._rows]
         self[name] = out
         return out
 

@@ -10,9 +10,12 @@ normal xi.  The state follows the Euler scheme
 
 with all coefficients evaluated at the left endpoint.  One kernel,
 ``_euler_steps``, takes these steps for every simulator, evaluating the
-model once per step into a bundle that the control and the deflator
+model once per step into a bundle that the controls and the deflator
 share, and one chunk driver, ``_chunks``, splits the paths into blocks
-and draws their noise.
+and draws their noise.  The kernel marches one or more controls on a
+chunk's draws as one batch, one block of rows per control:
+``simulate_gsde`` is the case of one control, and the streaming
+estimators stack every distinct march of a chunk.
 
 Each path owns a counter-based random stream keyed by (seed, path id),
 so results are independent of chunking and identical whether paths are
@@ -301,20 +304,23 @@ def extreme_controls(sigma_set: UncertaintySet) -> list[ConstantControl]:
 # path generation
 
 
-def _chunk_draws(seed: int, path_lo: int, path_hi: int, n_steps: int, d: int) -> np.ndarray:
+def _chunk_draws(seed: int, path_lo: int, path_hi: int, n_steps: int, d: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Standard normals (paths, steps, d); path p reads a fresh Philox stream
     keyed by (seed, p).  One bit generator serves the chunk: setting its
     state to a fresh one under each path's key costs several times less
-    than building a generator per path."""
+    than building a generator per path.  The draws go straight into ``out``,
+    a C-contiguous array of that shape, when it is given."""
     bits = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
     gen = np.random.Generator(bits)
     fresh = bits.state  # a copy: zero counter, empty buffer
     key = fresh["state"]["key"]
-    out = np.empty((path_hi - path_lo, n_steps, d))
+    if out is None:
+        out = np.empty((path_hi - path_lo, n_steps, d))
     for i, p in enumerate(range(path_lo, path_hi)):
         key[1] = p & _MASK64
         bits.state = fresh
-        out[i] = gen.standard_normal((n_steps, d))
+        gen.standard_normal(out=out[i])
     return out
 
 
@@ -396,38 +402,63 @@ def _check_sizes(n_paths, chunk_size) -> None:
 
 
 def _chunks(seed: int, path_offset: int, n_paths: int, n_steps: int, d: int,
-            chunk_size: int | None):
-    """Yield (lo, hi, draws) for each block of paths, draws shaped (paths, steps, d)."""
+            chunk_size: int | None, out: np.ndarray | None = None):
+    """Yield (lo, hi, draws) for each block of paths, draws shaped (paths, steps, d);
+    with ``out`` (n_paths, steps, d) given, each block is drawn into ``out[lo:hi]``."""
     if chunk_size is None:
         chunk_size = max(1, min(n_paths, int(2.5e7 / max(1, n_steps * d))))
     for lo in range(0, n_paths, chunk_size):
         hi = min(lo + chunk_size, n_paths)
-        yield lo, hi, _chunk_draws(seed, path_offset + lo, path_offset + hi, n_steps, d)
+        yield lo, hi, _chunk_draws(seed, path_offset + lo, path_offset + hi, n_steps, d,
+                                   out=None if out is None else out[lo:hi])
 
 
-def _euler_steps(model: ModelSpec, control: VolControl, x0: np.ndarray, dt: float,
-                 draws: np.ndarray):
-    """The Euler scheme for one chunk: yield (k, x, Q, dB, dQV, x_next, coeffs) per step.
+def _row_blocks(n: int, count: int) -> list[slice]:
+    """The rows of each of ``count`` blocks of ``n`` rows, stacked in order."""
+    return [slice(g * n, (g + 1) * n) for g in range(count)]
 
-    Every coefficient is evaluated at the left endpoint ``x``, once per
-    step: ``coeffs`` is the step's ``Coefficients`` bundle, shared with the
-    control and the caller.  The step time is k dt.
+
+def _euler_steps(model: ModelSpec, controls: Sequence[VolControl], x0: np.ndarray,
+                 dt: float, draws: np.ndarray):
+    """The Euler scheme for one chunk under each of ``controls``, marched as one
+    batch: yield (k, x, qs, dB, dQV, x_next, coeffs) per step.
+
+    ``draws`` holds the n paths' standard normals, shape (paths, steps, d).
+    Rows g n to (g + 1) n of the state follow control g on those draws, so
+    x, dB, dQV and x_next have G n rows for G controls; ``qs`` lists each
+    control's scenarios Q for its rows.  Every coefficient is evaluated at
+    the left endpoint ``x``, once per step for all rows: ``coeffs`` is the
+    step's ``Coefficients`` bundle, shared with the caller, and each control
+    reads the view of its own rows.  Every entry is a function of its own
+    row, so each control's rows equal a march of that control alone, bit for
+    bit.  dB and dQV are buffers the next step overwrites; a control's dQV
+    rows are formed again only when it returns a new or writeable Q, so a
+    fixed scenario's cached broadcast forms them once per chunk.  The step
+    time is k dt.
     """
-    n, n_steps, _ = draws.shape
-    x = np.broadcast_to(x0, (n, model.m)).copy()
+    n, n_steps, d = draws.shape
+    blocks = _row_blocks(n, len(controls))
+    x = np.broadcast_to(x0, (len(controls) * n, model.m)).copy()
+    db = np.empty((len(controls) * n, d))
+    dqv = np.empty((len(controls) * n, d, d))
+    qs = [None] * len(controls)
     sqdt = math.sqrt(dt)
     for k in range(n_steps):
         coeffs = model.evaluate(x)
-        q, root = control.matrices_and_roots(k * dt, x, coeffs=coeffs)
-        db = np.einsum("nij,nj->ni", root, draws[:, k]) * sqdt
-        dqv = q * dt
+        for g, (ctl, rows) in enumerate(zip(controls, blocks)):
+            q, root = ctl.matrices_and_roots(k * dt, x[rows], coeffs=coeffs.rows(rows))
+            np.einsum("nij,nj->ni", root, draws[:, k], out=db[rows])
+            if q is not qs[g] or q.flags.writeable:
+                np.multiply(q, dt, out=dqv[rows])
+                qs[g] = q
+        db *= sqdt
         x_next = x + coeffs["b"] * dt
         # an absent h adds no sum: its +0.0 would only turn a -0.0 into +0.0,
         # and the sigma dB sum starts from +0.0 as well, so no bit changes
         if model.h is not None:
             x_next += np.einsum("nijl,nij->nl", coeffs["h"], dqv)
         x_next += np.einsum("nld,nd->nl", coeffs["sigma"], db)
-        yield k, x, q, db, dqv, x_next, coeffs
+        yield k, x, tuple(qs), db, dqv, x_next, coeffs
         x = x_next
 
 
@@ -465,9 +496,9 @@ def simulate_gsde(
     X = np.empty((n_paths, n_steps + 1, m))
     Q = np.empty((n_paths, n_steps, d, d))
     X[:, 0] = x0
-    for lo, hi, draws in _chunks(seed, path_offset, n_paths, n_steps, d, chunk_size):
-        noise[lo:hi] = draws
-        for k, _, q, db, _, x_next, _ in _euler_steps(model, control, x0, dt, draws):
+    for lo, hi, draws in _chunks(seed, path_offset, n_paths, n_steps, d, chunk_size,
+                                 out=noise):
+        for k, _, (q,), db, _, x_next, _ in _euler_steps(model, [control], x0, dt, draws):
             B[lo:hi, k + 1] = B[lo:hi, k] + db
             X[lo:hi, k + 1] = x_next
             Q[lo:hi, k] = q
@@ -484,25 +515,29 @@ def simulate_gsde(
 
 def _deflator_scan(
     model: ModelSpec,
-    control: VolControl,
+    controls: Sequence[VolControl],
     x0: np.ndarray,
     dt: float,
     draws: np.ndarray,
     checkpoint_steps: Sequence[int],
     payoff: Callable[[np.ndarray], np.ndarray] | None,
-) -> tuple[dict, np.ndarray]:
-    """March one chunk without history; return deflated sums per checkpoint
-    and the final state.
+) -> tuple[list[dict], np.ndarray]:
+    """March one chunk under each of ``controls`` as one batch, without
+    history; return each control's deflated sums per checkpoint and the final
+    states, G n rows stacked by control as in ``_euler_steps``.
 
     ``draws`` holds the chunk's standard-normal increments, shape
     (paths, steps, d).  The deflator accrues d ln D = -r dt - k : dQV -
-    v . dB at the left endpoint.  At each checkpoint the (payoff-weighted)
-    deflator sum and sum of squares are recorded.
+    v . dB at the left endpoint.  At each checkpoint each control's
+    (payoff-weighted) deflator sum and sum of squares are taken over its own
+    rows.
     """
-    lnD = np.zeros(draws.shape[0])
+    n = draws.shape[0]
+    blocks = _row_blocks(n, len(controls))
+    lnD = np.zeros(len(controls) * n)
     marks = set(int(s) for s in checkpoint_steps)
-    out = {}
-    for k, _, _, db, dqv, x_next, coeffs in _euler_steps(model, control, x0, dt, draws):
+    out = [{} for _ in controls]
+    for k, _, _, db, dqv, x_next, coeffs in _euler_steps(model, controls, x0, dt, draws):
         lnD = lnD - coeffs["r"] * dt
         # an absent k or v would subtract +0.0, which changes no value
         if model.k is not None:
@@ -510,10 +545,11 @@ def _deflator_scan(
         if model.v is not None:
             lnD -= np.einsum("ni,ni->n", coeffs["v"], db)
         if k + 1 in marks:
-            w = np.exp(lnD)
-            if payoff is not None:
-                w = w * payoff(x_next)
-            out[k + 1] = (float(np.sum(w)), float(np.sum(w * w)))
+            for part, rows in zip(out, blocks):
+                w = np.exp(lnD[rows])
+                if payoff is not None:
+                    w = w * payoff(x_next[rows])
+                part[k + 1] = (float(np.sum(w)), float(np.sum(w * w)))
     return out, x_next
 
 
@@ -538,11 +574,13 @@ def _streaming_deflated_means(
     them; per-path streams make this the same as a separate run per
     control.  Controls that apply one byte-equal fixed scenario
     (``VolControl._fixed_scenario``) share one march per chunk, the first
-    of them marching for all.  They can differ only on a row with a NaN
-    coordinate, where the worst-case policy takes its full pick; a NaN
-    stays NaN, so when the shared march ends with such a row, the others
-    march on their own for that chunk.  The sums equal a separate run per
-    control, bit for bit.
+    of them marching for all, and the marches of all groups go through the
+    Euler kernel as one row-stacked batch, one block of rows per group, on
+    the one copy of the draws.  Group members can differ only on a row with
+    a NaN coordinate, where the worst-case policy takes its full pick; a NaN
+    stays NaN, so when a group's shared rows end with such a row, its other
+    members march again on their own rows for that chunk.  The sums equal a
+    separate run per control, bit for bit.
     """
     _check_sizes(n_paths, chunk_size)
     x0 = _start_point(model, x0)
@@ -552,18 +590,24 @@ def _streaming_deflated_means(
     sums = [{int(s): [0.0, 0.0] for s in checkpoint_steps} for _ in controls]
     groups = _march_groups(controls)
     for _, _, draws in _chunks(seed, 0, n_paths, n_steps, model.d, chunk_size):
-        for first, *rest in groups:
-            part, x_end = _deflator_scan(model, controls[first], x0, dt, draws,
-                                         checkpoint_steps, payoff)
-            parts = {first: part}
-            shared = not np.isnan(x_end).any()
-            for i in rest:
-                parts[i] = part if shared else _deflator_scan(
-                    model, controls[i], x0, dt, draws, checkpoint_steps, payoff)[0]
-            for i, p in parts.items():
-                for s, (a, b) in p.items():
-                    sums[i][s][0] += a
-                    sums[i][s][1] += b
+        marched, x_end = _deflator_scan(model, [controls[g[0]] for g in groups], x0, dt,
+                                        draws, checkpoint_steps, payoff)
+        parts, again = {}, []
+        for (first, *rest), part, rows in zip(groups, marched,
+                                              _row_blocks(draws.shape[0], len(groups))):
+            parts[first] = part
+            if np.isnan(x_end[rows]).any():
+                again += rest
+            else:
+                parts.update(dict.fromkeys(rest, part))
+        if again:
+            alone, _ = _deflator_scan(model, [controls[i] for i in again], x0, dt, draws,
+                                      checkpoint_steps, payoff)
+            parts.update(zip(again, alone))
+        for i, p in parts.items():
+            for s, (a, b) in p.items():
+                sums[i][s][0] += a
+                sums[i][s][1] += b
     out = []
     for ctl_sums in sums:
         res = {}
@@ -616,10 +660,13 @@ def upper_price_mc(
     largest estimate together with the full per-control table, keyed by
     label in call order.  Controls that apply the same fixed scenario,
     such as the worst-case policy certified to one extreme and that
-    extreme, share one Euler march per chunk; every entry still equals
-    pricing its control alone, bit for bit.  ``payoff`` may be a
-    coefficient expression or a callable on terminal states; None means
-    the constant 1.  ``x0`` defaults to the origin and must be finite.
+    extreme, share one Euler march per chunk, and the distinct marches of
+    a chunk step as one row-stacked batch that evaluates the model once
+    per step; every entry still equals pricing its control alone, bit for
+    bit.  ``payoff`` may be a coefficient expression or a callable on
+    terminal states, applied to each control's rows on their own; None
+    means the constant 1.  ``x0`` defaults to the origin and must be
+    finite.
 
     Raises ``ShapeError`` when two controls share a label, and
     ``DivergenceError``, naming the control, when a control's mean is not

@@ -141,6 +141,28 @@ class TestEvaluate:
                 else:
                     assert got.strides[0] == 0 and not got.flags.writeable
 
+    @pytest.mark.parametrize("varying,kw", [
+        ((), {}),
+        (("h_eff",), dict(sigma=("0.2 + 0.1 * tanh(x1)", 0.05))),
+        (("h_eff", "vv"), dict(v=(0.3, "0.1 * x2"))),
+    ], ids=["all_constant", "state_sigma", "state_v"])
+    def test_row_view_equals_the_bundle_at_its_rows(self, varying, kw):
+        model = self._product_model(**kw)
+        x = np.linspace(-1.0, 1.0, 18).reshape(9, 2)
+        whole = model.evaluate(x)
+        assert whole.rows(slice(0, 9)) is whole
+        for rows in (slice(0, 3), slice(3, 6), slice(6, 9)):
+            view = whole.rows(rows)
+            alone = model.evaluate(x[rows])
+            assert view.model is model and np.array_equal(view.x, x[rows])
+            for name in ("h_eff", "two_k", "vv", "b", "sigma", "r", "k", "v", "h"):
+                assert view[name].tobytes() == alone[name].tobytes(), name
+                assert view[name].shape == alone[name].shape, name
+            # a varying product is formed on the view's rows, never on the whole's
+            assert not set(varying) & set(whole)
+            for name in ("b", "sigma", "r", "k", "v", "h"):
+                assert np.shares_memory(view[name], whole[name]), name
+
     def test_models_never_share_products(self):
         x = np.zeros((4, 2))
         twins = self._product_model(), self._product_model()
@@ -420,6 +442,14 @@ class TestTensorTable:
         h = [[[0.01, 0.0], [0.0, 0.0]], [[0.0, "ln(x1 - 5)"], [0.0, 0.0]]]
         with pytest.raises(EvaluationError, match=r"^h\[1\]\[0\]\[1\] evaluated to a non-finite"):
             self._model(h=h).eval_h(np.array([[0.5, 0.0]]))
+
+    def test_non_finite_entry_message_at_its_row(self):
+        x = np.array([[6.0, 0.0], [7.0, 1.0], [4.5, -0.25], [3.0, 2.0]])
+        h = [[[0.01, 0.0], [0.0, 0.0]], [[0.0, "ln(x1 - 5)"], [0.0, 0.0]]]
+        with pytest.raises(EvaluationError) as err:
+            self._model(h=h).eval_h(x)
+        assert str(err.value) == (
+            "h[1][0][1] evaluated to a non-finite value at x = [4.5, -0.25]")
 
     def test_boolean_rate_rejected(self):
         with pytest.raises(ShapeError, match="^r must be a number"):

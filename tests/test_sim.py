@@ -480,10 +480,12 @@ class TestSharedMarch:
         real = ModelSpec.evaluate
         monkeypatch.setattr(ModelSpec, "evaluate",
                             lambda self, x: calls.append(1) or real(self, x))
+        assert len(sim._march_groups(controls)) == marches
         n_paths, chunk, n_steps = 120, 50, 20
         upper_price_mc(model, None, 1.0, controls, dt=1.0 / n_steps, n_paths=n_paths,
                        chunk_size=chunk, x0=[0.1] * m)
-        assert len(calls) == marches * -(-n_paths // chunk) * n_steps
+        # the marches of a chunk are one row-stacked batch: one evaluation per step
+        assert len(calls) == -(-n_paths // chunk) * n_steps
 
     def test_subclass_that_steps_otherwise_marches_alone(self, const_model):
         hi, lo = const_model.uncertainty.candidates()
@@ -723,21 +725,21 @@ class TestCoefficientBundle:
         n_paths, chunk, n_steps = 120, 50, 20
         upper_price_mc(model, None, 1.0, controls, dt=1.0 / n_steps, n_paths=n_paths,
                        chunk_size=chunk)
-        # the policy certified on a constant kernel shares its extreme's march
-        marches = len(controls) if kernel == "state_1d" else len(controls) - 1
-        control_steps = marches * -(-n_paths // chunk) * n_steps
-        # the step reads b on every marched control-step, the deflator r
-        assert counts["b"] == control_steps
+        # every control of a chunk marches in one row-stacked batch
+        chunk_steps = -(-n_paths // chunk) * n_steps
+        # the step reads b once per chunk-step for all controls, the deflator r
+        assert counts["b"] == chunk_steps
         if kernel == "state_1d":
-            assert counts["r"] == control_steps
+            assert counts["r"] == chunk_steps
         assert counts["dij"] == counts["h_effective"] == 0
         for name in ("sigma", "r", "k", "v", "h"):
             # a constant tensor is checked at most once per model
-            assert counts[name] <= (control_steps if kernel == "state_1d" else 1), name
+            assert counts[name] <= (chunk_steps if kernel == "state_1d" else 1), name
         assert set(products) <= set(model_mod._DERIVED)
         for name in model_mod._DERIVED:
-            # a product of constant tensors is formed at most once per model
-            assert products[name] <= (control_steps if kernel == "state_1d" else 1), name
+            # a product of constant tensors is formed at most once per model; the
+            # uncertified policy forms a varying one on its own rows, once a step
+            assert products[name] <= (chunk_steps if kernel == "state_1d" else 1), name
 
 
 # ---------------------------------------------------------------------------
@@ -957,8 +959,132 @@ class TestStreamingOracle:
     @pytest.mark.parametrize("d", [1, 2])
     def test_chunk_draws_equal_a_fresh_generator_per_path(self, d):
         for seed, lo, hi in ((7, 0, 3), (7, 5, 42), (2**64 + 9, 2**64 - 2, 2**64 + 3)):
-            got = sim._chunk_draws(seed, lo, hi, 13, d)
-            assert got.tobytes() == _oracle_chunk_draws(seed, lo, hi, 13, d).tobytes()
+            ref = _oracle_chunk_draws(seed, lo, hi, 13, d).tobytes()
+            assert sim._chunk_draws(seed, lo, hi, 13, d).tobytes() == ref
+            # drawn straight into rows of a larger array, as simulate_gsde does
+            whole = np.full((hi - lo + 4, 13, d), np.nan)
+            got = sim._chunk_draws(seed, lo, hi, 13, d, out=whole[2:hi - lo + 2])
+            assert got.base is whole and whole[2:hi - lo + 2].tobytes() == ref
+            assert np.isnan(whole[:2]).all() and np.isnan(whole[hi - lo + 2:]).all()
+
+
+def _stacked_pool(m, kind):
+    """Controls of every kind on a model with h, k and v all present, constant or
+    state-dependent: the worst-case policy of a switching stand-in solution,
+    which is not certified; a constant control; a piecewise control; a feedback
+    control; the worst-case policy of a zero solution, certified to one
+    candidate when the tensors are constant; and a constant control at the
+    last candidate.  Returned with the oracle's equivalents, one for one."""
+    model, switching = _oracle_case(m, kind, kind, kind)
+    flat = _stand_in(model, switching.grid, np.zeros(switching.grid.shape))
+    cands = model.uncertainty.candidates()
+    piecewise = PiecewiseControl([0.0, 0.1, 0.2], [cands[-1], cands[0], cands[1]])
+    feedback = FeedbackControl(
+        lambda t, x: np.where((x[:, 0] > 0.05)[:, None, None], cands[0], cands[1]),
+        label="switch")
+    first, last = ConstantControl(cands[0], label="first"), ConstantControl(cands[-1], label="last")
+    certified = worst_case_policy(flat, model)
+    assert (certified.uniform is not None) == (kind == "const")
+    new = [worst_case_policy(switching, model), first, piecewise, feedback, certified, last]
+    old = [_OraclePolicy(switching, model, "pricing"), first,
+           FeedbackControl(piecewise.matrices), feedback,
+           _OraclePolicy(flat, model, "pricing"), last]
+    return model, new, old
+
+
+class TestStackedMarch:
+    """The distinct marches of a chunk step as one row-stacked batch; each
+    control's sums equal its own march and the per-control oracle, bit for bit."""
+
+    T, DT, N_PATHS = 0.3, 0.02, 41
+
+    @staticmethod
+    def _hex(results):
+        return [{s: [v.hex() for v in p] for s, p in r.items()} for r in results]
+
+    @pytest.mark.parametrize("kind", ["const", "state"])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n_controls,chunk", [(1, 20), (2, 16), (3, 20), (4, 16), (6, 20)])
+    def test_stacked_sums_equal_separate_runs_and_the_oracle(self, m, kind, n_controls, chunk):
+        model, new, old = _stacked_pool(m, kind)
+        new, old = new[:n_controls], old[:n_controls]
+        # the certified policy shares its candidate's march, the rest march apart
+        shared = kind == "const" and n_controls == 6
+        assert len(sim._march_groups(new)) == n_controls - shared
+        x0 = np.full(m, 0.05)
+        n_steps = int(round(self.T / self.DT))
+        marks = [5, n_steps]
+
+        def payoff(x):
+            return 1.0 + np.maximum(x[:, 0], 0.0)
+
+        args = (x0, self.T, n_steps, self.N_PATHS, 11, marks, payoff, chunk)
+        # 41 paths in chunks of 20 leave a last chunk of one path, in 16 one of 9
+        got = sim._streaming_deflated_means(model, new, *args)
+        alone = [sim._streaming_deflated_means(model, [ctl], *args)[0] for ctl in new]
+        ref = _oracle_means(model, old, x0, self.DT, n_steps, self.N_PATHS, 11, chunk, marks,
+                            payoff)
+        assert self._hex(got) == self._hex(alone) == self._hex(ref)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_stacked_steps_equal_each_control_stepped_alone(self, m):
+        model, new, _ = _stacked_pool(m, "state")
+        draws = sim._chunk_draws(5, 0, 23, 15, model.d)
+        x0 = np.full(m, 0.05)
+        n = draws.shape[0]
+        blocks = [slice(g * n, (g + 1) * n) for g in range(len(new))]
+        # dB and dQV are buffers the next step overwrites: read them in lockstep
+        alone = [sim._euler_steps(model, [ctl], x0, self.DT, draws) for ctl in new]
+        for k, x, qs, db, dqv, x_next, _ in sim._euler_steps(model, new, x0, self.DT, draws):
+            for g, rows in enumerate(blocks):
+                _, x1, (q1,), db1, dqv1, x_next1, _ = next(alone[g])
+                for a, b in ((x, x1), (db, db1), (dqv, dqv1), (x_next, x_next1)):
+                    assert a[rows].tobytes() == b.tobytes(), (k, g)
+                assert np.array_equal(qs[g], q1)
+        assert all(next(steps, None) is None for steps in alone)
+
+    def test_fixed_scenario_forms_its_covariation_once_per_chunk(self, const_model, monkeypatch):
+        formed = []
+        real = np.multiply
+        monkeypatch.setattr(sim.np, "multiply",
+                            lambda *a, **kw: ("out" in kw and formed.append(1)) or real(*a, **kw))
+        hi, lo = const_model.uncertainty.candidates()
+        controls = [ConstantControl(hi), PiecewiseControl([0.0, 0.5], [hi, lo]),
+                    FeedbackControl(lambda t, x: np.broadcast_to(lo, (x.shape[0], 1, 1)))]
+        draws = sim._chunk_draws(1, 0, 7, 10, 1)
+        for _ in sim._euler_steps(const_model, controls, np.zeros(1), 0.1, draws):
+            pass
+        # once for the constant, once per segment, once per step for the feedback
+        assert len(formed) == 1 + 2 + 10
+
+    def test_scenario_rewritten_in_place_forms_its_covariation_each_step(self):
+        model, pool, _ = _stacked_pool(1, "const")
+        cands = model.uncertainty.candidates()
+
+        class InPlace(VolControl):
+            """Returns one writeable buffer, rewritten on every step."""
+            buf = np.empty((0, 1, 1))
+
+            def matrices(self, t, x):
+                if len(self.buf) != len(x):
+                    self.buf = np.empty((len(x), 1, 1))
+                self.buf[:] = cands[int(round(t / 0.02)) % 2]
+                return self.buf
+
+        fresh = FeedbackControl(lambda t, x: InPlace().matrices(t, x))
+        args = (np.full(1, 0.05), self.T, 15, self.N_PATHS, 11, [15], None, 20)
+        got = sim._streaming_deflated_means(model, [pool[1], InPlace()], *args)
+        ref = sim._streaming_deflated_means(model, [pool[1], fresh], *args)
+        assert self._hex(got) == self._hex(ref)
+
+    def test_non_finite_entry_named_inside_a_stacked_step(self):
+        model = ModelSpec.build(m=1, d=1, b=["0.0"], sigma=[["1.0"]], r=0.0, k=[["sqrt(x1)"]],
+                                uncertainty=UncertaintySet.interval(1e-12, 1.0))
+        controls = [ConstantControl(1e-12, label="still"), ConstantControl(1.0, label="moving")]
+        # only the rows of the second control turn negative
+        with np.errstate(invalid="ignore"), pytest.raises(
+                EvaluationError, match=r"^k\[0\]\[0\] evaluated to a non-finite value at x = \[-"):
+            upper_price_mc(model, None, 1.0, controls, dt=0.1, n_paths=64, x0=[0.5])
 
 
 def _stand_in(model, grid, values):
