@@ -29,6 +29,7 @@ source that parses back to an evaluation-identical function.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -48,6 +49,9 @@ __all__ = [
 
 _UNARY = {"exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "abs": np.abs, "tanh": np.tanh}
 _FUNCS = set(_UNARY) | {"pow", "min", "max"}
+# Python's operators keep two literals a Python float, as before; division is
+# np.divide so that a literal 1 / 0 gives inf instead of raising
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": np.divide}
 
 
 # ---------------------------------------------------------------------------
@@ -82,39 +86,45 @@ class _Call:
     args: tuple
 
 
-def _eval_node(node, x: np.ndarray):
-    """Value of the tree at the states ``x``; the caller masks IEEE warnings."""
+def _compile(node):
+    """The tree as a function of the states ``x``, built once: it applies the
+    tree's operators and functions in the tree's order, with no walk over the
+    nodes on each call; the caller masks IEEE warnings."""
     if isinstance(node, _Num):
-        return node.value
+        value = node.value
+        return lambda x: value
     if isinstance(node, _Var):
-        if node.index >= x.shape[1]:
-            raise EvaluationError(
-                f"coordinate x{node.index + 1} is undefined for state dimension {x.shape[1]}"
-            )
-        return x[:, node.index]
+        index = node.index
+
+        def coordinate(x):
+            if index >= x.shape[1]:
+                raise EvaluationError(
+                    f"coordinate x{index + 1} is undefined for state dimension {x.shape[1]}"
+                )
+            return x[:, index]
+        return coordinate
     if isinstance(node, _Neg):
-        return -_eval_node(node.child, x)
+        child = _compile(node.child)
+        return lambda x: -child(x)
     if isinstance(node, _Bin):
-        a = _eval_node(node.left, x)
-        b = _eval_node(node.right, x)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return np.divide(a, b)
+        op, left, right = _BINARY[node.op], _compile(node.left), _compile(node.right)
+        return lambda x: op(left(x), right(x))
     # _Call
-    args = [_eval_node(a, x) for a in node.args]
+    args = [_compile(a) for a in node.args]
     if node.name in _UNARY:
-        return _UNARY[node.name](args[0])
+        fn, (arg,) = _UNARY[node.name], args
+        return lambda x: fn(arg(x))
     if node.name == "pow":
-        return np.power(args[0], args[1])
+        base, power = args
+        return lambda x: np.power(base(x), power(x))
     fold = np.minimum if node.name == "min" else np.maximum
-    out = args[0]
-    for extra in args[1:]:
-        out = fold(out, extra)
-    return out
+
+    def folded(x):
+        first, *rest = [a(x) for a in args]
+        for extra in rest:
+            first = fold(first, extra)
+        return first
+    return folded
 
 
 def _print_node(node) -> str:
@@ -327,6 +337,7 @@ class Expression(CoefficientFn):
     def __init__(self, tree, source: str):
         self.tree = tree
         self.source = source
+        self._fn = _compile(tree)
         # only an operator or a function can warn; negation cannot
         node = tree
         while isinstance(node, _Neg):
@@ -338,9 +349,9 @@ class Expression(CoefficientFn):
         if self._can_warn:
             # IEEE results (inf, nan) stand without warnings; one errstate per call
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                out = _eval_node(self.tree, x)
+                out = self._fn(x)
         else:
-            out = _eval_node(self.tree, x)
+            out = self._fn(x)
         out = np.asarray(out, dtype=float)
         if out.ndim == 0:
             out = np.full(x.shape[0], float(out))
@@ -348,6 +359,10 @@ class Expression(CoefficientFn):
 
     def source_text(self) -> str:
         return _print_node(self.tree)
+
+    def __reduce__(self):
+        # the compiled function is a closure, which pickle cannot store: rebuild it
+        return type(self), (self.tree, self.source)
 
     def __repr__(self):
         return f"Expression({self.source!r})"

@@ -130,6 +130,8 @@ class Coefficients(dict):
     once, any other goes through its ``ModelSpec.eval_*`` method.  The
     pricing products of ``_DERIVED`` read the same way: ``h_eff`` is
     h - d_ij (n, d, d, m), ``two_k`` is 2k and ``vv`` is v v^T (n, d, d).
+    Tensors are read-only by contract: a tensor of one entry is that entry's
+    values reshaped, which may be a view of ``x``, so no reader writes into one.
     """
 
     def __init__(self, model: "ModelSpec", x: np.ndarray):
@@ -255,8 +257,9 @@ class ModelSpec:
         tree = getattr(self, name)
         if tree is None:
             return np.zeros((len(x),) + shape)
-        if not shape:  # a scalar tensor is its one entry's values, uncopied
-            return _eval_checked(tree, x, name, shape, 0)
+        if math.prod(shape) == 1:  # a tensor of one entry is its values, uncopied
+            (fn,) = _entries(tree)
+            return _eval_checked(fn, x, name, shape, 0).reshape((len(x),) + shape)
         out = np.empty((len(x),) + shape)
         flat = out.reshape(len(x), math.prod(shape))
         for j, fn in enumerate(_entries(tree)):

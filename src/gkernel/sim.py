@@ -15,7 +15,15 @@ share, and one chunk driver, ``_chunks``, splits the paths into blocks
 and draws their noise.  The kernel marches one or more controls on a
 chunk's draws as one batch, one block of rows per control:
 ``simulate_gsde`` is the case of one control, and the streaming
-estimators stack every distinct march of a chunk.
+estimators stack every distinct march of a chunk.  A chunk's draws, like
+every history, are path-major (path, step, ...), so one step's noise lies
+spread across the chunk; the kernel copies the draws into a step-major
+buffer one block of ``_BLOCK_STEPS`` steps at a time, ``_TILE_PATHS``
+paths per copy, and reads each step as contiguous rows.
+``simulate_gsde`` records its histories the same way round, in step-major
+blocks that it flushes into the path-major arrays.  Only the order of the
+memory copies differs from a per-step read and write: every value is the
+same, bit for bit.
 
 Each path owns a counter-based random stream keyed by (seed, path id),
 so results are independent of chunking and identical whether paths are
@@ -57,6 +65,10 @@ __all__ = [
 
 _MAX_BATCH_FLOATS = 2.5e8  # full-history batches above this must stream instead
 _MASK64 = (1 << 64) - 1
+# the Euler kernel reads its draws, and simulate_gsde writes its histories, in
+# step-major blocks of this many steps, copied this many paths at a time
+_BLOCK_STEPS = 64
+_TILE_PATHS = 256
 
 
 def _sqrt_psd(q: np.ndarray) -> np.ndarray:
@@ -418,13 +430,29 @@ def _row_blocks(n: int, count: int) -> list[slice]:
     return [slice(g * n, (g + 1) * n) for g in range(count)]
 
 
+def _swap_tiled(path_major: np.ndarray, step_major: np.ndarray, to_steps: bool) -> None:
+    """Copy between a (paths, steps, ...) and a (steps, paths, ...) view of the
+    same entries, ``_TILE_PATHS`` paths at a time: into ``step_major`` when
+    ``to_steps``, else into ``path_major``.  A tile of both stays in cache,
+    where one whole transposed copy would stride through memory."""
+    for p0 in range(0, path_major.shape[0], _TILE_PATHS):
+        tile = slice(p0, p0 + _TILE_PATHS)
+        if to_steps:
+            step_major[:, tile] = path_major[tile].swapaxes(0, 1)
+        else:
+            path_major[tile] = step_major[:, tile].swapaxes(0, 1)
+
+
 def _euler_steps(model: ModelSpec, controls: Sequence[VolControl], x0: np.ndarray,
                  dt: float, draws: np.ndarray):
     """The Euler scheme for one chunk under each of ``controls``, marched as one
     batch: yield (k, x, qs, dB, dQV, x_next, coeffs) per step.
 
-    ``draws`` holds the n paths' standard normals, shape (paths, steps, d).
-    Rows g n to (g + 1) n of the state follow control g on those draws, so
+    ``draws`` holds the n paths' standard normals, shape (paths, steps, d),
+    and keeps that layout: each block of ``_BLOCK_STEPS`` steps is copied
+    into one step-major (steps, paths, d) buffer, ``_TILE_PATHS`` paths at a
+    time, and step k reads its noise as that buffer's contiguous rows.  Rows
+    g n to (g + 1) n of the state follow control g on those draws, so
     x, dB, dQV and x_next have G n rows for G controls; ``qs`` lists each
     control's scenarios Q for its rows.  Every coefficient is evaluated at
     the left endpoint ``x``, once per step for all rows: ``coeffs`` is the
@@ -441,13 +469,18 @@ def _euler_steps(model: ModelSpec, controls: Sequence[VolControl], x0: np.ndarra
     x = np.broadcast_to(x0, (len(controls) * n, model.m)).copy()
     db = np.empty((len(controls) * n, d))
     dqv = np.empty((len(controls) * n, d, d))
+    staged = np.empty((min(_BLOCK_STEPS, n_steps), n, d))
     qs = [None] * len(controls)
     sqdt = math.sqrt(dt)
     for k in range(n_steps):
+        if k % _BLOCK_STEPS == 0:
+            k1 = min(k + _BLOCK_STEPS, n_steps)
+            _swap_tiled(draws[:, k:k1], staged[:k1 - k], to_steps=True)
+        xi = staged[k % _BLOCK_STEPS]
         coeffs = model.evaluate(x)
         for g, (ctl, rows) in enumerate(zip(controls, blocks)):
             q, root = ctl.matrices_and_roots(k * dt, x[rows], coeffs=coeffs.rows(rows))
-            np.einsum("nij,nj->ni", root, draws[:, k], out=db[rows])
+            np.einsum("nij,nj->ni", root, xi, out=db[rows])
             if q is not qs[g] or q.flags.writeable:
                 np.multiply(q, dt, out=dqv[rows])
                 qs[g] = q
@@ -477,7 +510,11 @@ def simulate_gsde(
 
     Path ``p`` draws from a dedicated stream keyed by (seed,
     path_offset + p), so splitting a run across calls with shifted
-    offsets reproduces the single-call result bit for bit.
+    offsets reproduces the single-call result bit for bit.  Each chunk's
+    steps are recorded into step-major buffers of ``_BLOCK_STEPS`` steps,
+    and each full block is copied into the path-major histories
+    ``_TILE_PATHS`` paths at a time, instead of one strided row per step
+    and array.
     """
     n_steps = _resolve_steps(T, dt)
     _check_sizes(n_paths, chunk_size)
@@ -496,12 +533,22 @@ def simulate_gsde(
     X = np.empty((n_paths, n_steps + 1, m))
     Q = np.empty((n_paths, n_steps, d, d))
     X[:, 0] = x0
+    size = min(_BLOCK_STEPS, n_steps)
     for lo, hi, draws in _chunks(seed, path_offset, n_paths, n_steps, d, chunk_size,
                                  out=noise):
+        # one block of steps, step-major, flushed into the histories when full
+        hb, hx, hq = (np.empty((size, hi - lo) + tail) for tail in ((d,), (m,), (d, d)))
+        b_prev = B[lo:hi, 0]
         for k, _, (q,), db, _, x_next, _ in _euler_steps(model, [control], x0, dt, draws):
-            B[lo:hi, k + 1] = B[lo:hi, k] + db
-            X[lo:hi, k + 1] = x_next
-            Q[lo:hi, k] = q
+            j = k % _BLOCK_STEPS
+            b_prev = np.add(b_prev, db, out=hb[j])
+            hx[j] = x_next
+            hq[j] = q
+            if j == size - 1 or k == n_steps - 1:
+                k0 = k - j
+                _swap_tiled(B[lo:hi, k0 + 1:k + 2], hb[:j + 1], to_steps=False)
+                _swap_tiled(X[lo:hi, k0 + 1:k + 2], hx[:j + 1], to_steps=False)
+                _swap_tiled(Q[lo:hi, k0:k + 1], hq[:j + 1], to_steps=False)
 
     return ScenarioBatch(
         times=dt * np.arange(n_steps + 1), noise=noise, B=B, X=X, Q=Q,
@@ -538,7 +585,7 @@ def _deflator_scan(
     marks = set(int(s) for s in checkpoint_steps)
     out = [{} for _ in controls]
     for k, _, _, db, dqv, x_next, coeffs in _euler_steps(model, controls, x0, dt, draws):
-        lnD = lnD - coeffs["r"] * dt
+        lnD -= coeffs["r"] * dt
         # an absent k or v would subtract +0.0, which changes no value
         if model.k is not None:
             lnD -= np.einsum("nij,nij->n", coeffs["k"], dqv)
@@ -747,16 +794,18 @@ def long_term_yield_mc(
     """Estimate the long-run growth rate of E[D_T] under one scenario.
 
     Simulates once to the largest horizon, reads E[D_T] at each horizon,
-    and fits rate(T) = lam + c / T by least squares.  With at least two
-    horizons the intercept separates the transient from the long-run
-    rate.
+    and fits rate(T) = lam + c / T by least squares.  The horizons must
+    fall on at least two distinct steps of ``dt``, so that the intercept
+    separates the transient from the long-run rate; else ``ShapeError``.
     """
     horizons = sorted(float(t) for t in horizons)
-    if len(horizons) < 2:
-        raise ShapeError("need at least two horizons to separate the transient")
     if x0 is None:
         x0 = np.zeros(model.m)
     steps = [_resolve_steps(t, dt) for t in horizons]
+    if len(set(steps)) < 2:
+        # one distinct horizon leaves the fit rank one: lstsq would split the rate
+        raise ShapeError(f"need at least two distinct horizons to separate the transient, "
+                         f"got {horizons} on steps of dt={dt}")
     (res,) = _streaming_deflated_means(
         model, [control], x0, horizons[-1], steps[-1], n_paths, seed, steps, None, chunk_size
     )

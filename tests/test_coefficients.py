@@ -1,6 +1,8 @@
 """Expression grammar, evaluation semantics, and round-trip printing."""
 
+import itertools
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -15,6 +17,32 @@ from gkernel import (
     as_coefficient,
     parse_coefficient,
 )
+from gkernel.coefficients import _Bin, _Call, _Neg, _Num, _Parser, _Var
+
+
+def _walk(node, x):
+    """The value of an expression tree at ``x``, by walking the tree on each call."""
+    if isinstance(node, _Num):
+        return node.value
+    if isinstance(node, _Var):
+        return x[:, node.index]
+    if isinstance(node, _Neg):
+        return -_walk(node.child, x)
+    if isinstance(node, _Bin):
+        a, b = _walk(node.left, x), _walk(node.right, x)
+        return {"+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
+                "/": lambda: np.divide(a, b)}[node.op]()
+    assert isinstance(node, _Call)
+    args = [_walk(a, x) for a in node.args]
+    unary = {"exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "abs": np.abs, "tanh": np.tanh}
+    if node.name in unary:
+        return unary[node.name](args[0])
+    if node.name == "pow":
+        return np.power(args[0], args[1])
+    out = args[0]
+    for extra in args[1:]:
+        out = (np.minimum if node.name == "min" else np.maximum)(out, extra)
+    return out
 
 
 def _at(fn, *coords) -> float:
@@ -77,6 +105,29 @@ class TestEvaluation:
                       np.power(x1, 3) / np.minimum(np.minimum(x1, x2), 0.0),
                       -(x1 * 10.0) / (x2 - x2), -(1 / x1), -x2]
         assert [v.tobytes() for v in values] == [e.tobytes() for e in expect]
+
+    def test_compiled_expressions_equal_the_tree_walk(self):
+        special = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.5, -2.0, 1e308]
+        x = np.array(list(itertools.product(special, repeat=2)))
+        sources = ["x1 + x2", "x1 - x2", "x1 * x2", "x1 / x2", "-x1", "--x2", "exp(x1)",
+                   "ln(x2)", "sqrt(x1)", "abs(x2)", "tanh(x1)", "pow(x1, x2)",
+                   "min(x1, x2, -0.0)", "max(x2, -x1, 0, 5e-324)", "-(2 - x1) * 3 / x2",
+                   "-0.0 * x1 + 0.0", "2 * 3 - 1 / 0 + x1", "pow(2, 0.5) - max(1, 2) * x2",
+                   "exp(-x1 * x1 / 2) + min(ln(abs(x2)), sqrt(x1 - x2))", "1 / 0", "-(1 - 1)"]
+        with np.errstate(all="ignore"):
+            for src in sources:
+                got = parse_coefficient(src)(x)
+                expect = _walk(_Parser(src).parse(), x)
+                expect = np.full(len(x), expect) if np.ndim(expect) == 0 else expect
+                assert got.dtype == np.float64 and got.shape == (len(x),), src
+                assert got.tobytes() == np.asarray(expect, dtype=float).tobytes(), src
+
+    def test_expression_survives_a_pickle_round_trip(self):
+        fn = parse_coefficient("0.05 - 1.0 * x1")
+        again = pickle.loads(pickle.dumps(fn))
+        x = np.linspace(-3.0, 3.0, 41).reshape(-1, 1)
+        assert again.source == fn.source and again.tree == fn.tree
+        assert again(x).tobytes() == fn(x).tobytes()
 
     def test_scientific_literals(self):
         assert _at(parse_coefficient("1.5e-3 + 2E2"), 0.0) == pytest.approx(200.0015)

@@ -1,6 +1,7 @@
 """Model container, regularity diagnostics, and equilibrium constructors."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -454,3 +455,24 @@ class TestTensorTable:
     def test_boolean_rate_rejected(self):
         with pytest.raises(ShapeError, match="^r must be a number"):
             self._model(r=True)
+
+    ONE_ENTRY = {"b": ["x1"], "sigma": [["0.2 + 0.05 * tanh(x1)"]], "r": "x1",
+                 "k": [[Affine(0.02, [0.05])]], "v": ["x1"], "h": [[["0.03 * x1"]]]}
+
+    @pytest.mark.parametrize("name", ["b", "sigma", "r", "k", "v", "h"])
+    def test_one_entry_tensor_is_its_values_uncopied(self, name):
+        model = ModelSpec.build(m=1, d=1, uncertainty=UncertaintySet.interval(0.5, 1.0),
+                                **self.ONE_ENTRY)
+        x = np.random.default_rng(4).uniform(-2.0, 2.0, size=(37, 1))
+        got = getattr(model, f"eval_{name}")(x)
+        expected = _stacked(self.ONE_ENTRY[name], x)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        # the entry "x1" reads the states themselves, as a view
+        assert np.shares_memory(got, x) == (self.ONE_ENTRY[name] in (["x1"], "x1"))
+
+    def test_model_survives_a_pickle_round_trip(self):
+        model = self._model()
+        again = pickle.loads(pickle.dumps(model))
+        x = np.random.default_rng(6).uniform(-2.0, 2.0, size=(29, 2))
+        for name in ("b", "sigma", "r", "k", "v", "h", "h_eff", "two_k", "vv"):
+            assert again.evaluate(x)[name].tobytes() == model.evaluate(x)[name].tobytes()

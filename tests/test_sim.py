@@ -545,6 +545,18 @@ class TestYield:
         with pytest.raises(ShapeError):
             long_term_yield_mc(const_model, [5.0], ConstantControl(1.0))
 
+    @pytest.mark.parametrize("horizons", [[1.0, 1.0], [1.0, 1.0 + 1e-12], [2.0, 2.0, 2.0]])
+    def test_repeated_horizons_rejected_before_simulating(self, horizons, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("simulated a fit that has one distinct horizon")
+
+        # the fit would split the rate -0.02 into lam = transient = -0.01
+        model = ModelSpec.build(m=1, d=1, b=["-1.0 * x1"], sigma=[[0.2]], r=0.02,
+                                uncertainty=UncertaintySet.interval(0.5, 1.0))
+        monkeypatch.setattr(sim, "_chunk_draws", no_draws)
+        with pytest.raises(ShapeError, match="two distinct horizons"):
+            long_term_yield_mc(model, horizons, ConstantControl(1.0), dt=0.1, n_paths=200)
+
     def test_non_dividing_horizon_rejected(self, const_model):
         with pytest.raises(ShapeError):
             long_term_yield_mc(const_model, [5.0, 10.3], ConstantControl(1.0), dt=0.5)
@@ -1085,6 +1097,72 @@ class TestStackedMarch:
         with np.errstate(invalid="ignore"), pytest.raises(
                 EvaluationError, match=r"^k\[0\]\[0\] evaluated to a non-finite value at x = \[-"):
             upper_price_mc(model, None, 1.0, controls, dt=0.1, n_paths=64, x0=[0.5])
+
+
+class TestStepBlocks:
+    """The kernel reads each step's draws, and simulate_gsde writes its
+    histories, in step-major blocks copied a tile of paths at a time.  With the
+    block and tile cut to 3 steps and 5 paths, every edge of both is crossed:
+    the sums and histories equal a per-step reader and recorder, bit for bit."""
+
+    DT, SEED, N_PATHS = 0.02, 13, 11
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(sim, "_BLOCK_STEPS", 3)
+        monkeypatch.setattr(sim, "_TILE_PATHS", 5)
+
+    @staticmethod
+    def _recorded(model, control, x0, dt, n_steps, n_paths, seed, offset, chunk):
+        """Path-major histories written one step at a time, as the kernel's steps come."""
+        d = model.d
+        noise = np.empty((n_paths, n_steps, d))
+        B = np.zeros((n_paths, n_steps + 1, d))
+        X = np.empty((n_paths, n_steps + 1, model.m))
+        Q = np.empty((n_paths, n_steps, d, d))
+        X[:, 0] = x0
+        for lo in range(0, n_paths, chunk):
+            hi = min(lo + chunk, n_paths)
+            draws = _oracle_chunk_draws(seed, offset + lo, offset + hi, n_steps, d)
+            noise[lo:hi] = draws
+            for k, q, db, x_next, _, _ in _oracle_euler_steps(model, control, x0, dt, draws):
+                B[lo:hi, k + 1] = B[lo:hi, k] + db
+                X[lo:hi, k + 1] = x_next
+                Q[lo:hi, k] = q
+        return noise, B, X, Q
+
+    def _check(self, n_steps, chunk, n_controls, n_paths):
+        model, new, old = _stacked_pool(2, "state")
+        new, old = new[:n_controls], old[:n_controls]
+        x0 = np.full(2, 0.05)
+        marks = sorted({1, min(4, n_steps), n_steps})
+
+        def payoff(x):
+            return 1.0 + np.maximum(x[:, 0], 0.0)
+
+        got = sim._streaming_deflated_means(model, new, x0, n_steps * self.DT, n_steps,
+                                            n_paths, self.SEED, marks, payoff, chunk)
+        ref = _oracle_means(model, old, x0, self.DT, n_steps, n_paths, self.SEED,
+                            chunk or n_paths, marks, payoff)
+        assert TestStackedMarch._hex(got) == TestStackedMarch._hex(ref)
+        for ctl, ref_ctl in zip(new, old):
+            batch = simulate_gsde(model, ctl, x0, n_steps * self.DT, self.DT, n_paths,
+                                  seed=self.SEED, path_offset=7, chunk_size=chunk)
+            expect = self._recorded(model, ref_ctl, x0, self.DT, n_steps, n_paths, self.SEED,
+                                    7, chunk or n_paths)
+            for name, a in zip(("noise", "B", "X", "Q"), expect):
+                assert getattr(batch, name).tobytes() == a.tobytes(), (name, ctl.label)
+
+    @pytest.mark.parametrize("n_controls", [1, 3])
+    @pytest.mark.parametrize("chunk", [1, 5, 6, 11])
+    @pytest.mark.parametrize("n_steps", [2, 3, 4, 7])
+    def test_block_and_tile_edges(self, small_blocks, n_steps, chunk, n_controls):
+        self._check(n_steps, chunk, n_controls, self.N_PATHS)
+
+    def test_real_block_and_tile_sizes(self):
+        # one step past a block and one path past a tile, in one chunk
+        assert (sim._BLOCK_STEPS, sim._TILE_PATHS) == (64, 256)
+        self._check(65, None, 3, 257)
 
 
 def _stand_in(model, grid, values):
