@@ -138,7 +138,7 @@ class SolverSettings:
     gamma2: tuple | None = None
     max_halvings: int = 20
     max_sweeps: int = 500_000
-    mode: str = "pricing"
+    mode: str | None = None
     anchor: tuple | None = None
     gradient_cap: float = math.inf
 
@@ -256,7 +256,7 @@ def _parse_solver(obj, m: int) -> SolverSettings:
         values["anchor"] = anchor = _numbers(anchor, "solver.anchor")
         if len(anchor) != m or not all(math.isfinite(a) for a in anchor):
             raise ConfigurationError(f"solver.anchor must list {m} finite coordinates")
-    if "mode" in obj:
+    if obj.get("mode") is not None:  # null keeps the default: the model selects the driver
         if obj["mode"] not in ("pricing", "parabolic", "ergodic"):
             # 'generic' needs the drivers f and g, which a config cannot carry
             raise ConfigurationError(

@@ -139,7 +139,7 @@ def _fill(dec: Decomposition, batch: ScenarioBatch, solution, model: ModelSpec) 
     grad_l = np.ascontiguousarray(grad.reshape(m, p, n_nodes)[..., :-1]).reshape(m, -1)
     hess_l = np.ascontiguousarray(hess.reshape(m, m, p, n_nodes)[..., :-1]).reshape(m, m, -1)
     h_l = _hamiltonian_batch(model, flat_l, grad_l.T, hess_l.transpose(2, 0, 1),
-                             mode="pricing", precomputed=coeffs_l)
+                             precomputed=coeffs_l)
     gvals = _g_values(h_l, model.uncertainty)[0]  # the maximizers are not read
     gvals = gvals.reshape(p, n_steps)
     h_l = h_l.reshape(p, n_steps, d, d)
@@ -178,8 +178,13 @@ def _path_blocks(batch: ScenarioBatch, solution, model: ModelSpec, lam: float,
     path-steps: the rows of ``out`` when it is given, else arrays of its own
     that the consumer may drop.  The coverage of the whole batch is checked
     before the first block.  Every operation acts per path and every sum runs
-    along steps, so no figure depends on the blocks.
+    along steps, so no figure depends on the blocks.  The factorization is
+    of the deflator of r, k and v, so a model with drivers f or g, whose u
+    solves another equation, raises :class:`ShapeError`.
     """
+    if model.has_generic_drivers():
+        raise ShapeError("the factorization needs the pricing kernel's driver; "
+                         "this model carries drivers f or g")
     n, n_nodes, m = batch.X.shape
     size = max(1, _BLOCK_PATH_STEPS // n_nodes)
     blocks = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
@@ -214,7 +219,9 @@ def compute_components(
     ``solution`` is an :class:`ErgodicSolution` or a stationary
     :class:`PdeSolution`; ``lam`` defaults to the eigenvalue of the former.
     Paths straying more than 20% of the box width outside the solution
-    grid, or holding a NaN state, abort with :class:`CoverageError`.
+    grid, or holding a NaN state, abort with :class:`CoverageError`; a
+    model with drivers f or g, which has no such factorization, with
+    :class:`ShapeError`.
 
     The batch is taken in blocks of about ``_BLOCK_PATH_STEPS`` path-steps,
     each writing its rows of the outputs, so the working memory beyond the
@@ -540,7 +547,8 @@ def verify_bsde_residual(
 
     ``window`` restricts the audit to steps inside [s, T]; cumulative
     sums then restart from 0 at s.  The default covers the whole batch,
-    which is decomposed and reduced one block of whole paths at a time.
+    which is decomposed and reduced one block of whole paths at a time, as
+    in :func:`compute_components` (whose errors it shares).
     """
     lam = _resolve_lam(solution, lam)
     window, keep = _window(batch.times, window)

@@ -18,7 +18,6 @@ from .pde import ErgodicSolution, PdeSolution, nodal_gradient
 __all__ = [
     "write_json",
     "write_solution_csv",
-    "write_batch_csv",
     "write_traces_csv",
 ]
 
@@ -92,29 +91,6 @@ def write_solution_csv(path, solution) -> None:
         + ["residual"]
     )
     _write_table(path, header, [(None, np.column_stack([grid.points(), values, grad, resid]))])
-
-
-def write_batch_csv(path, batch, max_paths: int | None = None) -> None:
-    """Long-format dump of simulated histories.
-
-    Columns: path, t, the noise coordinates, the covariation entries in
-    row-major order, then the state coordinates.
-    """
-    n, k1, d = batch.B.shape
-    m = batch.X.shape[2]
-    n_write = n if max_paths is None else min(n, max_paths)
-    header = (
-        ["path", "t"]
-        + [f"B_{i + 1}" for i in range(d)]
-        + [f"QV_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
-        + [f"X_{i + 1}" for i in range(m)]
-    )
-    # QV is derived on each read, so it is read one path at a time
-    _write_table(path, header, (
-        (batch.path_offset + p,
-         np.column_stack([batch.times, batch.B[p],
-                          batch.path_slice(p, p + 1).QV[0].reshape(k1, d * d), batch.X[p]]))
-        for p in range(n_write)))
 
 
 def write_traces_csv(path, decomp, max_paths: int | None = None) -> None:

@@ -197,9 +197,9 @@ class ModelSpec:
         k: covariation loading of the kernel, d x d (``None`` = zero).
         v: noise loading of the kernel, d entries (``None`` = zero).
         uncertainty: covariance ambiguity set of the driver.
-        f, g: optional generic drivers ``f(x, y, z)`` and ``g[i][j](x, y, z)``
-            for the generic-driver PDE mode; when absent the pricing-kernel
-            drivers derived from (r, k, v) apply.
+        f, g: optional generic drivers ``f(x, y, z)`` and ``g[i][j](x, y, z)``;
+            either one selects the generic-driver PDE.  When both are absent
+            the pricing-kernel drivers derived from (r, k, v) apply.
     """
 
     m: int
@@ -332,6 +332,8 @@ class ModelSpec:
         return view
 
     def has_generic_drivers(self) -> bool:
+        """Whether f or g is given: the one test of which driver the PDE
+        solves, residuals and worst-case policy use."""
         return self.f is not None or self.g is not None
 
 

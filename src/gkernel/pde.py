@@ -20,12 +20,15 @@ semismooth Newton, i.e. Howard policy iteration for the candidate max:
 the Jacobian comes from 3^m colored differences and is solved
 block-tridiagonally along axis 0.
 
-In pricing-kernel mode the driver is built from the model loadings:
+The model selects the driver (``ModelSpec.has_generic_drivers``).  A model
+without drivers f and g gets the pricing kernel's, built from its loadings:
 f = -r and the covariation driver contributes -2k_ij + v_i v_j plus the
 quadratic gradient term z_i z_j, z = sigma^T Du, with the covariation
-drift shifted by the derived coupling d_ij.  The scheme is assembled per
+drift shifted by the derived coupling d_ij.  That scheme is assembled per
 covariance candidate with candidate-consistent upwinding, so the discrete
 comparison principle holds and the candidate maximum equals the exact G.
+A model with drivers gets f(x, u, z) and 2 g_ij(x, u, z) in their place,
+with the raw covariation loading h.
 
 Boundary handling: the second derivative normal to each face is set to
 zero (linear extrapolation ghosts).  Interior residual statistics exclude
@@ -52,7 +55,7 @@ from .errors import (
     ShapeError,
 )
 from .gcore import _candidate_scores, g_value, g_value_batch
-from .model import Coefficients, ModelSpec, _dij, _size
+from .model import Coefficients, ModelSpec, _size
 
 __all__ = [
     "Grid",
@@ -198,26 +201,35 @@ def nodal_gradient(values: np.ndarray, grid: Grid) -> np.ndarray:
     return grads
 
 
+def _second_differences(wp: np.ndarray, hs: tuple) -> tuple:
+    """Central second differences of grid values from their linearly padded
+    array ``wp``: (w_xx,) in 1D, (w_xx, w_yy, w_xy) in 2D, the mixed one by
+    the four-point cross stencil."""
+    if wp.ndim == 1:
+        return ((wp[2:] - 2.0 * wp[1:-1] + wp[:-2]) / hs[0] ** 2,)
+    h1, h2 = hs
+    core = wp[1:-1, 1:-1]
+    return ((wp[2:, 1:-1] - 2.0 * core + wp[:-2, 1:-1]) / h1**2,
+            (wp[1:-1, 2:] - 2.0 * core + wp[1:-1, :-2]) / h2**2,
+            (wp[2:, 2:] - wp[2:, :-2] - wp[:-2, 2:] + wp[:-2, :-2]) / (4.0 * h1 * h2))
+
+
+def _hessian_of(second: tuple) -> np.ndarray:
+    """The (*grid, m, m) Hessian of ``_second_differences``' parts."""
+    if len(second) == 1:
+        return second[0][..., None, None].copy()
+    wxx, wyy, wxy = second
+    return np.stack([wxx, wxy, wxy, wyy], axis=-1).reshape(wxx.shape + (2, 2))
+
+
 def nodal_hessian(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Central second derivatives; zero normal curvature at faces.
 
     Shape (*grid, m, m).  Mixed derivatives use the standard four-point
     cross stencil on linearly extrapolated ghosts.
     """
-    hs = grid.spacings()
-    m = grid.m
-    out = np.zeros(values.shape + (m, m))
-    if m == 1:
-        wp = _pad_linear_1d(values)
-        out[..., 0, 0] = (wp[2:] - 2.0 * wp[1:-1] + wp[:-2]) / hs[0] ** 2
-        return out
-    wp = _pad_linear_2d(values)
-    out[..., 0, 0] = (wp[2:, 1:-1] - 2.0 * wp[1:-1, 1:-1] + wp[:-2, 1:-1]) / hs[0] ** 2
-    out[..., 1, 1] = (wp[1:-1, 2:] - 2.0 * wp[1:-1, 1:-1] + wp[1:-1, :-2]) / hs[1] ** 2
-    cross = (wp[2:, 2:] - wp[2:, :-2] - wp[:-2, 2:] + wp[:-2, :-2]) / (4.0 * hs[0] * hs[1])
-    out[..., 0, 1] = cross
-    out[..., 1, 0] = cross
-    return out
+    wp = _pad_linear_1d(values) if grid.m == 1 else _pad_linear_2d(values)
+    return _hessian_of(_second_differences(wp, grid.spacings()))
 
 
 def _uniform_cell(a_inf: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -509,16 +521,6 @@ class ErgodicSolution:
 # Hamiltonian assembly
 
 
-def _normalize_mode(mode: str) -> str:
-    # "parabolic" and "ergodic" share the pricing-kernel driver; only the
-    # generic-driver form differs.
-    if mode in ("pricing", "parabolic", "ergodic"):
-        return "pricing"
-    if mode == "generic":
-        return "generic"
-    raise ShapeError(f"unknown Hamiltonian mode {mode!r}")
-
-
 def _hessian_term(hess: np.ndarray, sig: np.ndarray, i: int, j: int) -> np.ndarray:
     """(sigma^T hess sigma)_ij per row, (n,).
 
@@ -540,19 +542,18 @@ def _hamiltonian_batch(
     grad: np.ndarray,
     hess: np.ndarray,
     u_val: np.ndarray | None = None,
-    mode: str = "pricing",
     precomputed: Coefficients | None = None,
 ) -> np.ndarray:
     """H matrices (n, d, d) for a batch of points/derivatives.
 
-    Pricing mode (aliases "parabolic" and "ergodic" select the same form):
+    A model without drivers f and g has the pricing form
         H_ij = <hess sigma_col_i, sigma_col_j> + 2 <grad, h_ij - d_ij>
                - 2 k_ij + v_i v_j + z_i z_j,        z = sigma^T grad.
-    Generic mode replaces the last three terms with 2 g_ij(x, u_val, z)
-    and uses the raw covariation loading h.
+    A model with them replaces the last three terms with 2 g_ij(x, u_val, z)
+    (zero when g is absent) and uses the raw covariation loading h.
 
     ``precomputed`` is the ``Coefficients`` bundle at ``x``; by default it
-    is evaluated here.  In pricing mode h - d_ij, 2k and v v^T are the
+    is evaluated here.  In the pricing form h - d_ij, 2k and v v^T are the
     bundle's products, formed once per model when their tensors are constant.
     Each entry is formed on its own, one ufunc per n-vector, so the inputs
     read fastest with contiguous columns, such as the component-major fields
@@ -560,7 +561,6 @@ def _hamiltonian_batch(
     order: the Hessian term as ``_hessian_term``, z and the h contraction
     from zero over the state axes, then the parts left to right.
     """
-    mode = _normalize_mode(mode)
     pre = model.evaluate(x) if precomputed is None else precomputed
     sig = pre["sigma"]
     n, m = grad.shape
@@ -569,7 +569,7 @@ def _hamiltonian_batch(
     for j in range(d):
         for l in range(m):
             z[j] += sig[:, l, j] * grad[:, l]
-    pricing = mode == "pricing"
+    pricing = not model.has_generic_drivers()
     h = pre["h_eff"] if pricing else pre["h"]
     if not pricing:
         y = np.zeros(n) if u_val is None else np.asarray(u_val, dtype=float)
@@ -593,7 +593,7 @@ def _hamiltonian_batch(
 
 
 # Certified picks.  When sigma, h - d, 2k and v v^T are constant, the worst-case
-# pick of a stationary pricing-mode solution, the first maximizer over candidates
+# pick of a stationary pricing-form solution, the first maximizer over candidates
 # c of s_c = tr(H Q_c) with H formed as above, depends on the cell of the grid
 # only through the cell's interpolated gradient and Hessian, which lie in the box
 # spanned by the cell's node values.  Over that box the gap s_c - s_c' is affine
@@ -631,7 +631,7 @@ def _within(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def _certified_candidate(solution, model: ModelSpec) -> int | None:
-    """The candidate the pricing-mode pick returns at every point of ``solution``.
+    """The candidate the pricing-form pick returns at every point of ``solution``.
 
     The pick is ``_best_candidate`` of ``_hamiltonian_batch`` at the gradient and
     Hessian the solution's interpolant reads; the certificate above must hold
@@ -707,21 +707,20 @@ class _Stepper:
     per-candidate constants are stacked once here, and ``candidates``
     evaluates every S_c in one pass.  With ``gamma2`` each candidate also
     gets level * tr(Q_c gamma2), i.e. G(H + 2 level gamma2) in place of
-    G(H), the level being passed in by the caller.
+    G(H), the level being passed in by the caller.  A model with drivers
+    gets the generic driver's literal assembly in place of the per-candidate
+    one.
     """
 
-    def __init__(self, model: ModelSpec, grid: Grid, mode: str = "pricing",
-                 gradient_cap: float = math.inf, gamma2: np.ndarray | None = None):
+    def __init__(self, model: ModelSpec, grid: Grid, gradient_cap: float = math.inf,
+                 gamma2: np.ndarray | None = None):
         if grid.m != model.m:
             raise ShapeError(f"grid has {grid.m} axes, model state dimension is {model.m}")
-        mode = _normalize_mode(mode)
-        if mode == "generic" and model.g is None and model.f is None:
-            raise ShapeError("generic mode needs model drivers f and/or g")
-        if math.isfinite(gradient_cap) and (grid.m != 1 or mode == "generic"):
+        self.generic = model.has_generic_drivers()
+        if math.isfinite(gradient_cap) and (grid.m != 1 or self.generic):
             raise ShapeError("gradient_cap applies only to the 1D pricing operator")
         self.model = model
         self.grid = grid
-        self.mode = mode
         self.cap = float(gradient_cap)
         self.shape = grid.shape
         self.hs = grid.spacings()
@@ -739,7 +738,7 @@ class _Stepper:
         self.vel_c = np.empty((self.n_cand, m, n))          # b + Q : (h - d)
         self.const_c = np.empty((self.n_cand, n))           # Q : (-k + vv/2)
         # the pricing driver sees the covariation drift h - d_ij
-        src = pre["h"] - _dij(self.sig, pre["v"]) if mode == "pricing" else pre["h"]
+        src = pre["h"] if self.generic else pre["h_eff"]
         kv = (-pre["k"] + 0.5 * np.einsum("ni,nj->nij", pre["v"], pre["v"]))
         for c, q in enumerate(cands):
             a = np.einsum("nad,de,nbe->nab", self.sig, q, self.sig)
@@ -747,7 +746,7 @@ class _Stepper:
             self.vel_c[c] = np.moveaxis(
                 self.bval + np.einsum("ij,nijl->nl", q, src), 0, -1)
             self.const_c[c] = np.einsum("ij,nij->n", q, kv)
-        self.f_base = -pre["r"]  # the pricing f; generic mode evaluates model.f per sweep
+        self.f_base = -pre["r"]  # the pricing f; the generic driver evaluates model.f per sweep
 
         # the candidate stacks the operator reads, shaped (n_cand, *grid)
         stack = (self.n_cand,) + self.shape
@@ -788,7 +787,7 @@ class _Stepper:
 
     def candidates(self, w: np.ndarray, level=0.0) -> np.ndarray:
         """S_c(w) of every candidate c, f and the gamma2 level term included, (n_cand, n)."""
-        if self.mode == "generic":
+        if self.generic:
             return self._candidates_generic(w, level)
         out = self._candidates_1d(w) if self.grid.m == 1 else self._candidates_2d(w)
         out = out.reshape(self.n_cand, -1)
@@ -811,7 +810,7 @@ class _Stepper:
 
     def _candidates_1d(self, w) -> np.ndarray:
         wp, ((dm, dp),) = self._differences(w)
-        wxx = (wp[2:] - 2.0 * wp[1:-1] + wp[:-2]) / self.hs[0] ** 2
+        (wxx,) = _second_differences(wp, self.hs)
         if self.grad_cap is not None:
             dpq = np.clip(dp, -self.grad_cap, self.grad_cap)
             dmq = np.clip(dm, -self.grad_cap, self.grad_cap)
@@ -826,12 +825,8 @@ class _Stepper:
         return out
 
     def _candidates_2d(self, w2) -> np.ndarray:
-        h1, h2 = self.hs
         wp, ((dm1, dp1), (dm2, dp2)) = self._differences(w2)
-        core = wp[1:-1, 1:-1]
-        wxx = (wp[2:, 1:-1] - 2.0 * core + wp[:-2, 1:-1]) / h1**2
-        wyy = (wp[1:-1, 2:] - 2.0 * core + wp[1:-1, :-2]) / h2**2
-        wxy = (wp[2:, 2:] - wp[2:, :-2] - wp[:-2, 2:] + wp[:-2, :-2]) / (4.0 * h1 * h2)
+        wxx, wyy, wxy = _second_differences(wp, self.hs)
         wxc = 0.5 * (dm1 + dp1)
         wyc = 0.5 * (dm2 + dp2)
         god1 = np.maximum(dp1, 0.0) ** 2 + np.minimum(dm1, 0.0) ** 2
@@ -848,13 +843,11 @@ class _Stepper:
 
     def _candidates_generic(self, w, level) -> np.ndarray:
         """Literal assembly: upwind by drift sign, then every candidate's score on one H."""
-        _, pairs = self._differences(w)
+        wp, pairs = self._differences(w)
         grad = np.stack([np.where(self.bval[:, ax].reshape(self.shape) > 0.0, dp, dm).ravel()
                          for ax, (dm, dp) in enumerate(pairs)], axis=-1)
-        hess = nodal_hessian(w.reshape(self.shape), self.grid).reshape(grad.shape + (-1,))
-        hmat = _hamiltonian_batch(
-            self.model, self.pts, grad, hess, w, mode="generic", precomputed=self.pre
-        )
+        hess = _hessian_of(_second_differences(wp, self.hs)).reshape(grad.shape + (-1,))
+        hmat = _hamiltonian_batch(self.model, self.pts, grad, hess, w, precomputed=self.pre)
         if self.gamma2 is not None:
             hmat = hmat + 2.0 * np.multiply.outer(level, self.gamma2)
         scores, _ = _candidate_scores(hmat, self.model.uncertainty)
@@ -913,21 +906,20 @@ def _interior_mask(shape: tuple) -> np.ndarray:
 
 
 def _stationary_residual_field(
-    values: np.ndarray, model: ModelSpec, grid: Grid, lam: float, mode: str
+    values: np.ndarray, model: ModelSpec, grid: Grid, lam: float
 ) -> np.ndarray:
     pts = grid.points()
     grad = nodal_gradient(values, grid).reshape(-1, grid.m)
     hess = nodal_hessian(values, grid).reshape(-1, grid.m, grid.m)
     coeffs = model.evaluate(pts)
-    hmat = _hamiltonian_batch(model, pts, grad, hess, values.ravel(), mode=mode,
-                              precomputed=coeffs)
+    hmat = _hamiltonian_batch(model, pts, grad, hess, values.ravel(), precomputed=coeffs)
     gvals, _ = g_value_batch(hmat, model.uncertainty)
     drift = np.einsum("nl,nl->n", coeffs["b"], grad)
-    if mode == "pricing":
-        fval = -coeffs["r"]
-    else:
+    if model.has_generic_drivers():
         z = np.einsum("nlj,nl->nj", coeffs["sigma"], grad)
         fval = model.f(pts, values.ravel(), z) if model.f is not None else 0.0
+    else:
+        fval = -coeffs["r"]
     return (gvals + drift + fval - lam).reshape(grid.shape)
 
 
@@ -936,15 +928,14 @@ def pde_residual(
     model: ModelSpec,
     grid: Grid | None = None,
     lam: float | None = None,
-    mode: str = "pricing",
 ) -> ResidualReport:
     """Recompute the stationary PDE residual with central differences.
 
     Accepts an :class:`ErgodicSolution` (uses its lam), a stationary
     :class:`PdeSolution` (lam defaults to 0), or a raw value array of the
-    grid's shape with an explicit grid.
+    grid's shape with an explicit grid.  The model selects the driver, as
+    in the solvers.
     """
-    mode = _normalize_mode(mode)
     if isinstance(solution, ErgodicSolution):
         grid = solution.grid
         lam = solution.lam if lam is None else lam
@@ -961,7 +952,7 @@ def pde_residual(
                          f"{grid.shape}; only stationary residuals are reported")
     lam = 0.0 if lam is None else lam
 
-    field = _stationary_residual_field(values, model, grid, lam, mode)
+    field = _stationary_residual_field(values, model, grid, lam)
     interior = field[_interior_mask(grid.shape)]
     return ResidualReport(
         values=field,
@@ -987,7 +978,6 @@ def solve_parabolic(
     model: ModelSpec,
     grid: Grid,
     terminal,
-    mode: str = "pricing",
     gradient_cap: float = math.inf,
 ) -> PdeSolution:
     """Backward terminal-value solve; grid must carry horizon/time_steps.
@@ -1017,7 +1007,7 @@ def solve_parabolic(
             f"time step {dt:.6g} violates the stability bound {bound:.6g}; "
             f"increase time_steps to at least {int(math.ceil(grid.horizon / bound))}"
         )
-    stepper = _Stepper(model, grid, mode=mode, gradient_cap=gradient_cap)
+    stepper = _Stepper(model, grid, gradient_cap=gradient_cap)
     strict = stepper.stable_dt()
     if dt > strict:
         warnings.warn(
@@ -1178,7 +1168,6 @@ def solve_discounted(
     delta: float,
     gamma1: float = -1.0,
     gamma2=None,
-    mode: str = "pricing",
     tol_inner: float = 1e-10,
     max_sweeps: int = 500_000,
     warm_start: np.ndarray | None = None,
@@ -1199,7 +1188,7 @@ def solve_discounted(
     if delta <= 0.0:
         raise ShapeError(f"delta must be positive, got {delta}")
     g2 = _damping_gamma2(gamma1, gamma2, model)
-    stepper = _Stepper(model, grid, mode=mode, gradient_cap=gradient_cap, gamma2=g2)
+    stepper = _Stepper(model, grid, gradient_cap=gradient_cap, gamma2=g2)
     w = np.zeros(grid.shape) if warm_start is None else np.array(warm_start, dtype=float)
     if w.size != stepper.pts.shape[0]:
         raise ShapeError("warm start has the wrong size for this grid")
@@ -1216,7 +1205,7 @@ def solve_ergodic(
     tol: float = 1e-6,
     gamma1: float = -1.0,
     gamma2=None,
-    mode: str = "pricing",
+    mode: str | None = None,
     tol_inner: float = 1e-10,
     max_sweeps: int = 500_000,
     max_halvings: int = 20,
@@ -1228,7 +1217,10 @@ def solve_ergodic(
     Solves max_c[S_c(u) + lam tr(Q_c gamma2)] + f + gamma1 lam = 0,
     u(anchor) = 0 -- the vanishing-damping limit of :func:`solve_discounted`,
     S(u) = lam for gamma2 = 0 -- until the residual has sup norm at most
-    ``tol``.  In generic mode the drivers see the anchored u.  Newton starts
+    ``tol``.  The model selects the driver; its drivers f and g, if any, see
+    the anchored u.  ``mode`` only checks that choice: None, a pricing name
+    ("pricing", "parabolic", "ergodic") for a model without drivers, or
+    "generic" for a model with them (else :class:`ShapeError`).  Newton starts
     from u = 0 and may take up to ``_NEWTON_STEPS`` steps, through rises of
     the residual; if that fails, the damped solutions at delta0 / 2^k,
     k = 0 .. ``max_halvings`` (each to ``tol_inner``), serve in turn as warm
@@ -1245,13 +1237,17 @@ def solve_ergodic(
     """
     if delta0 <= 0.0:
         raise ShapeError(f"delta0 must be positive, got {delta0}")
+    if mode is not None and mode not in (("generic",) if model.has_generic_drivers()
+                                         else ("pricing", "parabolic", "ergodic")):
+        raise ShapeError(f"mode {mode!r} does not fit the model: drivers f or g select "
+                         "'generic', their absence 'pricing' (aliases 'parabolic', 'ergodic')")
     g2 = _damping_gamma2(gamma1, gamma2, model)
 
     anchor_idx = grid.anchor_index(anchor)
     a = int(np.ravel_multi_index(anchor_idx, grid.shape))
     anchor_point = np.array([ax[i] for ax, i in zip(grid.axes(), anchor_idx)])
 
-    stepper = _Stepper(model, grid, mode=mode, gradient_cap=gradient_cap, gamma2=g2)
+    stepper = _Stepper(model, grid, gradient_cap=gradient_cap, gamma2=g2)
     budget = _Budget(max_sweeps)
     w, trace, fresh = np.zeros(stepper.pts.shape[0]), [], True
     for k in range(max_halvings + 2):
@@ -1277,7 +1273,7 @@ def solve_ergodic(
     trace.append((0.0, float(lam)))
 
     values = (u - u[a]).reshape(grid.shape)
-    rep = pde_residual(values, model, grid=grid, lam=lam, mode=mode)
+    rep = pde_residual(values, model, grid=grid, lam=lam)
     u_sol = PdeSolution(grid=grid, kind="stationary", values=values, sweeps=budget.used,
                         residual=rep.values, residual_linf=rep.linf_interior,
                         residual_l2=rep.l2_interior)

@@ -46,7 +46,7 @@ from .coefficients import as_coefficient
 from .errors import DivergenceError, InvalidSetError, ShapeError
 from .gcore import UncertaintySet, _best_candidate
 from .model import ModelSpec
-from .pde import _certified_candidate, _hamiltonian_batch, _normalize_mode
+from .pde import _certified_candidate, _hamiltonian_batch
 
 __all__ = [
     "VolControl",
@@ -264,34 +264,35 @@ class _CandidatePolicy(FeedbackControl):
         return self.candidates[self.uniform], self.roots[self.uniform]
 
 
-def worst_case_policy(solution, model: ModelSpec, mode: str = "pricing") -> FeedbackControl:
+def worst_case_policy(solution, model: ModelSpec) -> FeedbackControl:
     """Feedback control selecting the maximizing covariance of G(H).
 
     ``solution`` is an ergodic or stationary/parabolic solution exposing
-    ``derivatives_at`` (and ``value_at`` in generic mode); the selected
-    matrix is always one of the extreme candidates of the ambiguity set.
-    Outside the solution grid the interpolants extend with frozen boundary
-    derivatives, so the policy stays well defined on the whole simulation
-    range.
+    ``derivatives_at`` (and ``value_at`` for a model with drivers f or g,
+    whose H reads the value); the model selects the form of H, as in the
+    solvers.  The selected matrix is always one of the extreme candidates
+    of the ambiguity set.  Outside the solution grid the interpolants
+    extend with frozen boundary derivatives, so the policy stays well
+    defined on the whole simulation range.
 
-    For a stationary solution in pricing mode, on a model whose sigma,
+    For a stationary solution, on a model without drivers whose sigma,
     h - d_ij, k and v are constant, the pick is certified once, here
     (``pde._certified_candidate``): when one candidate wins on every grid
     cell with a margin above the rounding error, each step returns it
     without evaluating H.  Rows with a NaN coordinate, every model or
-    solution on which no candidate wins everywhere, and any other model,
-    solution or mode take the full evaluation of H.  The picks, and every
-    output, are the same either way.
+    solution on which no candidate wins everywhere, and any other model or
+    solution take the full evaluation of H.  The picks, and every output,
+    are the same either way.
     """
-    # the pricing-mode Hamiltonian does not read the value itself
-    needs_value = _normalize_mode(mode) == "generic"
+    # the pricing Hamiltonian does not read the value itself
+    needs_value = model.has_generic_drivers()
 
     def pick(t: float, x: np.ndarray, coeffs) -> np.ndarray:
         grad, hess = solution.derivatives_at(x, t)
         uval = solution.value_at(x, t) if needs_value else None
         # a bundle of another model (or none) leaves the evaluation to the Hamiltonian
         pre = coeffs if coeffs is not None and coeffs.model is model else None
-        hmat = _hamiltonian_batch(model, x, grad, hess, uval, mode=mode, precomputed=pre)
+        hmat = _hamiltonian_batch(model, x, grad, hess, uval, precomputed=pre)
         return _best_candidate(hmat, model.uncertainty)
 
     cands = np.stack(model.uncertainty.candidates())

@@ -26,7 +26,6 @@ from gkernel import (
     ModelSpec,
     PdeSolution,
     PiecewiseControl,
-    ScenarioBatch,
     SolverSettings,
     UncertaintySet,
     build_control,
@@ -34,7 +33,6 @@ from gkernel import (
     parse_config,
     simulate_gsde,
     solve_ergodic,
-    write_batch_csv,
     write_json,
     write_solution_csv,
     write_traces_csv,
@@ -113,7 +111,7 @@ class TestParsing:
         assert cfg.sim is None
         assert cfg.payoff is None
         assert cfg.solver.tol == 1e-6
-        assert cfg.solver.mode == "pricing"
+        assert cfg.solver.mode is None
         assert cfg.output.dir is None
         assert cfg.output.formats == ("csv", "json")
         # assumption box falls back to the grid bounds
@@ -163,6 +161,9 @@ class TestParsing:
                                            "gradient_cap": 40.0})
         assert type(parsed.max_sweeps) is int and type(parsed.gradient_cap) is float
         doc["solver"] = {"tol": 1e-7}
+        assert parse_config(doc).solver == SolverSettings(tol=1e-7)
+        # null keeps the default of the keys whose default is None
+        doc["solver"] = {"tol": 1e-7, "mode": None, "anchor": None, "gamma2": None}
         assert parse_config(doc).solver == SolverSettings(tol=1e-7)
         doc["solver"] = {"max_sweeps": 1.5}
         with pytest.raises(ConfigurationError, match=r"solver\.max_sweeps must be an integer"):
@@ -357,25 +358,6 @@ def _oracle_solution_csv(path, sol):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _oracle_batch_csv(path, batch, max_paths):
-    n, k1, d = batch.B.shape
-    m = batch.X.shape[2]
-    n_write = n if max_paths is None else min(n, max_paths)
-    header = (["path", "t"] + [f"B_{i + 1}" for i in range(d)]
-              + [f"QV_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
-              + [f"X_{i + 1}" for i in range(m)])
-    lines = [",".join(header)]
-    qv = batch.path_slice(0, n_write).QV
-    for p in range(n_write):
-        for s in range(k1):
-            row = [str(batch.path_offset + p), fmt17(batch.times[s])]
-            row += [fmt17(batch.B[p, s, i]) for i in range(d)]
-            row += [fmt17(qv[p, s, i, j]) for i in range(d) for j in range(d)]
-            row += [fmt17(batch.X[p, s, i]) for i in range(m)]
-            lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def _oracle_traces_csv(path, dec, max_paths):
     n, k1, m = dec.X.shape
     d = dec.Z.shape[2]
@@ -427,19 +409,13 @@ class TestWriters:
         rng = np.random.default_rng(40 + m)
         n, k1 = 20, 7
         times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.1, k1 - 1))])
-        q = _awkward(rng, (n, k1 - 1, d, d))
-        for offset in (0, 2**53 + 1, 2**64 + 3):
-            batch = ScenarioBatch(times=times, noise=_awkward(rng, (n, k1 - 1, d)),
-                                  B=_awkward(rng, (n, k1, d)), X=_awkward(rng, (n, k1, m)),
-                                  Q=q, control_label="c", seed=1, path_offset=offset)
-            dec = Decomposition(times=times, X=batch.X, u=_awkward(rng, (n, k1)),
+        for _ in range(3):
+            dec = Decomposition(times=times, X=_awkward(rng, (n, k1, m)), u=_awkward(rng, (n, k1)),
                                 Z=_awkward(rng, (n, k1, d)), ln_M=_awkward(rng, (n, k1)),
                                 K=_awkward(rng, (n, k1)), ln_D_direct=_awkward(rng, (n, k1)),
                                 lam=0.25, control_label="c")
             with np.errstate(all="ignore"):
                 for max_paths in (None, 3, 16):
-                    assert _same_bytes(tmp_path, write_batch_csv, _oracle_batch_csv,
-                                       batch, max_paths)
                     assert _same_bytes(tmp_path, write_traces_csv, _oracle_traces_csv,
                                        dec, max_paths)
 
@@ -473,19 +449,6 @@ class TestWriters:
         assert len(lines) == 1 + 257
         first = lines[1].split(",")
         assert float(first[0]) == -3.0
-
-    def test_batch_csv_layout(self, tmp_path, const_model):
-        batch = simulate_gsde(const_model, ConstantControl(1.0), [0.0],
-                              0.2, 0.05, 5, seed=8)
-        path = tmp_path / "batch.csv"
-        write_batch_csv(path, batch, max_paths=3)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "path,t,B_1,QV_11,X_1"
-        assert len(lines) == 1 + 3 * 5
-        cells = lines[1].split(",")
-        assert cells[0] == "0" and float(cells[1]) == 0.0
-        # every written value round-trips bitwise
-        assert float(lines[-1].split(",")[4]) == batch.X[2, -1, 0]
 
     def test_traces_csv_layout(self, tmp_path, const_model, const_sol):
         from gkernel import compute_components, worst_case_policy

@@ -51,22 +51,36 @@ def generic_twin_2d() -> ModelSpec:
         g=[[_half_product(i, j) for j in range(2)] for i in range(2)])
 
 
-def hamiltonian_at(x, u_val, grad, hess, model: ModelSpec, mode: str = "pricing"):
+def ou_twin() -> ModelSpec:
+    """The mean-reverting model of ``ou_model`` in generic form: f = -x1, g = z^2 / 2."""
+    return ModelSpec.build(
+        m=1, d=1, b=["0.05 - 1.0 * x1"], sigma=[["0.2"]], r=0.0,
+        uncertainty=UncertaintySet.interval(0.8, 1.2),
+        f=lambda x, y, z: -x[:, 0], g=[[lambda x, y, z: 0.5 * z[:, 0] ** 2]])
+
+
+def _state_dependent_twin():
+    """A 1D model with h, k and v, drivers that read the value and an r they ignore."""
+    return _state_dependent_1d(f=lambda x, y, z: -x[:, 0] + 0.1 * y,
+                               g=[[lambda x, y, z: 0.5 * z[:, 0] ** 2 - 0.05 * y]])
+
+
+def hamiltonian_at(x, u_val, grad, hess, model: ModelSpec):
     """H at a single point, from the batch kernel."""
     m = model.m
     uv = None if u_val is None else np.array([float(u_val)])
     return pde._hamiltonian_batch(
         model, np.reshape(np.asarray(x, dtype=float), (1, m)),
         np.reshape(np.asarray(grad, dtype=float), (1, m)),
-        np.reshape(np.asarray(hess, dtype=float), (1, m, m)), uv, mode=mode)[0]
+        np.reshape(np.asarray(hess, dtype=float), (1, m, m)), uv)[0]
 
 
-def einsum_hamiltonian(model, x, grad, hess, u_val, mode, pre):
+def einsum_hamiltonian(model, x, grad, hess, u_val, pre):
     """The driver matrices by the literal einsum formula, term by term."""
     sig = pre["sigma"]
     hess_term = np.einsum("nab,nai,nbj->nij", hess, sig, sig)
     z = np.einsum("nlj,nl->nj", sig, grad)
-    if pde._normalize_mode(mode) == "pricing":
+    if not model.has_generic_drivers():
         return (hess_term + 2.0 * np.einsum("nl,nijl->nij", grad, pre["h_eff"])
                 - pre["two_k"] + pre["vv"] + np.einsum("ni,nj->nij", z, z))
     y = np.zeros(x.shape[0]) if u_val is None else u_val
@@ -113,16 +127,6 @@ class TestHamiltonian:
         H = hamiltonian_at([0.0], 0.0, [-1.0], [[0.0]], ou_model)
         assert H[0, 0] == pytest.approx(0.04, abs=1e-15)
 
-    def test_mode_aliases_share_the_pricing_form(self, const_model):
-        base = hamiltonian_at([0.1], 0.0, [0.4], [[0.2]], const_model, mode="pricing")
-        for alias in ("parabolic", "ergodic"):
-            alt = hamiltonian_at([0.1], 0.0, [0.4], [[0.2]], const_model, mode=alias)
-            assert np.array_equal(alt, base)
-
-    def test_unknown_mode_rejected(self, const_model):
-        with pytest.raises(ShapeError):
-            hamiltonian_at([0.0], 0.0, [0.0], [[0.0]], const_model, mode="elliptic")
-
     def test_generic_driver_form(self):
         model = ModelSpec.build(
             m=1, d=1, b=["0.0"], sigma=[["0.2"]], r=0.0,
@@ -130,7 +134,7 @@ class TestHamiltonian:
             g=[[lambda x, y, z: y + z[:, 0]]],
         )
         # H = hess sigma^2 + 2 g(x, u, sigma * grad)
-        H = hamiltonian_at([0.0], 3.0, [5.0], [[10.0]], model, mode="generic")
+        H = hamiltonian_at([0.0], 3.0, [5.0], [[10.0]], model)
         assert H[0, 0] == pytest.approx(10.0 * 0.04 + 2.0 * (3.0 + 1.0), abs=1e-13)
 
     def test_output_symmetric_with_two_noises(self):
@@ -193,10 +197,9 @@ class TestHamiltonian:
         pre = model.evaluate(x)
         if not state:
             assert pre["sigma"].strides[0] == 0
-        ref = einsum_hamiltonian(model, x, grad, hess, u_val, mode, pre)
+        ref = einsum_hamiltonian(model, x, grad, hess, u_val, pre)
         for given in (pre, None):
-            got = pde._hamiltonian_batch(model, x, grad, hess, u_val, mode=mode,
-                                         precomputed=given)
+            got = pde._hamiltonian_batch(model, x, grad, hess, u_val, precomputed=given)
             assert got.shape == ref.shape and got.flags.c_contiguous
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
         assert np.isnan(ref).any()
@@ -316,7 +319,7 @@ class TestParabolic:
         grid = Grid.build([(-1.0, 1.0)], [17], horizon=3.0, time_steps=400)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError):
-                solve_parabolic(model, grid, 0.0, mode="generic")
+                solve_parabolic(model, grid, 0.0)
 
 
 class TestDiscounted:
@@ -376,6 +379,16 @@ class TestErgodic:
         central = (x >= -1.0) & (x <= 1.0)
         slope = np.polyfit(x[central], ou_sol.u.values[central], 1)[0]
         assert abs(slope + 1.0) < 1e-2
+
+    def test_noise_loading_shifts_the_drift(self):
+        # u = -x still; z - v = -(0.2 + 0.3), so lam = 1.2 (0.5)^2 / 2 - 0.05 = 0.1:
+        # the operator's drift carries the shift -d = -sigma v of h - d_ij
+        model = ModelSpec.build(m=1, d=1, b=["0.05 - 1.0 * x1"], sigma=[[0.2]], r="x1",
+                                v=[0.3], uncertainty=UncertaintySet.interval(0.8, 1.2))
+        grid = Grid.build([(-2.0, 2.0)], [65])
+        sol = solve_ergodic(model, grid, tol=1e-10)
+        assert abs(sol.lam - 0.1) < 1e-10
+        assert np.max(np.abs(sol.u.values + grid.axes()[0])) < 1e-9
 
     def test_classical_reduction_is_zero(self):
         model = ModelSpec.build(
@@ -591,30 +604,18 @@ class TestTwoFactor:
 
 class TestGenericMode:
     def test_matches_pricing_drivers(self, ou_model, ou_grid):
-        twin = ModelSpec.build(
-            m=1, d=1, b=["0.05 - 1.0 * x1"], sigma=[["0.2"]], r=0.0,
-            uncertainty=UncertaintySet.interval(0.8, 1.2),
-            f=lambda x, y, z: -x[:, 0],
-            g=[[lambda x, y, z: 0.5 * z[:, 0] ** 2]],
-        )
         grid = Grid.build([(-2.0, 2.0)], [129])
         ref = solve_ergodic(ou_model, grid, tol=1e-7)
-        gen = solve_ergodic(twin, grid, mode="generic", tol=1e-7)
+        gen = solve_ergodic(ou_twin(), grid, tol=1e-7)
         assert abs(gen.lam - ref.lam) < 1e-9
         assert np.max(np.abs(gen.u.values - ref.u.values)) < 1e-8
 
     def test_matches_pricing_drivers_with_gamma2(self, ou_model):
         # gamma1 + 2 G(gamma2) = -1.6 + 1.2 * 0.5 = -1
-        twin = ModelSpec.build(
-            m=1, d=1, b=["0.05 - 1.0 * x1"], sigma=[["0.2"]], r=0.0,
-            uncertainty=UncertaintySet.interval(0.8, 1.2),
-            f=lambda x, y, z: -x[:, 0],
-            g=[[lambda x, y, z: 0.5 * z[:, 0] ** 2]],
-        )
         grid = Grid.build([(-2.0, 2.0)], [65])
         weights = {"gamma1": -1.6, "gamma2": 0.5, "tol": 1e-10}
         ref = solve_ergodic(ou_model, grid, **weights)
-        gen = solve_ergodic(twin, grid, mode="generic", **weights)
+        gen = solve_ergodic(ou_twin(), grid, **weights)
         assert abs(ref.lam - OU_LAM) < 1e-9
         assert abs(gen.lam - ref.lam) < 1e-9
         assert np.max(np.abs(gen.u.values - ref.u.values)) < 1e-8
@@ -623,7 +624,7 @@ class TestGenericMode:
         # u = -(x1 + x2), z = (-0.2, -0.2), lam = max_c z^T Q_c z / 2 - 0.1
         grid = Grid.build([(-2.0, 2.0)] * 2, [33, 33])
         ref = solve_ergodic(affine_three_member_model(), grid, tol=1e-10)
-        gen = solve_ergodic(generic_twin_2d(), grid, mode="generic", tol=1e-10)
+        gen = solve_ergodic(generic_twin_2d(), grid, tol=1e-10)
         z = np.array([-0.2, -0.2])
         lam = max(0.5 * z @ q @ z for q in THREE_MEMBERS.candidates()) - 0.1
         assert lam == pytest.approx(-0.04, abs=1e-15)
@@ -635,6 +636,50 @@ class TestGenericMode:
         grid = Grid.build([(-2.0, 2.0)], [33])
         with pytest.raises(ShapeError):
             solve_ergodic(ou_model, grid, mode="generic")
+
+    def test_drivers_are_solved_with_no_mode(self, ou_model):
+        # with no mode the drivers decide; a pricing default would read lam = 0
+        grid = Grid.build([(-2.0, 2.0)], [129])
+        ref = solve_ergodic(ou_model, grid, tol=1e-10)
+        gen = solve_ergodic(ou_twin(), grid, tol=1e-10)
+        assert abs(ref.lam - OU_LAM) < 1e-9
+        assert abs(gen.lam - ref.lam) < 1e-12
+
+    @pytest.mark.parametrize("mode", ["pricing", "parabolic", "ergodic"])
+    def test_pricing_mode_rejected_on_a_model_with_drivers(self, mode):
+        with pytest.raises(ShapeError, match=f"mode '{mode}' does not fit the model"):
+            solve_ergodic(ou_twin(), Grid.build([(-2.0, 2.0)], [33]), mode=mode)
+
+    def test_mode_aliases_share_the_pricing_form(self, const_model):
+        grid = Grid.build([(-3.0, 3.0)], [65])
+        base = solve_ergodic(const_model, grid, tol=1e-9)
+        for alias in ("pricing", "parabolic", "ergodic"):
+            alt = solve_ergodic(const_model, grid, tol=1e-9, mode=alias)
+            assert alt.lam.hex() == base.lam.hex()
+            assert alt.u.values.tobytes() == base.u.values.tobytes()
+
+    def test_unknown_mode_rejected(self, const_model):
+        with pytest.raises(ShapeError, match="mode 'elliptic' does not fit the model"):
+            solve_ergodic(const_model, Grid.build([(-3.0, 3.0)], [33]), mode="elliptic")
+
+    @pytest.mark.parametrize("build,nodes", [(_state_dependent_twin, [65]),
+                                             (generic_twin_2d, [19, 17])], ids=["1d", "2d"])
+    def test_residual_reads_the_drivers_with_no_mode(self, build, nodes):
+        # the generic field by the einsum formula, as an explicit generic mode gave it
+        model = build()
+        grid = Grid.build([(-2.0, 2.0)] * len(nodes), nodes)
+        pts = grid.points()
+        values = np.sin(pts[:, 0]) * np.cos(pts[:, -1]) + 0.3 * pts[:, 0] ** 2
+        values = values.reshape(grid.shape)
+        grad = nodal_gradient(values, grid).reshape(-1, grid.m)
+        hess = nodal_hessian(values, grid).reshape(-1, grid.m, grid.m)
+        pre = model.evaluate(pts)
+        hmat = einsum_hamiltonian(model, pts, grad, hess, values.ravel(), pre)
+        z = np.einsum("nlj,nl->nj", pre["sigma"], grad)
+        ref = (gcore.g_value_batch(hmat, model.uncertainty)[0]
+               + np.einsum("nl,nl->n", pre["b"], grad) + model.f(pts, values.ravel(), z) - 0.01)
+        rep = pde_residual(values, model, grid=grid, lam=0.01)
+        assert rep.values.tobytes() == ref.reshape(grid.shape).tobytes()
 
 
 # The per-candidate loop that the stacked operator of ``_Stepper`` replaced,
@@ -709,8 +754,7 @@ def _loop_generic(st, w, level, gamma2, policy):
     grad = np.stack([np.where(st.bval[:, ax].reshape(st.shape) > 0.0, dp, dm).ravel()
                      for ax, (dm, dp) in enumerate(pairs)], axis=-1)
     hess = nodal_hessian(w.reshape(st.shape), st.grid).reshape(grad.shape + (-1,))
-    hmat = pde._hamiltonian_batch(st.model, st.pts, grad, hess, w, mode="generic",
-                                  precomputed=st.pre)
+    hmat = pde._hamiltonian_batch(st.model, st.pts, grad, hess, w, precomputed=st.pre)
     if gamma2 is not None:
         hmat = hmat + 2.0 * np.multiply.outer(level, gamma2)
     scores, _ = gcore._candidate_scores(hmat, st.model.uncertainty)
@@ -722,7 +766,7 @@ def _loop_generic(st, w, level, gamma2, policy):
 
 def loop_residual(st, w, level=0.0, gamma2=None, policy=None):
     """S(w) assembled one candidate at a time."""
-    if st.mode == "generic":
+    if st.model.has_generic_drivers():
         return _loop_generic(st, w, level, gamma2, policy)
     parts = _loop_parts_1d(st, w) if st.grid.m == 1 else _loop_parts_2d(st, w)
     if gamma2 is not None:
@@ -763,8 +807,8 @@ STACKED_CASES = {
                  [19, 17], {}),
     "2d-three-gamma2": (affine_three_member_model, [19, 17],
                         {"gamma2": np.array([[-0.2, 0.05], [0.05, -0.3]])}),
-    "generic-1d": (_twin_1d, [33], {"mode": "generic", "gamma2": np.array([[0.5]])}),
-    "generic-2d": (generic_twin_2d, [19, 17], {"mode": "generic"}),
+    "generic-1d": (_twin_1d, [33], {"gamma2": np.array([[0.5]])}),
+    "generic-2d": (generic_twin_2d, [19, 17], {}),
 }
 
 
@@ -885,8 +929,7 @@ class TestGradientBound:
             g=[[lambda x, y, z: 0.5 * z[:, 0] ** 2]],
         )
         with pytest.raises(ShapeError):
-            solve_ergodic(model, Grid.build([(-2.0, 2.0)], [33]), mode="generic",
-                          gradient_cap=1.0)
+            solve_ergodic(model, Grid.build([(-2.0, 2.0)], [33]), gradient_cap=1.0)
 
 
 class TestInterpolation:

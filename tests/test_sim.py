@@ -915,20 +915,20 @@ class TestStreamingOracle:
     T, DT, N_PATHS, CHUNK = 0.3, 0.02, 70, 32
 
     @staticmethod
-    def _controls(model, solution, mode):
+    def _controls(model, solution):
         cands = model.uncertainty.candidates()
         piecewise = PiecewiseControl([0.0, 0.1, 0.2], [cands[0], cands[-1], cands[1]])
         extremes = extreme_controls(model.uncertainty)
         # the parent rooted a piecewise segment on every step, as a feedback control does
         per_step = FeedbackControl(piecewise.matrices, label=piecewise.label)
-        new = [worst_case_policy(solution, model, mode), piecewise] + extremes
+        new = [worst_case_policy(solution, model), piecewise] + extremes
+        mode = "generic" if model.has_generic_drivers() else "pricing"
         return new, [_OraclePolicy(solution, model, mode), per_step] + extremes
 
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_streaming_means_equal_the_oracle(self, case):
         model, solution = _oracle_case(*ORACLE_CASES[case])
-        mode = "generic" if model.has_generic_drivers() else "pricing"
-        new, old = self._controls(model, solution, mode)
+        new, old = self._controls(model, solution)
         x0 = np.full(model.m, 0.05)
         n_steps = int(round(self.T / self.DT))
         marks = [5, n_steps]
@@ -950,8 +950,7 @@ class TestStreamingOracle:
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_histories_equal_the_oracle(self, case):
         model, solution = _oracle_case(*ORACLE_CASES[case])
-        mode = "generic" if model.has_generic_drivers() else "pricing"
-        new, old = self._controls(model, solution, mode)
+        new, old = self._controls(model, solution)
         x0 = np.full(model.m, -0.05)
         n_steps, offset = int(round(self.T / self.DT)), 5
         for ctl, ref_ctl in zip(new, old):
@@ -967,6 +966,18 @@ class TestStreamingOracle:
                     assert batch.Q[lo:hi, k].tobytes() == np.ascontiguousarray(q).tobytes()
                     assert (batch.B[lo:hi, k + 1].tobytes()
                             == (batch.B[lo:hi, k] + db).tobytes())
+
+    @pytest.mark.parametrize("case", ["1d_generic", "2d_generic"])
+    def test_policy_reads_the_drivers_with_no_mode(self, case):
+        # the picks of the generic form, as an explicit generic mode gave them,
+        # which the pricing form does not give
+        model, solution = _oracle_case(*ORACLE_CASES[case])
+        x = np.random.default_rng(21).uniform(-1.4, 1.4, (400, model.m))
+        got = worst_case_policy(solution, model).matrices_and_roots(0.1, x)[0]
+        generic, pricing = (_OraclePolicy(solution, model, mode).matrices_and_roots(
+            0.1, x, model.evaluate(x))[0] for mode in ("generic", "pricing"))
+        assert got.tobytes() == generic.tobytes()
+        assert got.tobytes() != pricing.tobytes()
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_chunk_draws_equal_a_fresh_generator_per_path(self, d):
@@ -1286,7 +1297,7 @@ class TestPickTable:
         stateful = _oracle_case(*ORACLE_CASES["1d_h_state_k_absent_v_const_sigma_state"])
         assert pde._certified_candidate(stateful[1], stateful[0]) is None
         generic_model, generic_sol = _oracle_case(*ORACLE_CASES["1d_generic"])
-        assert worst_case_policy(generic_sol, generic_model, "generic").uniform is None
+        assert worst_case_policy(generic_sol, generic_model).uniform is None
         grid = Grid.build([(-2.0, 2.0)], [33], horizon=0.5, time_steps=400)
         parabolic = pde.solve_parabolic(ou_model, grid, np.zeros(grid.shape))
         assert pde._certified_candidate(parabolic, ou_model) is None

@@ -2,7 +2,9 @@
 
 import ast
 import importlib
+import inspect
 import sys
+import types
 from pathlib import Path
 
 import gkernel
@@ -131,3 +133,28 @@ def test_package_api_is_the_module_apis():
     for module in modules:
         for name in module.__all__:
             assert getattr(gkernel, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+def _mode_parameters(module):
+    """Names of the functions in ``module.__all__`` that take a ``mode`` parameter."""
+    return [name for name in module.__all__
+            if inspect.isfunction(getattr(module, name))
+            and "mode" in inspect.signature(getattr(module, name)).parameters]
+
+
+def test_the_model_selects_the_driver_form():
+    # drivers f or g select the generic PDE, their absence the pricing one;
+    # solve_ergodic keeps its keyword only to check that choice
+    found = [f"{name}.{fn}" for name in ("pde", "sim", "decomp")
+             for fn in _mode_parameters(importlib.import_module(f"gkernel.{name}"))]
+    assert [f for f in found if f != "pde.solve_ergodic"] == []
+
+
+def test_rule_sees_every_mode_parameter():
+    module = types.ModuleType("probe")
+    exec("def a(x, mode=None): pass\n"
+         "def b(x, *, mode): pass\n"
+         "def c(x, mode_name=None): pass\n"
+         "class D:\n    def __init__(self, mode): pass\n", module.__dict__)
+    module.__all__ = ["a", "b", "c", "D"]
+    assert _mode_parameters(module) == ["a", "b"]
