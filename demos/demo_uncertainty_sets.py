@@ -9,7 +9,7 @@ a brute-force scan.
 
 import numpy as np
 
-from gkernel import UncertaintySet, ellipticity_constants, g_value
+from gkernel import UncertaintySet, g_value
 
 band = UncertaintySet.interval(0.5, 1.0)
 print("scalar band [0.5, 1.0]")
@@ -25,7 +25,7 @@ members = [
     np.array([[0.8, -0.1], [-0.1, 0.7]]),
 ]
 finite = UncertaintySet.finite(members)
-lo, hi = ellipticity_constants(finite)
+lo, hi = finite.lo, finite.hi
 print(f"\nfinite set of {len(members)} covariance matrices, "
       f"ellipticity [{lo:.3f}, {hi:.3f}]")
 

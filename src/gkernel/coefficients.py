@@ -1,13 +1,12 @@
 """Scalar coefficient functions of the state, and a tiny expression language.
 
 Model coefficients (drift entries, diffusion entries, rates, loadings) are
-maps from the state x in R^m to a scalar.  Four interchangeable carriers:
+maps from the state x in R^m to a scalar.  Two carriers:
 
 * ``Constant(value)``
-* ``Affine(intercept, slope)``          -- intercept + <slope, x>
 * ``Expression`` (parsed source text)   -- see grammar below
-* ``Table(nodes, values, axis)``        -- linear interpolation in one
-  coordinate, constant extrapolation beyond the node range.
+
+and any other subclass of ``CoefficientFn``.
 
 Expression grammar (left-associative, standard precedence)::
 
@@ -40,9 +39,7 @@ from .errors import EvaluationError, ExpressionError, ShapeError
 __all__ = [
     "CoefficientFn",
     "Constant",
-    "Affine",
     "Expression",
-    "Table",
     "parse_coefficient",
     "as_coefficient",
 ]
@@ -310,29 +307,6 @@ class Constant(CoefficientFn):
         return repr(float(self.value))
 
 
-class Affine(CoefficientFn):
-    """intercept + <slope, x>; slope length fixes the expected dimension."""
-
-    def __init__(self, intercept: float, slope):
-        self.intercept = float(intercept)
-        self.slope = np.atleast_1d(np.asarray(slope, dtype=float)).copy()
-        self.slope.flags.writeable = False
-
-    def __call__(self, x):
-        x = _check_states(x)
-        if x.shape[1] < self.slope.size:
-            raise EvaluationError(
-                f"affine coefficient needs {self.slope.size} coordinates, state has {x.shape[1]}"
-            )
-        return self.intercept + x[:, : self.slope.size] @ self.slope
-
-    def source_text(self) -> str:
-        parts = [repr(self.intercept)]
-        for i, s in enumerate(self.slope):
-            parts.append(f"{repr(float(s))} * x{i + 1}")
-        return " + ".join(parts)
-
-
 class Expression(CoefficientFn):
     def __init__(self, tree, source: str):
         self.tree = tree
@@ -366,39 +340,6 @@ class Expression(CoefficientFn):
 
     def __repr__(self):
         return f"Expression({self.source!r})"
-
-
-class Table(CoefficientFn):
-    """Piecewise-linear interpolant in one state coordinate.
-
-    Outside the node range the boundary value is held constant.
-    """
-
-    def __init__(self, nodes, values, axis: int = 0):
-        nodes = np.asarray(nodes, dtype=float).ravel().copy()
-        values = np.asarray(values, dtype=float).ravel().copy()
-        if nodes.size != values.size:
-            raise ShapeError("table nodes and values must have equal length")
-        if nodes.size < 2:
-            raise ShapeError("table needs at least two nodes")
-        if np.any(np.diff(nodes) <= 0.0):
-            raise ShapeError("table nodes must be strictly increasing")
-        nodes.flags.writeable = False
-        values.flags.writeable = False
-        self.nodes = nodes
-        self.values = values
-        self.axis = int(axis)
-
-    def __call__(self, x):
-        x = _check_states(x)
-        if self.axis >= x.shape[1]:
-            raise EvaluationError(
-                f"table reads coordinate x{self.axis + 1}, state has dimension {x.shape[1]}"
-            )
-        return np.interp(x[:, self.axis], self.nodes, self.values)
-
-    def source_text(self) -> str:
-        raise ExpressionError("tabulated coefficients have no expression form")
 
 
 def parse_coefficient(source: str) -> CoefficientFn:

@@ -225,7 +225,8 @@ def _parse_bounds_nodes(obj: dict, where: str):
     for n in nodes:
         if isinstance(n, bool) or not isinstance(n, int):
             raise ConfigurationError(f"{where}.nodes entries must be integers")
-    return [_numbers(p, f"{where}.bounds[{i}]") for i, p in enumerate(bounds)], nodes
+    return [_finite(_numbers(p, f"{where}.bounds[{i}]"), f"{where}.bounds[{i}]")
+            for i, p in enumerate(bounds)], nodes
 
 
 def _parse_grid(obj, where: str = "grid") -> Grid:

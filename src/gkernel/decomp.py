@@ -359,25 +359,22 @@ def _dec_blocks(dec: Decomposition):
         yield dec.path_slice(lo, min(lo + size, dec.n_paths))
 
 
-def _path_stats(blocks, marks: Sequence[int] | None = None, keep: np.ndarray | None = None,
-                k_tol: float = math.inf, residual: bool = False) -> dict:
+def _path_stats(blocks, marks: Sequence[int] | None = None, k_tol: float = math.inf,
+                residual: bool = False) -> dict:
     """The audit figures of each path, over blocks of whole paths, in path order.
 
-    The per-step residual rho = diff(gap) is restricted to the steps in
-    ``keep`` (default all) before its norms, which every audit reads.  The
-    martingale figures are formed only when ``marks`` are given: ``m`` and
-    ``mk`` hold M and M e^K at the marks, one column per mark, next to the
-    K statistics and the identity gap.  The cumulative sums of rho, which
-    start from 0 at the first kept step, are formed only for a ``residual``
-    report.  Blocks hold whole paths, so each figure is final when its block
-    is seen and nothing carries over; the caller reduces over paths once.
+    The norms of the per-step residual rho = diff(gap) are formed for every
+    audit.  The martingale figures are formed only when ``marks`` are given:
+    ``m`` and ``mk`` hold M and M e^K at the marks, one column per mark, next
+    to the K statistics and the identity gap.  The cumulative sums of rho are
+    formed only for a ``residual`` report.  Blocks hold whole paths, so each
+    figure is final when its block is seen and nothing carries over; the
+    caller reduces over paths once.
     """
     parts = []
     for dec in blocks:
         gap = dec.gap
         rho = np.diff(gap, axis=1)
-        if keep is not None:
-            rho = rho[:, keep]
         part = {"step_max": np.max(np.abs(rho), axis=1), "step_sumsq": np.sum(rho**2, axis=1)}
         if marks is not None:
             dk = np.diff(dec.K, axis=1)
@@ -427,7 +424,6 @@ def verify_martingales(
     batches: Sequence[ScenarioBatch] = (),
     solution=None,
     model: ModelSpec | None = None,
-    k_increment_tol: float | None = None,
 ) -> VerificationReport:
     """Audit the factor processes across control scenarios.
 
@@ -437,21 +433,21 @@ def verify_martingales(
     ``batches`` is decomposed (``solution`` and ``model`` are required for
     that) and audited under its own control label: sample mean of M at the
     quarter points of the horizon, K monotonicity within a per-step
-    tolerance (default 5 dt), pathwise identity error, and per-step
+    tolerance of 5 dt, pathwise identity error, and per-step
     consistency norms.  Each batch is decomposed and reduced one block of
     whole paths at a time, so none is held decomposed.
     """
     batches = list(batches)
-    plan = _audit_plan(dec, batches, solution, model, k_increment_tol)
+    plan = _audit_plan(dec, batches, solution, model)
     ref = _path_stats(_dec_blocks(dec), plan[0], k_tol=plan[2])
     return _verification(dec, ref, batches, solution, model, plan)
 
 
-def _audit_plan(dec: Decomposition, batches: list, solution, model,
-                k_increment_tol: float | None) -> tuple[list[int], float, float]:
+def _audit_plan(dec: Decomposition, batches: list, solution,
+                model) -> tuple[list[int], float, float]:
     """Check that every batch can be audited against ``dec``; the audit's
     checkpoint steps (the quarter points of the horizon), dt and per-step K
-    tolerance (5 dt by default)."""
+    tolerance 5 dt."""
     if batches and (solution is None or model is None):
         raise ShapeError("decomposing extra batches needs solution and model")
     n_steps = dec.times.size - 1
@@ -462,8 +458,7 @@ def _audit_plan(dec: Decomposition, batches: list, solution, model,
     marks = sorted(set(
         s for s in (n_steps // 4, n_steps // 2, (3 * n_steps) // 4, n_steps) if s > 0
     ))
-    k_tol = 5.0 * dt if k_increment_tol is None else float(k_increment_tol)
-    return marks, dt, k_tol
+    return marks, dt, 5.0 * dt
 
 
 def _verification(dec: Decomposition, ref_stats: dict, batches: list, solution, model,
@@ -498,12 +493,11 @@ def _audit_decomposition(dec: Decomposition, n_audit: int, batches: Sequence[Sce
     ``batches``, and ``verify_bsde_residual`` of all of ``dec``, from one
     reduction of ``dec``: its path figures do not depend on the other paths."""
     batches = list(batches)
-    plan = _audit_plan(dec, batches, solution, model, None)
-    window, keep = _window(dec.times, None)
-    stats = _path_stats(_dec_blocks(dec), plan[0], keep=keep, k_tol=plan[2], residual=True)
+    plan = _audit_plan(dec, batches, solution, model)
+    stats = _path_stats(_dec_blocks(dec), plan[0], k_tol=plan[2], residual=True)
     head = {name: values[:n_audit] for name, values in stats.items()}
     return (_verification(dec, head, batches, solution, model, plan),
-            _residual(stats, keep, window))
+            _residual(stats, dec.times))
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +515,8 @@ class BsdeResidualReport:
 
     which vanishes as dt -> 0 for the exact eigenfunction.  The
     cumulative residual matches the factorization gap path by path (up
-    to sign), so both audits agree by construction.
+    to sign), so both audits agree by construction.  ``window`` is the
+    audited horizon (t0, T), the batch's whole time grid.
     """
 
     max_abs_step: float
@@ -540,41 +535,23 @@ def verify_bsde_residual(
     batch: ScenarioBatch,
     solution,
     model: ModelSpec,
-    window: tuple | None = None,
     lam: float | None = None,
 ) -> BsdeResidualReport:
     """Check the per-step dynamics of u(X) against the stationary equation.
 
-    ``window`` restricts the audit to steps inside [s, T]; cumulative
-    sums then restart from 0 at s.  The default covers the whole batch,
-    which is decomposed and reduced one block of whole paths at a time, as
-    in :func:`compute_components` (whose errors it shares).
+    The audit covers every step of the batch, which is decomposed and
+    reduced one block of whole paths at a time, as in
+    :func:`compute_components` (whose errors it shares).
     """
     lam = _resolve_lam(solution, lam)
-    window, keep = _window(batch.times, window)
-    stats = _path_stats(_path_blocks(batch, solution, model, lam), keep=keep, residual=True)
-    return _residual(stats, keep, window)
+    stats = _path_stats(_path_blocks(batch, solution, model, lam), residual=True)
+    return _residual(stats, batch.times)
 
 
-def _window(times: np.ndarray, window: tuple | None) -> tuple:
-    """The audited window (t0, t1), the whole batch by default, and the mask of
-    the steps inside it."""
-    t0, t1 = (float(times[0]), float(times[-1])) if window is None else (
-        float(window[0]), float(window[1]))
-    if not (times[0] - 1e-12 <= t0 < t1 <= times[-1] + 1e-12):
-        raise ShapeError(
-            f"window [{t0}, {t1}] must lie inside the batch horizon "
-            f"[{float(times[0])}, {float(times[-1])}]"
-        )
-    keep = (times[:-1] >= t0 - 1e-12) & (times[1:] <= t1 + 1e-12)
-    if not np.any(keep):
-        raise ShapeError("window contains no full simulation step")
-    return (t0, t1), keep
-
-
-def _residual(stats: dict, keep: np.ndarray, window: tuple) -> BsdeResidualReport:
-    """The per-step residual report from the path figures of ``_path_stats``."""
-    n_steps = int(np.count_nonzero(keep))
+def _residual(stats: dict, times: np.ndarray) -> BsdeResidualReport:
+    """The per-step residual report from the path figures of ``_path_stats``
+    over the time grid ``times``."""
+    n_steps = times.size - 1
     return BsdeResidualReport(
         max_abs_step=float(np.max(stats["step_max"])),
         rms_step=_rms_step(stats, n_steps),
@@ -582,5 +559,5 @@ def _residual(stats: dict, keep: np.ndarray, window: tuple) -> BsdeResidualRepor
         mean_final_cumulative=float(np.mean(stats["cum_final"])),
         n_paths=int(stats["cum_final"].size),
         n_steps=n_steps,
-        window=window,
+        window=(float(times[0]), float(times[-1])),
     )

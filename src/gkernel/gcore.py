@@ -14,9 +14,10 @@ Two set shapes are supported:
 * ``UncertaintySet.finite(mats)`` -- an explicit finite family for d >= 1,
   where the supremum is an exact maximum over members.
 
-Both expose ellipticity constants (sig_lo, sig_hi): the tightest scalars
-with  sig_lo/2 * tr(A - B) <= G(A) - G(B) <= sig_hi/2 * tr(A - B)
-for A >= B in the semidefinite order.
+Both store their ellipticity constants as ``lo`` and ``hi``: the tightest
+scalars with  lo/2 * tr(A - B) <= G(A) - G(B) <= hi/2 * tr(A - B)
+for A >= B in the semidefinite order (for a finite family, the extreme
+eigenvalues across members).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidSetError, ShapeError
 
-__all__ = ["UncertaintySet", "GEvaluation", "g_value", "g_value_batch", "ellipticity_constants"]
+__all__ = ["UncertaintySet", "GEvaluation", "g_value", "g_value_batch"]
 
 _SYM_TOL = 1e-12
 
@@ -213,25 +214,3 @@ def _best_candidate(mats: np.ndarray, sigma_set: UncertaintySet) -> np.ndarray:
         a = mats[..., 0, 0]
         return _first_of_two(a * sigma_set.hi, a * sigma_set.lo)
     return _candidate_scores(mats, sigma_set)[1]
-
-
-def ellipticity_constants(sigma_set: UncertaintySet) -> tuple[float, float]:
-    """Tightest (sig_lo, sig_hi) in the two-sided ellipticity bound for G.
-
-    For a scalar band these are the endpoints; for a finite family the
-    extreme eigenvalues across members.  Every member is revalidated for
-    positive definiteness.
-    """
-    if sigma_set.kind == "interval":
-        if sigma_set.lo <= 0.0:
-            raise InvalidSetError("lower variance bound must be positive")
-        return sigma_set.lo, sigma_set.hi
-    lo = np.inf
-    hi = -np.inf
-    for idx, q in enumerate(sigma_set.members):
-        w = np.linalg.eigvalsh(q)
-        if w[0] <= 0.0:
-            raise InvalidSetError(f"member {idx} has eigenvalue {w[0]:.3e} <= 0")
-        lo = min(lo, float(w[0]))
-        hi = max(hi, float(w[-1]))
-    return lo, hi

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ShapeError
 from .pde import ErgodicSolution, PdeSolution, nodal_gradient
 
 __all__ = [
@@ -75,7 +76,7 @@ def write_solution_csv(path, solution) -> None:
     else:
         sol = solution
     if not isinstance(sol, PdeSolution) or sol.kind != "stationary":
-        raise TypeError("solution CSV export expects a stationary solution")
+        raise ShapeError("solution CSV export expects a stationary solution")
     grid = sol.grid
     values = sol.values.ravel()
     grad = nodal_gradient(sol.values, grid).reshape(-1, grid.m)

@@ -421,15 +421,11 @@ def check_assumptions(model: ModelSpec, box, nodes) -> AssumptionReport:
     x = _sample_box(box, nodes)
     n = x.shape[0]
 
-    bval = model.eval_b(x)
-    sig = model.eval_sigma(x)
-    rval = model.eval_r(x)
-    kval = model.eval_k(x)
-    vval = model.eval_v(x)
-    hval = model.eval_h(x)
-    dval = model.eval_dij(x)
-    htil = hval - dval
-    vv = np.einsum("ni,nj->nij", vval, vval)
+    coeffs = model.evaluate(x)
+    bval, sig, rval, kval, vval, hval = (
+        coeffs[name] for name in ("b", "sigma", "r", "k", "v", "h"))
+    dval = _dij(sig, vval)
+    htil, vv = coeffs["h_eff"], coeffs["vv"]
 
     sym_dev = 0.0
     if model.d > 1:

@@ -103,6 +103,8 @@ class Grid:
         if len(bounds_t) not in (1, 2):
             raise ShapeError("grids support one or two state coordinates")
         for lo, hi in bounds_t:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ShapeError(f"axis [{lo}, {hi}] must have finite bounds")
             if not (lo < hi):
                 raise ShapeError(f"empty axis [{lo}, {hi}]")
         for n in nodes_t:
@@ -110,6 +112,8 @@ class Grid:
                 raise ShapeError(f"need at least 16 nodes per axis, got {n}")
         if horizon is not None:
             horizon = float(horizon)
+            if not math.isfinite(horizon):
+                raise ShapeError(f"horizon must be finite, got {horizon}")
             if horizon < 0.0:
                 raise ShapeError(f"horizon must be nonnegative, got {horizon}")
             if horizon > 0.0:
@@ -458,6 +462,8 @@ class PdeSolution:
             return self._interp(None)
         if t is None:
             raise ShapeError("parabolic solutions need a query time")
+        if not math.isfinite(t):
+            raise ShapeError(f"query time must be finite, got {t}")
         q = int(round(t / self.grid.dt))
         q = min(max(q, 0), self.grid.time_steps)
         return self._interp(q)
@@ -739,7 +745,7 @@ class _Stepper:
         self.const_c = np.empty((self.n_cand, n))           # Q : (-k + vv/2)
         # the pricing driver sees the covariation drift h - d_ij
         src = pre["h"] if self.generic else pre["h_eff"]
-        kv = (-pre["k"] + 0.5 * np.einsum("ni,nj->nij", pre["v"], pre["v"]))
+        kv = -pre["k"] + 0.5 * pre["vv"]
         for c, q in enumerate(cands):
             a = np.einsum("nad,de,nbe->nab", self.sig, q, self.sig)
             self.diff_c[c] = np.moveaxis(a, 0, -1)

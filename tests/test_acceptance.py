@@ -18,7 +18,6 @@ from gkernel import (
     UncertaintySet,
     check_assumptions,
     compute_components,
-    ellipticity_constants,
     extreme_controls,
     g_value,
     long_term_yield_mc,
@@ -285,7 +284,7 @@ def test_criterion_09_g_function_suite():
         np.array([[0.8, -0.1], [-0.1, 0.7]]),
     ]
     finite = UncertaintySet.finite(members)
-    sig_lo, sig_hi = ellipticity_constants(finite)
+    sig_lo, sig_hi = finite.lo, finite.hi
     worst_prop = 0.0
     for _ in range(1000):
         raw = rng.normal(size=(2, 2))

@@ -9,11 +9,9 @@ import numpy as np
 import pytest
 
 from gkernel import (
-    Affine,
     Constant,
     EvaluationError,
     ExpressionError,
-    Table,
     as_coefficient,
     parse_coefficient,
 )
@@ -207,10 +205,6 @@ class TestWrappers:
         assert _at(fn, 123.0) == 0.3
         assert _at(as_coefficient(0.3), 1.0) == 0.3
 
-    def test_affine_wrapper(self):
-        fn = Affine(1.0, [2.0, -1.0])
-        assert _at(fn, 3.0, 4.0) == 1.0 + 6.0 - 4.0
-
     def test_as_coefficient_accepts_text_and_numbers(self):
         assert _at(as_coefficient("x1 + 1"), 2.0) == 3.0
         assert _at(as_coefficient(as_coefficient("x1")), 7.0) == 7.0
@@ -218,14 +212,3 @@ class TestWrappers:
     def test_as_coefficient_rejects_bare_callables(self):
         with pytest.raises(ExpressionError):
             as_coefficient(lambda x: x[:, 0] ** 2)
-
-    def test_table_interpolation_and_extension(self):
-        fn = Table([0.0, 1.0, 2.0], [0.0, 10.0, 0.0])
-        assert _at(fn, 0.5) == 5.0
-        assert _at(fn, 1.5) == 5.0
-        assert _at(fn, -3.0) == 0.0   # holds the boundary value
-        assert _at(fn, 9.0) == 0.0
-
-    def test_table_requires_increasing_nodes(self):
-        with pytest.raises(Exception):
-            Table([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])

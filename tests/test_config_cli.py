@@ -26,6 +26,7 @@ from gkernel import (
     ModelSpec,
     PdeSolution,
     PiecewiseControl,
+    ShapeError,
     SolverSettings,
     UncertaintySet,
     build_control,
@@ -297,6 +298,23 @@ class TestParsing:
         assert cfg.grid is None
         assert cfg.assumption_box == (((-1.0, 1.0),), (11,))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("block", ["grid", "assumption_box"])
+    def test_non_finite_bound_named(self, block, bad):
+        doc = base_doc()
+        doc["assumption_box"] = {"bounds": [[-1.0, 1.0]], "nodes": [11]}
+        doc[block]["bounds"] = [[bad, 2.0]]  # json writes and reads NaN and Infinity
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"{block}.bounds[0][0] must be finite, got {bad}")):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grid_horizon_rejected(self, bad):
+        doc = base_doc()
+        doc["grid"].update(horizon=bad, time_steps=16)
+        with pytest.raises(ShapeError, match=f"^grid: horizon must be finite, got {bad}$"):
+            parse_config(doc)
+
     def test_load_config_io_errors(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_config(tmp_path / "absent.json")
@@ -441,6 +459,13 @@ class TestWriters:
         parsed = json.loads(text)
         assert parsed["a"] == ["inf", "nan"]
 
+    def test_solution_csv_needs_a_stationary_solution(self, tmp_path):
+        grid = Grid.build([(-1.0, 1.0)], [17], horizon=1.0, time_steps=4)
+        parabolic = PdeSolution(grid=grid, kind="parabolic", values=np.zeros((5, 17)))
+        for sol in (parabolic, grid):
+            with pytest.raises(ShapeError, match="expects a stationary solution"):
+                write_solution_csv(tmp_path / "solution.csv", sol)
+
     def test_solution_csv_layout(self, tmp_path, const_sol):
         path = tmp_path / "solution.csv"
         write_solution_csv(path, const_sol)
@@ -494,6 +519,13 @@ class TestCli:
         code, _, err = run_cli(doc, "check")
         assert code == 3
         assert "configuration error" in err
+
+    def test_non_finite_grid_bound_exits_as_configuration_error(self, run_cli):
+        doc = base_doc()
+        doc["grid"]["bounds"] = [[-math.inf, 2.0]]
+        code, _, err = run_cli(doc, "check")
+        assert code == 3
+        assert "grid.bounds[0][0] must be finite, got -inf" in err
 
     def test_non_numeric_list_entry_exits_as_configuration_error(self, run_cli):
         doc = sim_doc()

@@ -176,7 +176,7 @@ class TestMartingaleAudit:
 
         def reports():
             mart = verify_martingales(const_wc_dec, extra, const_sol, const_model)
-            bsde = verify_bsde_residual(extra[0], const_sol, const_model, window=(0.2, 0.7))
+            bsde = verify_bsde_residual(extra[0], const_sol, const_model)
             return json.dumps([mart.to_dict(), bsde.to_dict()])
 
         default = reports()  # 32 paths per block at 1001 nodes
@@ -308,26 +308,6 @@ class TestBsdeResidual:
             rms[dt] = verify_bsde_residual(batch, sol, model).rms_step
         assert 1.5 <= rms[0.02] / rms[0.01] <= 3.0
 
-    def test_window_restricts_and_restarts(self, ou_model, ou_sol):
-        batch = simulate_gsde(
-            ou_model, ConstantControl(1.2), [0.05], 1.0, 1e-2, 50, seed=3)
-        full = verify_bsde_residual(batch, ou_sol, ou_model)
-        tail = verify_bsde_residual(batch, ou_sol, ou_model, window=(0.5, 1.0))
-        assert tail.n_steps == 50
-        assert full.n_steps == 100
-        assert tail.window == (0.5, 1.0)
-        assert tail.max_abs_step <= full.max_abs_step + 1e-15
-
-    def test_bad_windows_rejected(self, ou_model, ou_sol):
-        batch = simulate_gsde(
-            ou_model, ConstantControl(1.2), [0.05], 1.0, 1e-2, 10, seed=3)
-        with pytest.raises(ShapeError):
-            verify_bsde_residual(batch, ou_sol, ou_model, window=(-0.5, 1.0))
-        with pytest.raises(ShapeError):
-            verify_bsde_residual(batch, ou_sol, ou_model, window=(0.8, 0.2))
-        with pytest.raises(ShapeError):
-            verify_bsde_residual(batch, ou_sol, ou_model, window=(0.501, 0.509))
-
     def test_serializes(self, const_model, const_sol, const_wc_batch):
         d = verify_bsde_residual(const_wc_batch, const_sol, const_model).to_dict()
         assert d["n_paths"] == 200
@@ -399,8 +379,7 @@ RMS_FIELDS = ("bsde_rms_step", "rms_step")
 def _reports(dec, batches, solution, model):
     """The martingale and per-step audits, as the dicts they serialize to."""
     return [verify_martingales(dec, batches[1:], solution, model).to_dict(),
-            verify_bsde_residual(batches[0], solution, model).to_dict(),
-            verify_bsde_residual(batches[0], solution, model, window=(0.25, 0.5)).to_dict()]
+            verify_bsde_residual(batches[0], solution, model).to_dict()]
 
 
 def _whole_check(dec, marks, dt, k_tol):
@@ -435,18 +414,16 @@ def _whole_check(dec, marks, dt, k_tol):
     ).to_dict()
 
 
-def _whole_residual(dec, window):
+def _whole_residual(dec):
     rho = np.diff(dec.gap, axis=1)
-    t0, t1 = window
-    keep = (dec.times[:-1] >= t0 - 1e-12) & (dec.times[1:] <= t1 + 1e-12)
-    rho = rho[:, keep]
     cum = np.cumsum(rho, axis=1)
     return {
         "max_abs_step": float(np.max(np.abs(rho))),
         "rms_step": float(np.sqrt(np.mean(rho**2))),
         "max_abs_cumulative": float(np.max(np.abs(cum))),
         "mean_final_cumulative": float(np.mean(cum[:, -1])),
-        "n_paths": dec.n_paths, "n_steps": int(rho.shape[1]), "window": [t0, t1],
+        "n_paths": dec.n_paths, "n_steps": int(rho.shape[1]),
+        "window": [float(dec.times[0]), float(dec.times[-1])],
     }
 
 
@@ -475,8 +452,7 @@ def _whole_reports(batches, solution, model):
         "passed": all(c["m_ok"] and c["k_ok"] for c in checks)
         and max(abs(d) for d in checks[0]["mk_deviations_se"]) <= 4.0,
     }
-    horizon = (float(decs[0].times[0]), float(decs[0].times[-1]))
-    return [mart, _whole_residual(decs[0], horizon), _whole_residual(decs[0], (0.25, 0.5))]
+    return [mart, _whole_residual(decs[0])]
 
 
 def _rms_apart(reports, reference):
@@ -555,7 +531,7 @@ class TestBlockedComponents:
         blocked = _reports(compute_components(batches[0], sol, model), batches, sol, model)
         text, expect, rms = _rms_apart(blocked, _whole_reports(batches, sol, model))
         assert text == expect
-        assert len(rms) == len(batches) + 3  # every check, the report and two residuals
+        assert len(rms) == len(batches) + 2  # every check, the report and the residual
         for got, want in rms:
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 

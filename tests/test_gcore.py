@@ -7,7 +7,6 @@ from gkernel import (
     InvalidSetError,
     ShapeError,
     UncertaintySet,
-    ellipticity_constants,
     g_value,
     g_value_batch,
 )
@@ -91,15 +90,15 @@ class TestFiniteSets:
 
 class TestEllipticityConstants:
     def test_interval_returns_stored_bounds(self):
-        assert ellipticity_constants(HALF_OPEN) == (0.5, 1.0)
+        assert (HALF_OPEN.lo, HALF_OPEN.hi) == (0.5, 1.0)
 
     def test_identity_member(self):
         sigma = UncertaintySet.finite([np.eye(2)])
-        assert ellipticity_constants(sigma) == (1.0, 1.0)
+        assert (sigma.lo, sigma.hi) == (1.0, 1.0)
 
     def test_eigenvalue_extremes_across_members(self):
         sigma = UncertaintySet.finite([np.diag([0.8, 1.2]), np.diag([1.0, 1.0])])
-        lo, hi = ellipticity_constants(sigma)
+        lo, hi = sigma.lo, sigma.hi
         assert lo == pytest.approx(0.8, abs=1e-14)
         assert hi == pytest.approx(1.2, abs=1e-14)
 
@@ -129,7 +128,7 @@ class TestGeneratorProperties:
 
     def test_monotonicity_and_sandwich(self, sigma, d):
         rng = np.random.default_rng(23)
-        lo, hi = ellipticity_constants(sigma)
+        lo, hi = sigma.lo, sigma.hi
         for _ in range(300):
             rb = rng.normal(size=(d, d))
             b = rb + rb.T

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from gkernel import (
-    Affine,
     CustomUtility,
     DomainError,
     EquilibriumSpec,
@@ -419,12 +418,12 @@ class TestTensorTable:
 
     SOURCES = {
         "b": ["-x1 + 0.1 * x2", 0.05],
-        "sigma": [[0.2, Affine(0.1, [0.0, 0.05])], ["0.1 + 0.05 * tanh(x1)", 0.3]],
-        "r": Affine(0.01, [1.0, 0.5]),
-        "k": [[0.1, "0.02 * x1"], ["0.02 * x1", Affine(0.2, [0.0, 0.01])]],
+        "sigma": [[0.2, "0.1 + 0.05 * x2"], ["0.1 + 0.05 * tanh(x1)", 0.3]],
+        "r": "0.01 + x1 + 0.5 * x2",
+        "k": [[0.1, "0.02 * x1"], ["0.02 * x1", "0.2 + 0.01 * x2"]],
         "v": ["0.3 + 0.1 * tanh(x2)", 0.1],
-        "h": [[[0.01, "0.02 * x1"], [Affine(0.0, [0.01, 0.0]), 0.0]],
-              [[Affine(0.0, [0.01, 0.0]), 0.0], ["0.01 * x2", 0.03]]],
+        "h": [[[0.01, "0.02 * x1"], ["0.01 * x1", 0.0]],
+              [["0.01 * x1", 0.0], ["0.01 * x2", 0.03]]],
     }
 
     def _model(self, **override):
@@ -457,7 +456,7 @@ class TestTensorTable:
             self._model(r=True)
 
     ONE_ENTRY = {"b": ["x1"], "sigma": [["0.2 + 0.05 * tanh(x1)"]], "r": "x1",
-                 "k": [[Affine(0.02, [0.05])]], "v": ["x1"], "h": [[["0.03 * x1"]]]}
+                 "k": [["0.02 + 0.05 * x1"]], "v": ["x1"], "h": [[["0.03 * x1"]]]}
 
     @pytest.mark.parametrize("name", ["b", "sigma", "r", "k", "v", "h"])
     def test_one_entry_tensor_is_its_values_uncopied(self, name):

@@ -220,6 +220,18 @@ class TestGrid:
         with pytest.raises(ShapeError):
             Grid.build([(-1.0, 1.0)], [17]).dt
 
+    @pytest.mark.parametrize("bounds", [
+        [(-math.inf, 1.0)], [(-1.0, math.inf)], [(-1.0, 1.0), (math.nan, 1.0)],
+    ], ids=["1d-low-inf", "1d-high-inf", "2d-nan"])
+    def test_non_finite_bound_rejected(self, bounds):
+        with pytest.raises(ShapeError, match=r"axis \[.*\] must have finite bounds"):
+            Grid.build(bounds, [17] * len(bounds))
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(ShapeError, match=f"horizon must be finite, got {horizon}"):
+            Grid.build([(-1.0, 1.0)], [17], horizon=horizon, time_steps=16)
+
     def test_non_integer_sizes_rejected(self):
         with pytest.raises(ShapeError, match="nodes must be an integer, got 33.9"):
             Grid.build([(-1.0, 1.0)], [33.9])
@@ -1126,3 +1138,12 @@ class TestInterpolation:
                             nodal_hessian(sol.values[q], grid)[:, 0, 0])
             assert np.array_equal(sol.derivatives_at(x, q * grid.dt)[1][:, 0, 0], ref)
         assert not np.array_equal(sol.derivatives_at(x, 0.0)[1], sol.derivatives_at(x, 0.5)[1])
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_parabolic_query_time_must_be_finite(self, t):
+        grid = Grid.build([[-2.0, 2.0]], [17], horizon=0.5, time_steps=8)
+        sol = PdeSolution(grid=grid, kind="parabolic", values=np.zeros((9, 17)))
+        x = np.zeros((3, 1))
+        for query in (sol.value_at, sol.derivatives_at, sol.coverage_excess):
+            with pytest.raises(ShapeError, match=f"query time must be finite, got {t}"):
+                query(x, t)

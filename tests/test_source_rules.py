@@ -158,3 +158,73 @@ def test_rule_sees_every_mode_parameter():
          "class D:\n    def __init__(self, mode): pass\n", module.__dict__)
     module.__all__ = ["a", "b", "c", "D"]
     assert _mode_parameters(module) == ["a", "b"]
+
+
+REPO = SRC.parents[1]
+# the trees whose code reads the public API: the package, the demos and the benchmark
+READER_TREES = ("src", "demos", "perfbench")
+# public names that nothing there reads, and why each stays
+UNREAD_ALLOWED = {
+    # Newton on the damped equation: the paper's infinite-horizon G-BSDE, which
+    # stays when the damped continuation of solve_ergodic around it is deleted
+    "solve_discounted",
+}
+
+
+def _read_names(tree):
+    """The names ``tree`` reads: as a name, as an attribute or by an import.
+
+    A top-level definition's reads of its own name, as in a recursive call,
+    do not count, and neither do assignments or the strings of ``__all__``.
+    """
+    found = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found.update(alias.name.split(".")[-1] for alias in node.names)
+                continue
+            else:
+                continue
+            if name != own:
+                found.add(name)
+    return found
+
+
+def _unread(public, trees):
+    """The names of ``public`` that none of ``trees`` reads, in order."""
+    read = set().union(*map(_read_names, trees))
+    return [name for name in public if name not in read]
+
+
+def test_every_public_name_has_a_reader():
+    # a public name that no command, demo or benchmark reads is API kept for its own tests
+    trees = [ast.parse(path.read_text(), str(path))
+             for top in READER_TREES for path in sorted((REPO / top).rglob("*.py"))]
+    unread = _unread(gkernel.__all__, trees)
+    assert [name for name in unread if name not in UNREAD_ALLOWED] == []
+    assert sorted(UNREAD_ALLOWED) == sorted(unread)  # an allowed name that gains a reader leaves
+
+
+def test_rule_sees_every_read_form():
+    defining = ast.parse(
+        '__all__ = ["by_name", "by_attribute", "by_import", "recursive", "CONST", "unread"]\n'
+        "def by_name(): pass\n"
+        "def by_attribute(): pass\n"
+        "def by_import(): pass\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "CONST = 1\n"
+        "def unread(): pass\n")
+    reader = ast.parse(
+        "from probe import by_import\n"
+        "import probe\n"
+        "by_name()\n"
+        "probe.by_attribute()\n"
+        "probe.CONST = 2\n"
+        "text = 'unread'\n")
+    public = ["by_name", "by_attribute", "by_import", "recursive", "CONST", "unread"]
+    assert _unread(public, [defining, reader]) == ["recursive", "CONST", "unread"]
