@@ -257,9 +257,8 @@ def _parse_solver(obj, m: int) -> SolverSettings:
         values["anchor"] = anchor = _numbers(anchor, "solver.anchor")
         if len(anchor) != m or not all(math.isfinite(a) for a in anchor):
             raise ConfigurationError(f"solver.anchor must list {m} finite coordinates")
-    if obj.get("mode") is not None:  # null keeps the default: the model selects the driver
+    if obj.get("mode") is not None:  # null keeps the default
         if obj["mode"] not in ("pricing", "parabolic", "ergodic"):
-            # 'generic' needs the drivers f and g, which a config cannot carry
             raise ConfigurationError(
                 "solver.mode must be 'pricing' (aliases 'parabolic', 'ergodic')"
             )

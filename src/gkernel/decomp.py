@@ -178,13 +178,8 @@ def _path_blocks(batch: ScenarioBatch, solution, model: ModelSpec, lam: float,
     path-steps: the rows of ``out`` when it is given, else arrays of its own
     that the consumer may drop.  The coverage of the whole batch is checked
     before the first block.  Every operation acts per path and every sum runs
-    along steps, so no figure depends on the blocks.  The factorization is
-    of the deflator of r, k and v, so a model with drivers f or g, whose u
-    solves another equation, raises :class:`ShapeError`.
+    along steps, so no figure depends on the blocks.
     """
-    if model.has_generic_drivers():
-        raise ShapeError("the factorization needs the pricing kernel's driver; "
-                         "this model carries drivers f or g")
     n, n_nodes, m = batch.X.shape
     size = max(1, _BLOCK_PATH_STEPS // n_nodes)
     blocks = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
@@ -219,9 +214,7 @@ def compute_components(
     ``solution`` is an :class:`ErgodicSolution` or a stationary
     :class:`PdeSolution`; ``lam`` defaults to the eigenvalue of the former.
     Paths straying more than 20% of the box width outside the solution
-    grid, or holding a NaN state, abort with :class:`CoverageError`; a
-    model with drivers f or g, which has no such factorization, with
-    :class:`ShapeError`.
+    grid, or holding a NaN state, abort with :class:`CoverageError`.
 
     The batch is taken in blocks of about ``_BLOCK_PATH_STEPS`` path-steps,
     each writing its rows of the outputs, so the working memory beyond the

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -197,9 +197,9 @@ class ModelSpec:
         k: covariation loading of the kernel, d x d (``None`` = zero).
         v: noise loading of the kernel, d entries (``None`` = zero).
         uncertainty: covariance ambiguity set of the driver.
-        f, g: optional generic drivers ``f(x, y, z)`` and ``g[i][j](x, y, z)``;
-            either one selects the generic-driver PDE.  When both are absent
-            the pricing-kernel drivers derived from (r, k, v) apply.
+
+    The valuation PDE's driver is the pricing kernel's, derived from r, k
+    and v.
     """
 
     m: int
@@ -211,8 +211,6 @@ class ModelSpec:
     k: tuple | None
     v: tuple | None
     uncertainty: UncertaintySet
-    f: Callable | None = None
-    g: tuple | None = None
     label: str = ""
     # tensor or product name -> None if it varies with the state, else its
     # checked value broadcast over the latest row count; filled as bundles read
@@ -230,8 +228,6 @@ class ModelSpec:
         h=None,
         k=None,
         v=None,
-        f=None,
-        g=None,
         label: str = "",
     ) -> "ModelSpec":
         m = _size(m, "m")
@@ -246,7 +242,7 @@ class ModelSpec:
             else _coeff_grid(raw[name], shape, name)
             for name, shape in _shapes(m, d).items()
         }
-        return cls(m=m, d=d, uncertainty=uncertainty, f=f, g=g, label=label, **tensors)
+        return cls(m=m, d=d, uncertainty=uncertainty, label=label, **tensors)
 
     # -- vectorized evaluation (n states at a time) ----------------------
 
@@ -330,11 +326,6 @@ class ModelSpec:
             # since np.broadcast_to on every read costs more than the step's gather
             view = self._constants[name] = np.broadcast_to(view[:1], x.shape[:1] + view.shape[1:])
         return view
-
-    def has_generic_drivers(self) -> bool:
-        """Whether f or g is given: the one test of which driver the PDE
-        solves, residuals and worst-case policy use."""
-        return self.f is not None or self.g is not None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Worst-case valuation PDEs on rectangular grids.
 
-Three solver entry points share one monotone finite-difference operator
+Three solver entry points share one upwind finite-difference operator
 S(w) = max_c S_c(w), one candidate c per extreme covariance of the
 ambiguity set, with upwinded first and central second derivatives:
 
@@ -20,15 +20,20 @@ semismooth Newton, i.e. Howard policy iteration for the candidate max:
 the Jacobian comes from 3^m colored differences and is solved
 block-tridiagonally along axis 0.
 
-The model selects the driver (``ModelSpec.has_generic_drivers``).  A model
-without drivers f and g gets the pricing kernel's, built from its loadings:
+The driver is the pricing kernel's, built from the model's loadings:
 f = -r and the covariation driver contributes -2k_ij + v_i v_j plus the
 quadratic gradient term z_i z_j, z = sigma^T Du, with the covariation
-drift shifted by the derived coupling d_ij.  That scheme is assembled per
-covariance candidate with candidate-consistent upwinding, so the discrete
-comparison principle holds and the candidate maximum equals the exact G.
-A model with drivers gets f(x, u, z) and 2 g_ij(x, u, z) in their place,
-with the raw covariation loading h.
+drift shifted by the derived coupling d_ij.  The scheme is assembled per
+covariance candidate with candidate-consistent upwinding, and the candidate
+maximum equals the exact G.  Each S_c is monotone in the neighbor values
+at the interior nodes in 1D, and in 2D when the candidate's cross diffusion
+a12 = (sigma Q_c sigma^T)_12 vanishes: the four-point cross stencil of
+a12 w_xy weighs two diagonal neighbors by -|a12| / (4 h1 h2), and a12 w_x w_y
+is centered, not upwinded.  At a face node the linear ghost makes both
+one-sided differences the inward one, so a velocity pointing out of the
+grid, or a w that falls into it, can weigh the inward neighbor negatively.
+The discrete comparison principle is claimed only where every S_c is
+monotone.
 
 Boundary handling: the second derivative normal to each face is set to
 zero (linear extrapolation ghosts).  Interior residual statistics exclude
@@ -40,12 +45,12 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientFn, as_coefficient
+from .coefficients import as_coefficient
 from .errors import (
     CflError,
     ConvergenceError,
@@ -54,7 +59,7 @@ from .errors import (
     IterationError,
     ShapeError,
 )
-from .gcore import _candidate_scores, g_value, g_value_batch
+from .gcore import g_value, g_value_batch
 from .model import Coefficients, ModelSpec, _size
 
 __all__ = [
@@ -218,22 +223,17 @@ def _second_differences(wp: np.ndarray, hs: tuple) -> tuple:
             (wp[2:, 2:] - wp[2:, :-2] - wp[:-2, 2:] + wp[:-2, :-2]) / (4.0 * h1 * h2))
 
 
-def _hessian_of(second: tuple) -> np.ndarray:
-    """The (*grid, m, m) Hessian of ``_second_differences``' parts."""
-    if len(second) == 1:
-        return second[0][..., None, None].copy()
-    wxx, wyy, wxy = second
-    return np.stack([wxx, wxy, wxy, wyy], axis=-1).reshape(wxx.shape + (2, 2))
-
-
 def nodal_hessian(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Central second derivatives; zero normal curvature at faces.
 
     Shape (*grid, m, m).  Mixed derivatives use the standard four-point
     cross stencil on linearly extrapolated ghosts.
     """
-    wp = _pad_linear_1d(values) if grid.m == 1 else _pad_linear_2d(values)
-    return _hessian_of(_second_differences(wp, grid.spacings()))
+    if grid.m == 1:
+        (wxx,) = _second_differences(_pad_linear_1d(values), grid.spacings())
+        return wxx[..., None, None]
+    wxx, wyy, wxy = _second_differences(_pad_linear_2d(values), grid.spacings())
+    return np.stack([wxx, wxy, wxy, wyy], axis=-1).reshape(wxx.shape + (2, 2))
 
 
 def _uniform_cell(a_inf: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -436,7 +436,9 @@ class PdeSolution:
     For ``kind == "stationary"`` ``values`` has the grid shape.  For
     ``kind == "parabolic"`` ``values[q]`` is the solution at time q * dt
     (index 0 = initial time, index time_steps = terminal data), and the
-    residual fields stay NaN: only stationary solves report one.
+    residual fields stay NaN: only stationary solves report one.  A
+    parabolic query reads the slice nearest its time, which must lie in
+    the solved horizon (:class:`ShapeError`).
     """
 
     grid: Grid
@@ -465,7 +467,9 @@ class PdeSolution:
         if not math.isfinite(t):
             raise ShapeError(f"query time must be finite, got {t}")
         q = int(round(t / self.grid.dt))
-        q = min(max(q, 0), self.grid.time_steps)
+        if not 0 <= q <= self.grid.time_steps:
+            raise ShapeError(f"query time {t} is outside the solved horizon "
+                             f"[0, {self.grid.horizon}]")
         return self._interp(q)
 
     def _fields_at(self, x: np.ndarray, t: float | None = None) -> tuple:
@@ -547,20 +551,15 @@ def _hamiltonian_batch(
     x: np.ndarray,
     grad: np.ndarray,
     hess: np.ndarray,
-    u_val: np.ndarray | None = None,
     precomputed: Coefficients | None = None,
 ) -> np.ndarray:
-    """H matrices (n, d, d) for a batch of points/derivatives.
-
-    A model without drivers f and g has the pricing form
+    """H matrices (n, d, d) for a batch of points/derivatives, in the pricing form
         H_ij = <hess sigma_col_i, sigma_col_j> + 2 <grad, h_ij - d_ij>
                - 2 k_ij + v_i v_j + z_i z_j,        z = sigma^T grad.
-    A model with them replaces the last three terms with 2 g_ij(x, u_val, z)
-    (zero when g is absent) and uses the raw covariation loading h.
 
     ``precomputed`` is the ``Coefficients`` bundle at ``x``; by default it
-    is evaluated here.  In the pricing form h - d_ij, 2k and v v^T are the
-    bundle's products, formed once per model when their tensors are constant.
+    is evaluated here.  h - d_ij, 2k and v v^T are the bundle's products,
+    formed once per model when their tensors are constant.
     Each entry is formed on its own, one ufunc per n-vector, so the inputs
     read fastest with contiguous columns, such as the component-major fields
     of the interpolant.  The sums are those of the einsum formulas, in their
@@ -575,11 +574,7 @@ def _hamiltonian_batch(
     for j in range(d):
         for l in range(m):
             z[j] += sig[:, l, j] * grad[:, l]
-    pricing = not model.has_generic_drivers()
-    h = pre["h_eff"] if pricing else pre["h"]
-    if not pricing:
-        y = np.zeros(n) if u_val is None else np.asarray(u_val, dtype=float)
-        z_rows = np.ascontiguousarray(z.T)  # g reads z as (n, d)
+    h = pre["h_eff"]
     out = np.empty((n, d, d))
     for i in range(d):
         for j in range(d):
@@ -587,14 +582,7 @@ def _hamiltonian_batch(
             for l in range(m):
                 drift += grad[:, l] * h[:, i, j, l]
             entry = _hessian_term(hess, sig, i, j) + 2.0 * drift
-            if pricing:
-                entry = ((entry - pre["two_k"][:, i, j]) + pre["vv"][:, i, j]) + z[i] * z[j]
-            else:
-                g = np.zeros(n)
-                if model.g is not None:
-                    g[:] = model.g[i][j](x, y, z_rows)
-                entry = entry + 2.0 * g
-            out[:, i, j] = entry
+            out[:, i, j] = ((entry - pre["two_k"][:, i, j]) + pre["vv"][:, i, j]) + z[i] * z[j]
     return out
 
 
@@ -702,29 +690,29 @@ def _certified_candidate(solution, model: ModelSpec) -> int | None:
 
 
 class _Stepper:
-    """Per-candidate assembled monotone operator on a fixed grid.
+    """Per-candidate assembled operator on a fixed grid.
 
         S(w) = max_c [ diffusion_c + advection_c + quadratic_c + const_c ] + f,
 
     one candidate c per extreme covariance of the ambiguity set.  Each
-    candidate uses its own upwind directions, so every S_c is monotone in
-    the neighbor values and the pointwise max is both monotone and the
-    exact worst-case generator.  The candidate is an array axis: the
-    per-candidate constants are stacked once here, and ``candidates``
-    evaluates every S_c in one pass.  With ``gamma2`` each candidate also
-    gets level * tr(Q_c gamma2), i.e. G(H + 2 level gamma2) in place of
-    G(H), the level being passed in by the caller.  A model with drivers
-    gets the generic driver's literal assembly in place of the per-candidate
-    one.
+    candidate uses its own upwind directions, by the sign of its velocity
+    b + Q_c : (h - d), so S_c is monotone in the neighbor values at the
+    interior nodes in 1D, and in 2D when its cross diffusion a12 vanishes
+    (the module docstring states where else it is not); the pointwise max
+    of monotone S_c is monotone, and it is the exact worst-case generator.
+    The candidate is an array axis: the per-candidate constants are stacked
+    once here, and ``candidates`` evaluates every S_c in one pass.  With
+    ``gamma2`` each candidate also gets level * tr(Q_c gamma2), i.e.
+    G(H + 2 level gamma2) in place of G(H), the level being passed in by
+    the caller.
     """
 
     def __init__(self, model: ModelSpec, grid: Grid, gradient_cap: float = math.inf,
                  gamma2: np.ndarray | None = None):
         if grid.m != model.m:
             raise ShapeError(f"grid has {grid.m} axes, model state dimension is {model.m}")
-        self.generic = model.has_generic_drivers()
-        if math.isfinite(gradient_cap) and (grid.m != 1 or self.generic):
-            raise ShapeError("gradient_cap applies only to the 1D pricing operator")
+        if math.isfinite(gradient_cap) and grid.m != 1:
+            raise ShapeError("gradient_cap applies only to the 1D operator")
         self.model = model
         self.grid = grid
         self.cap = float(gradient_cap)
@@ -734,8 +722,8 @@ class _Stepper:
         self.pts = pts
         n = pts.shape[0]
 
-        self.pre = pre = model.evaluate(pts)
-        self.sig, self.bval = pre["sigma"], pre["b"]
+        pre = model.evaluate(pts)
+        self.sig = pre["sigma"]
 
         cands = model.uncertainty.candidates()
         self.n_cand = len(cands)
@@ -743,16 +731,14 @@ class _Stepper:
         self.diff_c = np.empty((self.n_cand, m, m, n))      # sigma Q sigma^T per candidate
         self.vel_c = np.empty((self.n_cand, m, n))          # b + Q : (h - d)
         self.const_c = np.empty((self.n_cand, n))           # Q : (-k + vv/2)
-        # the pricing driver sees the covariation drift h - d_ij
-        src = pre["h"] if self.generic else pre["h_eff"]
         kv = -pre["k"] + 0.5 * pre["vv"]
         for c, q in enumerate(cands):
             a = np.einsum("nad,de,nbe->nab", self.sig, q, self.sig)
             self.diff_c[c] = np.moveaxis(a, 0, -1)
             self.vel_c[c] = np.moveaxis(
-                self.bval + np.einsum("ij,nijl->nl", q, src), 0, -1)
+                pre["b"] + np.einsum("ij,nijl->nl", q, pre["h_eff"]), 0, -1)
             self.const_c[c] = np.einsum("ij,nij->n", q, kv)
-        self.f_base = -pre["r"]  # the pricing f; the generic driver evaluates model.f per sweep
+        self.f_base = -pre["r"]
 
         # the candidate stacks the operator reads, shaped (n_cand, *grid)
         stack = (self.n_cand,) + self.shape
@@ -793,8 +779,6 @@ class _Stepper:
 
     def candidates(self, w: np.ndarray, level=0.0) -> np.ndarray:
         """S_c(w) of every candidate c, f and the gamma2 level term included, (n_cand, n)."""
-        if self.generic:
-            return self._candidates_generic(w, level)
         out = self._candidates_1d(w) if self.grid.m == 1 else self._candidates_2d(w)
         out = out.reshape(self.n_cand, -1)
         if self.gamma2 is not None:
@@ -845,22 +829,6 @@ class _Stepper:
         out += 0.5 * (a11 * god1 + a22 * god2)
         out += a12 * wxc * wyc
         out += self._const
-        return out
-
-    def _candidates_generic(self, w, level) -> np.ndarray:
-        """Literal assembly: upwind by drift sign, then every candidate's score on one H."""
-        wp, pairs = self._differences(w)
-        grad = np.stack([np.where(self.bval[:, ax].reshape(self.shape) > 0.0, dp, dm).ravel()
-                         for ax, (dm, dp) in enumerate(pairs)], axis=-1)
-        hess = _hessian_of(_second_differences(wp, self.hs)).reshape(grad.shape + (-1,))
-        hmat = _hamiltonian_batch(self.model, self.pts, grad, hess, w, precomputed=self.pre)
-        if self.gamma2 is not None:
-            hmat = hmat + 2.0 * np.multiply.outer(level, self.gamma2)
-        scores, _ = _candidate_scores(hmat, self.model.uncertainty)
-        out = 0.5 * scores.T
-        out += np.einsum("nl,nl->n", self.bval, grad)
-        z = np.einsum("nlj,nl->nj", self.sig, grad)
-        out += self.model.f(self.pts, w, z) if self.model.f is not None else 0.0
         return out
 
     # -- time-step control -----------------------------------------------
@@ -918,15 +886,10 @@ def _stationary_residual_field(
     grad = nodal_gradient(values, grid).reshape(-1, grid.m)
     hess = nodal_hessian(values, grid).reshape(-1, grid.m, grid.m)
     coeffs = model.evaluate(pts)
-    hmat = _hamiltonian_batch(model, pts, grad, hess, values.ravel(), precomputed=coeffs)
+    hmat = _hamiltonian_batch(model, pts, grad, hess, precomputed=coeffs)
     gvals, _ = g_value_batch(hmat, model.uncertainty)
     drift = np.einsum("nl,nl->n", coeffs["b"], grad)
-    if model.has_generic_drivers():
-        z = np.einsum("nlj,nl->nj", coeffs["sigma"], grad)
-        fval = model.f(pts, values.ravel(), z) if model.f is not None else 0.0
-    else:
-        fval = -coeffs["r"]
-    return (gvals + drift + fval - lam).reshape(grid.shape)
+    return (gvals + drift - coeffs["r"] - lam).reshape(grid.shape)
 
 
 def pde_residual(
@@ -939,8 +902,7 @@ def pde_residual(
 
     Accepts an :class:`ErgodicSolution` (uses its lam), a stationary
     :class:`PdeSolution` (lam defaults to 0), or a raw value array of the
-    grid's shape with an explicit grid.  The model selects the driver, as
-    in the solvers.
+    grid's shape with an explicit grid.
     """
     if isinstance(solution, ErgodicSolution):
         grid = solution.grid
@@ -1223,10 +1185,9 @@ def solve_ergodic(
     Solves max_c[S_c(u) + lam tr(Q_c gamma2)] + f + gamma1 lam = 0,
     u(anchor) = 0 -- the vanishing-damping limit of :func:`solve_discounted`,
     S(u) = lam for gamma2 = 0 -- until the residual has sup norm at most
-    ``tol``.  The model selects the driver; its drivers f and g, if any, see
-    the anchored u.  ``mode`` only checks that choice: None, a pricing name
-    ("pricing", "parabolic", "ergodic") for a model without drivers, or
-    "generic" for a model with them (else :class:`ShapeError`).  Newton starts
+    ``tol``.  ``mode`` is None or a name of the one driver, the pricing
+    kernel's ("pricing", "parabolic", "ergodic"); any other raises
+    :class:`ShapeError`.  Newton starts
     from u = 0 and may take up to ``_NEWTON_STEPS`` steps, through rises of
     the residual; if that fails, the damped solutions at delta0 / 2^k,
     k = 0 .. ``max_halvings`` (each to ``tol_inner``), serve in turn as warm
@@ -1243,10 +1204,9 @@ def solve_ergodic(
     """
     if delta0 <= 0.0:
         raise ShapeError(f"delta0 must be positive, got {delta0}")
-    if mode is not None and mode not in (("generic",) if model.has_generic_drivers()
-                                         else ("pricing", "parabolic", "ergodic")):
-        raise ShapeError(f"mode {mode!r} does not fit the model: drivers f or g select "
-                         "'generic', their absence 'pricing' (aliases 'parabolic', 'ergodic')")
+    if mode not in (None, "pricing", "parabolic", "ergodic"):
+        raise ShapeError(f"mode {mode!r} does not fit the model: the driver is the pricing "
+                         "kernel's, 'pricing' (aliases 'parabolic', 'ergodic')")
     g2 = _damping_gamma2(gamma1, gamma2, model)
 
     anchor_idx = grid.anchor_index(anchor)

@@ -37,7 +37,7 @@ guards against oversized requests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -268,15 +268,13 @@ def worst_case_policy(solution, model: ModelSpec) -> FeedbackControl:
     """Feedback control selecting the maximizing covariance of G(H).
 
     ``solution`` is an ergodic or stationary/parabolic solution exposing
-    ``derivatives_at`` (and ``value_at`` for a model with drivers f or g,
-    whose H reads the value); the model selects the form of H, as in the
-    solvers.  The selected matrix is always one of the extreme candidates
-    of the ambiguity set.  Outside the solution grid the interpolants
-    extend with frozen boundary derivatives, so the policy stays well
-    defined on the whole simulation range.
+    ``derivatives_at``.  The selected matrix is always one of the extreme
+    candidates of the ambiguity set.  Outside the solution grid the
+    interpolants extend with frozen boundary derivatives, so the policy
+    stays well defined on the whole simulation range.
 
-    For a stationary solution, on a model without drivers whose sigma,
-    h - d_ij, k and v are constant, the pick is certified once, here
+    For a stationary solution, on a model whose sigma, h - d_ij, k and v
+    are constant, the pick is certified once, here
     (``pde._certified_candidate``): when one candidate wins on every grid
     cell with a margin above the rounding error, each step returns it
     without evaluating H.  Rows with a NaN coordinate, every model or
@@ -284,20 +282,17 @@ def worst_case_policy(solution, model: ModelSpec) -> FeedbackControl:
     solution take the full evaluation of H.  The picks, and every output,
     are the same either way.
     """
-    # the pricing Hamiltonian does not read the value itself
-    needs_value = model.has_generic_drivers()
 
     def pick(t: float, x: np.ndarray, coeffs) -> np.ndarray:
         grad, hess = solution.derivatives_at(x, t)
-        uval = solution.value_at(x, t) if needs_value else None
         # a bundle of another model (or none) leaves the evaluation to the Hamiltonian
         pre = coeffs if coeffs is not None and coeffs.model is model else None
-        hmat = _hamiltonian_batch(model, x, grad, hess, uval, precomputed=pre)
+        hmat = _hamiltonian_batch(model, x, grad, hess, precomputed=pre)
         return _best_candidate(hmat, model.uncertainty)
 
     cands = np.stack(model.uncertainty.candidates())
-    uniform = None if needs_value else _certified_candidate(solution, model)
-    return _CandidatePolicy(pick, cands, label="worst_case", uniform=uniform)
+    return _CandidatePolicy(pick, cands, label="worst_case",
+                            uniform=_certified_candidate(solution, model))
 
 
 def extreme_controls(sigma_set: UncertaintySet) -> list[ConstantControl]:

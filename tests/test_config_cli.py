@@ -220,6 +220,11 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match=r"solver\.mode must be 'pricing'"):
             parse_config(doc)
 
+    def test_generic_mode_rejected_by_the_solver(self, ou_model):
+        # the library has no generic driver either
+        with pytest.raises(ShapeError, match="mode 'generic' does not fit the model"):
+            solve_ergodic(ou_model, Grid.build([(-2.0, 2.0)], [33]), mode="generic")
+
     @pytest.mark.parametrize("anchor", [[0.5, 9.0], [], [float("nan")]],
                              ids=["long", "empty", "nan"])
     def test_anchor_length_named(self, anchor):

@@ -119,18 +119,6 @@ class TestComponents:
         with pytest.raises(CoverageError):
             verify_bsde_residual(batch, ou_sol, ou_model)
 
-    def test_model_with_drivers_has_no_factorization(self):
-        # the deflator is of r, k and v, while a generic u solves another equation
-        twin = ModelSpec.build(m=1, d=1, b=["0.05 - 1.0 * x1"], sigma=[[0.2]], r="x1",
-                               uncertainty=UncertaintySet.interval(0.8, 1.2),
-                               f=lambda x, y, z: -x[:, 0],
-                               g=[[lambda x, y, z: 0.5 * z[:, 0] ** 2]])
-        sol = solve_ergodic(twin, Grid.build([(-2.0, 2.0)], [65]), tol=1e-8)
-        batch = simulate_gsde(twin, worst_case_policy(sol, twin), [0.05], 0.5, 1e-2, 10, seed=4)
-        for audit in (compute_components, verify_bsde_residual):
-            with pytest.raises(ShapeError, match="this model carries drivers f or g"):
-                audit(batch, sol, twin)
-
     def test_path_slice(self, const_wc_dec):
         part = const_wc_dec.path_slice(10, 30)
         assert part.n_paths == 20

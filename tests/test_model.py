@@ -403,7 +403,6 @@ class TestModelValidation:
         assert np.all(ou_model.eval_k(x) == 0.0)
         assert np.all(ou_model.eval_v(x) == 0.0)
         assert np.all(ou_model.eval_h(x) == 0.0)
-        assert not ou_model.has_generic_drivers()
 
 
 def _stacked(tree, x):

@@ -9,7 +9,6 @@ import pytest
 from gkernel import (
     CflError,
     ConvergenceError,
-    DivergenceError,
     Grid,
     IterationError,
     ModelSpec,
@@ -23,7 +22,7 @@ from gkernel import (
     solve_parabolic,
     truncation_level,
 )
-from gkernel import gcore, pde
+from gkernel import pde
 from gkernel.pde import nodal_gradient, nodal_hessian
 from conftest import CONST_LAM, OU_LAM, quadratic_rate_lam, quadratic_rate_model
 
@@ -38,62 +37,27 @@ def affine_three_member_model(**extra) -> ModelSpec:
         sigma=[[0.2, 0.0], [0.0, 0.2]], r="x1 + x2", uncertainty=THREE_MEMBERS, **extra)
 
 
-def _half_product(i, j):
-    return lambda x, y, z: 0.5 * z[:, i] * z[:, j]
-
-
-def generic_twin_2d() -> ModelSpec:
-    """The affine three-member model in generic form: f = -(x1 + x2), g_ij = z_i z_j / 2."""
-    return ModelSpec.build(
-        m=2, d=2, b=["0.05 - 1.0 * x1", "0.05 - 1.0 * x2"],
-        sigma=[[0.2, 0.0], [0.0, 0.2]], r=0.0, uncertainty=THREE_MEMBERS,
-        f=lambda x, y, z: -(x[:, 0] + x[:, 1]),
-        g=[[_half_product(i, j) for j in range(2)] for i in range(2)])
-
-
-def ou_twin() -> ModelSpec:
-    """The mean-reverting model of ``ou_model`` in generic form: f = -x1, g = z^2 / 2."""
-    return ModelSpec.build(
-        m=1, d=1, b=["0.05 - 1.0 * x1"], sigma=[["0.2"]], r=0.0,
-        uncertainty=UncertaintySet.interval(0.8, 1.2),
-        f=lambda x, y, z: -x[:, 0], g=[[lambda x, y, z: 0.5 * z[:, 0] ** 2]])
-
-
-def _state_dependent_twin():
-    """A 1D model with h, k and v, drivers that read the value and an r they ignore."""
-    return _state_dependent_1d(f=lambda x, y, z: -x[:, 0] + 0.1 * y,
-                               g=[[lambda x, y, z: 0.5 * z[:, 0] ** 2 - 0.05 * y]])
-
-
-def hamiltonian_at(x, u_val, grad, hess, model: ModelSpec):
+def hamiltonian_at(x, grad, hess, model: ModelSpec):
     """H at a single point, from the batch kernel."""
     m = model.m
-    uv = None if u_val is None else np.array([float(u_val)])
     return pde._hamiltonian_batch(
         model, np.reshape(np.asarray(x, dtype=float), (1, m)),
         np.reshape(np.asarray(grad, dtype=float), (1, m)),
-        np.reshape(np.asarray(hess, dtype=float), (1, m, m)), uv)[0]
+        np.reshape(np.asarray(hess, dtype=float), (1, m, m)))[0]
 
 
-def einsum_hamiltonian(model, x, grad, hess, u_val, pre):
+def einsum_hamiltonian(grad, hess, pre):
     """The driver matrices by the literal einsum formula, term by term."""
     sig = pre["sigma"]
     hess_term = np.einsum("nab,nai,nbj->nij", hess, sig, sig)
     z = np.einsum("nlj,nl->nj", sig, grad)
-    if not model.has_generic_drivers():
-        return (hess_term + 2.0 * np.einsum("nl,nijl->nij", grad, pre["h_eff"])
-                - pre["two_k"] + pre["vv"] + np.einsum("ni,nj->nij", z, z))
-    y = np.zeros(x.shape[0]) if u_val is None else u_val
-    gmat = np.zeros((x.shape[0], model.d, model.d))
-    if model.g is not None:
-        for i in range(model.d):
-            for j in range(model.d):
-                gmat[:, i, j] = model.g[i][j](x, y, z)
-    return hess_term + 2.0 * np.einsum("nl,nijl->nij", grad, pre["h"]) + 2.0 * gmat
+    return (hess_term + 2.0 * np.einsum("nl,nijl->nij", grad, pre["h_eff"])
+            - pre["two_k"] + pre["vv"] + np.einsum("ni,nj->nij", z, z))
 
 
-def _oracle_model(m: int, d: int, state: bool, generic: bool) -> ModelSpec:
-    """Every loading present; sigma, h, k and v state-dependent or constant."""
+def _oracle_model(m: int, d: int, state: bool, loaded: bool = True) -> ModelSpec:
+    """Sigma, h, k and v state-dependent or constant; without ``loaded``, h, k
+    and v are absent, so only the noise loading d_ij of sigma is left in h - d."""
     x = [f"x{i + 1}" for i in range(m)]
     sigma = [[f"0.2 + 0.1 * {x[a]} * {x[-1]}" if (a + i) % 2 == 0 else f"0.05 * {x[a]}"
               for i in range(d)] for a in range(m)] if state else \
@@ -105,37 +69,24 @@ def _oracle_model(m: int, d: int, state: bool, generic: bool) -> ModelSpec:
     v = [f"0.3 - 0.1 * {x[-1]}" if state else 0.3 - 0.1 * i for i in range(d)]
     uncertainty = (UncertaintySet.interval(0.5, 1.0) if d == 1
                    else UncertaintySet.finite([np.eye(2), [[1.0, 0.5], [0.5, 1.0]]]))
-    extra = {}
-    if generic:
-        extra["g"] = [[(lambda i, j: lambda x, y, z: 0.5 * z[:, i] * z[:, j] + 0.1 * y)(i, j)
-                       for j in range(d)] for i in range(d)]
-    return ModelSpec.build(m=m, d=d, b=["0.0"] * m, sigma=sigma, r=0.0, h=h, k=k, v=v,
-                           uncertainty=uncertainty, **extra)
+    loadings = dict(h=h, k=k, v=v) if loaded else {}
+    return ModelSpec.build(m=m, d=d, b=["0.0"] * m, sigma=sigma, r=0.0,
+                           uncertainty=uncertainty, **loadings)
 
 
 class TestHamiltonian:
     def test_noise_loading_term_only(self, const_model):
-        H = hamiltonian_at([0.0], 0.0, [0.0], [[0.0]], const_model)
+        H = hamiltonian_at([0.0], [0.0], [[0.0]], const_model)
         assert H.shape == (1, 1)
         assert H[0, 0] == pytest.approx(0.09, abs=1e-15)
 
     def test_all_zero_inputs(self, ou_model):
-        H = hamiltonian_at([0.3], 0.0, [0.0], [[0.0]], ou_model)
+        H = hamiltonian_at([0.3], [0.0], [[0.0]], ou_model)
         assert H[0, 0] == 0.0
 
     def test_quadratic_gradient_term(self, ou_model):
-        H = hamiltonian_at([0.0], 0.0, [-1.0], [[0.0]], ou_model)
+        H = hamiltonian_at([0.0], [-1.0], [[0.0]], ou_model)
         assert H[0, 0] == pytest.approx(0.04, abs=1e-15)
-
-    def test_generic_driver_form(self):
-        model = ModelSpec.build(
-            m=1, d=1, b=["0.0"], sigma=[["0.2"]], r=0.0,
-            uncertainty=UncertaintySet.interval(1.0, 1.0),
-            g=[[lambda x, y, z: y + z[:, 0]]],
-        )
-        # H = hess sigma^2 + 2 g(x, u, sigma * grad)
-        H = hamiltonian_at([0.0], 3.0, [5.0], [[10.0]], model)
-        assert H[0, 0] == pytest.approx(10.0 * 0.04 + 2.0 * (3.0 + 1.0), abs=1e-13)
 
     def test_output_symmetric_with_two_noises(self):
         model = ModelSpec.build(
@@ -143,7 +94,7 @@ class TestHamiltonian:
             uncertainty=UncertaintySet.finite([np.eye(2)]),
             v=[0.1, 0.4], k=[[0.01, 0.02], [0.02, 0.03]],
         )
-        H = hamiltonian_at([0.5], 0.0, [0.7], [[0.4]], model)
+        H = hamiltonian_at([0.5], [0.7], [[0.4]], model)
         assert H.shape == (2, 2)
         assert np.allclose(H, H.T, atol=1e-15)
 
@@ -168,18 +119,17 @@ class TestHamiltonian:
                 assert np.array_equal(got.view(np.int64), ref[:, i, j].view(np.int64))
 
     @pytest.mark.parametrize("m,d", [(1, 1), (1, 2), (2, 1), (2, 2)])
-    @pytest.mark.parametrize("mode", ["pricing", "generic"])
+    @pytest.mark.parametrize("loaded", [True, False], ids=["loaded", "unloaded"])
     @pytest.mark.parametrize("state", [True, False], ids=["state_sigma", "broadcast_sigma"])
     @pytest.mark.parametrize("layout", ["rows", "columns"])
-    def test_batch_matches_einsum_formula_bitwise(self, m, d, mode, state, layout):
-        model = _oracle_model(m, d, state, generic=mode == "generic")
+    def test_batch_matches_einsum_formula_bitwise(self, m, d, loaded, state, layout):
+        model = _oracle_model(m, d, state, loaded)
         rng = np.random.default_rng(100 * m + 10 * d + state)
         n = 3000
         x = rng.uniform(-1.0, 1.0, (n, m))
         grad = rng.standard_normal((n, m)) * np.exp(rng.uniform(-8.0, 8.0, (n, m)))
         hess = rng.standard_normal((n, m, m)) * np.exp(rng.uniform(-8.0, 8.0, (n, 1, 1)))
         hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
-        u_val = rng.standard_normal(n)
         # signed zeros in the states, the derivatives and so in sigma, h, k and v
         x[rng.random((n, m)) < 0.1] = -0.0
         x[rng.random((n, m)) < 0.1] = 0.0
@@ -197,9 +147,9 @@ class TestHamiltonian:
         pre = model.evaluate(x)
         if not state:
             assert pre["sigma"].strides[0] == 0
-        ref = einsum_hamiltonian(model, x, grad, hess, u_val, pre)
+        ref = einsum_hamiltonian(grad, hess, pre)
         for given in (pre, None):
-            got = pde._hamiltonian_batch(model, x, grad, hess, u_val, precomputed=given)
+            got = pde._hamiltonian_batch(model, x, grad, hess, precomputed=given)
             assert got.shape == ref.shape and got.flags.c_contiguous
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
         assert np.isnan(ref).any()
@@ -321,17 +271,6 @@ class TestParabolic:
             w_up = solve_parabolic(ou_model, grid, upper).values
             w_lo = solve_parabolic(ou_model, grid, lower).values
             assert np.min(w_up - w_lo) >= -1e-12
-
-    def test_generic_driver_blow_up_detected(self):
-        model = ModelSpec.build(
-            m=1, d=1, b=["0.0"], sigma=[["0.2"]], r=0.0,
-            uncertainty=UncertaintySet.interval(1.0, 1.0),
-            f=lambda x, y, z: 1.0 + y * y,
-        )
-        grid = Grid.build([(-1.0, 1.0)], [17], horizon=3.0, time_steps=400)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError):
-                solve_parabolic(model, grid, 0.0)
 
 
 class TestDiscounted:
@@ -477,6 +416,14 @@ class TestErgodic:
         assert abs(sol.lam - CONST_LAM) < 1e-9
         assert np.max(np.abs(sol.u.values)) < 1e-9
 
+    def test_damping_weights_keep_the_mean_reverting_eigenpair(self, ou_model):
+        # gamma1 + 2 G(gamma2) = -1.6 + 1.2 * 0.5 = -1
+        grid = Grid.build([(-2.0, 2.0)], [65])
+        ref = solve_ergodic(ou_model, grid, tol=1e-10)
+        sol = solve_ergodic(ou_model, grid, gamma1=-1.6, gamma2=0.5, tol=1e-10)
+        assert abs(sol.lam - OU_LAM) < 1e-9
+        assert np.max(np.abs(sol.u.values - ref.u.values)) < 1e-8
+
     def test_damped_warm_start_after_failed_newton(self, ou_model, monkeypatch):
         grid = Grid.build([(-2.0, 2.0)], [65])
         direct = solve_ergodic(ou_model, grid, tol=1e-9)
@@ -614,53 +561,20 @@ class TestTwoFactor:
         assert np.max(np.abs(sol.u.values.ravel() + pts[:, 0] + pts[:, 1])) < 1e-8
 
 
-class TestGenericMode:
-    def test_matches_pricing_drivers(self, ou_model, ou_grid):
-        grid = Grid.build([(-2.0, 2.0)], [129])
-        ref = solve_ergodic(ou_model, grid, tol=1e-7)
-        gen = solve_ergodic(ou_twin(), grid, tol=1e-7)
-        assert abs(gen.lam - ref.lam) < 1e-9
-        assert np.max(np.abs(gen.u.values - ref.u.values)) < 1e-8
-
-    def test_matches_pricing_drivers_with_gamma2(self, ou_model):
-        # gamma1 + 2 G(gamma2) = -1.6 + 1.2 * 0.5 = -1
-        grid = Grid.build([(-2.0, 2.0)], [65])
-        weights = {"gamma1": -1.6, "gamma2": 0.5, "tol": 1e-10}
-        ref = solve_ergodic(ou_model, grid, **weights)
-        gen = solve_ergodic(ou_twin(), grid, **weights)
-        assert abs(ref.lam - OU_LAM) < 1e-9
-        assert abs(gen.lam - ref.lam) < 1e-9
-        assert np.max(np.abs(gen.u.values - ref.u.values)) < 1e-8
-
-    def test_two_factor_three_member_set(self):
+    def test_affine_three_member_set(self):
         # u = -(x1 + x2), z = (-0.2, -0.2), lam = max_c z^T Q_c z / 2 - 0.1
         grid = Grid.build([(-2.0, 2.0)] * 2, [33, 33])
-        ref = solve_ergodic(affine_three_member_model(), grid, tol=1e-10)
-        gen = solve_ergodic(generic_twin_2d(), grid, tol=1e-10)
+        sol = solve_ergodic(affine_three_member_model(), grid, tol=1e-10)
         z = np.array([-0.2, -0.2])
         lam = max(0.5 * z @ q @ z for q in THREE_MEMBERS.candidates()) - 0.1
         assert lam == pytest.approx(-0.04, abs=1e-15)
-        assert abs(ref.lam - lam) < 1e-12
-        assert abs(gen.lam - lam) < 1e-12
-        assert np.max(np.abs(gen.u.values - ref.u.values)) < 1e-8
+        assert abs(sol.lam - lam) < 1e-12
+        pts = grid.points()
+        assert np.max(np.abs(sol.u.values.ravel() + pts[:, 0] + pts[:, 1])) < 1e-8
 
-    def test_generic_mode_needs_drivers(self, ou_model):
-        grid = Grid.build([(-2.0, 2.0)], [33])
-        with pytest.raises(ShapeError):
-            solve_ergodic(ou_model, grid, mode="generic")
 
-    def test_drivers_are_solved_with_no_mode(self, ou_model):
-        # with no mode the drivers decide; a pricing default would read lam = 0
-        grid = Grid.build([(-2.0, 2.0)], [129])
-        ref = solve_ergodic(ou_model, grid, tol=1e-10)
-        gen = solve_ergodic(ou_twin(), grid, tol=1e-10)
-        assert abs(ref.lam - OU_LAM) < 1e-9
-        assert abs(gen.lam - ref.lam) < 1e-12
-
-    @pytest.mark.parametrize("mode", ["pricing", "parabolic", "ergodic"])
-    def test_pricing_mode_rejected_on_a_model_with_drivers(self, mode):
-        with pytest.raises(ShapeError, match=f"mode '{mode}' does not fit the model"):
-            solve_ergodic(ou_twin(), Grid.build([(-2.0, 2.0)], [33]), mode=mode)
+class TestModeCheck:
+    """``mode`` only names the one driver, the pricing kernel's."""
 
     def test_mode_aliases_share_the_pricing_form(self, const_model):
         grid = Grid.build([(-3.0, 3.0)], [65])
@@ -673,25 +587,6 @@ class TestGenericMode:
     def test_unknown_mode_rejected(self, const_model):
         with pytest.raises(ShapeError, match="mode 'elliptic' does not fit the model"):
             solve_ergodic(const_model, Grid.build([(-3.0, 3.0)], [33]), mode="elliptic")
-
-    @pytest.mark.parametrize("build,nodes", [(_state_dependent_twin, [65]),
-                                             (generic_twin_2d, [19, 17])], ids=["1d", "2d"])
-    def test_residual_reads_the_drivers_with_no_mode(self, build, nodes):
-        # the generic field by the einsum formula, as an explicit generic mode gave it
-        model = build()
-        grid = Grid.build([(-2.0, 2.0)] * len(nodes), nodes)
-        pts = grid.points()
-        values = np.sin(pts[:, 0]) * np.cos(pts[:, -1]) + 0.3 * pts[:, 0] ** 2
-        values = values.reshape(grid.shape)
-        grad = nodal_gradient(values, grid).reshape(-1, grid.m)
-        hess = nodal_hessian(values, grid).reshape(-1, grid.m, grid.m)
-        pre = model.evaluate(pts)
-        hmat = einsum_hamiltonian(model, pts, grad, hess, values.ravel(), pre)
-        z = np.einsum("nlj,nl->nj", pre["sigma"], grad)
-        ref = (gcore.g_value_batch(hmat, model.uncertainty)[0]
-               + np.einsum("nl,nl->n", pre["b"], grad) + model.f(pts, values.ravel(), z) - 0.01)
-        rep = pde_residual(values, model, grid=grid, lam=0.01)
-        assert rep.values.tobytes() == ref.reshape(grid.shape).tobytes()
 
 
 # The per-candidate loop that the stacked operator of ``_Stepper`` replaced,
@@ -761,25 +656,8 @@ def _loop_select(parts, policy):
     return functools.reduce(np.maximum, parts)
 
 
-def _loop_generic(st, w, level, gamma2, policy):
-    _, pairs = _loop_differences(st, w)
-    grad = np.stack([np.where(st.bval[:, ax].reshape(st.shape) > 0.0, dp, dm).ravel()
-                     for ax, (dm, dp) in enumerate(pairs)], axis=-1)
-    hess = nodal_hessian(w.reshape(st.shape), st.grid).reshape(grad.shape + (-1,))
-    hmat = pde._hamiltonian_batch(st.model, st.pts, grad, hess, w, precomputed=st.pre)
-    if gamma2 is not None:
-        hmat = hmat + 2.0 * np.multiply.outer(level, gamma2)
-    scores, _ = gcore._candidate_scores(hmat, st.model.uncertainty)
-    gvals = _loop_select([0.5 * scores[:, c] for c in range(st.n_cand)], policy)
-    z = np.einsum("nlj,nl->nj", st.sig, grad)
-    fval = st.model.f(st.pts, w, z) if st.model.f is not None else 0.0
-    return gvals + np.einsum("nl,nl->n", st.bval, grad) + fval
-
-
 def loop_residual(st, w, level=0.0, gamma2=None, policy=None):
     """S(w) assembled one candidate at a time."""
-    if st.model.has_generic_drivers():
-        return _loop_generic(st, w, level, gamma2, policy)
     parts = _loop_parts_1d(st, w) if st.grid.m == 1 else _loop_parts_2d(st, w)
     if gamma2 is not None:
         level = np.broadcast_to(level, w.shape)
@@ -794,11 +672,14 @@ def _state_dependent_1d(**extra):
         uncertainty=UncertaintySet.interval(0.8, 1.2), **extra)
 
 
-def _twin_1d():
+def _state_dependent_2d():
+    """The three-member set under a sigma whose cross term a12 varies by node, with h, k and v."""
     return ModelSpec.build(
-        m=1, d=1, b=["0.05 - 1.0 * x1"], sigma=[["0.2"]], r=0.0,
-        uncertainty=UncertaintySet.interval(0.8, 1.2),
-        f=lambda x, y, z: -x[:, 0] + 0.1 * y, g=[[lambda x, y, z: 0.5 * z[:, 0] ** 2]])
+        m=2, d=2, b=["0.05 - x1", "-0.5 * x2"],
+        sigma=[["0.2 + 0.05 * tanh(x1)", 0.05], [0.0, "0.15 + 0.02 * x2"]], r="x1 * x2",
+        h=[[["0.02 * x1", -0.01], [0.01, 0.02]], [[0.01, "0.02 * x2"], [0.02, -0.03]]],
+        k=[["0.02 * x1", 0.004], [0.004, 0.01]], v=["0.1 * x1", -0.1],
+        uncertainty=THREE_MEMBERS)
 
 
 def _probes(n, rng):
@@ -819,8 +700,9 @@ STACKED_CASES = {
                  [19, 17], {}),
     "2d-three-gamma2": (affine_three_member_model, [19, 17],
                         {"gamma2": np.array([[-0.2, 0.05], [0.05, -0.3]])}),
-    "generic-1d": (_twin_1d, [33], {"gamma2": np.array([[0.5]])}),
-    "generic-2d": (generic_twin_2d, [19, 17], {}),
+    "1d-cap-gamma2": (_state_dependent_1d, [65],
+                      {"gradient_cap": 0.05, "gamma2": np.array([[-0.7]])}),
+    "2d-state-sigma": (_state_dependent_2d, [19, 17], {}),
 }
 
 
@@ -863,6 +745,79 @@ class TestStackedOperator:
             w = w + grid.dt * loop_residual(st, w)
             hist.append(w)
         assert sol.values.tobytes() == np.stack(hist[::-1]).reshape(sol.values.shape).tobytes()
+
+
+def _neighbour_weights(st, w, eps=1e-7):
+    """The weight of w_j in row i of ``st.residual`` at w, off the diagonal (+inf
+    on it): the lesser of the upward and downward one-sided differences, so at
+    a tie between candidates, where the two sides differ, the worse one shows."""
+    n = w.size
+    base = st.residual(w)
+    up, down = np.empty((n, n)), np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = eps
+        up[:, j] = (st.residual(w + e) - base) / eps
+        down[:, j] = (base - st.residual(w - e)) / eps
+    for weights in (up, down):
+        np.fill_diagonal(weights, np.inf)
+    return np.minimum(up, down)
+
+
+def _mean_reverting_1d(h):
+    return ModelSpec.build(m=1, d=1, b=["0.05 - x1"], sigma=[[0.2]], r="x1", h=[[[h]]],
+                           uncertainty=UncertaintySet.interval(0.8, 1.2))
+
+
+def _mean_reverting_2d(cands):
+    """sigma = 0.2 I and h_ii = 0.5 e_i under the finite set ``cands``."""
+    h = [[[0.5 if i == j == l else 0.0 for l in range(2)] for j in range(2)] for i in range(2)]
+    return ModelSpec.build(m=2, d=2, b=["0.05 - x1", "0.05 - x2"],
+                           sigma=[[0.2, 0.0], [0.0, 0.2]], r="x1 + x2", h=h,
+                           uncertainty=UncertaintySet.finite(cands))
+
+
+_DIAGONAL = [np.eye(2), np.diag([1.2, 0.8]), np.diag([0.8, 1.2])]
+_CROSS = [np.eye(2), np.array([[1.0, 0.3], [0.3, 1.0]])]
+
+
+class TestMonotone:
+    """The assembled operator weighs no neighbour negatively, and where it does."""
+
+    @staticmethod
+    def _stepper_and_states(model, nodes):
+        grid = Grid.build([(-2.0, 2.0)] * len(nodes), nodes)
+        u = solve_ergodic(model, grid, tol=1e-10).u.values.ravel()
+        return pde._Stepper(model, grid), {"zero": np.zeros(u.size), "solved": u}
+
+    @pytest.mark.parametrize("h,nodes,state", [
+        (0.0, [33], "zero"), (0.0, [33], "solved"), (0.5, [33], "zero"), (0.5, [33], "solved"),
+        (2.0, [33], "solved"), (None, [17, 17], "zero"), (None, [17, 17], "solved"),
+    ], ids=["1d-h0-zero", "1d-h0-solved", "1d-h0.5-zero", "1d-h0.5-solved", "1d-h2-solved",
+            "2d-diagonal-zero", "2d-diagonal-solved"])
+    def test_no_negative_neighbour_weight(self, h, nodes, state):
+        model = _mean_reverting_1d(h) if h is not None else _mean_reverting_2d(_DIAGONAL)
+        st, states = self._stepper_and_states(model, nodes)
+        assert np.min(_neighbour_weights(st, states[state])) >= -1e-6
+
+    def test_outward_velocity_weighs_the_inward_neighbour_negatively(self):
+        # at w = 0 every candidate ties, and Q = 1.2 moves out of the grid at
+        # x = 2 with velocity 0.05 - 2 + 2 * 1.2 = 0.45: the ghost makes its
+        # upwind difference the inward one, which weighs node 31 by -0.45 / h
+        st, states = self._stepper_and_states(_mean_reverting_1d(2.0), [33])
+        weights = _neighbour_weights(st, states["zero"])
+        assert weights[-1, -2] == pytest.approx(-0.45 / 0.125, rel=1e-6)
+        assert np.min(weights[:-1]) >= -1e-6 and np.min(np.delete(weights[-1], -2)) >= -1e-6
+
+    @pytest.mark.parametrize("state", ["zero", "solved"])
+    def test_cross_diffusion_weighs_diagonal_neighbours_negatively(self, state):
+        # a12 = 0.3 * 0.2^2 = 0.012: the cross stencil of a12 w_xy weighs two
+        # diagonal neighbours of each interior node by -a12 / (4 h^2), h = 0.25
+        st, states = self._stepper_and_states(_mean_reverting_2d(_CROSS), [17, 17])
+        weights = _neighbour_weights(st, states[state]).reshape(17, 17, 17, 17)
+        interior = weights[1:-1, 1:-1]
+        assert np.min(interior) == pytest.approx(-0.012 / 0.25, rel=1e-6)
+        assert np.min(weights) < np.min(interior)  # the ghosts add more at the faces
 
 
 class TestResidual:
@@ -932,17 +887,6 @@ class TestGradientBound:
         with pytest.raises(ShapeError):
             solve_ergodic(model, Grid.build([(-2.0, 2.0)] * 2, [17, 17]),
                           gradient_cap=0.01)
-
-    def test_cap_rejected_in_generic_mode(self):
-        model = ModelSpec.build(
-            m=1, d=1, b=["0.05 - 1.0 * x1"], sigma=[["0.2"]], r=0.0,
-            uncertainty=UncertaintySet.interval(0.8, 1.2),
-            f=lambda x, y, z: -x[:, 0],
-            g=[[lambda x, y, z: 0.5 * z[:, 0] ** 2]],
-        )
-        with pytest.raises(ShapeError):
-            solve_ergodic(model, Grid.build([(-2.0, 2.0)], [33]), gradient_cap=1.0)
-
 
 class TestInterpolation:
     @staticmethod
@@ -1146,4 +1090,30 @@ class TestInterpolation:
         x = np.zeros((3, 1))
         for query in (sol.value_at, sol.derivatives_at, sol.coverage_excess):
             with pytest.raises(ShapeError, match=f"query time must be finite, got {t}"):
+                query(x, t)
+
+    @pytest.mark.parametrize("steps,q", [(8.4, 8), (-0.4, 0), (8.6, None), (-0.6, None)],
+                             ids=["end_in", "start_in", "end_out", "start_out"])
+    def test_parabolic_query_time_rounds_to_the_nearest_slice(self, steps, q):
+        grid = Grid.build([[-2.0, 2.0]], [17], horizon=0.5, time_steps=8)
+        values = np.repeat(np.arange(9.0)[:, None], 17, axis=1)
+        sol = PdeSolution(grid=grid, kind="parabolic", values=values)
+        x, t = np.zeros((3, 1)), steps * grid.dt
+        if q is None:
+            with pytest.raises(ShapeError, match="is outside the solved horizon"):
+                sol.value_at(x, t)
+        else:
+            assert np.array_equal(sol.value_at(x, t), np.full(3, float(q)))
+
+    @pytest.mark.parametrize("t", [100.0, -3.0])
+    def test_parabolic_query_time_must_lie_in_the_horizon(self, t):
+        grid = Grid.build([[-2.0, 2.0]], [17], horizon=0.5, time_steps=8)
+        # slice q holds the value q, so a clamped query would read 0 or 8
+        values = np.repeat(np.arange(9.0)[:, None], 17, axis=1)
+        sol = PdeSolution(grid=grid, kind="parabolic", values=values)
+        x = np.zeros((3, 1))
+        assert np.array_equal(sol.value_at(x, 0.5), np.full(3, 8.0))
+        for query in (sol.value_at, sol.derivatives_at, sol.coverage_excess):
+            with pytest.raises(ShapeError, match=rf"query time {t} is outside the solved "
+                                                 rf"horizon \[0, 0.5\]"):
                 query(x, t)

@@ -769,21 +769,14 @@ def _oracle_chunk_draws(seed, path_lo, path_hi, n_steps, d):
     return out
 
 
-def _oracle_hamiltonian(model, x, grad, hess, u_val, mode, pre):
+def _oracle_hamiltonian(grad, hess, pre):
     """H with every product formed from the bundle's tensors on every call."""
-    sig = pre["sigma"]
+    sig, vval = pre["sigma"], pre["v"]
     hess_term = np.einsum("nab,nai,nbj->nij", hess, sig, sig)
     z = np.einsum("nlj,nl->nj", sig, grad)
-    if mode == "pricing":
-        vval = pre["v"]
-        htil = pre["h"] - model_mod._dij(sig, vval)
-        return (hess_term + 2.0 * np.einsum("nl,nijl->nij", grad, htil) - 2.0 * pre["k"]
-                + np.einsum("ni,nj->nij", vval, vval) + np.einsum("ni,nj->nij", z, z))
-    gmat = np.zeros((x.shape[0], model.d, model.d))
-    for i in range(model.d):
-        for j in range(model.d):
-            gmat[:, i, j] = model.g[i][j](x, u_val, z)
-    return hess_term + 2.0 * np.einsum("nl,nijl->nij", grad, pre["h"]) + 2.0 * gmat
+    htil = pre["h"] - model_mod._dij(sig, vval)
+    return (hess_term + 2.0 * np.einsum("nl,nijl->nij", grad, htil) - 2.0 * pre["k"]
+            + np.einsum("ni,nj->nij", vval, vval) + np.einsum("ni,nj->nij", z, z))
 
 
 class _OraclePolicy(VolControl):
@@ -791,15 +784,14 @@ class _OraclePolicy(VolControl):
 
     label = "worst_case"
 
-    def __init__(self, solution, model, mode):
-        self.solution, self.model, self.mode = solution, model, mode
+    def __init__(self, solution, model):
+        self.solution, self.model = solution, model
         self.cands = np.stack(model.uncertainty.candidates())
         self.roots = sim._sqrt_psd(self.cands)
 
     def matrices_and_roots(self, t, x, coeffs=None):
         grad, hess = self.solution.derivatives_at(x, t)
-        uval = self.solution.value_at(x, t) if self.mode == "generic" else None
-        hmat = _oracle_hamiltonian(self.model, x, grad, hess, uval, self.mode, coeffs)
+        hmat = _oracle_hamiltonian(grad, hess, coeffs)
         idx = _candidate_scores(hmat, self.model.uncertainty)[1]
         return self.cands[idx], self.roots[idx]
 
@@ -858,28 +850,22 @@ _TENSORS = {  # (m, name, kind) -> entries; "absent" leaves the tensor out
 _THREE = [np.eye(2), [[1.0, 0.5], [0.5, 1.0]], [[0.6, -0.2], [-0.2, 0.9]]]
 
 
-def _oracle_case(m, h, k, v, sigma_kind="const", generic=False):
+def _oracle_case(m, h, k, v, sigma_kind="const"):
     """A model with h, k and v each absent, constant or state-dependent, and a
     smooth stand-in solution on which the worst-case policy switches."""
     tensors = {name: _TENSORS[(m, name, kind)] for name, kind in (("h", h), ("k", k), ("v", v))
                if kind != "absent"}
-    drivers = {}
-    if generic:
-        drivers = dict(f=lambda x, y, z: -x[:, 0],
-                       g=[[(lambda x, y, z, i=i, j=j: 0.5 * z[:, i] * z[:, j] + 0.1 * y)
-                           for j in range(m)] for i in range(m)])
     if m == 1:
         sigma = [["0.2 + 0.05 * tanh(x1)"]] if sigma_kind == "state" else [[0.25]]
         model = ModelSpec.build(m=1, d=1, b=["0.05 - x1"], sigma=sigma, r="0.02 + 0.1 * x1",
-                                uncertainty=UncertaintySet.interval(0.6, 1.3), **tensors,
-                                **drivers)
+                                uncertainty=UncertaintySet.interval(0.6, 1.3), **tensors)
         grid = Grid.build([(-1.5, 1.5)], [33])
     else:
         sigma = ([["0.2 + 0.05 * tanh(x1)", 0.05], [0.0, 0.15]] if sigma_kind == "state"
                  else [[0.2, 0.05], [0.0, 0.15]])
         model = ModelSpec.build(m=2, d=2, b=["0.05 - x1", "-0.5 * x2"], sigma=sigma,
                                 r="0.02 + 0.1 * x1 * x2", uncertainty=UncertaintySet.finite(_THREE),
-                                **tensors, **drivers)
+                                **tensors)
         grid = Grid.build([(-1.5, 1.5)] * 2, [17, 16])
     pts = grid.points()
     # curvature that changes sign where the paths start
@@ -899,8 +885,8 @@ ORACLE_CASES = {
     "2d_h_const_k_state_v_absent": (2, "const", "state", "absent"),
     "2d_h_state_k_absent_v_const_sigma_state": (2, "state", "absent", "const", "state"),
     "2d_all_const": (2, "const", "const", "const"),
-    "1d_generic": (1, "const", "absent", "absent", "const", True),
-    "2d_generic": (2, "absent", "absent", "absent", "const", True),
+    "1d_all_state_sigma_state": (1, "state", "state", "state", "state"),
+    "2d_all_absent_sigma_state": (2, "absent", "absent", "absent", "state"),
 }
 
 
@@ -922,8 +908,7 @@ class TestStreamingOracle:
         # the parent rooted a piecewise segment on every step, as a feedback control does
         per_step = FeedbackControl(piecewise.matrices, label=piecewise.label)
         new = [worst_case_policy(solution, model), piecewise] + extremes
-        mode = "generic" if model.has_generic_drivers() else "pricing"
-        return new, [_OraclePolicy(solution, model, mode), per_step] + extremes
+        return new, [_OraclePolicy(solution, model), per_step] + extremes
 
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_streaming_means_equal_the_oracle(self, case):
@@ -967,18 +952,6 @@ class TestStreamingOracle:
                     assert (batch.B[lo:hi, k + 1].tobytes()
                             == (batch.B[lo:hi, k] + db).tobytes())
 
-    @pytest.mark.parametrize("case", ["1d_generic", "2d_generic"])
-    def test_policy_reads_the_drivers_with_no_mode(self, case):
-        # the picks of the generic form, as an explicit generic mode gave them,
-        # which the pricing form does not give
-        model, solution = _oracle_case(*ORACLE_CASES[case])
-        x = np.random.default_rng(21).uniform(-1.4, 1.4, (400, model.m))
-        got = worst_case_policy(solution, model).matrices_and_roots(0.1, x)[0]
-        generic, pricing = (_OraclePolicy(solution, model, mode).matrices_and_roots(
-            0.1, x, model.evaluate(x))[0] for mode in ("generic", "pricing"))
-        assert got.tobytes() == generic.tobytes()
-        assert got.tobytes() != pricing.tobytes()
-
     @pytest.mark.parametrize("d", [1, 2])
     def test_chunk_draws_equal_a_fresh_generator_per_path(self, d):
         for seed, lo, hi in ((7, 0, 3), (7, 5, 42), (2**64 + 9, 2**64 - 2, 2**64 + 3)):
@@ -1009,9 +982,9 @@ def _stacked_pool(m, kind):
     certified = worst_case_policy(flat, model)
     assert (certified.uniform is not None) == (kind == "const")
     new = [worst_case_policy(switching, model), first, piecewise, feedback, certified, last]
-    old = [_OraclePolicy(switching, model, "pricing"), first,
+    old = [_OraclePolicy(switching, model), first,
            FeedbackControl(piecewise.matrices), feedback,
-           _OraclePolicy(flat, model, "pricing"), last]
+           _OraclePolicy(flat, model), last]
     return model, new, old
 
 
@@ -1296,8 +1269,6 @@ class TestPickTable:
         assert pde._certified_candidate(sol, switching) is None
         stateful = _oracle_case(*ORACLE_CASES["1d_h_state_k_absent_v_const_sigma_state"])
         assert pde._certified_candidate(stateful[1], stateful[0]) is None
-        generic_model, generic_sol = _oracle_case(*ORACLE_CASES["1d_generic"])
-        assert worst_case_policy(generic_sol, generic_model).uniform is None
         grid = Grid.build([(-2.0, 2.0)], [33], horizon=0.5, time_steps=400)
         parabolic = pde.solve_parabolic(ou_model, grid, np.zeros(grid.shape))
         assert pde._certified_candidate(parabolic, ou_model) is None

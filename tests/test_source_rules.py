@@ -142,9 +142,9 @@ def _mode_parameters(module):
             and "mode" in inspect.signature(getattr(module, name)).parameters]
 
 
-def test_the_model_selects_the_driver_form():
-    # drivers f or g select the generic PDE, their absence the pricing one;
-    # solve_ergodic keeps its keyword only to check that choice
+def test_one_driver_form_takes_no_mode():
+    # every solver, residual and policy takes the pricing kernel's driver;
+    # solve_ergodic keeps its keyword only to check that it names that driver
     found = [f"{name}.{fn}" for name in ("pde", "sim", "decomp")
              for fn in _mode_parameters(importlib.import_module(f"gkernel.{name}"))]
     assert [f for f in found if f != "pde.solve_ergodic"] == []
