@@ -4,8 +4,8 @@ A model earns a long-horizon decomposition only if its coefficients are
 regular enough: symmetric covariation loadings, Lipschitz fields, a positive
 dissipativity rate, and a margin of that rate over the price of the
 nonlinearity.  ``check_assumptions`` estimates all four on a sampling box;
-``truncation_level`` turns the certified constants into a gradient cap for
-the solver.
+``truncation_level`` turns the certified constants into the paper's bound
+on |sigma^T Du|, which a solution is checked against; the solver applies no cap.
 """
 
 import numpy as np
@@ -35,7 +35,7 @@ print(f"  dissipativity rate             {report.eta_hat:.4f}")
 print(f"  margin over nonlinearity price {report.gap:.4f}")
 
 # constant loadings make the noise Lipschitz constant vanish, so the
-# gradient cap is unbounded and the solver needs no truncation
+# bound on |sigma^T Du| is infinite
 cap = truncation_level(
     mu=0.0, eta=report.eta_hat, c_sigma=report.c_sigma, c3=report.c1,
     c_phi=0.0, sig_hi=np.sqrt(1.2), sig_lo=np.sqrt(0.8),

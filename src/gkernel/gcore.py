@@ -89,6 +89,8 @@ class UncertaintySet:
     def finite(cls, mats) -> "UncertaintySet":
         members = []
         for idx, m in enumerate(mats):
+            if not np.isfinite(np.asarray(m, dtype=float)).all():
+                raise InvalidSetError(f"member {idx} has a non-finite entry")
             q = _as_symmetric(m)
             w = np.linalg.eigvalsh(q)
             if w[0] <= 0.0:

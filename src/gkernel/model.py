@@ -13,7 +13,7 @@ coefficients are entrywise tuples of :class:`~gkernel.coefficients.CoefficientFn
 and dissipativity constants that the long-horizon theory rests on, and
 reports the margin ("gap") by which the dissipativity rate dominates the
 nonlinearity of the diffusion.  ``truncation_level`` converts those
-constants into the gradient cap used to tame quadratic terms.
+constants into the paper's a-priori bound M on |sigma^T Du|, checked, not applied.
 ``equilibrium_model`` produces rate and risk loadings from a consumption
 equilibrium.
 """
@@ -503,16 +503,16 @@ def truncation_level(
     sig_lo: float,
     m_sigma: float,
 ) -> float:
-    """Gradient cap M for taming quadratic terms in the valuation PDE.
+    """The paper's truncation level M, a bound on |sigma^T Du| that no solver applies.
 
     M = (eta + mu - (1+sig_hi^2) c_sigma c3
          + 4 c_phi (1+sig_hi^2) c_sigma c3 sig_hi m_sigma / sig_lo)
         / (4 (1+sig_hi^2) c_sigma c3).
 
-    When ``c_sigma * c3 == 0`` the quadratic term needs no taming and the
-    level is +inf.  Exact numerator cancellation gives the boundary value 0;
-    a negative numerator signals that the dissipativity margin is too small
-    for a meaningful cap.
+    When ``c_sigma * c3 == 0`` the quadratic term needs no truncation and
+    the level is +inf.  Exact numerator cancellation gives the boundary value
+    0; a negative numerator signals that the dissipativity margin is too
+    small for a meaningful bound.
     """
     prod = c_sigma * c3
     if prod == 0.0:

@@ -707,15 +707,11 @@ class _Stepper:
     the caller.
     """
 
-    def __init__(self, model: ModelSpec, grid: Grid, gradient_cap: float = math.inf,
-                 gamma2: np.ndarray | None = None):
+    def __init__(self, model: ModelSpec, grid: Grid, gamma2: np.ndarray | None = None):
         if grid.m != model.m:
             raise ShapeError(f"grid has {grid.m} axes, model state dimension is {model.m}")
-        if math.isfinite(gradient_cap) and grid.m != 1:
-            raise ShapeError("gradient_cap applies only to the 1D operator")
         self.model = model
         self.grid = grid
-        self.cap = float(gradient_cap)
         self.shape = grid.shape
         self.hs = grid.spacings()
         pts = grid.points()
@@ -723,7 +719,7 @@ class _Stepper:
         n = pts.shape[0]
 
         pre = model.evaluate(pts)
-        self.sig = pre["sigma"]
+        sig = pre["sigma"]
 
         cands = model.uncertainty.candidates()
         self.n_cand = len(cands)
@@ -733,7 +729,7 @@ class _Stepper:
         self.const_c = np.empty((self.n_cand, n))           # Q : (-k + vv/2)
         kv = -pre["k"] + 0.5 * pre["vv"]
         for c, q in enumerate(cands):
-            a = np.einsum("nad,de,nbe->nab", self.sig, q, self.sig)
+            a = np.einsum("nad,de,nbe->nab", sig, q, sig)
             self.diff_c[c] = np.moveaxis(a, 0, -1)
             self.vel_c[c] = np.moveaxis(
                 pre["b"] + np.einsum("ij,nijl->nl", q, pre["h_eff"]), 0, -1)
@@ -754,14 +750,6 @@ class _Stepper:
 
         self.gamma2 = gamma2  # the level's weight per candidate is tr(Q_c gamma2)
         self.trg2 = np.array([0.0 if gamma2 is None else np.tensordot(q, gamma2) for q in cands])
-
-        # per-axis gradient cap for the quadratic term (z truncation)
-        if math.isfinite(self.cap):
-            signorm = np.sqrt(np.sum(self.sig**2, axis=(1, 2)))
-            with np.errstate(divide="ignore"):
-                self.grad_cap = np.where(signorm > 0.0, self.cap / signorm, np.inf)
-        else:
-            self.grad_cap = None
 
     # -- stationary residual ---------------------------------------------
 
@@ -801,12 +789,7 @@ class _Stepper:
     def _candidates_1d(self, w) -> np.ndarray:
         wp, ((dm, dp),) = self._differences(w)
         (wxx,) = _second_differences(wp, self.hs)
-        if self.grad_cap is not None:
-            dpq = np.clip(dp, -self.grad_cap, self.grad_cap)
-            dmq = np.clip(dm, -self.grad_cap, self.grad_cap)
-        else:
-            dpq, dmq = dp, dm
-        quad = np.maximum(dpq, 0.0) ** 2 + np.minimum(dmq, 0.0) ** 2
+        quad = np.maximum(dp, 0.0) ** 2 + np.minimum(dm, 0.0) ** 2
         (vel,), (up,) = self._vel, self._up
         out = self._half_a * wxx
         out += vel * np.where(up, dp, dm)
@@ -835,12 +818,11 @@ class _Stepper:
 
     def stable_dt(self) -> float:
         """Positivity-preserving time step, allowing gradients up to 1.5."""
-        gscale = min(1.5, self.cap)
         load = np.zeros(self.const_c.shape)  # one row per candidate
         for ax in range(self.grid.m):
             a = self.diff_c[:, ax, ax]
             load = load + a / self.hs[ax] ** 2 + np.abs(self.vel_c[:, ax]) / self.hs[ax]
-            load = load + a * gscale / self.hs[ax]
+            load = load + a * 1.5 / self.hs[ax]
             if self.grid.m == 2:
                 other = 1 - ax
                 load = load + np.abs(self.diff_c[:, ax, other]) / (self.hs[ax] * self.hs[other])
@@ -946,7 +928,6 @@ def solve_parabolic(
     model: ModelSpec,
     grid: Grid,
     terminal,
-    gradient_cap: float = math.inf,
 ) -> PdeSolution:
     """Backward terminal-value solve; grid must carry horizon/time_steps.
 
@@ -975,7 +956,7 @@ def solve_parabolic(
             f"time step {dt:.6g} violates the stability bound {bound:.6g}; "
             f"increase time_steps to at least {int(math.ceil(grid.horizon / bound))}"
         )
-    stepper = _Stepper(model, grid, gradient_cap=gradient_cap)
+    stepper = _Stepper(model, grid)
     strict = stepper.stable_dt()
     if dt > strict:
         warnings.warn(
@@ -1008,7 +989,7 @@ def _damping_gamma2(gamma1: float, gamma2, model: ModelSpec) -> np.ndarray | Non
         raise ShapeError(f"gamma2 must be a ({d}, {d}) matrix")
     g2 = 0.5 * (g2 + g2.T)
     norm = gamma1 + 2.0 * g_value(g2, model.uncertainty).value
-    if abs(norm + 1.0) > 1e-12:
+    if not abs(norm + 1.0) <= 1e-12:  # a NaN fails too
         raise ShapeError(f"damping normalization gamma1 + 2 G(gamma2) must equal -1, got {norm}")
     return g2 if np.any(g2) else None
 
@@ -1019,13 +1000,22 @@ class _Budget:
     policy improvement, one pass over every candidate, and 3^m on its Jacobian."""
 
     def __init__(self, limit: int):
-        self.limit, self.used = limit, 0
+        self.limit, self.used = _size(limit, "max_sweeps"), 0
+        if self.limit < 1:
+            raise ShapeError(f"max_sweeps must be at least 1, got {limit}")
 
     def spend(self, count: int, residual: float) -> None:
         if self.used + count > self.limit:
             raise IterationError(f"stationary solve used up its {self.limit} residual "
                                  "evaluations", last_residual=residual)
         self.used += count
+
+
+def _finite_positive(**values) -> None:
+    """ShapeError unless every value is finite and positive (so not NaN)."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ShapeError(f"{name} must be finite and positive, got {value}")
 
 
 def _jacobian_blocks(fun, w: np.ndarray, f0: np.ndarray, n1: int, n2: int) -> np.ndarray:
@@ -1136,16 +1126,15 @@ def solve_discounted(
     delta: float,
     gamma1: float = -1.0,
     gamma2=None,
-    tol_inner: float = 1e-10,
+    tol: float = 1e-10,
     max_sweeps: int = 500_000,
-    warm_start: np.ndarray | None = None,
-    gradient_cap: float = math.inf,
 ) -> PdeSolution:
     """Solve G(H + 2 gamma2 delta w) + <b, Dw> + f + gamma1 delta w = 0 by Newton.
 
-    Requires delta > 0 and gamma1 + 2 G(gamma2) = -1.  Semismooth Newton
-    starts from ``warm_start`` (default 0) and stops once the residual has
-    sup norm at most ``tol_inner``.  ``sweeps`` on the result counts
+    Requires finite delta > 0 and tol > 0, an integer ``max_sweeps`` >= 1
+    and gamma1 + 2 G(gamma2) = -1 (:class:`ShapeError` otherwise).
+    Semismooth Newton starts from w = 0 and stops once the residual has
+    sup norm at most ``tol``.  ``sweeps`` on the result counts
     candidate operators evaluated on the whole grid: n_cand for the single
     policy-improvement pass over every covariance candidate plus 3^m for
     the Jacobian, per iteration; more than ``max_sweeps`` raise
@@ -1153,15 +1142,11 @@ def solve_discounted(
     :class:`ConvergenceError`.
     """
     delta = float(delta)
-    if delta <= 0.0:
-        raise ShapeError(f"delta must be positive, got {delta}")
-    g2 = _damping_gamma2(gamma1, gamma2, model)
-    stepper = _Stepper(model, grid, gradient_cap=gradient_cap, gamma2=g2)
-    w = np.zeros(grid.shape) if warm_start is None else np.array(warm_start, dtype=float)
-    if w.size != stepper.pts.shape[0]:
-        raise ShapeError("warm start has the wrong size for this grid")
+    _finite_positive(delta=delta, tol=tol)
     budget = _Budget(max_sweeps)
-    w, _ = _newton(stepper, w.ravel(), 0.0, delta, gamma1, 0, tol_inner, budget)
+    g2 = _damping_gamma2(gamma1, gamma2, model)
+    stepper = _Stepper(model, grid, gamma2=g2)
+    w, _ = _newton(stepper, np.zeros(stepper.pts.shape[0]), 0.0, delta, gamma1, 0, tol, budget)
     return PdeSolution(grid=grid, kind="stationary", values=w.reshape(grid.shape),
                        sweeps=budget.used)
 
@@ -1198,12 +1183,20 @@ def solve_ergodic(
     Newton iteration spends n_cand sweeps on its policy improvement, one
     pass over every candidate, and 3^m on its Jacobian.
 
+    ``delta0``, ``tol`` and ``tol_inner`` must be finite and positive; the
+    operator applies no cap, so ``gradient_cap`` accepts only ``math.inf``.
+    A setting out of range raises :class:`ShapeError` before the solve.
+
     The solve does not judge the model's regularity: that is
     :func:`~gkernel.model.check_assumptions`, which the CLI runs on the
     config's ``assumption_box`` before it solves.
     """
-    if delta0 <= 0.0:
-        raise ShapeError(f"delta0 must be positive, got {delta0}")
+    _finite_positive(delta0=delta0, tol=tol, tol_inner=tol_inner)
+    if _size(max_halvings, "max_halvings") < 0:
+        raise ShapeError(f"max_halvings must be at least 0, got {max_halvings}")
+    if gradient_cap != math.inf:
+        raise ShapeError(f"gradient_cap must be inf, got {gradient_cap}: the operator "
+                         "applies no gradient cap")
     if mode not in (None, "pricing", "parabolic", "ergodic"):
         raise ShapeError(f"mode {mode!r} does not fit the model: the driver is the pricing "
                          "kernel's, 'pricing' (aliases 'parabolic', 'ergodic')")
@@ -1213,8 +1206,8 @@ def solve_ergodic(
     a = int(np.ravel_multi_index(anchor_idx, grid.shape))
     anchor_point = np.array([ax[i] for ax, i in zip(grid.axes(), anchor_idx)])
 
-    stepper = _Stepper(model, grid, gradient_cap=gradient_cap, gamma2=g2)
     budget = _Budget(max_sweeps)
+    stepper = _Stepper(model, grid, gamma2=g2)
     w, trace, fresh = np.zeros(stepper.pts.shape[0]), [], True
     for k in range(max_halvings + 2):
         if fresh:  # a start Newton has not failed from yet

@@ -171,6 +171,8 @@ class PiecewiseControl(VolControl):
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size == 0 or times[0] != 0.0:
             raise ShapeError("piecewise control needs breakpoints starting at 0")
+        if not np.isfinite(times).all():
+            raise ShapeError("piecewise breakpoints must be finite")
         if np.any(np.diff(times) <= 0.0):
             raise ShapeError("piecewise breakpoints must be strictly increasing")
         ms = [_scenario(m) for m in mats]

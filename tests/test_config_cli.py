@@ -673,6 +673,35 @@ class TestCli:
             assert code == 3
             assert f"{name} must be finite" in err
 
+    @pytest.mark.parametrize("solver,argv,name", [
+        (None, ("--tol", "inf"), "tol"),
+        ({"gradient_cap": 40}, (), "gradient_cap"),
+    ], ids=["tol-inf", "finite-cap"])
+    def test_solver_setting_out_of_range_exits_3(self, run_cli, solver, argv, name):
+        doc = base_doc()
+        if solver is not None:
+            doc["solver"] = solver
+        code, out, err = run_cli(doc, "solve", *argv)
+        assert (code, out) == (3, "")
+        assert f"configuration error: {name} must be" in err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_set_member_exits_3(self, run_cli, bad):
+        doc = base_doc()
+        doc["uncertainty"] = {"kind": "finite", "members": [[[bad]], [[1.0]]]}
+        code, _, err = run_cli(doc, "check")
+        assert code == 3
+        assert "uncertainty: member 0 has a non-finite entry" in err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_piecewise_breakpoint_exits_3(self, run_cli, bad):
+        doc = sim_doc()
+        doc["sim"]["control"] = {"piecewise": {"times": [0.0, bad],
+                                               "matrices": [[[1.0]], [[0.5]]]}}
+        code, _, err = run_cli(doc, "decompose")
+        assert code == 3
+        assert "sim.control.piecewise: piecewise breakpoints must be finite" in err
+
     def test_sim_block_required_for_paths(self, run_cli):
         code, _, err = run_cli(base_doc(), "decompose")
         assert code == 3

@@ -163,6 +163,14 @@ class TestValidation:
         with pytest.raises(InvalidSetError):
             UncertaintySet.finite([np.array([[1.0, 2.0], [2.0, 1.0]])])
 
+    @pytest.mark.parametrize("bad", [
+        [[np.nan]], [[np.inf]], [[1.0, np.nan], [np.nan, 1.0]], [[1.0, np.inf], [0.0, 1.0]],
+    ], ids=["nan", "inf", "nan-off-diagonal", "inf-off-diagonal"])
+    def test_finite_set_needs_finite_members(self, bad):
+        good = np.eye(len(bad))
+        with pytest.raises(InvalidSetError, match="member 1 has a non-finite entry"):
+            UncertaintySet.finite([good, bad])
+
     def test_finite_set_must_be_nonempty(self):
         with pytest.raises(InvalidSetError):
             UncertaintySet.finite([])

@@ -273,6 +273,14 @@ class TestParabolic:
             assert np.min(w_up - w_lo) >= -1e-12
 
 
+def _setting_id(setting):
+    return "{}={}".format(*next(iter(setting.items())))
+
+
+def _no_stepper(*args, **kwargs):
+    raise AssertionError("the operator was built before the settings were checked")
+
+
 class TestDiscounted:
     def test_constant_model_level(self, const_model, const_grid):
         for delta in (0.5, 0.1):
@@ -310,16 +318,36 @@ class TestDiscounted:
             solve_discounted(const_model, const_grid, 0.0)
         with pytest.raises(ShapeError):
             solve_discounted(const_model, const_grid, 0.1, gamma2=np.eye(2))
-        with pytest.raises(ShapeError):
-            solve_discounted(const_model, const_grid, 0.1, warm_start=np.zeros(5))
 
     def test_sweep_budget_exhaustion(self, ou_model, ou_grid):
         with pytest.raises(IterationError) as err:
             solve_discounted(ou_model, ou_grid, 0.5, max_sweeps=3)
         assert err.value.last_residual is not None
 
+    @pytest.mark.parametrize("setting", [
+        {"delta": math.nan}, {"delta": math.inf}, {"tol": 0.0}, {"tol": -1.0},
+        {"tol": math.nan}, {"tol": math.inf}, {"max_sweeps": 0}, {"max_sweeps": 2.5},
+        {"max_sweeps": -5}, {"gamma1": math.nan},
+    ], ids=_setting_id)
+    def test_malformed_settings_rejected_before_solving(self, ou_model, setting, monkeypatch):
+        monkeypatch.setattr(pde, "_Stepper", _no_stepper)
+        with pytest.raises(ShapeError, match=next(iter(setting))):
+            solve_discounted(ou_model, Grid.build([(-2.0, 2.0)], [17]), **{"delta": 0.5, **setting})
+
 
 class TestErgodic:
+    @pytest.mark.parametrize("setting", [
+        {"tol": math.inf}, {"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan},
+        {"tol_inner": 0.0}, {"tol_inner": math.nan}, {"delta0": math.nan},
+        {"delta0": math.inf}, {"max_halvings": -5}, {"max_halvings": 1.5},
+        {"max_sweeps": 0}, {"max_sweeps": 2.5}, {"max_sweeps": -5}, {"gamma1": math.nan},
+    ], ids=_setting_id)
+    def test_malformed_settings_rejected_before_solving(self, ou_model, setting, monkeypatch):
+        # out of range, a setting would reach Newton and fail there, or return a wrong lam
+        monkeypatch.setattr(pde, "_Stepper", _no_stepper)
+        with pytest.raises(ShapeError, match=next(iter(setting))):
+            solve_ergodic(ou_model, Grid.build([(-2.0, 2.0)], [17]), **setting)
+
     def test_constant_model_eigenpair(self, const_sol):
         assert abs(const_sol.lam - CONST_LAM) < 1e-5
         assert np.max(np.abs(const_sol.u.values)) < 1e-8
@@ -608,12 +636,7 @@ def _loop_differences(st, w):
 def _loop_parts_1d(st, w):
     wp, ((dm, dp),) = _loop_differences(st, w)
     wxx = (wp[2:] - 2.0 * wp[1:-1] + wp[:-2]) / st.hs[0] ** 2
-    if st.grad_cap is not None:
-        dpq = np.clip(dp, -st.grad_cap, st.grad_cap)
-        dmq = np.clip(dm, -st.grad_cap, st.grad_cap)
-    else:
-        dpq, dmq = dp, dm
-    quad = np.maximum(dpq, 0.0) ** 2 + np.minimum(dmq, 0.0) ** 2
+    quad = np.maximum(dp, 0.0) ** 2 + np.minimum(dm, 0.0) ** 2
     parts = []
     for c in range(st.n_cand):
         a = st.diff_c[c, 0, 0]
@@ -693,15 +716,12 @@ def _probes(n, rng):
 # (model, grid, stepper keywords)
 STACKED_CASES = {
     "1d-plain": (_state_dependent_1d, [65], {}),
-    "1d-cap": (_state_dependent_1d, [65], {"gradient_cap": 0.05}),
     "1d-gamma2": (_state_dependent_1d, [65], {"gamma2": np.array([[-0.7]])}),
     "2d-three": (lambda: affine_three_member_model(v=[0.1, 0.2], k=[[0.01, "0.02 * x1"],
                                                                     ["0.02 * x1", 0.03]]),
                  [19, 17], {}),
     "2d-three-gamma2": (affine_three_member_model, [19, 17],
                         {"gamma2": np.array([[-0.2, 0.05], [0.05, -0.3]])}),
-    "1d-cap-gamma2": (_state_dependent_1d, [65],
-                      {"gradient_cap": 0.05, "gamma2": np.array([[-0.7]])}),
     "2d-state-sigma": (_state_dependent_2d, [19, 17], {}),
 }
 
@@ -867,9 +887,7 @@ class TestGradientBound:
             mu=0.0, eta=rep.eta_hat, c_sigma=rep.c_sigma, c3=rep.c1, c_phi=0.0,
             sig_hi=1.0, sig_lo=math.sqrt(0.5), m_sigma=rep.m_sigma,
         )
-        sol = solve_ergodic(
-            model, Grid.build([(-2.0, 2.0)], [129]), tol=1e-7,
-            gradient_cap=cap)
+        sol = solve_ergodic(model, Grid.build([(-2.0, 2.0)], [129]), tol=1e-7)
         x = sol.grid.axes()[0]
         grad = np.gradient(sol.u.values, x)
         sig = model.eval_sigma(x[:, None])[:, 0, 0]
@@ -877,16 +895,14 @@ class TestGradientBound:
         assert np.max(np.abs(sig * grad)[central]) <= cap
         assert np.max(np.abs(sig * grad)[central]) > 0.0
 
+    @pytest.mark.parametrize("cap", [2.0, math.nan])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_finite_cap_rejected(self, ou_model, cap, dim):
+        # the operator applies no cap: the truncation level is checked, not imposed
+        model = ou_model if dim == 1 else affine_three_member_model()
+        with pytest.raises(ShapeError, match="gradient_cap"):
+            solve_ergodic(model, Grid.build([(-2.0, 2.0)] * dim, [17] * dim), gradient_cap=cap)
 
-    def test_cap_rejected_in_2d(self):
-        # the 2D operator never clips differences, so a cap would be ignored
-        model = ModelSpec.build(
-            m=2, d=2, b=["0.05 - x1", "0.05 - x2"], sigma=[[0.2, 0.0], [0.0, 0.2]],
-            r="x1 * x1 + x2", uncertainty=UncertaintySet.finite([np.eye(2)]),
-        )
-        with pytest.raises(ShapeError):
-            solve_ergodic(model, Grid.build([(-2.0, 2.0)] * 2, [17, 17]),
-                          gradient_cap=0.01)
 
 class TestInterpolation:
     @staticmethod

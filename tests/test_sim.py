@@ -197,6 +197,12 @@ class TestValidation:
         with pytest.raises(ShapeError):
             PiecewiseControl([0.0, 0.5], [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_piecewise_breakpoints_must_be_finite(self, bad):
+        # a NaN breakpoint would pass the ordering check and hide every later segment
+        with pytest.raises(ShapeError, match="piecewise breakpoints must be finite"):
+            PiecewiseControl([0.0, bad], [1.0, 0.5])
+
     def test_constant_control_shape(self):
         with pytest.raises(ShapeError):
             ConstantControl(np.zeros((1, 2)))

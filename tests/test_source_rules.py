@@ -7,6 +7,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import gkernel
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gkernel"
@@ -135,29 +137,41 @@ def test_package_api_is_the_module_apis():
             assert getattr(gkernel, name) is getattr(module, name), f"{module.__name__}.{name}"
 
 
-def _mode_parameters(module):
-    """Names of the functions in ``module.__all__`` that take a ``mode`` parameter."""
-    return [name for name in module.__all__
-            if inspect.isfunction(getattr(module, name))
-            and "mode" in inspect.signature(getattr(module, name)).parameters]
+def _parameters(module, name):
+    """Names of the functions in ``module.__all__`` that take a parameter ``name``."""
+    return [fn for fn in module.__all__
+            if inspect.isfunction(getattr(module, fn))
+            and name in inspect.signature(getattr(module, fn)).parameters]
+
+
+def _takers(name):
+    """``module.function`` of every solver, residual and policy that takes ``name``."""
+    return [f"{module}.{fn}" for module in ("pde", "sim", "decomp")
+            for fn in _parameters(importlib.import_module(f"gkernel.{module}"), name)]
 
 
 def test_one_driver_form_takes_no_mode():
     # every solver, residual and policy takes the pricing kernel's driver;
     # solve_ergodic keeps its keyword only to check that it names that driver
-    found = [f"{name}.{fn}" for name in ("pde", "sim", "decomp")
-             for fn in _mode_parameters(importlib.import_module(f"gkernel.{name}"))]
-    assert [f for f in found if f != "pde.solve_ergodic"] == []
+    assert [f for f in _takers("mode") if f != "pde.solve_ergodic"] == []
 
 
-def test_rule_sees_every_mode_parameter():
+def test_no_solver_takes_a_gradient_cap():
+    # the operator applies no cap: the paper's truncation level is checked
+    # against the solved u, not imposed on it; solve_ergodic keeps the keyword,
+    # accepting only inf, while the benchmark still passes it
+    assert [f for f in _takers("gradient_cap") if f != "pde.solve_ergodic"] == []
+
+
+@pytest.mark.parametrize("name", ["mode", "gradient_cap"])
+def test_rule_sees_every_parameter(name):
     module = types.ModuleType("probe")
-    exec("def a(x, mode=None): pass\n"
-         "def b(x, *, mode): pass\n"
-         "def c(x, mode_name=None): pass\n"
-         "class D:\n    def __init__(self, mode): pass\n", module.__dict__)
+    exec(f"def a(x, {name}=None): pass\n"
+         f"def b(x, *, {name}): pass\n"
+         f"def c(x, {name}_name=None): pass\n"
+         f"class D:\n    def __init__(self, {name}): pass\n", module.__dict__)
     module.__all__ = ["a", "b", "c", "D"]
-    assert _mode_parameters(module) == ["a", "b"]
+    assert _parameters(module, name) == ["a", "b"]
 
 
 REPO = SRC.parents[1]
