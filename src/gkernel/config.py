@@ -22,7 +22,7 @@ from .coefficients import CoefficientFn
 from .errors import ConfigurationError
 from .gcore import UncertaintySet
 from .model import ModelSpec, _coeff_grid
-from .pde import Grid
+from .pde import _RETIRED, Grid
 from .sim import ConstantControl, PiecewiseControl, extreme_controls, worst_case_policy
 
 __all__ = [
@@ -131,16 +131,18 @@ def _located(where: str):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    delta0: float = 0.5
     tol: float = 1e-6
-    tol_inner: float = 1e-10
     gamma1: float = -1.0
     gamma2: tuple | None = None
-    max_halvings: int = 20
     max_sweeps: int = 500_000
-    mode: str | None = None
     anchor: tuple | None = None
-    gradient_cap: float = math.inf
+    # the retired settings of solve_ergodic, which accepts each only as None;
+    # no config key sets them
+    delta0: None = None
+    tol_inner: None = None
+    max_halvings: None = None
+    mode: None = None
+    gradient_cap: None = None
 
 
 @dataclass(frozen=True)
@@ -244,7 +246,7 @@ def _parse_solver(obj, m: int) -> SolverSettings:
         return SolverSettings()
     where = "solver"
     obj = _require_mapping(obj, where)
-    _reject_unknown(obj, {f.name for f in fields(SolverSettings)}, where)
+    _reject_unknown(obj, {f.name for f in fields(SolverSettings)} - set(_RETIRED), where)
     values = {}
     gamma2 = obj.get("gamma2")
     if gamma2 is not None:
@@ -257,12 +259,6 @@ def _parse_solver(obj, m: int) -> SolverSettings:
         values["anchor"] = anchor = _numbers(anchor, "solver.anchor")
         if len(anchor) != m or not all(math.isfinite(a) for a in anchor):
             raise ConfigurationError(f"solver.anchor must list {m} finite coordinates")
-    if obj.get("mode") is not None:  # null keeps the default
-        if obj["mode"] not in ("pricing", "parabolic", "ergodic"):
-            raise ConfigurationError(
-                "solver.mode must be 'pricing' (aliases 'parabolic', 'ergodic')"
-            )
-        values["mode"] = obj["mode"]
     # the dataclass declares the settings: a numeric default gives the key's
     # type, and a key left out keeps the default
     for f in fields(SolverSettings):

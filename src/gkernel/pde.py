@@ -78,6 +78,9 @@ _BAND = 2  # interior band excluded per face in residual statistics
 # Howard's iteration may raise sup |F| before it converges, so Newton is
 # stopped by a step count, not by the first rise of the residual
 _NEWTON_STEPS = 60
+# settings of the damped continuation that solve_ergodic no longer runs: each
+# stays a keyword-only parameter that accepts only None while callers pass it
+_RETIRED = ("delta0", "tol_inner", "max_halvings", "mode", "gradient_cap")
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +499,9 @@ class PdeSolution:
 class ErgodicSolution:
     """Eigenpair (u, lam) of the stationary worst-case valuation equation.
 
-    ``delta_trace`` lists (delta, delta u(anchor)) for each damped warm
-    start used and ends with (0.0, lam); ``u.values`` is anchored to zero
-    at ``anchor_index``.
+    ``delta_trace`` is ((0.0, lam),), the one Newton solve at zero damping,
+    kept for the artifacts that record it; ``u.values`` is anchored to
+    zero at ``anchor_index``.
     """
 
     u: PdeSolution
@@ -931,6 +934,9 @@ def solve_parabolic(
 ) -> PdeSolution:
     """Backward terminal-value solve; grid must carry horizon/time_steps.
 
+    The terminal must be finite at every node (:class:`ShapeError`
+    otherwise, naming the first node that is not).
+
     The time step must satisfy the diffusion stability bound
     dt <= h^2/(sig_hi2 m_sigma^2 m * 1.05); a stricter positivity bound
     including first-order terms is only warned about, with runtime
@@ -945,6 +951,10 @@ def solve_parabolic(
         w_term = terminal.astype(float)
     else:
         w_term = as_coefficient(terminal)(pts).reshape(grid.shape)
+    if not np.isfinite(w_term).all():
+        bad = int(np.argmax(~np.isfinite(w_term.ravel())))
+        raise ShapeError(f"terminal must be finite at every node; node {bad} "
+                         f"(x = {pts[bad].tolist()}) has {w_term.flat[bad]}")
 
     if grid.horizon == 0.0 or grid.time_steps == 0:
         return PdeSolution(grid=grid, kind="parabolic", values=w_term[None, ...].copy())
@@ -1154,52 +1164,44 @@ def solve_discounted(
 def solve_ergodic(
     model: ModelSpec,
     grid: Grid,
-    delta0: float = 0.5,
     tol: float = 1e-6,
     gamma1: float = -1.0,
     gamma2=None,
-    mode: str | None = None,
-    tol_inner: float = 1e-10,
     max_sweeps: int = 500_000,
-    max_halvings: int = 20,
     anchor: Sequence[float] | None = None,
-    gradient_cap: float = math.inf,
+    *,
+    delta0: None = None,
+    tol_inner: None = None,
+    max_halvings: None = None,
+    mode: None = None,
+    gradient_cap: None = None,
 ) -> ErgodicSolution:
     """Eigenpair (u, lam) by Newton on the bordered stationary system.
 
     Solves max_c[S_c(u) + lam tr(Q_c gamma2)] + f + gamma1 lam = 0,
     u(anchor) = 0 -- the vanishing-damping limit of :func:`solve_discounted`,
     S(u) = lam for gamma2 = 0 -- until the residual has sup norm at most
-    ``tol``.  ``mode`` is None or a name of the one driver, the pricing
-    kernel's ("pricing", "parabolic", "ergodic"); any other raises
-    :class:`ShapeError`.  Newton starts
-    from u = 0 and may take up to ``_NEWTON_STEPS`` steps, through rises of
-    the residual; if that fails, the damped solutions at delta0 / 2^k,
-    k = 0 .. ``max_halvings`` (each to ``tol_inner``), serve in turn as warm
-    starts, a damped solve that fails passing on to the next delta, and
-    :class:`ConvergenceError` is raised when none works.
-    ``max_sweeps`` caps the sweeps of the whole solve, damped warm starts
-    included (:class:`IterationError`); as in :func:`solve_discounted` a
-    Newton iteration spends n_cand sweeps on its policy improvement, one
-    pass over every candidate, and 3^m on its Jacobian.
+    ``tol``.  One Newton solve starts from u = 0, lam = 0 and may take up to
+    ``_NEWTON_STEPS`` steps, through rises of the residual; its
+    :class:`ConvergenceError` or :class:`DivergenceError` reaches the caller.
+    ``max_sweeps`` caps the sweeps of the solve (:class:`IterationError`);
+    as in :func:`solve_discounted` a Newton iteration spends n_cand sweeps
+    on its policy improvement, one pass over every candidate, and 3^m on
+    its Jacobian.
 
-    ``delta0``, ``tol`` and ``tol_inner`` must be finite and positive; the
-    operator applies no cap, so ``gradient_cap`` accepts only ``math.inf``.
-    A setting out of range raises :class:`ShapeError` before the solve.
+    ``tol`` must be finite and positive.  The keyword-only settings of the
+    retired damped continuation (``_RETIRED``) accept only None.  A setting
+    out of range raises :class:`ShapeError` before the solve.
 
     The solve does not judge the model's regularity: that is
     :func:`~gkernel.model.check_assumptions`, which the CLI runs on the
     config's ``assumption_box`` before it solves.
     """
-    _finite_positive(delta0=delta0, tol=tol, tol_inner=tol_inner)
-    if _size(max_halvings, "max_halvings") < 0:
-        raise ShapeError(f"max_halvings must be at least 0, got {max_halvings}")
-    if gradient_cap != math.inf:
-        raise ShapeError(f"gradient_cap must be inf, got {gradient_cap}: the operator "
-                         "applies no gradient cap")
-    if mode not in (None, "pricing", "parabolic", "ergodic"):
-        raise ShapeError(f"mode {mode!r} does not fit the model: the driver is the pricing "
-                         "kernel's, 'pricing' (aliases 'parabolic', 'ergodic')")
+    for name, value in zip(_RETIRED, (delta0, tol_inner, max_halvings, mode, gradient_cap)):
+        if value is not None:
+            raise ShapeError(f"{name} is retired: the solve is one Newton run from u = 0 "
+                             f"with no damped continuation, so it takes only None, got {value!r}")
+    _finite_positive(tol=tol)
     g2 = _damping_gamma2(gamma1, gamma2, model)
 
     anchor_idx = grid.anchor_index(anchor)
@@ -1208,28 +1210,7 @@ def solve_ergodic(
 
     budget = _Budget(max_sweeps)
     stepper = _Stepper(model, grid, gamma2=g2)
-    w, trace, fresh = np.zeros(stepper.pts.shape[0]), [], True
-    for k in range(max_halvings + 2):
-        if fresh:  # a start Newton has not failed from yet
-            try:
-                lam0 = trace[-1][1] if trace else 0.0
-                u, lam = _newton(stepper, w - w[a], lam0, 0.0, gamma1, a, tol, budget)
-                break
-            except (ConvergenceError, DivergenceError) as exc:
-                failure = exc
-        if k <= max_halvings:
-            delta = delta0 / 2.0**k
-            try:
-                w_k, _ = _newton(stepper, w, 0.0, delta, gamma1, a, tol_inner, budget)
-            except (ConvergenceError, DivergenceError) as exc:
-                failure, fresh = exc, False
-            else:
-                w, fresh = w_k, True
-                trace.append((delta, delta * float(w[a])))
-    else:
-        raise ConvergenceError(f"Newton failed from u = 0 and from {max_halvings + 1} "
-                               f"damped warm starts: {failure}")
-    trace.append((0.0, float(lam)))
+    u, lam = _newton(stepper, np.zeros(stepper.pts.shape[0]), 0.0, 0.0, gamma1, a, tol, budget)
 
     values = (u - u[a]).reshape(grid.shape)
     rep = pde_residual(values, model, grid=grid, lam=lam)
@@ -1240,7 +1221,7 @@ def solve_ergodic(
     return ErgodicSolution(
         u=u_sol,
         lam=float(lam),
-        delta_trace=tuple(trace),
+        delta_trace=((0.0, float(lam)),),
         gamma1=float(gamma1),
         gamma2=np.zeros((model.d, model.d)) if g2 is None else g2,
         anchor_index=anchor_idx,

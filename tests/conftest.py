@@ -76,6 +76,22 @@ def classical_zero_model() -> ModelSpec:
     )
 
 
+def switching_model(m: int) -> ModelSpec:
+    """Models on which the worst-case policy picks each extreme on some states."""
+    if m == 1:
+        # the covariation loading k changes sign with x1
+        return ModelSpec.build(
+            m=1, d=1, b=["0.05 - x1"], sigma=[[0.2]], r="x1 * x1", k=[["0.3 * x1"]],
+            v=[0.05], uncertainty=UncertaintySet.interval(0.8, 1.2),
+        )
+    # r curved in x1 makes the policy switch between the two members
+    return ModelSpec.build(
+        m=2, d=2, b=["0.05 - x1", "0.05 - x2"], sigma=[[0.2, 0.0], [0.05, 0.2]],
+        r="x1 * x1 + x2", k=[[0.01, 0.005], [0.005, 0.02]], v=[0.1, -0.05],
+        uncertainty=UncertaintySet.finite([np.eye(2), [[1.0, 0.5], [0.5, 1.0]]]),
+    )
+
+
 def quadratic_rate_model() -> ModelSpec:
     """Classical (single-scenario) model with a genuinely curved value.
 

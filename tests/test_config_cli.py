@@ -134,12 +134,10 @@ class TestParsing:
 
     def test_solver_and_output_blocks(self):
         doc = base_doc()
-        doc["solver"] = {"tol": 1e-5, "mode": "ergodic", "gamma1": -1.5,
-                        "gamma2": [[0.5]], "anchor": [0.3]}
+        doc["solver"] = {"tol": 1e-5, "gamma1": -1.5, "gamma2": [[0.5]], "anchor": [0.3]}
         doc["output"] = {"dir": "artifacts", "formats": ["json"]}
         doc["payoff"] = "max(x1, 0)"
         cfg = parse_config(doc)
-        assert cfg.solver.mode == "ergodic"
         assert cfg.solver.gamma2 == ((0.5,),)
         assert cfg.solver.anchor == (0.3,)
         assert cfg.output.dir == "artifacts"
@@ -152,19 +150,17 @@ class TestParsing:
             f.name: f.default for f in fields(SolverSettings)}
 
     def test_solver_keys_given_are_parsed_and_the_rest_keep_their_defaults(self):
-        given = {"delta0": 0.25, "tol": 1e-7, "tol_inner": 1e-11, "gamma1": -2.0,
-                 "gamma2": [[0.5]], "max_halvings": 3, "max_sweeps": 900, "mode": "parabolic",
-                 "anchor": [0.3], "gradient_cap": 40}
+        given = {"tol": 1e-7, "gamma1": -2.0, "gamma2": [[0.5]], "max_sweeps": 900,
+                 "anchor": [0.3]}
         doc = base_doc()
         doc["solver"] = given
         parsed = parse_config(doc).solver
-        assert parsed == SolverSettings(**{**given, "gamma2": ((0.5,),), "anchor": (0.3,),
-                                           "gradient_cap": 40.0})
-        assert type(parsed.max_sweeps) is int and type(parsed.gradient_cap) is float
+        assert parsed == SolverSettings(**{**given, "gamma2": ((0.5,),), "anchor": (0.3,)})
+        assert type(parsed.max_sweeps) is int and type(parsed.gamma1) is float
         doc["solver"] = {"tol": 1e-7}
         assert parse_config(doc).solver == SolverSettings(tol=1e-7)
         # null keeps the default of the keys whose default is None
-        doc["solver"] = {"tol": 1e-7, "mode": None, "anchor": None, "gamma2": None}
+        doc["solver"] = {"tol": 1e-7, "anchor": None, "gamma2": None}
         assert parse_config(doc).solver == SolverSettings(tol=1e-7)
         doc["solver"] = {"max_sweeps": 1.5}
         with pytest.raises(ConfigurationError, match=r"solver\.max_sweeps must be an integer"):
@@ -212,18 +208,6 @@ class TestParsing:
         mutate(doc)
         with pytest.raises(ConfigurationError):
             parse_config(doc)
-
-    def test_generic_mode_rejected(self):
-        # generic mode needs the drivers f and g, which a config cannot carry
-        doc = base_doc()
-        doc["solver"] = {"mode": "generic"}
-        with pytest.raises(ConfigurationError, match=r"solver\.mode must be 'pricing'"):
-            parse_config(doc)
-
-    def test_generic_mode_rejected_by_the_solver(self, ou_model):
-        # the library has no generic driver either
-        with pytest.raises(ShapeError, match="mode 'generic' does not fit the model"):
-            solve_ergodic(ou_model, Grid.build([(-2.0, 2.0)], [33]), mode="generic")
 
     @pytest.mark.parametrize("anchor", [[0.5, 9.0], [], [float("nan")]],
                              ids=["long", "empty", "nan"])
@@ -673,17 +657,30 @@ class TestCli:
             assert code == 3
             assert f"{name} must be finite" in err
 
-    @pytest.mark.parametrize("solver,argv,name", [
-        (None, ("--tol", "inf"), "tol"),
-        ({"gradient_cap": 40}, (), "gradient_cap"),
-    ], ids=["tol-inf", "finite-cap"])
-    def test_solver_setting_out_of_range_exits_3(self, run_cli, solver, argv, name):
-        doc = base_doc()
-        if solver is not None:
-            doc["solver"] = solver
-        code, out, err = run_cli(doc, "solve", *argv)
+    @pytest.mark.parametrize("argv,name", [(("--tol", "inf"), "tol")], ids=["tol-inf"])
+    def test_solver_setting_out_of_range_exits_3(self, run_cli, argv, name):
+        code, out, err = run_cli(base_doc(), "solve", *argv)
         assert (code, out) == (3, "")
         assert f"configuration error: {name} must be" in err
+
+    @pytest.mark.parametrize("name,value", [
+        ("delta0", 0.5), ("tol_inner", 1e-10), ("max_halvings", 20), ("mode", "pricing"),
+        ("gradient_cap", 40),
+    ])
+    def test_retired_solver_key_exits_3(self, run_cli, name, value):
+        # the retired settings of solve_ergodic are not config keys
+        doc = base_doc()
+        doc["solver"] = {"tol": 1e-7, name: value}
+        code, out, err = run_cli(doc, "solve")
+        assert (code, out) == (3, "")
+        assert f"configuration error: unknown key(s) in solver: {name}" in err
+
+    def test_tolerance_below_round_off_exits_4(self, run_cli):
+        # the one Newton solve from u = 0 reports its own cause
+        doc = json.loads((REPO_ROOT / "configs" / "mean_reverting.json").read_text())
+        code, out, err = run_cli(doc, "solve", "--tol", "1e-16")
+        assert (code, out) == (4, "")
+        assert "below the round-off floor" in err
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_set_member_exits_3(self, run_cli, bad):

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from gkernel import (
 )
 from gkernel import pde
 from gkernel.pde import nodal_gradient, nodal_hessian
-from conftest import CONST_LAM, OU_LAM, quadratic_rate_lam, quadratic_rate_model
+from conftest import CONST_LAM, OU_LAM, quadratic_rate_lam, quadratic_rate_model, switching_model
 
 THREE_MEMBERS = UncertaintySet.finite(
     [np.eye(2), [[1.0, 0.5], [0.5, 1.0]], [[1.2, -0.3], [-0.3, 0.9]]])
@@ -261,6 +262,18 @@ class TestParabolic:
         with pytest.raises(ShapeError):
             solve_parabolic(const_model, grid, np.zeros(17))
 
+    @pytest.mark.parametrize("terminal,node,value", [
+        (np.where(np.arange(17) == 3, math.nan, 0.0), 3, "nan"),
+        ("ln(x1)", 0, "nan"),
+    ], ids=["nan-array", "log-expression"])
+    def test_non_finite_terminal_rejected_before_the_march(self, terminal, node, value):
+        # an input error, named at its node, not a divergence of the march
+        model = ModelSpec.build(m=1, d=1, b=["-x1"], sigma=[[0.2]], r=0.02,
+                                uncertainty=UncertaintySet.interval(0.5, 1.0))
+        grid = Grid.build([(-1.0, 1.0)], [17], horizon=0.5, time_steps=8)
+        with pytest.raises(ShapeError, match=rf"terminal must be finite .* node {node} .* {value}$"):
+            solve_parabolic(model, grid, terminal)
+
     def test_comparison_principle(self, ou_model):
         grid = Grid.build([(-2.0, 2.0)], [33], horizon=0.5, time_steps=64)
         rng = np.random.default_rng(11)
@@ -338,8 +351,6 @@ class TestDiscounted:
 class TestErgodic:
     @pytest.mark.parametrize("setting", [
         {"tol": math.inf}, {"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan},
-        {"tol_inner": 0.0}, {"tol_inner": math.nan}, {"delta0": math.nan},
-        {"delta0": math.inf}, {"max_halvings": -5}, {"max_halvings": 1.5},
         {"max_sweeps": 0}, {"max_sweeps": 2.5}, {"max_sweeps": -5}, {"gamma1": math.nan},
     ], ids=_setting_id)
     def test_malformed_settings_rejected_before_solving(self, ou_model, setting, monkeypatch):
@@ -348,8 +359,23 @@ class TestErgodic:
         with pytest.raises(ShapeError, match=next(iter(setting))):
             solve_ergodic(ou_model, Grid.build([(-2.0, 2.0)], [17]), **setting)
 
+    @pytest.mark.parametrize("setting", [
+        {"delta0": 0.5}, {"delta0": math.nan}, {"tol_inner": 1e-10}, {"tol_inner": 0.0},
+        {"max_halvings": 20}, {"max_halvings": -5}, {"mode": "pricing"}, {"mode": "generic"},
+        {"gradient_cap": math.inf}, {"gradient_cap": 2.0}, {"gradient_cap": math.nan},
+    ], ids=_setting_id)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_retired_setting_rejected_before_solving(self, ou_model, dim, setting, monkeypatch):
+        # settings that no solve reads are refused, their former defaults
+        # included, before the operator is built
+        monkeypatch.setattr(pde, "_Stepper", _no_stepper)
+        model = ou_model if dim == 1 else affine_three_member_model()
+        with pytest.raises(ShapeError, match=f"^{next(iter(setting))} is retired"):
+            solve_ergodic(model, Grid.build([(-2.0, 2.0)] * dim, [17] * dim), **setting)
+
     def test_constant_model_eigenpair(self, const_sol):
         assert abs(const_sol.lam - CONST_LAM) < 1e-5
+        assert const_sol.delta_trace == ((0.0, const_sol.lam),)
         assert np.max(np.abs(const_sol.u.values)) < 1e-8
 
     def test_mean_reverting_eigenpair(self, ou_sol, ou_grid):
@@ -405,17 +431,14 @@ class TestErgodic:
         lam1 = solve_ergodic(shifted, grid, tol=1e-7).lam
         assert abs(lam1 - (lam0 - 0.01)) < 1e-6
 
-    def test_anchor_and_damping_schedule_invariance(self, ou_model):
+    def test_anchor_invariance(self, ou_model):
         grid = Grid.build([(-2.0, 2.0)], [129])
         base = solve_ergodic(ou_model, grid, tol=1e-7)
-        moved = solve_ergodic(
-            ou_model, grid, tol=1e-7, anchor=[0.72], max_halvings=30)
+        moved = solve_ergodic(ou_model, grid, tol=1e-7, anchor=[0.72])
         assert abs(moved.lam - base.lam) < 1e-6
         # off-anchor u differs by a constant only
         assert np.ptp(moved.u.values - base.u.values) < 1e-3
         assert moved.u.values[moved.anchor_index] == 0.0
-        rescheduled = solve_ergodic(ou_model, grid, tol=1e-7, delta0=0.8)
-        assert abs(rescheduled.lam - base.lam) < 1e-6
 
     @pytest.mark.parametrize("nodes,anchor", [([33], [0.5, 9.0]), ([17, 17], [0.5])],
                              ids=["1d-long", "2d-short"])
@@ -432,9 +455,7 @@ class TestErgodic:
 
     def test_non_cauchy_trace_raises(self, ou_model):
         with pytest.raises(ConvergenceError):
-            solve_ergodic(
-                ou_model, Grid.build([(-2.0, 2.0)], [33]),
-                tol=1e-15, max_halvings=1)
+            solve_ergodic(ou_model, Grid.build([(-2.0, 2.0)], [33]), tol=1e-15)
 
     def test_general_damping_weights_eigenpair(self, const_model):
         # bordered residual max_c[S_c(u) + lam tr(Q_c gamma2)] + gamma1 lam at
@@ -452,53 +473,6 @@ class TestErgodic:
         assert abs(sol.lam - OU_LAM) < 1e-9
         assert np.max(np.abs(sol.u.values - ref.u.values)) < 1e-8
 
-    def test_damped_warm_start_after_failed_newton(self, ou_model, monkeypatch):
-        grid = Grid.build([(-2.0, 2.0)], [65])
-        direct = solve_ergodic(ou_model, grid, tol=1e-9)
-        newton, deltas = pde._newton, []
-
-        def fail_first(stepper, w, lam, delta, *args):
-            deltas.append(delta)
-            if len(deltas) == 1:
-                raise ConvergenceError("forced failure")
-            return newton(stepper, w, lam, delta, *args)
-
-        monkeypatch.setattr(pde, "_newton", fail_first)
-        sol = solve_ergodic(ou_model, grid, tol=1e-9, delta0=0.4)
-        assert deltas == [0.0, 0.4, 0.0]
-        assert [d for d, _ in sol.delta_trace] == [0.4, 0.0]
-        assert sol.delta_trace[-1][1] == sol.lam
-        assert abs(sol.lam - direct.lam) < 1e-9
-        assert np.max(np.abs(sol.u.values - direct.u.values)) < 1e-8
-
-    def test_failed_warm_start_moves_to_next_delta(self, ou_model, monkeypatch):
-        grid = Grid.build([(-2.0, 2.0)], [65])
-        direct = solve_ergodic(ou_model, grid, tol=1e-9)
-        newton, deltas = pde._newton, []
-
-        def fail_first_two(stepper, w, lam, delta, *args):
-            deltas.append(delta)
-            if len(deltas) <= 2:  # Newton from u = 0, then the warm start at delta0
-                raise ConvergenceError("forced failure")
-            return newton(stepper, w, lam, delta, *args)
-
-        monkeypatch.setattr(pde, "_newton", fail_first_two)
-        sol = solve_ergodic(ou_model, grid, tol=1e-9, delta0=0.4)
-        # no second Newton from u = 0: the failed warm start left the start as it was
-        assert deltas == [0.0, 0.4, 0.2, 0.0]
-        assert [d for d, _ in sol.delta_trace] == [0.2, 0.0]
-        assert abs(sol.lam - direct.lam) < 1e-9
-        assert np.max(np.abs(sol.u.values - direct.u.values)) < 1e-8
-
-    def test_every_warm_start_failing_raises(self, ou_model, monkeypatch):
-        def fail(*args):
-            raise ConvergenceError("forced failure")
-
-        monkeypatch.setattr(pde, "_newton", fail)
-        with pytest.raises(ConvergenceError, match="3 damped warm starts: forced"):
-            solve_ergodic(ou_model, Grid.build([(-2.0, 2.0)], [65]),
-                          max_halvings=2)
-
     def test_two_noise_finite_set_smoke(self):
         model = ModelSpec.build(
             m=1, d=2, b=["-x1"], sigma=[[0.2, 0.1]], r=0.02,
@@ -515,18 +489,15 @@ class TestErgodic:
 class TestNewtonStress:
     """Models whose Newton residual rises before it converges.
 
-    Howard's iteration need not decrease sup |F| at every step; each of these
-    models solves from u = 0 with no damped warm start (one ``delta_trace``
-    entry).  The weak mean reversion model has the affine solution
-    u = -5 x, lam = 25; the others are judged by node doubling, where the
-    upwind scheme's first-order error halves.
+    Howard's iteration need not decrease sup |F| at every step; Newton from
+    u = 0 solves each of these models.  The weak mean reversion model has the
+    affine solution u = -5 x, lam = 25; the others are judged by node
+    doubling, where the upwind scheme's first-order error halves.
     """
 
     @staticmethod
     def _solve(model, bounds, nodes):
-        sol = solve_ergodic(model, Grid.build([bounds], [nodes]), tol=1e-8)
-        assert len(sol.delta_trace) == 1
-        return sol.lam
+        return solve_ergodic(model, Grid.build([bounds], [nodes]), tol=1e-8).lam
 
     def test_weak_mean_reversion_affine(self):
         model = ModelSpec.build(
@@ -553,6 +524,52 @@ class TestNewtonStress:
         coarse, fine = lams[1] - lams[0], lams[2] - lams[1]
         assert abs(fine) < 1e-2
         assert 1.5 <= coarse / fine <= 4.0
+
+
+class TestSolverLimits:
+    """The ergodic eigenpair as the limit of the other two G-BSDE solvers.
+
+    Vanishing discount: delta w_delta(anchor) = lam + O(delta), so the
+    Richardson value 2 delta2 w_delta2 - delta1 w_delta1 at delta2 = delta1 / 2
+    meets lam to second order.  Long horizon: the march from w(T) = 0 grows
+    as w(0, x; T) = lam T + u(x) + c + o(1).  Each bound is about four times
+    the measured gap.
+    """
+
+    @pytest.mark.parametrize("case,bound", [
+        ("ou_1d", 7e-6), ("switching_1d", 4e-6), ("switching_2d", 1.1e-5),
+    ], ids=["ou_1d", "switching_1d", "switching_2d"])
+    def test_vanishing_discount_meets_the_eigenvalue(self, ou_model, case, bound):
+        if case == "ou_1d":
+            model, grid, delta = ou_model, Grid.build([(-3.0, 3.0)], [257]), 0.0125
+        elif case == "switching_1d":
+            model, grid, delta = switching_model(1), Grid.build([(-3.0, 3.0)], [257]), 0.0125
+        else:
+            model, grid, delta = switching_model(2), Grid.build([(-2.0, 2.0)] * 2, [17, 17]), 0.02
+        lam = solve_ergodic(model, grid, tol=1e-10).lam
+        a = grid.anchor_index()
+        w1, w2 = (d * solve_discounted(model, grid, d).values[a] for d in (delta, delta / 2))
+        assert abs(2.0 * w2 - w1 - lam) < bound
+
+    @pytest.mark.parametrize("case,rate_bound,shape_bound", [
+        ("ou", 3.5e-7, 4.5e-7), ("switching", 1.4e-6, 1.1e-7),
+    ], ids=["ou", "switching"])
+    def test_long_horizon_meets_the_eigenpair(self, ou_model, case, rate_bound, shape_bound):
+        model = ou_model if case == "ou" else switching_model(1)
+        grid = Grid.build([(-2.0, 2.0)], [129])
+        sol = solve_ergodic(model, grid, tol=1e-10)
+        a, x = grid.anchor_index(), grid.axes()[0]
+        steps = 2.7 / grid.diffusion_cfl(model)  # per unit time, within the positivity bound
+        w0 = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for horizon in (8.0, 16.0):
+                marched = Grid.build([(-2.0, 2.0)], [129], horizon=horizon,
+                                     time_steps=math.ceil(horizon * steps))
+                w0[horizon] = solve_parabolic(model, marched, 0.0).values[0]
+        assert abs((w0[16.0][a] - w0[8.0][a]) / 8.0 - sol.lam) < rate_bound
+        shape = w0[16.0] - w0[16.0][a] - sol.u.values
+        assert np.max(np.abs(shape[np.abs(x) <= 1.0])) < shape_bound
 
 
 class TestTwoFactor:
@@ -599,22 +616,6 @@ class TestTwoFactor:
         assert abs(sol.lam - lam) < 1e-12
         pts = grid.points()
         assert np.max(np.abs(sol.u.values.ravel() + pts[:, 0] + pts[:, 1])) < 1e-8
-
-
-class TestModeCheck:
-    """``mode`` only names the one driver, the pricing kernel's."""
-
-    def test_mode_aliases_share_the_pricing_form(self, const_model):
-        grid = Grid.build([(-3.0, 3.0)], [65])
-        base = solve_ergodic(const_model, grid, tol=1e-9)
-        for alias in ("pricing", "parabolic", "ergodic"):
-            alt = solve_ergodic(const_model, grid, tol=1e-9, mode=alias)
-            assert alt.lam.hex() == base.lam.hex()
-            assert alt.u.values.tobytes() == base.u.values.tobytes()
-
-    def test_unknown_mode_rejected(self, const_model):
-        with pytest.raises(ShapeError, match="mode 'elliptic' does not fit the model"):
-            solve_ergodic(const_model, Grid.build([(-3.0, 3.0)], [33]), mode="elliptic")
 
 
 # The per-candidate loop that the stacked operator of ``_Stepper`` replaced,
@@ -894,14 +895,6 @@ class TestGradientBound:
         central = (x >= -1.0) & (x <= 1.0)
         assert np.max(np.abs(sig * grad)[central]) <= cap
         assert np.max(np.abs(sig * grad)[central]) > 0.0
-
-    @pytest.mark.parametrize("cap", [2.0, math.nan])
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_finite_cap_rejected(self, ou_model, cap, dim):
-        # the operator applies no cap: the truncation level is checked, not imposed
-        model = ou_model if dim == 1 else affine_three_member_model()
-        with pytest.raises(ShapeError, match="gradient_cap"):
-            solve_ergodic(model, Grid.build([(-2.0, 2.0)] * dim, [17] * dim), gradient_cap=cap)
 
 
 class TestInterpolation:

@@ -31,7 +31,7 @@ from gkernel import (
 from gkernel import model as model_mod
 from gkernel import pde, sim
 from gkernel.gcore import _candidate_scores
-from conftest import CONST_LAM
+from conftest import CONST_LAM, switching_model
 
 
 def _classical(sig="0.2", r=0.0, b="0.0", v=None):
@@ -631,22 +631,9 @@ class TestStreamingMatchesHistory:
 
 
 def _switching_model(m):
-    """Models on which the worst-case policy picks each extreme on some states."""
-    if m == 1:
-        # the covariation loading k changes sign with x1
-        model = ModelSpec.build(
-            m=1, d=1, b=["0.05 - x1"], sigma=[[0.2]], r="x1 * x1", k=[["0.3 * x1"]],
-            v=[0.05], uncertainty=UncertaintySet.interval(0.8, 1.2),
-        )
-        grid = Grid.build([(-2.0, 2.0)], [65])
-    else:
-        # r curved in x1 makes the policy switch between the two members
-        model = ModelSpec.build(
-            m=2, d=2, b=["0.05 - x1", "0.05 - x2"], sigma=[[0.2, 0.0], [0.05, 0.2]],
-            r="x1 * x1 + x2", k=[[0.01, 0.005], [0.005, 0.02]], v=[0.1, -0.05],
-            uncertainty=UncertaintySet.finite([np.eye(2), [[1.0, 0.5], [0.5, 1.0]]]),
-        )
-        grid = Grid.build([(-2.0, 2.0)] * 2, [17, 17])
+    """``conftest.switching_model`` and its eigenpair."""
+    model = switching_model(m)
+    grid = Grid.build([(-2.0, 2.0)] * m, [65] if m == 1 else [17, 17])
     return model, solve_ergodic(model, grid, tol=1e-10)
 
 

@@ -150,20 +150,21 @@ def _takers(name):
             for fn in _parameters(importlib.import_module(f"gkernel.{module}"), name)]
 
 
-def test_one_driver_form_takes_no_mode():
-    # every solver, residual and policy takes the pricing kernel's driver;
-    # solve_ergodic keeps its keyword only to check that it names that driver
-    assert [f for f in _takers("mode") if f != "pde.solve_ergodic"] == []
+# the settings of the damped continuation that solve_ergodic no longer runs
+RETIRED = ("delta0", "tol_inner", "max_halvings", "mode", "gradient_cap")
 
 
-def test_no_solver_takes_a_gradient_cap():
-    # the operator applies no cap: the paper's truncation level is checked
-    # against the solved u, not imposed on it; solve_ergodic keeps the keyword,
-    # accepting only inf, while the benchmark still passes it
-    assert [f for f in _takers("gradient_cap") if f != "pde.solve_ergodic"] == []
+@pytest.mark.parametrize("name", RETIRED)
+def test_no_solver_takes_a_retired_setting(name):
+    # one Newton solve from u = 0 and one driver, with no gradient cap, leave
+    # these settings nothing to set; solve_ergodic keeps each as a keyword-only
+    # None, and refuses any other value, while the benchmark still passes them
+    assert _takers(name) == ["pde.solve_ergodic"]
+    parameter = inspect.signature(gkernel.pde.solve_ergodic).parameters[name]
+    assert (parameter.kind, parameter.default) == (inspect.Parameter.KEYWORD_ONLY, None)
 
 
-@pytest.mark.parametrize("name", ["mode", "gradient_cap"])
+@pytest.mark.parametrize("name", RETIRED)
 def test_rule_sees_every_parameter(name):
     module = types.ModuleType("probe")
     exec(f"def a(x, {name}=None): pass\n"
@@ -178,11 +179,7 @@ REPO = SRC.parents[1]
 # the trees whose code reads the public API: the package, the demos and the benchmark
 READER_TREES = ("src", "demos", "perfbench")
 # public names that nothing there reads, and why each stays
-UNREAD_ALLOWED = {
-    # Newton on the damped equation: the paper's infinite-horizon G-BSDE, which
-    # stays when the damped continuation of solve_ergodic around it is deleted
-    "solve_discounted",
-}
+UNREAD_ALLOWED = set()
 
 
 def _read_names(tree):
