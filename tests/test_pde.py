@@ -537,39 +537,53 @@ class TestSolverLimits:
     """
 
     @pytest.mark.parametrize("case,bound", [
-        ("ou_1d", 7e-6), ("switching_1d", 4e-6), ("switching_2d", 1.1e-5),
-    ], ids=["ou_1d", "switching_1d", "switching_2d"])
+        ("ou_1d", 7e-6), ("switching_1d", 4e-6), ("quadratic_1d", 2.7e-6),
+        ("switching_2d", 1.1e-5),
+    ], ids=["ou_1d", "switching_1d", "quadratic_1d", "switching_2d"])
     def test_vanishing_discount_meets_the_eigenvalue(self, ou_model, case, bound):
-        if case == "ou_1d":
-            model, grid, delta = ou_model, Grid.build([(-3.0, 3.0)], [257]), 0.0125
-        elif case == "switching_1d":
-            model, grid, delta = switching_model(1), Grid.build([(-3.0, 3.0)], [257]), 0.0125
-        else:
+        if case == "switching_2d":
             model, grid, delta = switching_model(2), Grid.build([(-2.0, 2.0)] * 2, [17, 17]), 0.02
+        else:
+            model = {"ou_1d": ou_model, "switching_1d": switching_model(1),
+                     "quadratic_1d": quadratic_rate_model()}[case]
+            grid, delta = Grid.build([(-3.0, 3.0)], [257]), 0.0125
         lam = solve_ergodic(model, grid, tol=1e-10).lam
         a = grid.anchor_index()
         w1, w2 = (d * solve_discounted(model, grid, d).values[a] for d in (delta, delta / 2))
         assert abs(2.0 * w2 - w1 - lam) < bound
 
     @pytest.mark.parametrize("case,rate_bound,shape_bound", [
-        ("ou", 3.5e-7, 4.5e-7), ("switching", 1.4e-6, 1.1e-7),
-    ], ids=["ou", "switching"])
+        ("ou", 3.5e-7, 4.5e-7), ("switching", 1.4e-6, 1.1e-7), ("quadratic", 5.5e-7, 2.2e-8),
+        ("switching_2d", 9e-6, 2.6e-5),
+    ], ids=["ou", "switching", "quadratic", "switching_2d"])
     def test_long_horizon_meets_the_eigenpair(self, ou_model, case, rate_bound, shape_bound):
-        model = ou_model if case == "ou" else switching_model(1)
-        grid = Grid.build([(-2.0, 2.0)], [129])
+        if case == "switching_2d":
+            model, bounds, nodes, horizons = (switching_model(2), [(-2.0, 2.0)] * 2, [17, 17],
+                                              (6.0, 12.0))
+        else:
+            model = {"ou": ou_model, "switching": switching_model(1),
+                     "quadratic": quadratic_rate_model()}[case]
+            bounds, nodes, horizons = [(-2.0, 2.0)], [129], (8.0, 16.0)
+        grid = Grid.build(bounds, nodes)
         sol = solve_ergodic(model, grid, tol=1e-10)
-        a, x = grid.anchor_index(), grid.axes()[0]
-        steps = 2.7 / grid.diffusion_cfl(model)  # per unit time, within the positivity bound
+        a = grid.anchor_index()
+        if case in ("ou", "switching"):
+            steps = 2.7 / grid.diffusion_cfl(model)  # per unit time, within the positivity bound
+        else:
+            # the diffusion bound / 2.7 exceeds the positivity bound on these models
+            steps = 1.0001 / pde._Stepper(model, grid).stable_dt()
         w0 = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for horizon in (8.0, 16.0):
-                marched = Grid.build([(-2.0, 2.0)], [129], horizon=horizon,
+            for horizon in horizons:
+                marched = Grid.build(bounds, nodes, horizon=horizon,
                                      time_steps=math.ceil(horizon * steps))
                 w0[horizon] = solve_parabolic(model, marched, 0.0).values[0]
-        assert abs((w0[16.0][a] - w0[8.0][a]) / 8.0 - sol.lam) < rate_bound
-        shape = w0[16.0] - w0[16.0][a] - sol.u.values
-        assert np.max(np.abs(shape[np.abs(x) <= 1.0])) < shape_bound
+        short, long = horizons
+        assert abs((w0[long][a] - w0[short][a]) / (long - short) - sol.lam) < rate_bound
+        shape = w0[long] - w0[long][a] - sol.u.values
+        inner = np.all(np.abs(grid.points()) <= 1.0, axis=1).reshape(grid.shape)
+        assert np.max(np.abs(shape[inner])) < shape_bound
 
 
 class TestTwoFactor:

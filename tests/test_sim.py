@@ -1,8 +1,11 @@
 """Scenario simulation, streaming deflator estimators, and control policies."""
 
 import collections
+import concurrent.futures
 import itertools
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -589,6 +592,20 @@ class TestYield:
                                    dt=0.1, n_paths=8, seed=3)
         assert err.value.where is not None
 
+    def test_peak_memory_holds_one_chunk_of_draws(self, const_model):
+        """Every chunk is drawn into one reused buffer, so a run of three chunks
+        holds one chunk's draws at a time, not two."""
+        chunk, n_steps = 1000, 1000
+        draws = 8 * chunk * n_steps
+        tracemalloc.start()
+        try:
+            long_term_yield_mc(const_model, [0.5, 1.0], ConstantControl(1.0), dt=1.0 / n_steps,
+                               n_paths=3 * chunk, seed=2, chunk_size=chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * draws, (peak, draws)
+
 
 class TestStreamingMatchesHistory:
     """The streaming estimators march the same paths as ``simulate_gsde``.
@@ -955,6 +972,110 @@ class TestStreamingOracle:
             got = sim._chunk_draws(seed, lo, hi, 13, d, out=whole[2:hi - lo + 2])
             assert got.base is whole and whole[2:hi - lo + 2].tobytes() == ref
             assert np.isnan(whole[:2]).all() and np.isnan(whole[hi - lo + 2:]).all()
+
+
+class _FillFails(Exception):
+    pass
+
+
+class TestSplitFill:
+    """A long chunk fills its lower half of the paths on the calling thread and
+    its upper half on one worker; the draws equal a fresh generator per path,
+    bit for bit, and no thread outlives the call."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Force two CPUs and count the executors built."""
+        built, real = [], concurrent.futures.ThreadPoolExecutor
+
+        def counting(*args, **kwargs):
+            pool = real(*args, **kwargs)
+            built.append(pool)
+            return pool
+
+        monkeypatch.setattr(sim, "_cpus", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting)
+        return built
+
+    @staticmethod
+    def _fail_on(monkeypatch, half):
+        """Make the fill of the caller's ("lower") or the worker's ("upper") half
+        raise one exception object, returned; the other half fills as usual."""
+        fill, error = sim._fill_paths, _FillFails("fill failed")
+        main = threading.main_thread()
+
+        def failing(seed, path_lo, out):
+            on_worker = threading.current_thread() is not main
+            if on_worker == (half == "upper"):
+                raise error
+            fill(seed, path_lo, out)
+
+        monkeypatch.setattr(sim, "_fill_paths", failing)
+        return error
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("seed,lo,n_paths", [
+        (7, 0, 129), (7, 5, 64), (2**64 + 9, 2**64 - 70, 129),
+    ], ids=["odd_paths", "fewest_paths", "key_masking"])
+    def test_split_draws_equal_a_fresh_generator_per_path(self, pools, d, seed, lo, n_paths):
+        n_steps = sim._SPLIT_MIN // d
+        hi = lo + n_paths
+        ref = _oracle_chunk_draws(seed, lo, hi, n_steps, d).tobytes()
+        assert sim._chunk_draws(seed, lo, hi, n_steps, d).tobytes() == ref
+        whole = np.full((n_paths + 4, n_steps, d), np.nan)
+        got = sim._chunk_draws(seed, lo, hi, n_steps, d, out=whole[2:n_paths + 2])
+        assert got.base is whole and whole[2:n_paths + 2].tobytes() == ref
+        assert np.isnan(whole[:2]).all() and np.isnan(whole[n_paths + 2:]).all()
+        assert len(pools) == 2
+
+    @pytest.mark.parametrize("short", ["short_paths", "few_paths", "one_cpu"])
+    def test_chunk_below_the_floor_starts_no_thread(self, monkeypatch, short):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a thread for a chunk below the floor")
+
+        n_steps = sim._SPLIT_MIN - (short == "short_paths")
+        n_paths = sim._SPLIT_PATHS - 1 if short == "few_paths" else 129
+        cpus = 1 if short == "one_cpu" else 2
+
+        monkeypatch.setattr(sim, "_cpus", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        ref = _oracle_chunk_draws(3, 0, n_paths, n_steps, 1).tobytes()
+        assert sim._chunk_draws(3, 0, n_paths, n_steps, 1).tobytes() == ref
+
+    @pytest.mark.parametrize("half", ["upper", "lower"])
+    def test_failed_half_reaches_the_caller(self, pools, monkeypatch, half):
+        error = self._fail_on(monkeypatch, half)
+        before = threading.active_count()
+        with pytest.raises(_FillFails) as info:
+            sim._chunk_draws(1, 0, 129, sim._SPLIT_MIN, 1)
+        assert info.value is error
+        assert threading.active_count() == before and len(pools) == 1
+
+    @pytest.mark.parametrize("outcome", ["returns", "worker_fails", "caller_fails", "march_fails"])
+    @pytest.mark.parametrize("entry", ["simulate_gsde", "upper_price_mc", "long_term_yield_mc"])
+    def test_no_thread_outlives_a_public_call(self, pools, monkeypatch, const_model, entry,
+                                              outcome):
+        ctl = ConstantControl(1.0)
+        if outcome == "march_fails":
+            ctl = FeedbackControl(lambda t, x: np.full((x.shape[0], 1, 1), np.nan), label="bad")
+        elif outcome != "returns":
+            self._fail_on(monkeypatch, "upper" if outcome == "worker_fails" else "lower")
+        dt, n = 1.0 / sim._SPLIT_MIN, 2 * sim._SPLIT_PATHS + 1
+        run = {
+            "simulate_gsde": lambda: simulate_gsde(const_model, ctl, [0.0], 1.0, dt, n),
+            "upper_price_mc": lambda: upper_price_mc(const_model, None, 1.0, [ctl], dt=dt,
+                                                     n_paths=n, chunk_size=n // 2),
+            "long_term_yield_mc": lambda: long_term_yield_mc(const_model, [0.5, 1.0], ctl,
+                                                             dt=dt, n_paths=n),
+        }[entry]
+        before = threading.active_count()
+        if outcome == "returns":
+            run()
+        else:
+            with pytest.raises(_FillFails if outcome != "march_fails" else DivergenceError):
+                run()
+        assert threading.active_count() == before
+        assert len(pools) >= 1
 
 
 def _stacked_pool(m, kind):

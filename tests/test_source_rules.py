@@ -121,6 +121,69 @@ def test_rule_sees_every_deferred_import_form():
         (6, ".sim"), (9, ".."), (10, "gkernel.pde"), (12, ".model")]
 
 
+# names that start a thread, or a process pool with its own threads, outside the
+# one allowed form
+THREAD_STARTERS = {"Thread", "Timer", "start_new_thread", "ThreadPool", "ProcessPoolExecutor"}
+
+
+def _stray_threads(tree):
+    """(line, text) of every way to start a thread but a ``ThreadPoolExecutor``
+    built as the context manager of a ``with`` inside a function, bound to no
+    name or to a local one: a pool bound to a module or an attribute, or one
+    built anywhere else, would be hidden state and could outlive the call."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.With, ast.AsyncWith)):
+                    allowed.update(id(item.context_expr) for item in inner.items
+                                   if item.optional_vars is None
+                                   or isinstance(item.optional_vars, ast.Name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "ThreadPoolExecutor" and id(node) not in allowed:
+                yield node.lineno, "ThreadPoolExecutor outside a with"
+        if isinstance(node, ast.Name) and node.id in THREAD_STARTERS:
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute) and node.attr in THREAD_STARTERS:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.lineno, a.name) for a in node.names if a.name in THREAD_STARTERS)
+        elif isinstance(node, ast.Import):
+            yield from ((node.lineno, a.name) for a in node.names if a.name == "_thread")
+
+
+def test_threads_start_only_in_a_with_block():
+    # the one thread the package starts is joined before the call that needs it returns
+    found = [f"{path.name}:{line}: {text}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, text in _stray_threads(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_rule_sees_every_thread_form():
+    source = ("import threading, _thread\n"
+              "from threading import Thread\n"
+              "from concurrent.futures import ThreadPoolExecutor\n"
+              "POOL = ThreadPoolExecutor(2)\n"
+              "with ThreadPoolExecutor() as pool:\n    pass\n"
+              "def f(self):\n"
+              "    with ThreadPoolExecutor(max_workers=1) as pool:\n        pass\n"
+              "    with ThreadPoolExecutor(), open('x') as (a, b):\n        pass\n"
+              "    with futures.ThreadPoolExecutor() as self.pool:\n        pass\n"
+              "    self.pool = ThreadPoolExecutor()\n"
+              "    threading.Thread(target=f).start()\n"
+              "    threading.Timer(1.0, f)\n"
+              "    _thread.start_new_thread(f, ())\n")
+    assert sorted(_stray_threads(ast.parse(source))) == [
+        (1, "_thread"), (2, "Thread"), (4, "ThreadPoolExecutor outside a with"),
+        (5, "ThreadPoolExecutor outside a with"), (12, "ThreadPoolExecutor outside a with"),
+        (14, "ThreadPoolExecutor outside a with"), (15, "Thread"), (16, "Timer"),
+        (17, "start_new_thread")]
+
+
 PUBLIC_MODULES = ("coefficients", "config", "decomp", "errors", "gcore", "io", "model", "pde",
                   "sim")
 
