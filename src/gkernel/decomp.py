@@ -116,7 +116,16 @@ def _fill(dec: Decomposition, batch: ScenarioBatch, solution, model: ModelSpec) 
 
     u and its derivatives come from one cell lookup per node, component-major.
     Z and the quadratic form a^T dQV a of ln M are formed one entry at a time,
-    the einsum formulas' products summed from zero in their order.
+    the einsum formulas' products summed from zero in their order; the rows
+    of Z at the left endpoints go to ``_hamiltonian_batch``, which would form
+    the same products in the same order.
+
+    An absent k or v is left out of d ln D = -r dt - k : dQV - v . dB, and an
+    absent v out of a = Z - v, with the same bits.  Its contraction would sum
+    products of +0.0 with the finite dQV and dB from +0.0, so it would be
+    +0.0, and x - (+0.0) = x for every x, -0.0 and NaN included.  dQV and dB
+    are finite wherever the states are: each step's Q and dB move the state to
+    the next node, and the coverage check rejects a NaN state.
     """
     p, n_nodes, m = batch.X.shape
     n_steps = n_nodes - 1
@@ -127,31 +136,36 @@ def _fill(dec: Decomposition, batch: ScenarioBatch, solution, model: ModelSpec) 
     u, grad, hess = solution._fields_at(flat)
     dec.u[...] = u.reshape(p, n_nodes)
     sig = model.evaluate(flat)["sigma"]
+    z = np.zeros((d, flat.shape[0]))
     for j in range(d):  # Z = sigma^T Du
-        z = np.zeros(flat.shape[0])
         for ax in range(m):
-            z += sig[:, ax, j] * grad[ax]
-        dec.Z[..., j] = z.reshape(p, n_nodes)
+            z[j] += sig[:, ax, j] * grad[ax]
+        dec.Z[..., j] = z[j].reshape(p, n_nodes)
 
-    # left-endpoint quantities driving the increments, the fields with contiguous rows
+    def left(field):
+        """The left-endpoint rows of a component-major field, contiguous."""
+        lead = field.shape[:-1]
+        rows = field.reshape(lead + (p, n_nodes))[..., :-1]
+        return np.ascontiguousarray(rows).reshape(lead + (-1,))
+
     flat_l = x[:, :-1].reshape(-1, m)
     coeffs_l = model.evaluate(flat_l)
-    grad_l = np.ascontiguousarray(grad.reshape(m, p, n_nodes)[..., :-1]).reshape(m, -1)
-    hess_l = np.ascontiguousarray(hess.reshape(m, m, p, n_nodes)[..., :-1]).reshape(m, m, -1)
-    h_l = _hamiltonian_batch(model, flat_l, grad_l.T, hess_l.transpose(2, 0, 1),
-                             precomputed=coeffs_l)
+    hess_l = left(hess)
+    h_l = _hamiltonian_batch(model, flat_l, left(grad).T, hess_l.transpose(2, 0, 1),
+                             precomputed=coeffs_l, z=left(z))
     gvals = _g_values(h_l, model.uncertainty)[0]  # the maximizers are not read
     gvals = gvals.reshape(p, n_steps)
     h_l = h_l.reshape(p, n_steps, d, d)
 
-    v_l = coeffs_l["v"].reshape(p, n_steps, d)
     r_l = coeffs_l["r"].reshape(p, n_steps)
-    k_l = coeffs_l["k"].reshape(p, n_steps, d, d)
     q = batch.Q
     db = np.diff(batch.B, axis=1)
     dqv = q * dt  # same product the simulator accrued, step by step
 
-    a = dec.Z[:, :-1] - v_l
+    a = dec.Z[:, :-1]
+    if model.v is not None:
+        v_l = coeffs_l["v"].reshape(p, n_steps, d)
+        a = a - v_l
     quad = np.zeros((p, n_steps))  # np.einsum("nki,nkij,nkj->nk", a, dqv, a)
     for i in range(d):
         for j in range(d):
@@ -160,11 +174,11 @@ def _fill(dec: Decomposition, batch: ScenarioBatch, solution, model: ModelSpec) 
     # the half-spread rate is taken from the same maximizer as gvals, so the
     # worst-case scenario cancels before the dt multiplication
     d_k = (0.5 * np.einsum("nkij,nkij->nk", h_l, q) - gvals) * dt
-    d_ln_d = (
-        -r_l * dt
-        - np.einsum("nkij,nkij->nk", k_l, dqv)
-        - np.einsum("nki,nki->nk", v_l, db)
-    )
+    d_ln_d = -r_l * dt
+    if model.k is not None:
+        d_ln_d -= np.einsum("nkij,nkij->nk", coeffs_l["k"].reshape(p, n_steps, d, d), dqv)
+    if model.v is not None:
+        d_ln_d -= np.einsum("nki,nki->nk", v_l, db)
     np.cumsum(d_ln_m, axis=1, out=dec.ln_M[:, 1:])
     np.cumsum(d_k, axis=1, out=dec.K[:, 1:])
     np.cumsum(d_ln_d, axis=1, out=dec.ln_D_direct[:, 1:])
@@ -179,22 +193,32 @@ def _path_blocks(batch: ScenarioBatch, solution, model: ModelSpec, lam: float,
     that the consumer may drop.  The coverage of the whole batch is checked
     before the first block.  Every operation acts per path and every sum runs
     along steps, so no figure depends on the blocks.
+
+    The coverage check first takes the least and greatest state along each
+    axis.  When all of them lie in the grid box every excess is 0, so the
+    per-block excesses are formed only when some state lies outside the box
+    or is NaN (a NaN fails the comparison and reaches the error).
     """
     n, n_nodes, m = batch.X.shape
     size = max(1, _BLOCK_PATH_STEPS // n_nodes)
     blocks = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
-    worst, beyond = 0.0, 0
-    for lo, hi in blocks:
-        excess = solution.coverage_excess(batch.X[lo:hi].reshape(-1, m))
-        worst = np.maximum(worst, np.max(excess))  # a NaN wins, as in one max
-        beyond += int(np.count_nonzero(~(excess <= _COVERAGE_LIMIT)))
-    worst = float(worst)
-    if not worst <= _COVERAGE_LIMIT:
-        raise CoverageError(
-            f"paths leave the solution grid by up to {worst:.2f} box widths "
-            f"({beyond / (n * n_nodes):.1%} of samples); enlarge the grid or shorten the horizon"
-        )
+    flat = batch.X.reshape(-1, m)
+    inside = all(lo <= least and greatest <= hi for (lo, hi), least, greatest
+                 in zip(solution.grid.bounds, flat.min(axis=0), flat.max(axis=0)))
+    if not inside:
+        worst, beyond = 0.0, 0
+        for lo, hi in blocks:
+            excess = solution.coverage_excess(batch.X[lo:hi].reshape(-1, m))
+            worst = np.maximum(worst, np.max(excess))  # a NaN wins, as in one max
+            beyond += int(np.count_nonzero(~(excess <= _COVERAGE_LIMIT)))
+        worst = float(worst)
+        if not worst <= _COVERAGE_LIMIT:
+            raise CoverageError(
+                f"paths leave the solution grid by up to {worst:.2f} box widths "
+                f"({beyond / (n * n_nodes):.1%} of samples); enlarge the grid or shorten "
+                "the horizon"
+            )
 
     for lo, hi in blocks:
         part = batch.path_slice(lo, hi)

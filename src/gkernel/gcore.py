@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidSetError, ShapeError
 
-__all__ = ["UncertaintySet", "GEvaluation", "g_value", "g_value_batch"]
+__all__ = ["UncertaintySet", "GEvaluation", "g_value"]
 
 _SYM_TOL = 1e-12
 
@@ -166,6 +166,9 @@ def g_value_batch(mats: np.ndarray, sigma_set: UncertaintySet):
         (values, maximizers) with shapes (...,) and (..., d, d).  Values
         are computed as trace(A Q*)/2 from the selected maximizer so that
         downstream cancellation checks hold bitwise.
+
+    Not exported from the package: its callers read only the values, which
+    ``_g_values`` gives without gathering the maximizers.
     """
     values, pick = _g_values(mats, sigma_set)
     maximizers = np.stack(sigma_set.candidates(), axis=0)[pick]
@@ -174,20 +177,35 @@ def g_value_batch(mats: np.ndarray, sigma_set: UncertaintySet):
 
 def _g_values(mats, sigma_set: UncertaintySet):
     """The values of ``g_value_batch`` and the index of each maximizer, which
-    is not gathered."""
-    stacked, pick = _candidate_scores(mats, sigma_set)
+    is not gathered.
+
+    Two candidates, as on a scalar band, are picked by ``_first_of_two`` and
+    selected by ``np.where`` from their two score vectors, with no stack and
+    no gather: the selected entries are the same scores, so the values are
+    the same bits.
+    """
+    scores = _scores(mats, sigma_set)
+    if len(scores) == 2:
+        pick = _first_of_two(*scores)
+        return 0.5 * np.where(pick, scores[1], scores[0]), pick
+    stacked = np.stack(scores, axis=-1)
+    pick = _first_max(stacked)
     return 0.5 * np.take_along_axis(stacked, pick[..., None], axis=-1)[..., 0], pick
 
 
-def _candidate_scores(mats, sigma_set: UncertaintySet):
-    """trace(A Q) for every candidate Q, and the index of the maximizing one."""
+def _scores(mats, sigma_set: UncertaintySet) -> list:
+    """trace(A Q) for every candidate Q, in candidate order."""
     mats = np.asarray(mats, dtype=float)
     if mats.shape[-2:] != (sigma_set.dim, sigma_set.dim):
         raise ShapeError(
             f"batch has trailing shape {mats.shape[-2:]}, need ({sigma_set.dim}, {sigma_set.dim})"
         )
-    cands = sigma_set.candidates()
-    stacked = np.stack([np.einsum("...ij,ij->...", mats, q) for q in cands], axis=-1)
+    return [np.einsum("...ij,ij->...", mats, q) for q in sigma_set.candidates()]
+
+
+def _candidate_scores(mats, sigma_set: UncertaintySet):
+    """trace(A Q) for every candidate Q, and the index of the maximizing one."""
+    stacked = np.stack(_scores(mats, sigma_set), axis=-1)
     return stacked, _first_max(stacked)  # first max wins: largest trace
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .coefficients import CoefficientFn, Constant, as_coefficient
 from .errors import DomainError, EvaluationError, ExpressionError, ShapeError
-from .gcore import UncertaintySet, g_value_batch
+from .gcore import UncertaintySet, _g_values
 
 __all__ = [
     "ModelSpec",
@@ -457,7 +457,7 @@ def check_assumptions(model: ModelSpec, box, nodes) -> AssumptionReport:
     dhtil = htil[ii] - htil[jj]                    # (P, d, d, m)
     cross = 2.0 * np.einsum("pl,pijl->pij", dx, dhtil)
     mat = gram + 0.5 * (cross + np.swapaxes(cross, 1, 2))
-    gvals, _ = g_value_batch(mat, model.uncertainty)
+    gvals = _g_values(mat, model.uncertainty)[0]  # the maximizers are not read
     drift_pair = np.einsum("pl,pl->p", dx, bval[ii] - bval[jj])
     eta_hat = float(np.min(-(gvals + drift_pair) / dist**2))
 

@@ -59,7 +59,7 @@ from .errors import (
     IterationError,
     ShapeError,
 )
-from .gcore import g_value, g_value_batch
+from .gcore import _g_values, g_value
 from .model import Coefficients, ModelSpec, _size
 
 __all__ = [
@@ -555,6 +555,8 @@ def _hamiltonian_batch(
     grad: np.ndarray,
     hess: np.ndarray,
     precomputed: Coefficients | None = None,
+    *,
+    z: np.ndarray | None = None,
 ) -> np.ndarray:
     """H matrices (n, d, d) for a batch of points/derivatives, in the pricing form
         H_ij = <hess sigma_col_i, sigma_col_j> + 2 <grad, h_ij - d_ij>
@@ -562,30 +564,50 @@ def _hamiltonian_batch(
 
     ``precomputed`` is the ``Coefficients`` bundle at ``x``; by default it
     is evaluated here.  h - d_ij, 2k and v v^T are the bundle's products,
-    formed once per model when their tensors are constant.
+    formed once per model when their tensors are constant.  ``z`` is
+    sigma^T grad as (d, n) when the caller has formed it already, each row
+    summed from zero over the state axes as here.
     Each entry is formed on its own, one ufunc per n-vector, so the inputs
     read fastest with contiguous columns, such as the component-major fields
     of the interpolant.  The sums are those of the einsum formulas, in their
     order: the Hessian term as ``_hessian_term``, z and the h contraction
     from zero over the state axes, then the parts left to right.
+
+    The parts of a loading the model lacks are left out, with the same bits.
+    An absent tensor reads +0.0, so 2k and v v^T are +0.0, and so is h - d_ij
+    when h and v are both absent.  The Hessian term is a sum from +0.0, so it
+    is never -0.0, and neither is the entry after a +0.0 part; x - (+0.0) and
+    x + (+0.0) are x for every such x, NaN included.  The h contraction of a
+    finite gradient is +0.0; a NaN gradient entry makes it NaN, but makes
+    every z_i NaN too, so the entries end NaN either way.  The gradients of a
+    finite interpolant are finite or NaN.
     """
     pre = model.evaluate(x) if precomputed is None else precomputed
     sig = pre["sigma"]
     n, m = grad.shape
     d = model.d
-    z = np.zeros((d, n))
-    for j in range(d):
-        for l in range(m):
-            z[j] += sig[:, l, j] * grad[:, l]
-    h = pre["h_eff"]
+    if z is None:
+        z = np.zeros((d, n))
+        for j in range(d):
+            for l in range(m):
+                z[j] += sig[:, l, j] * grad[:, l]
+    h = pre["h_eff"] if model.h is not None or model.v is not None else None
+    two_k = pre["two_k"] if model.k is not None else None
+    vv = pre["vv"] if model.v is not None else None
     out = np.empty((n, d, d))
     for i in range(d):
         for j in range(d):
-            drift = np.zeros(n)
-            for l in range(m):
-                drift += grad[:, l] * h[:, i, j, l]
-            entry = _hessian_term(hess, sig, i, j) + 2.0 * drift
-            out[:, i, j] = ((entry - pre["two_k"][:, i, j]) + pre["vv"][:, i, j]) + z[i] * z[j]
+            entry = _hessian_term(hess, sig, i, j)
+            if h is not None:
+                drift = np.zeros(n)
+                for l in range(m):
+                    drift += grad[:, l] * h[:, i, j, l]
+                entry += 2.0 * drift
+            if two_k is not None:
+                entry -= two_k[:, i, j]
+            if vv is not None:
+                entry += vv[:, i, j]
+            np.add(entry, z[i] * z[j], out=out[:, i, j])
     return out
 
 
@@ -872,7 +894,7 @@ def _stationary_residual_field(
     hess = nodal_hessian(values, grid).reshape(-1, grid.m, grid.m)
     coeffs = model.evaluate(pts)
     hmat = _hamiltonian_batch(model, pts, grad, hess, precomputed=coeffs)
-    gvals, _ = g_value_batch(hmat, model.uncertainty)
+    gvals = _g_values(hmat, model.uncertainty)[0]  # the maximizers are not read
     drift = np.einsum("nl,nl->n", coeffs["b"], grad)
     return (gvals + drift - coeffs["r"] - lam).reshape(grid.shape)
 
@@ -1051,9 +1073,14 @@ def _jacobian_blocks(fun, w: np.ndarray, f0: np.ndarray, n1: int, n2: int) -> np
 
 
 def _block_thomas(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L_i x_(i-1) + D_i x_i + U_i x_(i+1) = r_i (rhs (n1, n2, k)) by block elimination."""
+    """Solve L_i x_(i-1) + D_i x_i + U_i x_(i+1) = r_i (rhs (n1, n2, k)) by block elimination.
+
+    1 x 1 blocks (a 1D grid) take ``_scalar_thomas``, with the same bits.
+    """
     lower, diag, upper = blocks
     n2 = diag.shape[1]
+    if n2 == 1:
+        return _scalar_thomas(blocks, rhs)
     cs, rs = np.empty_like(upper), np.empty_like(rhs)
     for i in range(diag.shape[0]):
         pivot, r = diag[i], rhs[i]
@@ -1064,6 +1091,30 @@ def _block_thomas(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     for i in range(diag.shape[0] - 2, -1, -1):
         rs[i] -= cs[i] @ rs[i + 1]
     return rs
+
+
+def _scalar_thomas(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``_block_thomas`` of 1 x 1 blocks, over Python floats.
+
+    Each step repeats the block path's arithmetic: a 1 x 1 product sums its
+    one term from +0.0, and this build's LAPACK solves a 1 x 1 system by
+    multiplying with the pivot's reciprocal.  A zero pivot raises
+    ``LinAlgError`` as the solve does.
+    """
+    lower, diag, upper = (b[:, 0, 0].tolist() for b in blocks)
+    cs, rs = [], []
+    for lo, pivot, up, r in zip(lower, diag, upper, rhs[:, 0, :].tolist()):
+        if rs:
+            pivot = pivot - (0.0 + lo * cs[-1])
+            r = [a - (0.0 + lo * b) for a, b in zip(r, rs[-1])]
+        if pivot == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        inv = 1.0 / pivot
+        cs.append(up * inv)
+        rs.append([a * inv for a in r])
+    for i in range(len(rs) - 2, -1, -1):
+        rs[i] = [a - (0.0 + cs[i] * b) for a, b in zip(rs[i], rs[i + 1])]
+    return np.array(rs).reshape(rhs.shape)
 
 
 def _newton(stepper: _Stepper, w: np.ndarray, lam: float, delta: float, gamma1: float,

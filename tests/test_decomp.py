@@ -17,7 +17,6 @@ from gkernel import (
     UncertaintySet,
     compute_components,
     extreme_controls,
-    g_value_batch,
     reconstruct_D,
     simulate_gsde,
     solve_ergodic,
@@ -26,7 +25,8 @@ from gkernel import (
     worst_case_policy,
 )
 from gkernel import decomp
-from conftest import quadratic_rate_model
+from gkernel.gcore import g_value_batch
+from conftest import quadratic_rate_model, switching_model
 
 FIELDS = ("u", "Z", "ln_M", "K", "ln_D_direct", "ln_D_reconstructed")
 
@@ -482,13 +482,26 @@ def _model_2d():
     )
 
 
-@pytest.fixture(scope="module", params=[1, 2], ids=["1d", "2d"])
+def _affine_2d():
+    """The benchmark's 2D model: no h, k or v, and a two-member covariance set."""
+    return ModelSpec.build(
+        m=2, d=2, b=["0.05 - 1.0 * x1", "0.05 - 1.0 * x2"], sigma=[[0.2, 0.0], [0.0, 0.2]],
+        r="x1 + x2", uncertainty=UncertaintySet.finite([np.eye(2), [[1.0, 0.5], [0.5, 1.0]]]),
+    )
+
+
+# the loadings present: none in 1d and 2d_affine, k and v in 1d_switching, all in 2d
+@pytest.fixture(scope="module", params=["1d", "2d", "1d_switching", "2d_affine"])
 def blocked_case(request, ou_model, ou_sol):
     """A worst-case batch and the extreme-control batches, 701 paths x 50 steps."""
-    if request.param == 1:
+    if request.param == "1d":
         model, sol, x0 = ou_model, ou_sol, [0.05]
+    elif request.param == "1d_switching":
+        model = switching_model(1)
+        sol = solve_ergodic(model, Grid.build([(-2.0, 2.0)], [129]), tol=1e-8)
+        x0 = [0.05]
     else:
-        model = _model_2d()
+        model = _model_2d() if request.param == "2d" else _affine_2d()
         sol = solve_ergodic(model, Grid.build([(-2.5, 2.5)] * 2, [17, 17]), tol=1e-7)
         x0 = [0.1, -0.1]
     controls = [worst_case_policy(sol, model)] + list(extreme_controls(model.uncertainty))
@@ -541,6 +554,25 @@ class TestBlockedComponents:
         with pytest.raises(CoverageError) as info:
             compute_components(batch, const_sol, const_model)
         assert expect in str(info.value)
+
+    def test_batch_inside_the_grid_skips_the_excess_pass(self, blocked_case, monkeypatch):
+        """Every state in the grid box: no excess is formed, and nothing changes."""
+        model, sol, batches = blocked_case
+        expect = [compute_components(b, sol, model) for b in batches]
+        reports = _reports(expect[0], batches, sol, model)
+        for b in batches:
+            for ax, (lo, hi) in enumerate(sol.grid.bounds):
+                assert lo <= np.min(b.X[..., ax]) and np.max(b.X[..., ax]) <= hi
+
+        def fail(*args, **kwargs):
+            raise AssertionError("coverage_excess called on a batch inside the grid")
+
+        monkeypatch.setattr(type(sol), "coverage_excess", fail)
+        for b, want in zip(batches, expect):
+            got = compute_components(b, sol, model)
+            for name in FIELDS:
+                assert _same_bits(getattr(got, name), getattr(want, name)), name
+        assert json.dumps(_reports(expect[0], batches, sol, model)) == json.dumps(reports)
 
     def test_reconstruction_is_derived_on_read(self, const_wc_dec):
         dec = const_wc_dec

@@ -8,9 +8,15 @@ from gkernel import (
     ShapeError,
     UncertaintySet,
     g_value,
+)
+from gkernel.gcore import (
+    _best_candidate,
+    _candidate_scores,
+    _first_max,
+    _first_of_two,
+    _g_values,
     g_value_batch,
 )
-from gkernel.gcore import _best_candidate, _candidate_scores, _first_max, _first_of_two
 
 HALF_OPEN = UncertaintySet.interval(0.5, 1.0)
 
@@ -289,3 +295,34 @@ class TestPickProperties:
                 scores = np.stack([np.einsum("nij,ij->n", mats, q) for q in cands], axis=-1)
                 got = _best_candidate(mats, sigma_set)
             assert np.array_equal(got, np.argmax(scores, axis=-1))
+
+    @pytest.mark.parametrize("sigma_set", [
+        UncertaintySet.finite([[[1.0, 0.3], [0.3, 0.8]]]),
+        UncertaintySet.interval(0.7, 0.7),
+        UncertaintySet.interval(0.5, 2.0),
+        UncertaintySet.finite([np.eye(2), [[1.0, 0.5], [0.5, 1.0]]]),
+        UncertaintySet.finite([np.eye(2), [[1.0, 0.5], [0.5, 1.0]], [[0.6, -0.2], [-0.2, 0.9]]]),
+    ], ids=["one", "degenerate", "band", "two", "three"])
+    def test_values_match_stacked_gather(self, sigma_set):
+        """Two candidates are selected from their two scores, any other count from
+        the stack; both equal the stacked scores gathered at np.argmax, byte for
+        byte, exact ties (the first candidate wins), NaNs and signed zeros
+        included, and so do g_value_batch's maximizers."""
+        d = sigma_set.dim
+        cands = sigma_set.candidates()
+        rng = np.random.default_rng([7, d, len(cands)])
+        mats = rng.choice(self.POOL, size=(3000, d, d))
+        mats = np.where(rng.random(mats.shape) < 0.5, mats, rng.integers(-2, 3, mats.shape))
+        mats = np.triu(mats) + np.swapaxes(np.triu(mats, 1), 1, 2)  # symmetric
+        mats[:300] = 0.0
+        mats[300:600] = -0.0
+        with np.errstate(invalid="ignore", over="ignore"):
+            stacked = np.stack([np.einsum("nij,ij->n", mats, q) for q in cands], axis=-1)
+            values, pick = _g_values(mats, sigma_set)
+            batch_values, maximizers = g_value_batch(mats, sigma_set)
+        expect = np.argmax(stacked, axis=-1)
+        want = 0.5 * np.take_along_axis(stacked, expect[:, None], axis=-1)[:, 0]
+        assert np.array_equal(pick, expect) and pick.dtype == expect.dtype
+        assert values.tobytes() == want.tobytes() == batch_values.tobytes()
+        assert maximizers.tobytes() == np.stack(cands)[expect].tobytes()
+        assert np.isnan(want).any() and (want[:600] == 0.0).all()

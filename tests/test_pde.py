@@ -3,6 +3,7 @@
 import functools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from gkernel import (
     ShapeError,
     UncertaintySet,
     check_assumptions,
+    load_config,
     pde_residual,
     solve_discounted,
     solve_ergodic,
@@ -56,9 +58,10 @@ def einsum_hamiltonian(grad, hess, pre):
             - pre["two_k"] + pre["vv"] + np.einsum("ni,nj->nij", z, z))
 
 
-def _oracle_model(m: int, d: int, state: bool, loaded: bool = True) -> ModelSpec:
-    """Sigma, h, k and v state-dependent or constant; without ``loaded``, h, k
-    and v are absent, so only the noise loading d_ij of sigma is left in h - d."""
+def _oracle_model(m: int, d: int, state: bool, loadings: str = "hkv") -> ModelSpec:
+    """Sigma, h, k and v state-dependent or constant; of h, k and v only those
+    named in ``loadings`` are present.  Without h, h - d is the noise loading
+    d_ij of sigma and v alone; without h and v it is zero."""
     x = [f"x{i + 1}" for i in range(m)]
     sigma = [[f"0.2 + 0.1 * {x[a]} * {x[-1]}" if (a + i) % 2 == 0 else f"0.05 * {x[a]}"
               for i in range(d)] for a in range(m)] if state else \
@@ -70,9 +73,9 @@ def _oracle_model(m: int, d: int, state: bool, loaded: bool = True) -> ModelSpec
     v = [f"0.3 - 0.1 * {x[-1]}" if state else 0.3 - 0.1 * i for i in range(d)]
     uncertainty = (UncertaintySet.interval(0.5, 1.0) if d == 1
                    else UncertaintySet.finite([np.eye(2), [[1.0, 0.5], [0.5, 1.0]]]))
-    loadings = dict(h=h, k=k, v=v) if loaded else {}
+    given = {name: tensor for name, tensor in (("h", h), ("k", k), ("v", v)) if name in loadings}
     return ModelSpec.build(m=m, d=d, b=["0.0"] * m, sigma=sigma, r=0.0,
-                           uncertainty=uncertainty, **loadings)
+                           uncertainty=uncertainty, **given)
 
 
 class TestHamiltonian:
@@ -120,11 +123,13 @@ class TestHamiltonian:
                 assert np.array_equal(got.view(np.int64), ref[:, i, j].view(np.int64))
 
     @pytest.mark.parametrize("m,d", [(1, 1), (1, 2), (2, 1), (2, 2)])
-    @pytest.mark.parametrize("loaded", [True, False], ids=["loaded", "unloaded"])
+    # every combination of h, k and v present or absent: an absent one's terms are skipped
+    @pytest.mark.parametrize("loadings", ["hkv", "", "h", "k", "v", "hk", "hv", "kv"],
+                             ids=["loaded", "unloaded", "h", "k", "v", "hk", "hv", "kv"])
     @pytest.mark.parametrize("state", [True, False], ids=["state_sigma", "broadcast_sigma"])
     @pytest.mark.parametrize("layout", ["rows", "columns"])
-    def test_batch_matches_einsum_formula_bitwise(self, m, d, loaded, state, layout):
-        model = _oracle_model(m, d, state, loaded)
+    def test_batch_matches_einsum_formula_bitwise(self, m, d, loadings, state, layout):
+        model = _oracle_model(m, d, state, loadings)
         rng = np.random.default_rng(100 * m + 10 * d + state)
         n = 3000
         x = rng.uniform(-1.0, 1.0, (n, m))
@@ -149,8 +154,10 @@ class TestHamiltonian:
         if not state:
             assert pre["sigma"].strides[0] == 0
         ref = einsum_hamiltonian(grad, hess, pre)
-        for given in (pre, None):
-            got = pde._hamiltonian_batch(model, x, grad, hess, precomputed=given)
+        # z = sigma^T grad handed in, (d, n), as the decomposition passes it
+        z = np.ascontiguousarray(np.einsum("nlj,nl->nj", pre["sigma"], grad).T)
+        for given, z_given in ((pre, None), (None, None), (pre, z)):
+            got = pde._hamiltonian_batch(model, x, grad, hess, precomputed=given, z=z_given)
             assert got.shape == ref.shape and got.flags.c_contiguous
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
         assert np.isnan(ref).any()
@@ -524,6 +531,74 @@ class TestNewtonStress:
         coarse, fine = lams[1] - lams[0], lams[2] - lams[1]
         assert abs(fine) < 1e-2
         assert 1.5 <= coarse / fine <= 4.0
+
+
+def _block_elimination(blocks, rhs):
+    """The dense block elimination of ``pde._block_thomas``, one LAPACK solve per row."""
+    lower, diag, upper = blocks
+    n2 = diag.shape[1]
+    cs, rs = np.empty_like(upper), np.empty_like(rhs)
+    for i in range(diag.shape[0]):
+        pivot, r = diag[i], rhs[i]
+        if i > 0:
+            pivot, r = pivot - lower[i] @ cs[i - 1], r - lower[i] @ rs[i - 1]
+        both = np.linalg.solve(pivot, np.concatenate([upper[i], r], axis=1))
+        cs[i], rs[i] = both[:, :n2], both[:, n2:]
+    for i in range(diag.shape[0] - 2, -1, -1):
+        rs[i] -= cs[i] @ rs[i + 1]
+    return rs
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# the eigen-solves of the benchmark and of the shipped configs on a 1D grid
+ONE_D_CONFIGS = [path.relative_to(ROOT) for path in sorted(
+    [*(ROOT / "perfbench" / "configs").glob("*.json"), *(ROOT / "configs").glob("*.json")])
+    if (cfg := load_config(path)).model.m == 1 and cfg.grid.horizon is None]
+
+
+class TestScalarThomas:
+    """1 x 1 blocks take a scalar sweep; it equals the dense block path bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_random_dominant_systems(self, k):
+        rng = np.random.default_rng(16 + k)
+        for _ in range(100):
+            n = int(rng.integers(1, 300))
+            lower, upper = (rng.standard_normal(n) * np.exp(rng.uniform(-5.0, 5.0, n))
+                            for _ in range(2))
+            diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 2.0, n)
+            diag *= rng.choice([-1.0, 1.0], n)
+            rhs = rng.standard_normal((n, 1, k))
+            for arr in (lower, upper, rhs):  # signed zeros, which the sums must keep
+                arr[rng.random(arr.shape) < 0.2] = 0.0
+                arr[rng.random(arr.shape) < 0.2] = -0.0
+            blocks = np.stack([lower, diag, upper]).reshape(3, n, 1, 1)
+            got = pde._block_thomas(blocks, rhs)
+            want = _block_elimination(blocks, rhs)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_zero_pivot_is_singular(self):
+        blocks = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]]).reshape(3, 2, 1, 1)
+        rhs = np.ones((2, 1, 1))
+        for solve in (pde._block_thomas, _block_elimination):
+            with pytest.raises(np.linalg.LinAlgError):
+                solve(blocks, rhs)
+
+    @pytest.mark.parametrize("path", ONE_D_CONFIGS, ids=str)
+    def test_solves_match_the_block_path(self, path, monkeypatch):
+        cfg = load_config(ROOT / path)
+        s = cfg.solver
+
+        def solve():
+            return solve_ergodic(cfg.model, cfg.grid, tol=s.tol, gamma1=s.gamma1,
+                                 gamma2=s.gamma2, max_sweeps=s.max_sweeps, anchor=s.anchor)
+
+        got = solve()
+        monkeypatch.setattr(pde, "_scalar_thomas", _block_elimination)
+        want = solve()
+        assert float(got.lam).hex() == float(want.lam).hex()
+        assert got.u.values.tobytes() == want.u.values.tobytes()
+        assert got.u.sweeps == want.u.sweeps
 
 
 class TestSolverLimits:
