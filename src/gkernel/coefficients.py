@@ -46,8 +46,9 @@ __all__ = [
 
 _UNARY = {"exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "abs": np.abs, "tanh": np.tanh}
 _FUNCS = set(_UNARY) | {"pow", "min", "max"}
-# Python's operators keep two literals a Python float, as before; division is
-# np.divide so that a literal 1 / 0 gives inf instead of raising
+# Python's operators round as numpy's float64 ufuncs do, and on two literals
+# give a Python float without a ufunc call; division is np.divide so that a
+# literal 1 / 0 gives inf instead of raising ZeroDivisionError
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": np.divide}
 
 

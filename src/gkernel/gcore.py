@@ -189,7 +189,7 @@ def _g_values(mats, sigma_set: UncertaintySet):
         pick = _first_of_two(*scores)
         return 0.5 * np.where(pick, scores[1], scores[0]), pick
     stacked = np.stack(scores, axis=-1)
-    pick = _first_max(stacked)
+    pick = np.argmax(stacked, axis=-1)  # the first max wins: the largest trace
     return 0.5 * np.take_along_axis(stacked, pick[..., None], axis=-1)[..., 0], pick
 
 
@@ -203,28 +203,15 @@ def _scores(mats, sigma_set: UncertaintySet) -> list:
     return [np.einsum("...ij,ij->...", mats, q) for q in sigma_set.candidates()]
 
 
-def _candidate_scores(mats, sigma_set: UncertaintySet):
-    """trace(A Q) for every candidate Q, and the index of the maximizing one."""
-    stacked = np.stack(_scores(mats, sigma_set), axis=-1)
-    return stacked, _first_max(stacked)  # first max wins: largest trace
-
-
-def _first_max(scores: np.ndarray) -> np.ndarray:
-    """``np.argmax(scores, axis=-1)``: the first max wins, and a NaN counts as
-    the max.  Two columns, as on a scalar band, take a comparison instead,
-    several times faster."""
-    if scores.shape[-1] != 2:
-        return np.argmax(scores, axis=-1)
-    return _first_of_two(scores[..., 0], scores[..., 1])
-
-
 def _first_of_two(s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """``_first_max`` of the two columns s0 and s1."""
+    """``np.argmax`` of the two columns s0 and s1, by a comparison several times
+    faster: the first max wins, and a NaN counts as the max."""
     return (~(s1 <= s0) & (s0 == s0)).astype(np.intp)
 
 
 def _best_candidate(mats: np.ndarray, sigma_set: UncertaintySet) -> np.ndarray:
-    """``_candidate_scores(mats, sigma_set)[1]`` for a batch of (d, d) matrices.
+    """The index of the maximizing candidate of ``_g_values`` for a batch of
+    (d, d) matrices.
 
     On a scalar band the two scores are the products a * hi and a * lo,
     compared directly; they equal the trace products but for the sign of a
@@ -233,4 +220,4 @@ def _best_candidate(mats: np.ndarray, sigma_set: UncertaintySet) -> np.ndarray:
     if sigma_set.kind == "interval":
         a = mats[..., 0, 0]
         return _first_of_two(a * sigma_set.hi, a * sigma_set.lo)
-    return _candidate_scores(mats, sigma_set)[1]
+    return _g_values(mats, sigma_set)[1]

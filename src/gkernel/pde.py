@@ -662,12 +662,12 @@ def _certified_candidate(solution, model: ModelSpec) -> int | None:
     if not (isinstance(u, PdeSolution) and u.kind == "stationary") or model.d > _CERT_MAX_D:
         return None
     interp = u._interp(None)
-    if interp.grid.m != model.m:  # the pick fails on such a pair, as before
+    if interp.grid.m != model.m:  # no certificate: the full pick fails on such a pair
         return None
     one = interp._lo[None, :]
     try:
         tensors = [model._constant(name, one) for name in ("sigma", "h_eff", "two_k", "vv")]
-    except EvaluationError:  # a non-finite constant: the pick raises it, as before
+    except EvaluationError:  # left to the step's evaluation, which raises it naming the entry
         return None
     if any(t is None for t in tensors):
         return None

@@ -132,9 +132,9 @@ class VolControl:
         """Static controls check set membership up front; others opt out."""
 
     def _fixed_scenario(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(q, root)`` when every step applies this one scenario to every row
-        without a NaN coordinate, else None.  The streaming estimators march
-        controls whose ``(q, root)`` are byte-equal once per chunk."""
+        """``(q, root)`` when every step applies this one scenario to every row,
+        else None.  The streaming estimators march controls whose ``(q, root)``
+        are byte-equal once per chunk."""
         return None
 
 
@@ -198,6 +198,10 @@ class PiecewiseControl(VolControl):
         self._views: dict = {}
 
     def _segment(self, t: float) -> int:
+        # t = k dt carries the rounding of dt and of the product, a few ulps, so
+        # a breakpoint that close above t counts as reached: 3 x 0.3 is
+        # 0.8999999999999999 and starts the segment at 0.9
+        t += 8.0 * math.ulp(t)
         return max(int(np.searchsorted(self.times, t, side="right") - 1), 0)
 
     def matrices(self, t: float, x: np.ndarray) -> np.ndarray:
@@ -239,11 +243,11 @@ class _CandidatePolicy(FeedbackControl):
 
     ``pick(t, x, coeffs)`` returns indices into ``candidates``; the square
     roots of the candidates are taken once instead of on every step.
-    ``uniform``, when given, is the index ``pick`` returns at every point:
-    ``matrices_and_roots`` then reads it, and only rows with a NaN
-    coordinate go through ``pick``; it may return read-only views, as
-    ``ConstantControl``'s does.  ``matrices`` is the policy's definition,
-    the full pick gathered into a fresh array.
+    ``uniform``, when given, is the index ``pick`` returns at every point
+    without a NaN coordinate: ``matrices_and_roots`` then returns it on every
+    row, as read-only views, as ``ConstantControl``'s does.  A NaN state never
+    reaches an output, since the Euler kernel raises on it.  ``matrices`` is
+    the policy's definition, the full pick gathered into a fresh array.
     """
 
     def __init__(self, pick: Callable[..., np.ndarray], candidates: np.ndarray, label: str,
@@ -257,17 +261,11 @@ class _CandidatePolicy(FeedbackControl):
 
     def matrices_and_roots(self, t: float, x: np.ndarray,
                            coeffs=None) -> tuple[np.ndarray, np.ndarray]:
-        if self.uniform is None:
-            idx = self.pick(t, x, coeffs)
-        elif not np.isnan(x).any():
+        if self.uniform is not None:
             c = self.uniform
             return _broadcast_rows(self._views, None, (self.candidates[c], self.roots[c]),
                                    x.shape[0])
-        else:
-            idx = np.full(x.shape[0], self.uniform)
-            nan = np.isnan(x).any(axis=1)
-            # the bundle covers all rows; the pick evaluates the model on its own
-            idx[nan] = self.pick(t, x[nan], None)
+        idx = self.pick(t, x, coeffs)
         # take() gathers whole (d, d) blocks several times faster than indexing
         return self.candidates.take(idx, axis=0), self.roots.take(idx, axis=0)
 
@@ -289,11 +287,12 @@ def worst_case_policy(solution, model: ModelSpec) -> FeedbackControl:
     For a stationary solution, on a model whose sigma, h - d_ij, k and v
     are constant, the pick is certified once, here
     (``pde._certified_candidate``): when one candidate wins on every grid
-    cell with a margin above the rounding error, each step returns it
-    without evaluating H.  Rows with a NaN coordinate, every model or
-    solution on which no candidate wins everywhere, and any other model or
-    solution take the full evaluation of H.  The picks, and every output,
-    are the same either way.
+    cell with a margin above the rounding error, each step returns it on
+    every row without evaluating H.  Every model or solution on which no
+    candidate wins everywhere, and any other model or solution, take the
+    full evaluation of H.  The picks differ only on a row with a NaN
+    coordinate, which ends its march in ``DivergenceError``, so every output
+    is the same either way.
     """
 
     def pick(t: float, x: np.ndarray, coeffs) -> np.ndarray:
@@ -512,6 +511,11 @@ def _euler_steps(model: ModelSpec, controls: Sequence[VolControl], x0: np.ndarra
     rows are formed again only when it returns a new or writeable Q, so a
     fixed scenario's cached broadcast forms them once per chunk.  The step
     time is k dt.
+
+    After the last step, a row whose state is not finite raises
+    ``DivergenceError`` naming its control.  A non-finite coordinate stays
+    non-finite, since each step adds its increments to the state, so the last
+    state shows every path that ever diverged.
     """
     n, n_steps, d = draws.shape
     blocks = _row_blocks(n, len(controls))
@@ -542,6 +546,11 @@ def _euler_steps(model: ModelSpec, controls: Sequence[VolControl], x0: np.ndarra
         x_next += np.einsum("nld,nd->nl", coeffs["sigma"], db)
         yield k, x, tuple(qs), db, dqv, x_next, coeffs
         x = x_next
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        label = controls[int(np.argmin(finite)) // n].label
+        raise DivergenceError(f"the state under control {label!r} is not finite; "
+                              "the path has diverged", where=f"by t={n_steps * dt}")
 
 
 def simulate_gsde(
@@ -563,7 +572,8 @@ def simulate_gsde(
     steps are recorded into step-major buffers of ``_BLOCK_STEPS`` steps,
     and each full block is copied into the path-major histories
     ``_TILE_PATHS`` paths at a time, instead of one strided row per step
-    and array.
+    and array.  A path whose state is not finite at the horizon raises
+    ``DivergenceError`` naming the control.
     """
     n_steps = _resolve_steps(T, dt)
     _check_sizes(n_paths, chunk_size)
@@ -617,10 +627,9 @@ def _deflator_scan(
     draws: np.ndarray,
     checkpoint_steps: Sequence[int],
     payoff: Callable[[np.ndarray], np.ndarray] | None,
-) -> tuple[list[dict], np.ndarray]:
+) -> list[dict]:
     """March one chunk under each of ``controls`` as one batch, without
-    history; return each control's deflated sums per checkpoint and the final
-    states, G n rows stacked by control as in ``_euler_steps``.
+    history; return each control's deflated sums per checkpoint.
 
     ``draws`` holds the chunk's standard-normal increments, shape
     (paths, steps, d).  The deflator accrues d ln D = -r dt - k : dQV -
@@ -646,7 +655,7 @@ def _deflator_scan(
                 if payoff is not None:
                     w = w * payoff(x_next[rows])
                 part[k + 1] = (float(np.sum(w)), float(np.sum(w * w)))
-    return out, x_next
+    return out
 
 
 def _march_groups(controls: Sequence[VolControl]) -> list[list[int]]:
@@ -672,11 +681,9 @@ def _streaming_deflated_means(
     (``VolControl._fixed_scenario``) share one march per chunk, the first
     of them marching for all, and the marches of all groups go through the
     Euler kernel as one row-stacked batch, one block of rows per group, on
-    the one copy of the draws.  Group members can differ only on a row with
-    a NaN coordinate, where the worst-case policy takes its full pick; a NaN
-    stays NaN, so when a group's shared rows end with such a row, its other
-    members march again on their own rows for that chunk.  The sums equal a
-    separate run per control, bit for bit.
+    the one copy of the draws.  A fixed-scenario control applies its
+    scenario on every row, so every member of a group takes the sums of its
+    first, and they equal a separate run per control, bit for bit.
     """
     _check_sizes(n_paths, chunk_size)
     x0 = _start_point(model, x0)
@@ -686,24 +693,13 @@ def _streaming_deflated_means(
     sums = [{int(s): [0.0, 0.0] for s in checkpoint_steps} for _ in controls]
     groups = _march_groups(controls)
     for _, _, draws in _chunks(seed, 0, n_paths, n_steps, model.d, chunk_size):
-        marched, x_end = _deflator_scan(model, [controls[g[0]] for g in groups], x0, dt,
-                                        draws, checkpoint_steps, payoff)
-        parts, again = {}, []
-        for (first, *rest), part, rows in zip(groups, marched,
-                                              _row_blocks(draws.shape[0], len(groups))):
-            parts[first] = part
-            if np.isnan(x_end[rows]).any():
-                again += rest
-            else:
-                parts.update(dict.fromkeys(rest, part))
-        if again:
-            alone, _ = _deflator_scan(model, [controls[i] for i in again], x0, dt, draws,
-                                      checkpoint_steps, payoff)
-            parts.update(zip(again, alone))
-        for i, p in parts.items():
-            for s, (a, b) in p.items():
-                sums[i][s][0] += a
-                sums[i][s][1] += b
+        marched = _deflator_scan(model, [controls[g[0]] for g in groups], x0, dt, draws,
+                                 checkpoint_steps, payoff)
+        for group, part in zip(groups, marched):
+            for i in group:
+                for s, (a, b) in part.items():
+                    sums[i][s][0] += a
+                    sums[i][s][1] += b
     out = []
     for ctl_sums in sums:
         res = {}
@@ -765,8 +761,8 @@ def upper_price_mc(
     finite.
 
     Raises ``ShapeError`` when two controls share a label, and
-    ``DivergenceError``, naming the control, when a control's mean is not
-    finite.
+    ``DivergenceError``, naming the control, when a path's state or a
+    control's mean is not finite.
     """
     n_steps = _resolve_steps(T, dt)
     pay = None
@@ -846,6 +842,8 @@ def long_term_yield_mc(
     and fits rate(T) = lam + c / T by least squares.  The horizons must
     fall on at least two distinct steps of ``dt``, so that the intercept
     separates the transient from the long-run rate; else ``ShapeError``.
+    A path whose state is not finite, or a mean outside the domain of the
+    logarithm, raises ``DivergenceError``.
     """
     horizons = sorted(float(t) for t in horizons)
     if x0 is None:

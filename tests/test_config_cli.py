@@ -682,6 +682,16 @@ class TestCli:
         assert (code, out) == (4, "")
         assert "below the round-off floor" in err
 
+    def test_path_diverging_on_its_last_step_exits_4(self, tmp_path, run_cli):
+        # the Euler factor 1 - dt = -9 of b = -x1 overflows some state on the
+        # 324th step, the last, where no evaluation of b can reject it
+        doc = json.loads((REPO_ROOT / "configs" / "constant_kernel.json").read_text())
+        doc["sim"].update(horizon=3240.0, dt=10.0, n_paths=8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(doc, "decompose", "--out", str(tmp_path / "art"))
+        assert code == 4
+        assert "the state under control 'worst_case' is not finite" in err
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_set_member_exits_3(self, run_cli, bad):
         doc = base_doc()

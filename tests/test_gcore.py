@@ -11,14 +11,18 @@ from gkernel import (
 )
 from gkernel.gcore import (
     _best_candidate,
-    _candidate_scores,
-    _first_max,
     _first_of_two,
     _g_values,
+    _scores,
     g_value_batch,
 )
 
 HALF_OPEN = UncertaintySet.interval(0.5, 1.0)
+
+
+def _argmax_pick(mats, sigma_set):
+    """The oracle of every pick: np.argmax over the stacked candidate scores."""
+    return np.argmax(np.stack(_scores(mats, sigma_set), axis=-1), axis=-1)
 
 
 def _brute_force_1d(a: float, lo: float, hi: float, points: int = 1001) -> float:
@@ -194,60 +198,38 @@ class TestValidation:
 class TestCandidatePick:
     """The maximizing candidate follows np.argmax: first max, NaN as the max."""
 
-    @staticmethod
-    def _scores(rng, n, k):
-        # few distinct values, so that ties are common; then signed zeros and NaNs
-        scores = rng.integers(-2, 3, size=(n, k)).astype(float)
-        scores[rng.random((n, k)) < 0.15] = 0.0
-        scores[rng.random((n, k)) < 0.15] = -0.0
-        scores[rng.random((n, k)) < 0.1] = np.nan
-        return scores
-
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_matches_argmax(self, k):
-        scores = self._scores(np.random.default_rng(k), 4000, k)
-        expect = np.argmax(scores, axis=-1)
-        pick = _first_max(scores)
-        assert pick.dtype == expect.dtype
-        assert np.array_equal(pick, expect)
-        for special in ([-0.0, 0.0], [0.0, -0.0], [np.nan, 1.0], [1.0, np.nan],
-                        [np.nan, np.nan], [-np.inf, -np.inf], [1.0, np.inf]):
-            row = np.array([special])
-            assert _first_max(row)[0] == np.argmax(row, axis=-1)[0], special
-
     def test_interval_set_scores(self):
-        a = np.array([2.0, -2.0, 0.0, -0.0, np.nan, np.inf, -np.inf])
-        stacked, pick = _candidate_scores(a.reshape(-1, 1, 1), HALF_OPEN)
-        assert np.array_equal(pick, np.argmax(stacked, axis=-1))
+        mats = np.array([2.0, -2.0, 0.0, -0.0, np.nan, np.inf, -np.inf]).reshape(-1, 1, 1)
+        pick = _g_values(mats, HALF_OPEN)[1]
+        assert np.array_equal(pick, _argmax_pick(mats, HALF_OPEN))
         assert pick.tolist() == [0, 1, 0, 0, 0, 0, 0]  # -inf ties: the upper endpoint
         value, maximizer = g_value_batch(np.array([[-3.0]]), HALF_OPEN)  # one matrix
         assert (value.shape, float(value), maximizer.tolist()) == ((), -0.75, [[0.5]])
 
 
 class TestBestCandidate:
-    """The policy's pick equals the index ``_candidate_scores`` gives."""
+    """The policy's pick equals np.argmax over the stacked candidate scores."""
 
     @pytest.mark.parametrize("sigma_set", [
         HALF_OPEN, UncertaintySet.interval(0.7, 0.7), UncertaintySet.interval(0.5, 3.0),
     ], ids=["band", "degenerate", "wide"])
-    def test_interval_pick_equals_candidate_scores(self, sigma_set):
+    def test_interval_pick_equals_argmax_of_scores(self, sigma_set):
         edges = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308, 1.0, -1.0]
         a = np.concatenate([edges, np.random.default_rng(4).normal(size=500)])
         mats = a.reshape(-1, 1, 1)
         with np.errstate(over="ignore", invalid="ignore"):
             got = _best_candidate(mats, sigma_set)
-            ref = _candidate_scores(mats, sigma_set)[1]
+            ref = _argmax_pick(mats, sigma_set)
         assert got.dtype == ref.dtype
         assert np.array_equal(got, ref)
 
-    def test_finite_pick_equals_candidate_scores(self):
+    def test_finite_pick_equals_argmax_of_scores(self):
         sigma_set = UncertaintySet.finite([np.eye(2), [[1.0, 0.5], [0.5, 1.0]],
                                            [[0.6, -0.2], [-0.2, 0.9]]])
         mats = np.random.default_rng(6).normal(size=(300, 2, 2))
         mats = mats + np.swapaxes(mats, 1, 2)
         mats[:3] = [[[np.nan, 0.0], [0.0, 1.0]], np.zeros((2, 2)), -np.zeros((2, 2))]
-        assert np.array_equal(_best_candidate(mats, sigma_set),
-                              _candidate_scores(mats, sigma_set)[1])
+        assert np.array_equal(_best_candidate(mats, sigma_set), _argmax_pick(mats, sigma_set))
 
 
 class TestPickProperties:
@@ -265,14 +247,16 @@ class TestPickProperties:
             scores[rows, -1] = scores[rows, -2]  # the last two tied
         return scores
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_first_max_and_first_of_two(self, k):
+    def test_first_of_two(self):
         for seed in range(5):
-            scores = self._scores(np.random.default_rng([k, seed]), 3000, k)
+            scores = self._scores(np.random.default_rng([2, seed]), 3000, 2)
             expect = np.argmax(scores, axis=-1)
-            assert np.array_equal(_first_max(scores), expect)
-            if k == 2:
-                assert np.array_equal(_first_of_two(scores[:, 0], scores[:, 1]), expect)
+            pick = _first_of_two(scores[:, 0], scores[:, 1])
+            assert np.array_equal(pick, expect) and pick.dtype == expect.dtype
+        for special in ([-0.0, 0.0], [0.0, -0.0], [np.nan, 1.0], [1.0, np.nan],
+                        [np.nan, np.nan], [-np.inf, -np.inf], [1.0, np.inf]):
+            row = np.array([special])
+            assert _first_of_two(row[:, 0], row[:, 1])[0] == np.argmax(row, axis=-1)[0], special
 
     @pytest.mark.parametrize("sigma_set", [
         UncertaintySet.finite([[[1.0, 0.3], [0.3, 0.8]]]),

@@ -33,7 +33,7 @@ from gkernel import (
 )
 from gkernel import model as model_mod
 from gkernel import pde, sim
-from gkernel.gcore import _candidate_scores
+from gkernel.gcore import _scores
 from conftest import CONST_LAM, switching_model
 
 
@@ -68,6 +68,23 @@ class TestPathGeneration:
         k_half = 32
         assert np.all(batch.Q[:, k_half - 1, 0, 0] == 1.2)
         assert np.all(batch.Q[:, k_half, 0, 0] == 0.8)
+
+    @pytest.mark.parametrize("breakpoint,dt,T", [(0.9, 0.3, 1.5), (0.6, 0.2, 1.0)])
+    def test_piecewise_switches_on_the_step_at_its_breakpoint(self, breakpoint, dt, T):
+        # 3 dt rounds below 0.9 for dt = 0.3, and above 0.6 for dt = 0.2: the
+        # fourth step starts at the breakpoint either way
+        assert (3 * dt < breakpoint) == (breakpoint == 0.9)
+        model = ModelSpec.build(m=1, d=1, b=["0.0"], sigma=[["0.2"]], r=0.0, k=[[0.1]],
+                                uncertainty=UncertaintySet.interval(0.5, 1.0))
+        ctl = PiecewiseControl([0.0, breakpoint], [1.0, 0.5])
+        batch = simulate_gsde(model, ctl, [0.0], T, dt, 2)
+        assert batch.Q[:, :, 0, 0].tolist() == [[1.0, 1.0, 1.0, 0.5, 0.5]] * 2
+        # the streaming estimators step by T / n_steps, the same float here; the
+        # reference switches halfway between steps 2 and 3, far from any rounding
+        ref = PiecewiseControl([0.0, 2.5 * dt], [1.0, 0.5])
+        priced, ref_priced = (upper_price_mc(model, None, T, [c], dt=dt, n_paths=2)
+                              for c in (ctl, ref))
+        assert T / 5 == dt and priced.table == ref_priced.table
 
     def test_constant_scenarios_keep_their_broadcasts(self):
         ctl = PiecewiseControl([0.0, 0.5], [1.44, 0.64])
@@ -506,30 +523,50 @@ class TestSharedMarch:
                              **kw)
         assert joint.table["own_step"] == ref.table["own_step"] != joint.table["constant"]
 
-    @pytest.mark.parametrize("policy_first", [True, False])
-    def test_nan_rows_fall_back_to_separate_marches(self, policy_first):
+
+class TestDivergedState:
+    """A path whose Euler state is not finite ends its march in DivergenceError
+    naming the control that marched it."""
+
+    @staticmethod
+    def _overflow():
         # sigma dB overflows to +-inf on the first steps and to inf - inf = NaN
-        # after, on constant coefficients that a NaN state can still evaluate;
-        # k dQV = q per step keeps the deflator finite and tells the picks apart
-        model = ModelSpec.build(m=1, d=1, b=[0.0], sigma=[[1e300]], r=0.0, k=[[1e-20]],
+        # after, on constant coefficients that a NaN state can still evaluate
+        model = ModelSpec.build(m=1, d=1, b=[0.0], sigma=[[1e300]], r=0.0,
                                 uncertainty=UncertaintySet.interval(0.5, 1.0))
         cands = np.stack(model.uncertainty.candidates())
-        # certified to the lower candidate; a row with a NaN coordinate picks
-        # the upper one, as the full worst-case pick does where H is NaN
+        # certified to the lower candidate; the full pick would take the upper one
+        # on a NaN row, as the worst-case pick does where H is NaN
         policy = sim._CandidatePolicy(
             lambda t, x, coeffs: np.where(np.isnan(x).any(axis=1), 0, 1), cands,
             label="worst_case", uniform=1)
-        lower = ConstantControl(cands[1], label="lower")
+        return model, policy, ConstantControl(cands[1], label="lower")
+
+    @pytest.mark.parametrize("entry", ["simulate_gsde", "long_term_yield_mc"])
+    def test_raises_naming_the_control(self, entry):
+        model, policy, _ = self._overflow()
+        run = {
+            "simulate_gsde": lambda: simulate_gsde(model, policy, [0.0], 3e20, 1e20, 64,
+                                                   seed=9, chunk_size=20),
+            "long_term_yield_mc": lambda: long_term_yield_mc(
+                model, [2e20, 3e20], policy, dt=1e20, n_paths=64, seed=9, chunk_size=20),
+        }[entry]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match=r"'worst_case' is not finite.*t=3e\+20"):
+                run()
+
+    @pytest.mark.parametrize("policy_first", [True, False])
+    def test_shared_march_raises_naming_its_first_member(self, policy_first):
+        model, policy, lower = self._overflow()
         controls = [policy, lower] if policy_first else [lower, policy]
         assert len(sim._march_groups(controls)) == 1
         kw = dict(dt=1e20, n_paths=64, seed=9, x0=[0.0], chunk_size=20)
         with np.errstate(over="ignore", invalid="ignore"):
-            joint = upper_price_mc(model, None, 3e20, controls, **kw)
-            alone = {c.label: upper_price_mc(model, None, 3e20, [c], **kw).table[c.label]
-                     for c in controls}
-        for label, entry in alone.items():
-            assert [v.hex() for v in joint.table[label]] == [v.hex() for v in entry]
-        assert joint.table["worst_case"] != joint.table["lower"]
+            with pytest.raises(DivergenceError, match=f"'{controls[0].label}' is not finite"):
+                upper_price_mc(model, None, 3e20, controls, **kw)
+            for ctl in controls:
+                with pytest.raises(DivergenceError, match=f"'{ctl.label}' is not finite"):
+                    upper_price_mc(model, None, 3e20, [ctl], **kw)
 
 
 class TestYield:
@@ -802,7 +839,7 @@ class _OraclePolicy(VolControl):
     def matrices_and_roots(self, t, x, coeffs=None):
         grad, hess = self.solution.derivatives_at(x, t)
         hmat = _oracle_hamiltonian(grad, hess, coeffs)
-        idx = _candidate_scores(hmat, self.model.uncertainty)[1]
+        idx = np.argmax(np.stack(_scores(hmat, self.model.uncertainty), axis=-1), axis=-1)
         return self.cands[idx], self.roots[idx]
 
 
@@ -1355,15 +1392,22 @@ class TestPickTable:
         x = _table_queries(solution.grid, np.random.default_rng(len(case)))
         got = policy.matrices_and_roots(0.0, x, coeffs=model.evaluate(x))
         ref = reference.matrices_and_roots(0.0, x)
+        nan = np.isnan(x).any(axis=1)
         for a, b in zip(got, ref):
-            assert np.ascontiguousarray(a).tobytes() == b.tobytes()
+            assert np.ascontiguousarray(a[~nan]).tobytes() == b[~nan].tobytes()
         assert policy.matrices(0.0, x).tobytes() == ref[0].tobytes()
-        # a row with a NaN coordinate scores NaN and goes through the full pick
-        picked = len(np.unique(ref[0][~np.isnan(x).any(axis=1)].reshape(-1, model.d**2), axis=0))
+        picked = len(np.unique(ref[0][~nan].reshape(-1, model.d**2), axis=0))
         if case in SWITCHING_CASES:
             assert picked >= 2 and policy.uniform is None
+            for a, b in zip(got, ref):
+                assert a[nan].tobytes() == b[nan].tobytes()
         else:
             assert picked == 1 and policy.uniform is not None
+            # a NaN row reads the certified candidate: its march raises, so it
+            # reaches no output
+            c = policy.uniform
+            assert nan.any() and (got[0][nan] == policy.candidates[c]).all()
+            assert (got[1][nan] == policy.roots[c]).all()
 
     def test_certified_pick_reads_no_derivatives(self, const_model, const_sol, monkeypatch):
         policy = worst_case_policy(const_sol, const_model)
@@ -1373,10 +1417,9 @@ class TestPickTable:
                             lambda self, *a, **k: calls.append(1) or real(self, *a, **k))
         x = np.random.default_rng(3).uniform(-4.0, 4.0, (500, 1))
         policy.matrices_and_roots(0.0, x)
-        assert calls == []
-        x[7] = np.nan  # a NaN row goes through the full pick
+        x[7] = np.nan  # a NaN row reads the certified candidate as well
         q, _ = policy.matrices_and_roots(0.0, x)
-        assert len(calls) == 1 and q[7, 0, 0] == const_model.uncertainty.hi
+        assert calls == [] and (q == policy.candidates[policy.uniform]).all()
 
     def test_models_and_solutions_without_a_certificate(self, ou_model):
         switching, sol = _switching_model(1)  # k = 0.3 x1 depends on the state

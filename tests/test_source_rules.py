@@ -302,3 +302,43 @@ def test_rule_sees_every_read_form():
         "text = 'unread'\n")
     public = ["by_name", "by_attribute", "by_import", "recursive", "CONST", "unread"]
     assert _unread(public, [defining, reader]) == ["recursive", "CONST", "unread"]
+
+
+def _unresolved(methods, functions):
+    """``module.Class.method`` or ``module.function`` of every benchmark hook
+    target that gkernel does not define as a callable."""
+    def callable_at(owner, *names):
+        for name in names:
+            owner = getattr(owner, name, None)
+        return callable(owner)
+
+    def module(name):
+        return importlib.import_module(f"gkernel.{name}")
+
+    return ([f"{mod}.{cls}.{name}" for mod, cls, name, _ in methods
+             if not callable_at(module(mod), cls, name)]
+            + [f"{mod}.{name}" for mod, name, _ in functions
+               if not callable_at(module(mod), name)])
+
+
+def test_every_benchmark_hook_resolves():
+    # the benchmark's tracer wraps these names; one that a change deletes would
+    # otherwise fail only in a traced benchmark run.  The file is read and
+    # executed here, so no bytecode is written next to it
+    path = REPO / "perfbench" / "spans.py"
+    spans = types.ModuleType("perfbench_spans")
+    exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
+    assert spans.METHODS and spans.FUNCTIONS
+    assert _unresolved(spans.METHODS, spans.FUNCTIONS) == []
+
+
+def test_rule_sees_every_unresolved_hook():
+    methods = [("sim", "ConstantControl", "matrices_and_roots", None),
+               ("sim", "ConstantControl", "gone", None),
+               ("sim", "GoneControl", "matrices", None),
+               ("sim", "ConstantControl", "label", None)]  # an attribute, not a method
+    functions = [("gcore", "g_value_batch", None), ("gcore", "_first_max", None),
+                 ("sim", "_MASK64", None)]
+    assert _unresolved(methods, functions) == [
+        "sim.ConstantControl.gone", "sim.GoneControl.matrices", "sim.ConstantControl.label",
+        "gcore._first_max", "sim._MASK64"]
