@@ -50,6 +50,8 @@ _FUNCS = set(_UNARY) | {"pow", "min", "max"}
 # give a Python float without a ufunc call; division is np.divide so that a
 # literal 1 / 0 gives inf instead of raising ZeroDivisionError
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": np.divide}
+# the np.errstate under which an evaluation lets IEEE results stand without warnings
+IEEE_QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +321,14 @@ class Expression(CoefficientFn):
             node = node.child
         self._can_warn = isinstance(node, (_Bin, _Call))
 
-    def __call__(self, x):
+    def __call__(self, x, _masked: bool = False):
+        """The values at the states ``x`` (n, m).  IEEE results (inf, nan) stand
+        without warnings: the call masks them under one ``np.errstate``, unless
+        ``_masked`` says that its caller already does, as ``ModelSpec`` does
+        once for all the entries of a tensor."""
         x = _check_states(x)
-        if self._can_warn:
-            # IEEE results (inf, nan) stand without warnings; one errstate per call
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if self._can_warn and not _masked:
+            with np.errstate(**IEEE_QUIET):
                 out = self._fn(x)
         else:
             out = self._fn(x)

@@ -20,6 +20,7 @@ equilibrium.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -27,8 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import CoefficientFn, Constant, as_coefficient
-from .errors import DomainError, EvaluationError, ExpressionError, ShapeError
+from .coefficients import IEEE_QUIET, CoefficientFn, Constant, Expression, as_coefficient
+from .errors import DivergenceError, DomainError, EvaluationError, ExpressionError, ShapeError
 from .gcore import UncertaintySet, _g_values
 
 __all__ = [
@@ -84,16 +85,19 @@ def _coeff_grid(entries, shape, where: str):
     return tuple(_coeff_grid(e, shape[1:], f"{where}[{i}]") for i, e in enumerate(entries))
 
 
-def _eval_checked(fn: CoefficientFn, x: np.ndarray, name: str, shape: tuple, j: int) -> np.ndarray:
-    """``fn(x)`` for entry ``j`` (row-major) of tensor ``name``, checked finite."""
-    out = fn(x)
-    if np.isfinite(out).all():
-        return out
-    bad = ~np.isfinite(out)  # formed, with the label, only for the message
+def _non_finite(name: str, shape: tuple, x: np.ndarray, flat: np.ndarray) -> Exception:
+    """The error for the first non-finite entry, in row-major order, of tensor
+    ``name`` at its first bad row, given the tensor's values ``flat`` (n,
+    entries): ``DivergenceError`` where the state of that row is not finite
+    itself, else ``EvaluationError``."""
+    bad = ~np.isfinite(flat)
+    j = int(np.argmax(bad.any(axis=0)))
+    row = x[int(np.argmax(bad[:, j]))]
     label = name + "".join(f"[{i}]" for i in np.unravel_index(j, shape))
-    raise EvaluationError(
-        f"{label} evaluated to a non-finite value at x = {x[int(np.argmax(bad))].tolist()}"
-    )
+    if not np.isfinite(row).all():
+        return DivergenceError(f"{label} evaluated to a non-finite value at the non-finite "
+                               f"state x = {row.tolist()}; the path has diverged")
+    return EvaluationError(f"{label} evaluated to a non-finite value at x = {row.tolist()}")
 
 
 def _dij(sig: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -247,19 +251,48 @@ class ModelSpec:
     # -- vectorized evaluation (n states at a time) ----------------------
 
     def _eval_tensor(self, name: str, x: np.ndarray) -> np.ndarray:
-        """Tensor ``name`` at the states ``x``: an (n, *shape) array filled
-        entry by entry in row-major order, zero when the tensor is absent."""
+        """Tensor ``name`` at the states ``x``: an (n, *shape) array, zero when
+        the tensor is absent.
+
+        The whole tensor is evaluated in this one frame: each entry, in
+        row-major order, straight into its column of the output, all under
+        one ``np.errstate`` that is entered only if some entry can warn, then
+        one finiteness test over all of it.  Only when that test fails are
+        the values searched for the entry and row to name (``_non_finite``).
+        A tensor of one entry is that entry's values, uncopied.
+        """
         shape = _shapes(self.m, self.d)[name]
-        tree = getattr(self, name)
-        if tree is None:
-            return np.zeros((len(x),) + shape)
-        if math.prod(shape) == 1:  # a tensor of one entry is its values, uncopied
-            (fn,) = _entries(tree)
-            return _eval_checked(fn, x, name, shape, 0).reshape((len(x),) + shape)
-        out = np.empty((len(x),) + shape)
-        flat = out.reshape(len(x), math.prod(shape))
-        for j, fn in enumerate(_entries(tree)):
-            flat[:, j] = _eval_checked(fn, x, name, shape, j)
+        calls, can_warn = self._entry_calls[name]
+        n = len(x)
+        if not calls:
+            return np.zeros((n,) + shape)
+        with np.errstate(**IEEE_QUIET) if can_warn else contextlib.nullcontext():
+            if len(calls) == 1:
+                flat = calls[0](x)
+            else:
+                flat = np.empty((n, len(calls)))
+                for j, call in enumerate(calls):
+                    flat[:, j] = call(x)
+        if not np.isfinite(flat).all():
+            raise _non_finite(name, shape, x, flat.reshape(n, -1))
+        return flat.reshape((n,) + shape)
+
+    @functools.cached_property
+    def _entry_calls(self) -> dict:
+        """Per tensor name, its entries in row-major order as the calls of
+        ``_eval_tensor`` (none for an absent tensor), and whether one of them
+        can warn.  An ``Expression`` is called with its own ``np.errstate``
+        left out, since ``_eval_tensor`` enters one for the whole tensor; it
+        can warn if it has an operator or a function.  A ``Constant`` cannot
+        warn, and any other ``CoefficientFn`` is taken to."""
+        out = {}
+        for name in _shapes(self.m, self.d):
+            fns = tuple(_entries(getattr(self, name)))
+            calls = tuple(functools.partial(fn, _masked=True) if type(fn) is Expression else fn
+                          for fn in fns)
+            can_warn = any(fn._can_warn if type(fn) is Expression else type(fn) is not Constant
+                           for fn in fns)
+            out[name] = (calls, can_warn)
         return out
 
     def eval_b(self, x: np.ndarray) -> np.ndarray:

@@ -662,8 +662,6 @@ def _certified_candidate(solution, model: ModelSpec) -> int | None:
     if not (isinstance(u, PdeSolution) and u.kind == "stationary") or model.d > _CERT_MAX_D:
         return None
     interp = u._interp(None)
-    if interp.grid.m != model.m:  # no certificate: the full pick fails on such a pair
-        return None
     one = interp._lo[None, :]
     try:
         tensors = [model._constant(name, one) for name in ("sigma", "h_eff", "two_k", "vv")]

@@ -89,6 +89,50 @@ def _sqrt_psd(q: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j,...kj->...ik", vecs, np.sqrt(vals), vecs)
 
 
+# the contractions of a row vector (n, d) that _contract may sum entry by entry;
+# the first axis of each operand runs over the rows
+_ROW_SPECS = ("nij,nj->ni", "nld,nd->nl", "ni,ni->n")
+
+
+def _contract(spec: str, mat: np.ndarray, vec: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """``np.einsum(spec, mat, vec, out=out)``, summed entry by entry where that
+    is cheaper and gives the same bits.
+
+    That is when ``spec`` contracts a row vector ``vec`` (n, d), as the specs
+    of ``_ROW_SPECS`` do, ``mat`` is one value over the rows (a stride-0
+    broadcast, or a single row) and each output sums two products: d = 2.
+    einsum sums from +0.0 in the order of j, and every order of
+    (0.0 + p0) + p1 rounds alike, so four ufuncs over all the rows give its
+    value.  They keep its signed zeros, and its NaN when the NaNs of the
+    inputs share one bit pattern: the first product sits in a strided
+    buffer so that numpy adds the second element by element, as einsum
+    does.  Of two NaNs that differ in payload or sign, einsum picks by where
+    the row falls in its vector blocks, which no ufunc follows; an Euler
+    path with a NaN ends in ``DivergenceError`` anyway.  Unlike einsum, the
+    ufuncs warn on an overflow or an inf times 0, as the rest of an Euler
+    step does.  At d = 1 einsum's one product costs no more than the ufuncs
+    would, and every other contraction is einsum's own.
+    """
+    n, d = len(vec), vec.shape[-1]
+    if (spec not in _ROW_SPECS or d != 2 or n == 0 or len(mat) != n or mat.shape[-1] != 2
+            or not (mat.strides[0] == 0 or n == 1)):
+        return np.einsum(spec, mat, vec, out=out)
+    if out is None:
+        out = np.empty(mat.shape[:-1])
+    one = mat[0]  # (..., 2): the one value of every row
+    # (..., n), iterated in C order so that each inner loop runs over the rows
+    dest = out.swapaxes(0, -1)
+    first = np.empty(dest.shape + (2,))[..., 0]
+    np.multiply(one[..., :1], vec[:, 0], out=first, order="C")
+    second = np.multiply(one[..., 1:], vec[:, 1], order="C")
+    # p0 + (p1 + 0.0) has the bits of (0.0 + p0) + p1: the +0.0 only turns a
+    # -0.0 into +0.0, and a sum of -0.0 and a zero is +0.0 either way
+    np.add(second, 0.0, out=second)
+    np.add(first, second, out=dest, order="C")
+    return out
+
+
 def _broadcast_rows(cache: dict, key, arrays: tuple, n: int) -> tuple:
     """Read-only broadcasts of ``arrays`` over ``n`` rows, the latest kept per key.
 
@@ -293,7 +337,14 @@ def worst_case_policy(solution, model: ModelSpec) -> FeedbackControl:
     full evaluation of H.  The picks differ only on a row with a NaN
     coordinate, which ends its march in ``DivergenceError``, so every output
     is the same either way.
+
+    A solution whose grid has another dimension than the model's state
+    raises ``ShapeError`` here, before any step.
     """
+    grid = getattr(solution, "grid", None)
+    if grid is not None and grid.m != model.m:
+        raise ShapeError(f"the solution's grid has {grid.m} axes, model state dimension "
+                         f"is {model.m}")
 
     def pick(t: float, x: np.ndarray, coeffs) -> np.ndarray:
         grad, hess = solution.derivatives_at(x, t)
@@ -508,22 +559,33 @@ def _euler_steps(model: ModelSpec, controls: Sequence[VolControl], x0: np.ndarra
     reads the view of its own rows.  Every entry is a function of its own
     row, so each control's rows equal a march of that control alone, bit for
     bit.  dB and dQV are buffers the next step overwrites; a control's dQV
-    rows are formed again only when it returns a new or writeable Q, so a
-    fixed scenario's cached broadcast forms them once per chunk.  The step
-    time is k dt.
+    rows are formed again only when it returns a new or writeable Q.  A
+    control with a fixed scenario (``VolControl._fixed_scenario``) applies it
+    on every step and row, so it is asked for Q and its root once per chunk,
+    on the first step, and its dQV rows are formed then.  The step time is
+    k dt.
 
-    After the last step, a row whose state is not finite raises
-    ``DivergenceError`` naming its control.  A non-finite coordinate stays
-    non-finite, since each step adds its increments to the state, so the last
-    state shows every path that ever diverged.
+    Each contraction goes through ``_contract``: root xi, sigma dB and
+    h : dQV.  A fixed scenario's root and a constant sigma are one value over
+    the rows, which it sums entry by entry at d = 2, bit for bit as
+    np.einsum; every other contraction is einsum's.
+
+    A row whose state is not finite raises ``DivergenceError`` naming its
+    control: after the last step, and on any step where a coefficient or a
+    control fails on such a state.  A non-finite coordinate stays non-finite,
+    since each step adds its increments to the state, so the last state shows
+    every path that ever diverged.
     """
     n, n_steps, d = draws.shape
     blocks = _row_blocks(n, len(controls))
     x = np.broadcast_to(x0, (len(controls) * n, model.m)).copy()
     db = np.empty((len(controls) * n, d))
     dqv = np.empty((len(controls) * n, d, d))
+    sig_db = np.empty((len(controls) * n, model.m))
     staged = np.empty((min(_BLOCK_STEPS, n_steps), n, d))
     qs = [None] * len(controls)
+    roots = [None] * len(controls)
+    every_step = [ctl._fixed_scenario() is None for ctl in controls]
     sqdt = math.sqrt(dt)
     for k in range(n_steps):
         if k % _BLOCK_STEPS == 0:
@@ -531,26 +593,41 @@ def _euler_steps(model: ModelSpec, controls: Sequence[VolControl], x0: np.ndarra
             _swap_tiled(draws[:, k:k1], staged[:k1 - k], to_steps=True)
         xi = staged[k % _BLOCK_STEPS]
         coeffs = model.evaluate(x)
-        for g, (ctl, rows) in enumerate(zip(controls, blocks)):
-            q, root = ctl.matrices_and_roots(k * dt, x[rows], coeffs=coeffs.rows(rows))
-            np.einsum("nij,nj->ni", root, xi, out=db[rows])
-            if q is not qs[g] or q.flags.writeable:
-                np.multiply(q, dt, out=dqv[rows])
-                qs[g] = q
-        db *= sqdt
-        x_next = x + coeffs["b"] * dt
-        # an absent h adds no sum: its +0.0 would only turn a -0.0 into +0.0,
-        # and the sigma dB sum starts from +0.0 as well, so no bit changes
-        if model.h is not None:
-            x_next += np.einsum("nijl,nij->nl", coeffs["h"], dqv)
-        x_next += np.einsum("nld,nd->nl", coeffs["sigma"], db)
+        try:
+            for g, (ctl, rows) in enumerate(zip(controls, blocks)):
+                if k == 0 or every_step[g]:
+                    q, roots[g] = ctl.matrices_and_roots(k * dt, x[rows],
+                                                         coeffs=coeffs.rows(rows))
+                    if q is not qs[g] or q.flags.writeable:
+                        np.multiply(q, dt, out=dqv[rows])
+                        qs[g] = q
+                _contract("nij,nj->ni", roots[g], xi, db[rows])
+            db *= sqdt
+            x_next = x + coeffs["b"] * dt
+            # an absent h adds no sum: its +0.0 would only turn a -0.0 into +0.0,
+            # and the sigma dB sum starts from +0.0 as well, so no bit changes
+            if model.h is not None:
+                x_next += _contract("nijl,nij->nl", coeffs["h"], dqv)
+            x_next += _contract("nld,nd->nl", coeffs["sigma"], db, sig_db)
+        except DivergenceError as exc:  # such as a coefficient at a diverged state
+            raise _divergence(controls, n, x, k * dt) or exc
         yield k, x, tuple(qs), db, dqv, x_next, coeffs
         x = x_next
+    exc = _divergence(controls, n, x, n_steps * dt)
+    if exc is not None:
+        raise exc
+
+
+def _divergence(controls: Sequence[VolControl], n: int, x: np.ndarray,
+                t: float) -> DivergenceError | None:
+    """``DivergenceError`` naming the control of the first row of the stacked
+    states ``x`` (n rows per control) that is not finite, None if all are."""
     finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        label = controls[int(np.argmin(finite)) // n].label
-        raise DivergenceError(f"the state under control {label!r} is not finite; "
-                              "the path has diverged", where=f"by t={n_steps * dt}")
+    if finite.all():
+        return None
+    label = controls[int(np.argmin(finite)) // n].label
+    return DivergenceError(f"the state under control {label!r} is not finite; "
+                           "the path has diverged", where=f"by t={t}")
 
 
 def simulate_gsde(
@@ -633,22 +710,29 @@ def _deflator_scan(
 
     ``draws`` holds the chunk's standard-normal increments, shape
     (paths, steps, d).  The deflator accrues d ln D = -r dt - k : dQV -
-    v . dB at the left endpoint.  At each checkpoint each control's
-    (payoff-weighted) deflator sum and sum of squares are taken over its own
-    rows.
+    v . dB at the left endpoint, both contractions through ``_contract``: a
+    constant v is summed entry by entry at d = 2, bit for bit as np.einsum,
+    and k : dQV is einsum's.  A loading that fails on a state that
+    is not finite raises ``DivergenceError`` naming the control, as in
+    ``_euler_steps``.  At each checkpoint each control's (payoff-weighted)
+    deflator sum and sum of squares are taken over its own rows.
     """
     n = draws.shape[0]
     blocks = _row_blocks(n, len(controls))
     lnD = np.zeros(len(controls) * n)
     marks = set(int(s) for s in checkpoint_steps)
     out = [{} for _ in controls]
-    for k, _, _, db, dqv, x_next, coeffs in _euler_steps(model, controls, x0, dt, draws):
-        lnD -= coeffs["r"] * dt
-        # an absent k or v would subtract +0.0, which changes no value
-        if model.k is not None:
-            lnD -= np.einsum("nij,nij->n", coeffs["k"], dqv)
-        if model.v is not None:
-            lnD -= np.einsum("ni,ni->n", coeffs["v"], db)
+    v_db = np.empty(len(controls) * n)
+    for k, x, _, db, dqv, x_next, coeffs in _euler_steps(model, controls, x0, dt, draws):
+        try:
+            lnD -= coeffs["r"] * dt
+            # an absent k or v would subtract +0.0, which changes no value
+            if model.k is not None:
+                lnD -= _contract("nij,nij->n", coeffs["k"], dqv)
+            if model.v is not None:
+                lnD -= _contract("ni,ni->n", coeffs["v"], db, v_db)
+        except DivergenceError as exc:
+            raise _divergence(controls, n, x, k * dt) or exc
         if k + 1 in marks:
             for part, rows in zip(out, blocks):
                 w = np.exp(lnD[rows])

@@ -692,6 +692,17 @@ class TestCli:
         assert code == 4
         assert "the state under control 'worst_case' is not finite" in err
 
+    def test_path_diverging_before_its_last_step_exits_4(self, tmp_path, run_cli):
+        # one step later than above, the next step evaluates b = -x1 at the
+        # overflowed state: a diverged path, not a configuration error (exit 3)
+        doc = json.loads((REPO_ROOT / "configs" / "constant_kernel.json").read_text())
+        doc["sim"].update(horizon=3250.0, dt=10.0, n_paths=8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(doc, "decompose", "--out", str(tmp_path / "art"))
+        assert code == 4
+        assert "the state under control 'worst_case' is not finite" in err
+        assert "[by t=3240.0]" in err
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_set_member_exits_3(self, run_cli, bad):
         doc = base_doc()

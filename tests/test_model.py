@@ -2,12 +2,15 @@
 
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
 from gkernel import (
+    CoefficientFn,
     CustomUtility,
+    DivergenceError,
     DomainError,
     EquilibriumSpec,
     EvaluationError,
@@ -449,6 +452,44 @@ class TestTensorTable:
             self._model(h=h).eval_h(x)
         assert str(err.value) == (
             "h[1][0][1] evaluated to a non-finite value at x = [4.5, -0.25]")
+
+    def test_first_of_two_failing_entries_named_at_its_first_bad_row(self):
+        # b[1] fails on an earlier row than b[0]; row-major order names b[0]
+        x = np.array([[6.0, 0.0], [4.0, 6.0], [3.0, 7.0]])
+        with pytest.raises(EvaluationError) as err:
+            self._model(b=["ln(x1 - 5)", "ln(x2 - 5)"]).eval_b(x)
+        assert str(err.value) == "b[0] evaluated to a non-finite value at x = [4.0, 6.0]"
+
+    def test_mixed_entry_types_equal_stacked_entries(self):
+        class Halved(CoefficientFn):
+            """A coefficient of another type than Constant and Expression."""
+
+            def __call__(self, x):
+                return 0.5 * x[:, 1]
+
+        k = [[0.1, "0.02 * x1"], [Halved(), "x2"]]
+        x = np.random.default_rng(5).uniform(-2.0, 2.0, size=(53, 2))
+        got = self._model(k=k).eval_k(x)
+        expected = np.stack([np.stack([as_coefficient(e)(x) for e in row], axis=1) for row in k],
+                            axis=1)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    def test_entry_that_divides_by_zero_warns_nothing(self):
+        x = np.array([[0.0, 1.0], [2.0, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = self._model(b=["min(1 / x1, 3.0)", "x2"]).eval_b(x)
+            assert b.tolist() == [[3.0, 1.0], [0.5, 0.5]]
+            with pytest.raises(EvaluationError, match=r"^b\[0\] .* at x = \[0.0, 1.0\]$"):
+                self._model(b=["1 / x1", 0.05]).eval_b(x)
+
+    def test_non_finite_state_is_a_divergence(self):
+        # a state that is not finite itself is a diverged path, not a bad coefficient
+        x = np.array([[0.5, 0.0], [np.inf, 1.0]])
+        with pytest.raises(DivergenceError, match=(
+                r"^b\[0\] evaluated to a non-finite value at the non-finite state "
+                r"x = \[inf, 1.0\]; the path has diverged$")):
+            self._model().eval_b(x)
 
     def test_boolean_rate_rejected(self):
         with pytest.raises(ShapeError, match="^r must be a number"):

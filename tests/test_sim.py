@@ -345,6 +345,17 @@ class TestPolicies:
         assert [v.hex() for v in price.table["piecewise"]] == [
             v.hex() for v in ref_price.table["piecewise"]]
 
+    @pytest.mark.parametrize("model_m", [1, 2])
+    def test_solution_of_another_dimension_rejected(self, model_m, const_model, const_sol):
+        kernel_2d, sol_2d = _const_kernel_2d()
+        model, sol = (const_model, sol_2d) if model_m == 1 else (kernel_2d, const_sol)
+        match = (f"the solution's grid has {3 - model_m} axes, model state dimension "
+                 f"is {model_m}")
+        with pytest.raises(ShapeError, match=match):
+            worst_case_policy(sol, model)
+        with pytest.raises(ShapeError, match=match):
+            simulate_gsde(model, worst_case_policy(sol, model), np.zeros(model_m), 0.1, 0.01, 4)
+
     def test_worst_case_on_mean_reverting(self, ou_model, ou_sol):
         q = worst_case_policy(ou_sol, ou_model).matrices(0.0, np.array([[0.0], [0.5]]))
         assert np.allclose(q[:, 0, 0], 1.2)
@@ -567,6 +578,21 @@ class TestDivergedState:
             for ctl in controls:
                 with pytest.raises(DivergenceError, match=f"'{ctl.label}' is not finite"):
                     upper_price_mc(model, None, 3e20, [ctl], **kw)
+
+
+    @pytest.mark.parametrize("reader", ["drift", "rate"])
+    def test_coefficient_at_a_diverged_state_raises_naming_the_control(self, reader):
+        # the state overflows on the first step; the next one reads it through
+        # the drift in the kernel or through the rate in the deflator, which
+        # fail there as a diverged path, not as a bad coefficient
+        b, r = (["0.0 * x1"], 0.0) if reader == "drift" else ([0.0], "x1")
+        model = ModelSpec.build(m=1, d=1, b=b, sigma=[[1e300]], r=r,
+                                uncertainty=UncertaintySet.interval(0.5, 1.0))
+        lower = ConstantControl(0.5, label="lower")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match=r"'lower' is not finite.*\[by t=1e\+20\]"):
+                long_term_yield_mc(model, [2e20, 3e20], lower, dt=1e20, n_paths=64, seed=9,
+                                   chunk_size=20)
 
 
 class TestYield:
@@ -1193,8 +1219,9 @@ class TestStackedMarch:
     def test_fixed_scenario_forms_its_covariation_once_per_chunk(self, const_model, monkeypatch):
         formed = []
         real = np.multiply
-        monkeypatch.setattr(sim.np, "multiply",
-                            lambda *a, **kw: ("out" in kw and formed.append(1)) or real(*a, **kw))
+        # dQV rows are the (n, d, d) outputs; the contractions write 2-D ones
+        monkeypatch.setattr(sim.np, "multiply", lambda *a, **kw: (
+            np.ndim(kw.get("out")) == 3 and formed.append(1)) or real(*a, **kw))
         hi, lo = const_model.uncertainty.candidates()
         controls = [ConstantControl(hi), PiecewiseControl([0.0, 0.5], [hi, lo]),
                     FeedbackControl(lambda t, x: np.broadcast_to(lo, (x.shape[0], 1, 1)))]
@@ -1203,6 +1230,24 @@ class TestStackedMarch:
             pass
         # once for the constant, once per segment, once per step for the feedback
         assert len(formed) == 1 + 2 + 10
+
+    def test_fixed_scenario_asked_once_per_chunk(self, const_model, const_sol, monkeypatch):
+        asked = collections.Counter()
+        for cls in (ConstantControl, PiecewiseControl, sim._CandidatePolicy):
+            real = cls.matrices_and_roots
+            monkeypatch.setattr(cls, "matrices_and_roots", lambda self, *a, _real=real, **kw: (
+                asked.update([self.label]) or _real(self, *a, **kw)))
+        hi, lo = const_model.uncertainty.candidates()
+        certified = worst_case_policy(const_sol, const_model)
+        assert certified.uniform == 0  # hi, a group of its own beside lo
+        controls = [ConstantControl(lo, label="lower"), certified,
+                    PiecewiseControl([0.0, 0.5], [hi, lo])]
+        upper_price_mc(const_model, None, 1.0, controls, dt=0.1, n_paths=14, chunk_size=7)
+        # two chunks of ten steps: the fixed scenarios on the first step of each
+        assert asked == {"lower": 2, "worst_case": 2, "piecewise": 20}
+        asked.clear()
+        simulate_gsde(const_model, controls[0], [0.0], 1.0, 0.1, 14, chunk_size=7)
+        assert asked == {"lower": 2}
 
     def test_scenario_rewritten_in_place_forms_its_covariation_each_step(self):
         model, pool, _ = _stacked_pool(1, "const")
@@ -1429,3 +1474,122 @@ class TestPickTable:
         grid = Grid.build([(-2.0, 2.0)], [33], horizon=0.5, time_steps=400)
         parabolic = pde.solve_parabolic(ou_model, grid, np.zeros(grid.shape))
         assert pde._certified_candidate(parabolic, ou_model) is None
+
+
+# ---------------------------------------------------------------------------
+# the contractions of the Euler kernel
+
+# signed zeros, NaN, infinities, and values whose products overflow or underflow
+_SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2.25, 1e308, 5e-324])
+# the matrix rows each contraction spec sums over j
+_SPEC_ROWS = {"nij,nj->ni": (2,), "nld,nd->nl": (3,), "ni,ni->n": ()}
+
+
+def _three_noise_pool():
+    """A model with three noises, constant sigma, k and v, under a constant, a
+    piecewise, the certified and the switching worst-case policy."""
+    members = [np.eye(3), [[1.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.0]],
+               np.diag([0.5, 0.8, 1.2])]
+    model = ModelSpec.build(m=1, d=3, b=["0.05 - x1"], sigma=[[0.2, 0.1, -0.05]],
+                            r="0.02 + 0.1 * x1", k=np.diag([0.01, 0.02, 0.03]).tolist(),
+                            v=[0.3, -0.1, 0.2], uncertainty=UncertaintySet.finite(members))
+    grid = Grid.build([(-1.5, 1.5)], [33])
+    switching = _stand_in(model, grid, 10.0 * (grid.points()[:, 0] - 0.05) ** 3)
+    certified = worst_case_policy(_stand_in(model, grid, np.zeros(grid.shape)), model)
+    cands = model.uncertainty.candidates()
+    return model, [worst_case_policy(switching, model), ConstantControl(cands[0], label="first"),
+                   PiecewiseControl([0.0, 0.1, 0.2], [cands[-1], cands[0], cands[1]]),
+                   certified]
+
+
+class TestContract:
+    """``sim._contract`` is ``np.einsum``, byte for byte.  Where it sums a
+    constant operand entry by entry it follows einsum's order of summation
+    and its pick among NaNs; if a numpy build changes either, these tests
+    fail and say so, and the helper must follow or leave the case to einsum."""
+
+    CHANGED = (f"_contract differs from np.einsum on numpy {np.__version__}: einsum's order "
+               "of summation, or its pick among NaNs, has changed")
+
+    @staticmethod
+    def _assert_equal(spec, mat, vec):
+        want = np.einsum(spec, mat, vec)
+        with np.errstate(all="ignore"):  # unlike einsum, the ufuncs warn on an overflow
+            got = sim._contract(spec, mat, vec)
+            into = sim._contract(spec, mat, vec, np.full(want.shape, 7.0))
+        assert got.shape == want.shape and into.shape == want.shape
+        assert got.tobytes() == want.tobytes(), TestContract.CHANGED
+        assert into.tobytes() == want.tobytes(), TestContract.CHANGED
+
+    @pytest.mark.parametrize("n", [1, 7, 4000])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("spec", list(_SPEC_ROWS))
+    def test_equals_einsum_bytewise(self, spec, d, n):
+        rng = np.random.default_rng([d, n, len(spec)])
+        shape = _SPEC_ROWS[spec] + (d,)
+        for trial in range(40):
+            one = rng.choice(_SPECIAL, size=shape)
+            vec = rng.choice(_SPECIAL, size=(n, d))
+            if trial % 4 == 1:  # one vector for every row as well
+                vec = np.broadcast_to(vec[:1], vec.shape)
+            self._assert_equal(spec, np.broadcast_to(one, (n,) + shape), vec)
+            if n == 1:
+                self._assert_equal(spec, one[None].copy(), vec)
+        # rows whose products are all -0.0, which einsum's sum from +0.0 makes +0.0
+        one = rng.uniform(0.5, 2.0, size=shape)
+        vec = np.where(rng.random((n, d)) < 0.5, -0.0, rng.choice([-1.0, 1.0], (n, d)))
+        vec[0] = -0.0
+        self._assert_equal(spec, np.broadcast_to(one, (n,) + shape), vec)
+        self._assert_equal(spec, np.broadcast_to(-one, (n,) + shape), -vec)
+
+    def test_sums_a_constant_operand_entry_by_entry_only_at_two_noises(self, monkeypatch):
+        calls = []
+        real = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *a, **kw: calls.append(a[0]) or real(*a, **kw))
+        vec = np.random.default_rng(2).standard_normal((50, 2))
+        sim._contract("nij,nj->ni", np.broadcast_to(np.eye(2), (50, 2, 2)), vec)
+        sim._contract("ni,ni->n", np.broadcast_to(np.ones(2), (50, 2)), vec)
+        assert calls == []
+        sim._contract("nij,nj->ni", np.tile(np.eye(2), (50, 1, 1)), vec)  # varies by row
+        sim._contract("ni,ni->n", np.ones((50, 1)), vec[:, :1])  # one product: d = 1
+        sim._contract("ni,ni->n", np.broadcast_to(np.ones(3), (50, 3)), np.ones((50, 3)))
+        sim._contract("nij,nij->n", np.broadcast_to(np.eye(2), (50, 2, 2)), np.ones((50, 2, 2)))
+        assert calls == ["nij,nj->ni", "ni,ni->n", "ni,ni->n", "nij,nij->n"]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_kernel_equals_its_einsum_form(self, d, monkeypatch):
+        if d == 3:
+            model, controls = _three_noise_pool()
+        else:
+            model, controls, _ = _stacked_pool(d, "const")
+        policies = [ctl for ctl in controls if isinstance(ctl, sim._CandidatePolicy)]
+        assert sorted(p.uniform is None for p in policies) == [False, True]
+        for i, ctl in enumerate(controls):  # a price table needs distinct labels
+            ctl.label = f"{ctl.label}_{i}"
+        x0 = np.full(model.m, 0.05)
+        kw = dict(seed=5, x0=x0, chunk_size=16)
+
+        def outputs():
+            runs = [simulate_gsde(model, ctl, x0, 0.3, 0.02, 41, seed=5, chunk_size=16)
+                    for ctl in controls]
+            return ([b"".join(a.tobytes() for a in (r.X, r.B, r.Q)) for r in runs],
+                    repr(upper_price_mc(model, "1 + x1", 0.3, controls, dt=0.02, n_paths=41,
+                                        **kw)),
+                    [repr(long_term_yield_mc(model, [0.1, 0.3], ctl, dt=0.02, n_paths=41, **kw))
+                     for ctl in controls])
+
+        entry_by_entry = []
+        real = sim._contract
+
+        def spy(spec, mat, vec, out=None):
+            entry_by_entry.append(spec in sim._ROW_SPECS and vec.shape[-1] == 2
+                                  and mat.strides[0] == 0)
+            return real(spec, mat, vec, out)
+
+        monkeypatch.setattr(sim, "_contract", spy)
+        got = outputs()
+        # the constant roots, sigma and v take the entry-by-entry sums at d = 2
+        assert any(entry_by_entry) == (d == 2)
+        monkeypatch.setattr(sim, "_contract",
+                            lambda spec, mat, vec, out=None: np.einsum(spec, mat, vec, out=out))
+        assert got == outputs(), TestContract.CHANGED

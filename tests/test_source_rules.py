@@ -342,3 +342,63 @@ def test_rule_sees_every_unresolved_hook():
     assert _unresolved(methods, functions) == [
         "sim.ConstantControl.gone", "sim.GoneControl.matrices", "sim.ConstantControl.label",
         "gcore._first_max", "sim._MASK64"]
+
+
+# the Euler kernel and the deflator scan contract only through sim._contract,
+# which sums a constant operand entry by entry and leaves the rest to einsum
+KERNEL_FUNCTIONS = ("_euler_steps", "_deflator_scan")
+CONTRACTIONS = {"einsum", "dot", "matmul", "tensordot", "inner", "vdot"}
+
+
+def _direct_contractions(tree, functions):
+    """(function, line) of every contraction in ``functions`` of ``tree`` that
+    does not go through the helper: a call of ``np.einsum`` or another numpy
+    contraction, of a name the module or a function binds to one by an import
+    or an assignment, or an ``@``."""
+    def contraction(expr, aliases):
+        return ((isinstance(expr, ast.Attribute) and expr.attr in CONTRACTIONS)
+                or (isinstance(expr, ast.Name) and expr.id in aliases))
+
+    aliases = set(CONTRACTIONS)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            aliases.update(a.asname or a.name for a in node.names if a.name in CONTRACTIONS)
+        elif isinstance(node, ast.Assign) and contraction(node.value, aliases):
+            aliases.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name in functions:
+            for node in ast.walk(fn):
+                if ((isinstance(node, ast.Call) and contraction(node.func, aliases))
+                        or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))):
+                    yield fn.name, node.lineno
+
+
+def test_kernel_contracts_only_through_its_helper():
+    path = SRC / "sim.py"
+    tree = ast.parse(path.read_text(), str(path))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert set(KERNEL_FUNCTIONS) <= defined
+    assert list(_direct_contractions(tree, KERNEL_FUNCTIONS)) == []
+
+
+def test_rule_sees_every_direct_contraction():
+    source = ("import numpy as np\n"
+              "from numpy import einsum as es\n"
+              "ein = np.einsum\n"
+              "def _euler_steps(x):\n"
+              "    np.einsum('i->', x)\n"
+              "    ein('i->', x)\n"
+              "    for k in range(3):\n"
+              "        while k:\n"
+              "            es('i->', x)\n"
+              "    _contract('ni,ni->n', x, x)\n"
+              "    return x @ x\n"
+              "def _contract(spec, a, b):\n"
+              "    return np.einsum(spec, a, b)\n"
+              "def _deflator_scan(y):\n"
+              "    if y:\n"
+              "        with open(y):\n"
+              "            np.dot(y, y)\n")
+    assert sorted(_direct_contractions(ast.parse(source), KERNEL_FUNCTIONS)) == [
+        ("_deflator_scan", 17), ("_euler_steps", 5), ("_euler_steps", 6), ("_euler_steps", 9),
+        ("_euler_steps", 11)]
