@@ -23,7 +23,8 @@ from .errors import ConfigurationError
 from .gcore import UncertaintySet
 from .model import ModelSpec, _coeff_grid
 from .pde import _RETIRED, Grid
-from .sim import ConstantControl, PiecewiseControl, extreme_controls, worst_case_policy
+from .sim import (ConstantControl, PiecewiseControl, _resolve_steps, extreme_controls,
+                  worst_case_policy)
 
 __all__ = [
     "SolverSettings",
@@ -298,6 +299,12 @@ def _parse_sim(obj, m: int) -> SimSettings | None:
         dt = horizon / n_steps
     if not (dt > 0.0 and dt <= horizon):
         raise ConfigurationError("sim.dt must lie in (0, horizon]")
+    # the simulators' own rule: each horizon is a whole number of steps
+    with _located("sim.dt"):
+        _resolve_steps(horizon, dt)
+    for i, t in enumerate(checkpoints or ()):
+        with _located(f"sim.checkpoints[{i}]"):
+            _resolve_steps(t, dt)
     return SimSettings(
         x0=x0,
         horizon=horizon,

@@ -133,16 +133,10 @@ def _contract(spec: str, mat: np.ndarray, vec: np.ndarray,
     return out
 
 
-def _broadcast_rows(cache: dict, key, arrays: tuple, n: int) -> tuple:
-    """Read-only broadcasts of ``arrays`` over ``n`` rows, the latest kept per key.
-
-    A run's steps share a few row counts, and np.broadcast_to on every step
-    costs more than the step's root einsum.
-    """
-    views = cache.get(key)
-    if views is None or views[0].shape[0] != n:
-        views = cache[key] = tuple(np.broadcast_to(a, (n,) + a.shape) for a in arrays)
-    return views
+def _broadcast_rows(arrays: tuple, n: int) -> tuple:
+    """Read-only broadcasts of ``arrays`` over ``n`` rows: one value on every
+    row, with stride 0, which ``_contract`` sums entry by entry at d = 2."""
+    return tuple(np.broadcast_to(a, (n,) + a.shape) for a in arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +191,13 @@ class ConstantControl(VolControl):
         self.q = _scenario(q)
         self.root = _sqrt_psd(self.q)
         self.label = label or "constant"
-        self._views: dict = {}
 
     def matrices(self, t: float, x: np.ndarray) -> np.ndarray:
         return self.matrices_and_roots(t, x)[0]
 
     def matrices_and_roots(self, t: float, x: np.ndarray,
                            coeffs=None) -> tuple[np.ndarray, np.ndarray]:
-        return _broadcast_rows(self._views, None, (self.q, self.root), x.shape[0])
+        return _broadcast_rows((self.q, self.root), x.shape[0])
 
     def _fixed_scenario(self) -> tuple[np.ndarray, np.ndarray] | None:
         # a subclass that steps otherwise applies a scenario of its own
@@ -239,7 +232,6 @@ class PiecewiseControl(VolControl):
         self.mats = np.stack(ms)
         self.roots = _sqrt_psd(self.mats)  # one root per segment, as ConstantControl
         self.label = label or "piecewise"
-        self._views: dict = {}
 
     def _segment(self, t: float) -> int:
         # t = k dt carries the rounding of dt and of the product, a few ulps, so
@@ -254,7 +246,7 @@ class PiecewiseControl(VolControl):
     def matrices_and_roots(self, t: float, x: np.ndarray,
                            coeffs=None) -> tuple[np.ndarray, np.ndarray]:
         idx = self._segment(t)
-        return _broadcast_rows(self._views, idx, (self.mats[idx], self.roots[idx]), x.shape[0])
+        return _broadcast_rows((self.mats[idx], self.roots[idx]), x.shape[0])
 
     def validate(self, sigma_set: UncertaintySet) -> None:
         for i, m in enumerate(self.mats):
@@ -286,41 +278,25 @@ class _CandidatePolicy(FeedbackControl):
     """Feedback control that picks one fixed candidate matrix per path.
 
     ``pick(t, x, coeffs)`` returns indices into ``candidates``; the square
-    roots of the candidates are taken once instead of on every step.
-    ``uniform``, when given, is the index ``pick`` returns at every point
-    without a NaN coordinate: ``matrices_and_roots`` then returns it on every
-    row, as read-only views, as ``ConstantControl``'s does.  A NaN state never
-    reaches an output, since the Euler kernel raises on it.  ``matrices`` is
-    the policy's definition, the full pick gathered into a fresh array.
+    roots of the candidates are taken once instead of on every step, and
+    each step gathers the picked ones into fresh arrays.
     """
 
-    def __init__(self, pick: Callable[..., np.ndarray], candidates: np.ndarray, label: str,
-                 uniform: int | None = None):
+    def __init__(self, pick: Callable[..., np.ndarray], candidates: np.ndarray, label: str):
         super().__init__(lambda t, x: candidates.take(pick(t, x, None), axis=0), label=label)
         self.pick = pick
         self.candidates = candidates
         self.roots = _sqrt_psd(candidates)
-        self.uniform = uniform
-        self._views: dict = {}
 
     def matrices_and_roots(self, t: float, x: np.ndarray,
                            coeffs=None) -> tuple[np.ndarray, np.ndarray]:
-        if self.uniform is not None:
-            c = self.uniform
-            return _broadcast_rows(self._views, None, (self.candidates[c], self.roots[c]),
-                                   x.shape[0])
         idx = self.pick(t, x, coeffs)
         # take() gathers whole (d, d) blocks several times faster than indexing
         return self.candidates.take(idx, axis=0), self.roots.take(idx, axis=0)
 
-    def _fixed_scenario(self) -> tuple[np.ndarray, np.ndarray] | None:
-        if self.uniform is None:
-            return None
-        return self.candidates[self.uniform], self.roots[self.uniform]
 
-
-def worst_case_policy(solution, model: ModelSpec) -> FeedbackControl:
-    """Feedback control selecting the maximizing covariance of G(H).
+def worst_case_policy(solution, model: ModelSpec) -> VolControl:
+    """The control that selects the maximizing covariance of G(H).
 
     ``solution`` is an ergodic or stationary/parabolic solution exposing
     ``derivatives_at``.  The selected matrix is always one of the extreme
@@ -328,15 +304,14 @@ def worst_case_policy(solution, model: ModelSpec) -> FeedbackControl:
     interpolants extend with frozen boundary derivatives, so the policy
     stays well defined on the whole simulation range.
 
-    For a stationary solution, on a model whose sigma, h - d_ij, k and v
-    are constant, the pick is certified once, here
-    (``pde._certified_candidate``): when one candidate wins on every grid
-    cell with a margin above the rounding error, each step returns it on
-    every row without evaluating H.  Every model or solution on which no
-    candidate wins everywhere, and any other model or solution, take the
-    full evaluation of H.  The picks differ only on a row with a NaN
-    coordinate, which ends its march in ``DivergenceError``, so every output
-    is the same either way.
+    When ``pde._certified_candidate`` proves one candidate the pick on every
+    grid cell (for a stationary solution, on a model whose sigma, h - d_ij,
+    k and v are constant), the policy is that candidate's
+    ``ConstantControl``, labelled ``"worst_case"``: the sublinear expectation
+    is then the linear one under that extreme, and no step evaluates H.
+    Otherwise each step evaluates H in full (``_CandidatePolicy``).  The two
+    differ only on a row with a NaN coordinate, which ends its march in
+    ``DivergenceError``, so every output is the same either way.
 
     A solution whose grid has another dimension than the model's state
     raises ``ShapeError`` here, before any step.
@@ -346,6 +321,11 @@ def worst_case_policy(solution, model: ModelSpec) -> FeedbackControl:
         raise ShapeError(f"the solution's grid has {grid.m} axes, model state dimension "
                          f"is {model.m}")
 
+    cands = np.stack(model.uncertainty.candidates())
+    certified = _certified_candidate(solution, model)
+    if certified is not None:
+        return ConstantControl(cands[certified], label="worst_case")
+
     def pick(t: float, x: np.ndarray, coeffs) -> np.ndarray:
         grad, hess = solution.derivatives_at(x, t)
         # a bundle of another model (or none) leaves the evaluation to the Hamiltonian
@@ -353,9 +333,7 @@ def worst_case_policy(solution, model: ModelSpec) -> FeedbackControl:
         hmat = _hamiltonian_batch(model, x, grad, hess, precomputed=pre)
         return _best_candidate(hmat, model.uncertainty)
 
-    cands = np.stack(model.uncertainty.candidates())
-    return _CandidatePolicy(pick, cands, label="worst_case",
-                            uniform=_certified_candidate(solution, model))
+    return _CandidatePolicy(pick, cands, label="worst_case")
 
 
 def extreme_controls(sigma_set: UncertaintySet) -> list[ConstantControl]:
@@ -559,11 +537,11 @@ def _euler_steps(model: ModelSpec, controls: Sequence[VolControl], x0: np.ndarra
     reads the view of its own rows.  Every entry is a function of its own
     row, so each control's rows equal a march of that control alone, bit for
     bit.  dB and dQV are buffers the next step overwrites; a control's dQV
-    rows are formed again only when it returns a new or writeable Q.  A
-    control with a fixed scenario (``VolControl._fixed_scenario``) applies it
-    on every step and row, so it is asked for Q and its root once per chunk,
-    on the first step, and its dQV rows are formed then.  The step time is
-    k dt.
+    rows are formed each time it is asked for Q.  A control with a fixed
+    scenario (``VolControl._fixed_scenario``) applies it on every step and
+    row, so it is asked for Q and its root once per chunk, on the first
+    step, and its dQV rows are formed then; every other control is asked on
+    every step.  The step time is k dt.
 
     Each contraction goes through ``_contract``: root xi, sigma dB and
     h : dQV.  A fixed scenario's root and a constant sigma are one value over
@@ -596,11 +574,9 @@ def _euler_steps(model: ModelSpec, controls: Sequence[VolControl], x0: np.ndarra
         try:
             for g, (ctl, rows) in enumerate(zip(controls, blocks)):
                 if k == 0 or every_step[g]:
-                    q, roots[g] = ctl.matrices_and_roots(k * dt, x[rows],
-                                                         coeffs=coeffs.rows(rows))
-                    if q is not qs[g] or q.flags.writeable:
-                        np.multiply(q, dt, out=dqv[rows])
-                        qs[g] = q
+                    qs[g], roots[g] = ctl.matrices_and_roots(k * dt, x[rows],
+                                                             coeffs=coeffs.rows(rows))
+                    np.multiply(qs[g], dt, out=dqv[rows])
                 _contract("nij,nj->ni", roots[g], xi, db[rows])
             db *= sqdt
             x_next = x + coeffs["b"] * dt
@@ -737,7 +713,12 @@ def _deflator_scan(
             for part, rows in zip(out, blocks):
                 w = np.exp(lnD[rows])
                 if payoff is not None:
-                    w = w * payoff(x_next[rows])
+                    # any other shape would broadcast against the deflators
+                    values = payoff(x_next[rows])
+                    if np.shape(values) not in ((n,), ()):
+                        raise ShapeError(f"payoff returned shape {np.shape(values)} for {n} "
+                                         f"terminal states; need ({n},) or ()")
+                    w = w * values
                 part[k + 1] = (float(np.sum(w)), float(np.sum(w * w)))
     return out
 
@@ -840,7 +821,8 @@ def upper_price_mc(
     a chunk step as one row-stacked batch that evaluates the model once
     per step; every entry still equals pricing its control alone, bit for
     bit.  ``payoff`` may be a coefficient expression or a callable on
-    terminal states, applied to each control's rows on their own; None
+    terminal states, applied to each control's rows on their own, that
+    returns one value per row or one for all (else ``ShapeError``); None
     means the constant 1.  ``x0`` defaults to the origin and must be
     finite.
 

@@ -21,7 +21,6 @@ from gkernel import (
     ConfigurationError,
     ConstantControl,
     Decomposition,
-    FeedbackControl,
     Grid,
     ModelSpec,
     PdeSolution,
@@ -333,7 +332,9 @@ class TestBuildControl:
         with pytest.raises(ConfigurationError):
             build_control("worst_case", const_model)
         ctl = build_control("worst_case", const_model, const_sol)
-        assert isinstance(ctl, FeedbackControl)
+        # the pick is the upper variance on every cell: the policy is its constant control
+        assert ctl.label == "worst_case"
+        assert ctl.matrices(0.0, np.zeros((3, 1))).tolist() == [[[1.0]]] * 3
 
     def test_rejections(self, const_model):
         with pytest.raises(ConfigurationError):
@@ -656,6 +657,29 @@ class TestCli:
             code, _, err = run_cli(doc, command)
             assert code == 3
             assert f"{name} must be finite" in err
+
+    @pytest.mark.parametrize("name", ["sim.dt", "sim.checkpoints[1]"])
+    def test_step_that_misses_a_horizon_named_before_solving(self, run_cli, name, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the sim block was checked")
+
+        monkeypatch.setattr(cli, "solve_ergodic", no_solve)
+        doc = sim_doc()
+        doc["sim"].update(horizon=1.0, dt=0.01, checkpoints=[0.1, 0.25, 1.0])
+        assert parse_config(doc).sim.checkpoints == (0.1, 0.25, 1.0)
+        if name == "sim.dt":
+            doc["sim"]["dt"] = 0.03
+            del doc["sim"]["checkpoints"]
+        else:
+            doc["sim"]["checkpoints"] = [0.1, 0.255]
+        message = f"{name}: dt=" + ("0.03 must divide the horizon T=1.0" if name == "sim.dt"
+                                    else "0.01 must divide the horizon T=0.255")
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            parse_config(doc)
+        for command in ("check", "price", "decompose"):
+            code, _, err = run_cli(doc, command)
+            assert code == 3
+            assert message in err
 
     @pytest.mark.parametrize("argv,name", [(("--tol", "inf"), "tol")], ids=["tol-inf"])
     def test_solver_setting_out_of_range_exits_3(self, run_cli, argv, name):

@@ -4,6 +4,7 @@ import collections
 import concurrent.futures
 import itertools
 import math
+import re
 import threading
 import tracemalloc
 
@@ -90,15 +91,17 @@ class TestPathGeneration:
         ctl = PiecewiseControl([0.0, 0.5], [1.44, 0.64])
         x3, x5 = np.zeros((3, 1)), np.zeros((5, 1))
         q, root = ctl.matrices_and_roots(0.1, x3)
-        assert ctl.matrices_and_roots(0.2, x3)[0] is q  # kept for the row count
         later, later_root = ctl.matrices_and_roots(0.7, x3)
         assert np.all(later == 0.64) and np.all(later_root == 0.8)
         assert np.all(ctl.matrices(0.3, x3) == 1.44) and np.all(root == 1.2)
         assert ctl.matrices_and_roots(0.1, x5)[1].shape == (5, 1, 1)
         const = ConstantControl(1.44)
-        q, root = const.matrices_and_roots(0.0, x5)
-        assert q.shape == root.shape == (5, 1, 1) and np.all(root == 1.2)
-        assert not q.flags.writeable and const.matrices(1.0, x5) is q
+        q5, root5 = const.matrices_and_roots(0.0, x5)
+        assert q5.shape == root5.shape == (5, 1, 1) and np.all(root5 == 1.2)
+        assert np.all(const.matrices(1.0, x5) == q5)
+        # one read-only value on every row, which the kernel sums entry by entry
+        for a in (q, root, later, q5, root5):
+            assert not a.flags.writeable and a.strides[0] == 0
 
     def test_quadratic_variation_sandwich(self, ou_model, ou_sol):
         policy = worst_case_policy(ou_sol, ou_model)
@@ -407,6 +410,20 @@ class TestPricing:
         # starting far in the money, the payoff is near the (mean-reverted) state
         assert 0.5 < pe.estimate < 2.5
 
+    def test_callable_payoff_needs_one_value_per_path_or_one_for_all(self):
+        model = ModelSpec.build(m=1, d=1, b=["-x1"], sigma=[[0.2]], r=0.02,
+                                uncertainty=UncertaintySet.interval(0.5, 1.0))
+        kw = dict(dt=0.1, n_paths=100)
+        per_path = upper_price_mc(model, lambda x: np.ones(len(x)), 1.0, **kw)
+        assert per_path.estimate == pytest.approx(math.exp(-0.02), abs=1e-12)
+        assert upper_price_mc(model, lambda x: 1.0, 1.0, **kw).table == per_path.table
+        # a column of values would broadcast against the deflators to n x n
+        for bad, shape in [(lambda x: np.ones((len(x), 1)), "(100, 1)"),
+                           (lambda x: np.ones(len(x) + 1), "(101,)")]:
+            with pytest.raises(ShapeError, match=re.escape(
+                    f"payoff returned shape {shape} for 100 terminal states")):
+                upper_price_mc(model, bad, 1.0, **kw)
+
     def test_empty_controls_rejected(self, const_model):
         with pytest.raises(ShapeError):
             upper_price_mc(const_model, None, 1.0, [], dt=0.1, n_paths=16)
@@ -484,10 +501,10 @@ def _mixed_controls(model, sol):
     candidate, a piecewise control and a control that holds the policy's
     candidate but steps with another; and the number of marches they need."""
     policy = worst_case_policy(sol, model)
-    assert policy.uniform is not None
+    assert policy._fixed_scenario() is not None
     extremes = extreme_controls(model.uncertainty)
-    cands = model.uncertainty.candidates()
-    win, other = cands[policy.uniform], cands[1 - policy.uniform]
+    win = policy.q
+    (other,) = [q for q in model.uncertainty.candidates() if not np.array_equal(q, win)]
     controls = extremes + [
         policy,
         ConstantControl(win, label="again"),
@@ -535,6 +552,45 @@ class TestSharedMarch:
         assert joint.table["own_step"] == ref.table["own_step"] != joint.table["constant"]
 
 
+class TestCertifiedPolicyMarchesWithItsExtreme:
+    """A certified worst-case policy is its candidate's ``ConstantControl``: its
+    scenario and root are the bytes of the stacked candidates and of their
+    batched roots, and it shares its extreme's march."""
+
+    @staticmethod
+    def _sets(d, rng):
+        if d == 1:
+            ends = np.exp(rng.uniform(-20.0, 20.0, (40, 2)))
+            yield from (UncertaintySet.interval(min(e), max(e)) for e in ends)
+            yield UncertaintySet.interval(0.7, 0.7)
+        for _ in range(40):
+            a = rng.standard_normal((int(rng.integers(1, 5)), d, d))
+            yield UncertaintySet.finite(a @ a.swapaxes(1, 2) + 0.1 * np.eye(d))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_candidate_control_equals_the_stacked_candidates(self, d):
+        for sset in self._sets(d, np.random.default_rng(d)):
+            stacked = np.stack(sset.candidates())
+            roots = sim._sqrt_psd(stacked)
+            for i, q in enumerate(sset.candidates()):
+                ctl = ConstantControl(q)
+                assert ctl.q.tobytes() == stacked[i].tobytes()
+                assert ctl.root.tobytes() == roots[i].tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_policy_joins_its_extremes_march(self, m, const_model, const_sol):
+        model, sol = (const_model, const_sol) if m == 1 else _const_kernel_2d()
+        policy = worst_case_policy(sol, model)
+        extremes = extreme_controls(model.uncertainty)
+        groups = sim._march_groups([policy, *extremes])
+        assert len(groups) == len(extremes)
+        (mates,) = [g for g in groups if 0 in g]
+        # the deflator's v^T Q v is largest under the upper variance, and in 2D
+        # under the member that correlates the two noises
+        assert [extremes[i - 1].label for i in mates[1:]] == [
+            "upper" if m == 1 else "member_1"]
+
+
 class TestDivergedState:
     """A path whose Euler state is not finite ends its march in DivergenceError
     naming the control that marched it."""
@@ -546,11 +602,11 @@ class TestDivergedState:
         model = ModelSpec.build(m=1, d=1, b=[0.0], sigma=[[1e300]], r=0.0,
                                 uncertainty=UncertaintySet.interval(0.5, 1.0))
         cands = np.stack(model.uncertainty.candidates())
-        # certified to the lower candidate; the full pick would take the upper one
-        # on a NaN row, as the worst-case pick does where H is NaN
+        # the lower candidate on finite rows and the upper one on a NaN row, as
+        # the worst-case pick takes where H is NaN
         policy = sim._CandidatePolicy(
             lambda t, x, coeffs: np.where(np.isnan(x).any(axis=1), 0, 1), cands,
-            label="worst_case", uniform=1)
+            label="worst_case")
         return model, policy, ConstantControl(cands[1], label="lower")
 
     @pytest.mark.parametrize("entry", ["simulate_gsde", "long_term_yield_mc"])
@@ -568,7 +624,9 @@ class TestDivergedState:
 
     @pytest.mark.parametrize("policy_first", [True, False])
     def test_shared_march_raises_naming_its_first_member(self, policy_first):
-        model, policy, lower = self._overflow()
+        model, _, lower = self._overflow()
+        # the worst-case policy certified to the lower candidate
+        policy = ConstantControl(lower.q, label="worst_case")
         controls = [policy, lower] if policy_first else [lower, policy]
         assert len(sim._march_groups(controls)) == 1
         kw = dict(dt=1e20, n_paths=64, seed=9, x0=[0.0], chunk_size=20)
@@ -1157,7 +1215,7 @@ def _stacked_pool(m, kind):
         label="switch")
     first, last = ConstantControl(cands[0], label="first"), ConstantControl(cands[-1], label="last")
     certified = worst_case_policy(flat, model)
-    assert (certified.uniform is not None) == (kind == "const")
+    assert (certified._fixed_scenario() is not None) == (kind == "const")
     new = [worst_case_policy(switching, model), first, piecewise, feedback, certified, last]
     old = [_OraclePolicy(switching, model), first,
            FeedbackControl(piecewise.matrices), feedback,
@@ -1228,8 +1286,8 @@ class TestStackedMarch:
         draws = sim._chunk_draws(1, 0, 7, 10, 1)
         for _ in sim._euler_steps(const_model, controls, np.zeros(1), 0.1, draws):
             pass
-        # once for the constant, once per segment, once per step for the feedback
-        assert len(formed) == 1 + 2 + 10
+        # once for the constant, once per step for the piecewise and the feedback
+        assert len(formed) == 1 + 10 + 10
 
     def test_fixed_scenario_asked_once_per_chunk(self, const_model, const_sol, monkeypatch):
         asked = collections.Counter()
@@ -1239,7 +1297,8 @@ class TestStackedMarch:
                 asked.update([self.label]) or _real(self, *a, **kw)))
         hi, lo = const_model.uncertainty.candidates()
         certified = worst_case_policy(const_sol, const_model)
-        assert certified.uniform == 0  # hi, a group of its own beside lo
+        # hi, a group of its own beside lo
+        assert certified._fixed_scenario() is not None and np.array_equal(certified.q, hi)
         controls = [ConstantControl(lo, label="lower"), certified,
                     PiecewiseControl([0.0, 0.5], [hi, lo])]
         upper_price_mc(const_model, None, 1.0, controls, dt=0.1, n_paths=14, chunk_size=7)
@@ -1430,29 +1489,33 @@ class TestPickTable:
     without a certified candidate."""
 
     @pytest.mark.parametrize("case", list(TABLE_CASES))
-    def test_certified_pick_equals_the_full_pick(self, case, request):
+    def test_certified_pick_equals_the_full_pick(self, case, request, monkeypatch):
         model, solution = TABLE_CASES[case](request.getfixturevalue)
         policy = worst_case_policy(solution, model)
-        reference = sim._CandidatePolicy(policy.pick, policy.candidates, "reference")
+        monkeypatch.setattr(sim, "_certified_candidate", lambda solution, model: None)
+        reference = worst_case_policy(solution, model)
+        assert isinstance(reference, sim._CandidatePolicy)
         x = _table_queries(solution.grid, np.random.default_rng(len(case)))
         got = policy.matrices_and_roots(0.0, x, coeffs=model.evaluate(x))
         ref = reference.matrices_and_roots(0.0, x)
         nan = np.isnan(x).any(axis=1)
         for a, b in zip(got, ref):
             assert np.ascontiguousarray(a[~nan]).tobytes() == b[~nan].tobytes()
-        assert policy.matrices(0.0, x).tobytes() == ref[0].tobytes()
+        q = policy.matrices(0.0, x)
+        assert np.ascontiguousarray(q[~nan]).tobytes() == ref[0][~nan].tobytes()
         picked = len(np.unique(ref[0][~nan].reshape(-1, model.d**2), axis=0))
         if case in SWITCHING_CASES:
-            assert picked >= 2 and policy.uniform is None
+            assert picked >= 2 and policy._fixed_scenario() is None
+            assert q.tobytes() == ref[0].tobytes()
             for a, b in zip(got, ref):
                 assert a[nan].tobytes() == b[nan].tobytes()
         else:
-            assert picked == 1 and policy.uniform is not None
+            assert picked == 1 and policy._fixed_scenario() is not None
             # a NaN row reads the certified candidate: its march raises, so it
             # reaches no output
-            c = policy.uniform
-            assert nan.any() and (got[0][nan] == policy.candidates[c]).all()
-            assert (got[1][nan] == policy.roots[c]).all()
+            fixed_q, fixed_root = policy._fixed_scenario()
+            assert nan.any() and (got[0][nan] == fixed_q).all()
+            assert (got[1][nan] == fixed_root).all()
 
     def test_certified_pick_reads_no_derivatives(self, const_model, const_sol, monkeypatch):
         policy = worst_case_policy(const_sol, const_model)
@@ -1464,7 +1527,8 @@ class TestPickTable:
         policy.matrices_and_roots(0.0, x)
         x[7] = np.nan  # a NaN row reads the certified candidate as well
         q, _ = policy.matrices_and_roots(0.0, x)
-        assert calls == [] and (q == policy.candidates[policy.uniform]).all()
+        hi = const_model.uncertainty.candidates()[0]
+        assert calls == [] and (q == hi).all()
 
     def test_models_and_solutions_without_a_certificate(self, ou_model):
         switching, sol = _switching_model(1)  # k = 0.3 x1 depends on the state
@@ -1562,8 +1626,8 @@ class TestContract:
             model, controls = _three_noise_pool()
         else:
             model, controls, _ = _stacked_pool(d, "const")
-        policies = [ctl for ctl in controls if isinstance(ctl, sim._CandidatePolicy)]
-        assert sorted(p.uniform is None for p in policies) == [False, True]
+        policies = [ctl for ctl in controls if ctl.label == "worst_case"]
+        assert sorted(p._fixed_scenario() is None for p in policies) == [False, True]
         for i, ctl in enumerate(controls):  # a price table needs distinct labels
             ctl.label = f"{ctl.label}_{i}"
         x0 = np.full(model.m, 0.05)
