@@ -32,7 +32,7 @@ from .errors import ConfigurationError, EvaluationError, NumericalError
 from .io import fmt17, write_json, write_solution_csv, write_traces_csv
 from .model import check_assumptions
 from .pde import solve_ergodic
-from .sim import extreme_controls, simulate_gsde, upper_price_mc, worst_case_policy
+from .sim import _march_groups, extreme_controls, simulate_gsde, upper_price_mc, worst_case_policy
 
 _TRACE_PATH_LIMIT = 16     # traces.csv keeps at most this many paths
 _AUDIT_PATH_LIMIT = 4000   # full-history batches held by the martingale audit
@@ -149,7 +149,12 @@ def _run_decompose(cfg: RunConfig, args) -> int:
     _, recon_stats = reconstruct_D(dec)
 
     n_audit = min(n_paths, _AUDIT_PATH_LIMIT)
+    # an extreme that applies the control's own fixed scenario has the same
+    # paths on the same seed (per-path streams): its audit batch is the first
+    # n_audit paths of the main batch, which the audit then reads from `dec`
     extra = [
+        replace(batch.path_slice(0, n_audit), control_label=ctl.label)
+        if len(_march_groups([control, ctl])) == 1 else
         simulate_gsde(cfg.model, ctl, sim.x0, sim.horizon, sim.dt, n_audit,
                       seed=seed)
         for ctl in extreme_controls(cfg.model.uncertainty)

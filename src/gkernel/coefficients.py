@@ -325,8 +325,10 @@ class Expression(CoefficientFn):
         """The values at the states ``x`` (n, m).  IEEE results (inf, nan) stand
         without warnings: the call masks them under one ``np.errstate``, unless
         ``_masked`` says that its caller already does, as ``ModelSpec`` does
-        once for all the entries of a tensor."""
-        x = _check_states(x)
+        once for all the entries of a tensor.  ``_masked`` also says that the
+        caller has checked ``x`` to be a 2-d float array, once per tensor."""
+        if not _masked:
+            x = _check_states(x)
         if self._can_warn and not _masked:
             with np.errstate(**IEEE_QUIET):
                 out = self._fn(x)

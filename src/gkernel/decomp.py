@@ -20,6 +20,7 @@ per-step consistency of u along the paths.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -57,7 +58,16 @@ class Decomposition:
     ``ln_D_reconstructed`` assembles lam t + u(X_0) - u(X_t) + ln M_t
     + K_t.  Their gap is the discrete factorization error.  The
     reconstruction is not stored: each read assembles it afresh.
+
+    One made by :func:`compute_components` records its batch (a weak
+    reference, which keeps no array alive), solution and model in a private
+    attribute that is not a field; other constructors, ``path_slice`` and
+    ``dataclasses.replace`` record nothing.  The audits read it as
+    :func:`verify_martingales` says, taking the arrays as they were written:
+    edit a copy made by ``dataclasses.replace``.
     """
+
+    _source = None  # (weakref to the batch, solution, model) of compute_components
 
     times: np.ndarray
     X: np.ndarray
@@ -243,11 +253,16 @@ def compute_components(
     The batch is taken in blocks of about ``_BLOCK_PATH_STEPS`` path-steps,
     each writing its rows of the outputs, so the working memory beyond the
     outputs does not grow with the batch.
+
+    The result records where it came from (:class:`Decomposition`), so that
+    :func:`verify_martingales` reads, and does not decompose again, a batch
+    that holds these very histories.
     """
     lam = _resolve_lam(solution, lam)
     dec = _empty(batch, model.d, lam)
     for _ in _path_blocks(batch, solution, model, lam, out=dec):
         pass
+    dec._source = (weakref.ref(batch), solution, model)
     return dec
 
 
@@ -453,6 +468,15 @@ def verify_martingales(
     tolerance of 5 dt, pathwise identity error, and per-step
     consistency norms.  Each batch is decomposed and reduced one block of
     whole paths at a time, so none is held decomposed.
+
+    A batch whose histories are the first paths of the batch ``dec`` was
+    computed from, bit for bit, under the same ``solution`` and ``model``
+    objects, is not decomposed again: its figures are the first rows of the
+    reference's (``_reads_reference``).  That is exact, because every figure
+    is formed per path from the batch's X, B, Q and dt, the solution, the
+    model and ``dec.lam``, and the reductions run once over the path figures.
+    A certified worst-case policy and its extreme, simulated on one seed,
+    give such a pair.
     """
     batches = list(batches)
     plan = _audit_plan(dec, batches, solution, model)
@@ -478,14 +502,47 @@ def _audit_plan(dec: Decomposition, batches: list, solution,
     return marks, dt, 5.0 * dt
 
 
+def _reads_reference(dec: Decomposition, n_ref: int, b: ScenarioBatch, solution,
+                     model) -> bool:
+    """Whether the figures of batch ``b`` are the first ``b.n_paths`` of the
+    ``n_ref`` rows the audit has from ``dec``: ``dec`` was made by
+    ``compute_components`` from a batch still alive, under these very
+    ``solution`` and ``model`` objects, and ``b.times``, ``b.Q``, ``b.X`` and
+    ``b.B`` are its times and first rows as float64 bits (-0.0 is not +0.0,
+    and NaNs compare by payload).  Shapes, times and the first step of Q are
+    compared before the whole arrays, to tell another batch apart cheaply.
+    """
+    if dec._source is None:
+        return False
+    ref, source_solution, source_model = dec._source
+    src = ref()
+    if (src is None or source_solution is not solution or source_model is not model
+            or b.n_paths > n_ref):
+        return False
+    n = b.n_paths
+    pairs = [(b.times, src.times)] + [(getattr(b, f), getattr(src, f)[:n])
+                                      for f in ("Q", "X", "B")]
+    if not all(x.shape == y.shape and x.dtype == y.dtype == np.float64 for x, y in pairs):
+        return False
+    pairs.insert(1, (b.Q[:, :1], src.Q[:n, :1]))
+    return all(np.array_equal(x.view(np.int64), y.view(np.int64)) for x, y in pairs)
+
+
 def _verification(dec: Decomposition, ref_stats: dict, batches: list, solution, model,
                   plan: tuple) -> VerificationReport:
-    """The report of ``verify_martingales``, the reference's path figures given."""
+    """The report of ``verify_martingales``, the reference's path figures given.
+
+    A batch that ``_reads_reference`` takes the first rows of those figures;
+    every other batch is decomposed and reduced."""
     marks, dt, k_tol = plan
-    checks = [_martingale_check(ref_stats, dec.control_label, marks, dt)] + [
-        _martingale_check(_path_stats(_path_blocks(b, solution, model, dec.lam), marks,
-                                      k_tol=k_tol), b.control_label, marks, dt)
-        for b in batches]
+    n_ref = ref_stats["identity"].size
+    checks = [_martingale_check(ref_stats, dec.control_label, marks, dt)]
+    for b in batches:
+        if _reads_reference(dec, n_ref, b, solution, model):
+            stats = {name: values[:b.n_paths] for name, values in ref_stats.items()}
+        else:
+            stats = _path_stats(_path_blocks(b, solution, model, dec.lam), marks, k_tol=k_tol)
+        checks.append(_martingale_check(stats, b.control_label, marks, dt))
 
     ref = checks[0]
     degenerate = bool(model.uncertainty.degenerate) if model is not None else False
@@ -508,7 +565,9 @@ def _audit_decomposition(dec: Decomposition, n_audit: int, batches: Sequence[Sce
                          solution, model: ModelSpec):
     """``verify_martingales`` of the first ``n_audit`` paths of ``dec`` against
     ``batches``, and ``verify_bsde_residual`` of all of ``dec``, from one
-    reduction of ``dec``: its path figures do not depend on the other paths."""
+    reduction of ``dec``: its path figures do not depend on the other paths.
+    A batch that holds the first paths of ``dec``'s own histories reads the
+    first rows of that reduction, as in ``verify_martingales``."""
     batches = list(batches)
     plan = _audit_plan(dec, batches, solution, model)
     stats = _path_stats(_dec_blocks(dec), plan[0], k_tol=plan[2], residual=True)

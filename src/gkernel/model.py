@@ -28,7 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import IEEE_QUIET, CoefficientFn, Constant, Expression, as_coefficient
+from .coefficients import (IEEE_QUIET, CoefficientFn, Constant, Expression, _check_states,
+                           as_coefficient)
 from .errors import DivergenceError, DomainError, EvaluationError, ExpressionError, ShapeError
 from .gcore import UncertaintySet, _g_values
 
@@ -259,13 +260,15 @@ class ModelSpec:
         one ``np.errstate`` that is entered only if some entry can warn, then
         one finiteness test over all of it.  Only when that test fails are
         the values searched for the entry and row to name (``_non_finite``).
-        A tensor of one entry is that entry's values, uncopied.
+        A tensor of one entry is that entry's values, uncopied.  The states
+        are checked to be a 2-d array once here, not by each ``Expression``.
         """
         shape = _shapes(self.m, self.d)[name]
         calls, can_warn = self._entry_calls[name]
         n = len(x)
         if not calls:
             return np.zeros((n,) + shape)
+        x = _check_states(x)
         with np.errstate(**IEEE_QUIET) if can_warn else contextlib.nullcontext():
             if len(calls) == 1:
                 flat = calls[0](x)
@@ -284,7 +287,9 @@ class ModelSpec:
         can warn.  An ``Expression`` is called with its own ``np.errstate``
         left out, since ``_eval_tensor`` enters one for the whole tensor; it
         can warn if it has an operator or a function.  A ``Constant`` cannot
-        warn, and any other ``CoefficientFn`` is taken to."""
+        warn, and any other ``CoefficientFn`` is taken to.  An ``Expression``
+        also leaves out its check of the states, which ``_eval_tensor`` makes
+        once for the tensor."""
         out = {}
         for name in _shapes(self.m, self.d):
             fns = tuple(_entries(getattr(self, name)))

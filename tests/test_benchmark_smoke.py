@@ -13,9 +13,14 @@ from pathlib import Path
 import pytest
 
 import gkernel
+from gkernel import decomp
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SEED = 28801  # a seed on which every workload's checks pass
+# decompositions per decompose operation: the known extreme, the worst case, the
+# other extreme in the audit and the per-step residual; the extreme that the
+# certified policy applies reads the worst case's figures
+DECOMPOSE_WALKS = 4
 
 
 def _load(name, monkeypatch):
@@ -50,7 +55,10 @@ def test_one_traced_round_passes_its_checks(name, monkeypatch, tmp_path):
     tracer = spans.Tracer(gkernel)
     originals = _hooks(spans, tracer)
     workload = workloads.WORKLOADS[name](tmp_path)
-    failures, summaries = [], {}
+    failures, summaries, walks = [], {}, []
+    blocks = decomp._path_blocks
+    monkeypatch.setattr(decomp, "_path_blocks",
+                        lambda *a, **k: walks.append(1) or blocks(*a, **k))
     tracer.install()
     try:
         patched = _hooks(spans, tracer)
@@ -60,8 +68,11 @@ def test_one_traced_round_passes_its_checks(name, monkeypatch, tmp_path):
             workload.setup(gkernel, SEED)
         ops = workload.ops()
         for op in ops:
+            walks.clear()
             with tracer.operation(op.name, "round", op.control_steps):
                 result = op.run()
+            if name == "decompose":
+                assert len(walks) == DECOMPOSE_WALKS, op.name
             msgs, summaries[op.name] = op.check(result)
             failures += msgs
         failures += workload.check_round(summaries)

@@ -37,7 +37,7 @@ from gkernel import (
     write_solution_csv,
     write_traces_csv,
 )
-from gkernel import cli
+from gkernel import cli, decomp
 from gkernel.cli import main
 from gkernel.io import fmt17
 from gkernel.pde import nodal_gradient
@@ -583,6 +583,31 @@ class TestCli:
         assert run_cli(sim_doc(), "decompose", "--out", str(out2))[0] == 0
         for name in ("traces.csv", "decomposition.json", "solution.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("limit", [None, 20])
+    def test_policy_extreme_takes_the_main_paths(self, tmp_path, run_cli, monkeypatch, limit):
+        """The extreme that the certified policy applies is neither simulated
+        nor decomposed again, on all paths or on the first ``limit``; every
+        artifact is the bytes of a run that does both."""
+        if limit is not None:
+            monkeypatch.setattr(cli, "_AUDIT_PATH_LIMIT", limit)
+        sims, walks = [], []
+        simulate, blocks = cli.simulate_gsde, decomp._path_blocks
+        monkeypatch.setattr(cli, "simulate_gsde", lambda model, ctl, *a, **k:
+                            sims.append(ctl.label) or simulate(model, ctl, *a, **k))
+        monkeypatch.setattr(decomp, "_path_blocks", lambda b, *a, **k:
+                            walks.append(b.control_label) or blocks(b, *a, **k))
+        shared, apart = tmp_path / "shared", tmp_path / "apart"
+        assert run_cli(sim_doc(), "decompose", "--out", str(shared))[0] == 0
+        assert sims == walks == ["worst_case", "lower"]  # the policy applies "upper"
+        sims.clear()
+        walks.clear()
+        monkeypatch.setattr(cli, "_march_groups", lambda ctls: [[i] for i in range(len(ctls))])
+        monkeypatch.setattr(decomp, "_reads_reference", lambda *a: False)
+        assert run_cli(sim_doc(), "decompose", "--out", str(apart))[0] == 0
+        assert sims == walks == ["worst_case", "upper", "lower"]
+        for name in ("traces.csv", "decomposition.json", "solution.csv"):
+            assert (shared / name).read_bytes() == (apart / name).read_bytes()
 
     def test_seed_and_paths_overrides(self, tmp_path, run_cli):
         out1 = tmp_path / "o1"

@@ -1,8 +1,11 @@
 """Pathwise factorization of the deflator and its statistical audits."""
 
+import copy
 import dataclasses
+import gc
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from gkernel import (
 )
 from gkernel import decomp
 from gkernel.gcore import g_value_batch
+from gkernel.sim import _march_groups
 from conftest import quadratic_rate_model, switching_model
 
 FIELDS = ("u", "Z", "ln_M", "K", "ln_D_direct", "ln_D_reconstructed")
@@ -189,7 +193,9 @@ class TestMartingaleAudit:
         got = decomp._audit_decomposition(const_wc_dec, n_audit, extra, const_sol, const_model)
         assert json.dumps([r.to_dict() for r in got]) == json.dumps([mart.to_dict(),
                                                                      bsde.to_dict()])
-        assert len(calls) == 1 + len(extra)  # one reduction of the reference
+        # one reduction of the reference, whose rows the extreme that the certified
+        # policy applies reads, and one of the other extreme
+        assert len(calls) == len(extra)
 
     def test_each_audit_forms_only_the_figures_it_reads(self, const_model, const_sol,
                                                         const_wc_batch, const_wc_dec,
@@ -205,13 +211,14 @@ class TestMartingaleAudit:
                               "identity"}
         residual = norms | {"cum_max", "cum_final"}
         verify_martingales(const_wc_dec, extra, const_sol, const_model)
-        assert formed == [martingale] * (1 + len(extra))
+        # the extreme that the certified policy applies reads the reference's rows
+        assert formed == [martingale] * len(extra)
         formed.clear()
         verify_bsde_residual(const_wc_batch, const_sol, const_model)
         assert formed == [residual]
         formed.clear()
         decomp._audit_decomposition(const_wc_dec, 50, extra, const_sol, const_model)
-        assert formed == [martingale | residual] + [martingale] * len(extra)
+        assert formed == [martingale | residual] + [martingale] * (len(extra) - 1)
 
     def test_degenerate_set_triggers_classical_check(self):
         model = ModelSpec.build(
@@ -611,3 +618,121 @@ class TestBlockedComponents:
             finally:
                 tracemalloc.stop()
             assert peak < 48 * block, (peak, block)
+
+
+@pytest.fixture(scope="module", params=["1d", "2d"])
+def reuse_case(request, ou_model, ou_sol):
+    """A certified worst-case batch, its decomposition, and the extremes' batches on
+    the same seed; ``dup`` indexes the extreme that the policy applies."""
+    if request.param == "1d":
+        model, sol, x0, n = ou_model, ou_sol, [0.05], 120
+    else:
+        model = _affine_2d()
+        sol = solve_ergodic(model, Grid.build([(-2.5, 2.5)] * 2, [17, 17]), tol=1e-7)
+        x0, n = [0.1, -0.1], 80
+    policy = worst_case_policy(sol, model)
+    extremes = list(extreme_controls(model.uncertainty))
+    shared = [i for i, ctl in enumerate(extremes) if len(_march_groups([policy, ctl])) == 1]
+    assert len(shared) == 1  # certified: the policy is one extreme's scenario
+
+    def simulate(control, paths):
+        return simulate_gsde(model, control, x0, 0.5, 0.01, paths, seed=41)
+
+    batch = simulate(policy, n)
+    return SimpleNamespace(
+        model=model, sol=sol, policy=policy, simulate=simulate, batch=batch,
+        dec=compute_components(batch, sol, model), extremes=extremes,
+        batches=[simulate(ctl, n) for ctl in extremes], dup=shared[0])
+
+
+def _walks(monkeypatch):
+    """The labels of the batches that ``_path_blocks`` decomposes, in call order."""
+    walks = []
+    real = decomp._path_blocks
+    monkeypatch.setattr(decomp, "_path_blocks",
+                        lambda b, *a, **k: walks.append(b.control_label) or real(b, *a, **k))
+    return walks
+
+
+def _cleared(dec):
+    """``dec`` with its provenance cleared, so that every batch is decomposed."""
+    out = dataclasses.replace(dec)
+    assert out._source is None
+    return out
+
+
+def _audit_text(route, dec, n_audit, batches, solution, model):
+    """The martingale report of ``verify_martingales``, or both reports of
+    ``_audit_decomposition`` on the first ``n_audit`` paths, as JSON text."""
+    if route == "verify":
+        return json.dumps(verify_martingales(dec, batches, solution, model).to_dict())
+    reports = decomp._audit_decomposition(dec, n_audit, batches, solution, model)
+    return json.dumps([r.to_dict() for r in reports])
+
+
+class TestAuditReuse:
+    """A batch with the reference's own histories reads the reference's figures,
+    and every other batch is decomposed as before; the reports are the same bytes."""
+
+    def test_provenance_is_weak_and_not_a_field(self, reuse_case):
+        c = reuse_case
+        ref, solution, model = c.dec._source
+        assert ref() is c.batch and solution is c.sol and model is c.model
+        assert "_source" not in {f.name for f in dataclasses.fields(Decomposition)}
+        assert c.dec.path_slice(0, 5)._source is None
+
+    @pytest.mark.parametrize("route", ["verify", "audit"])
+    @pytest.mark.parametrize("paths", ["full", "prefix"])
+    def test_reused_figures_equal_a_decomposition(self, reuse_case, paths, route,
+                                                   monkeypatch):
+        c = reuse_case
+        n = c.batch.n_paths if paths == "full" else 37
+        batches = (c.batches if paths == "full"
+                   else [c.simulate(ctl, n) for ctl in c.extremes])  # a new run, fewer paths
+        walks = _walks(monkeypatch)
+        got = _audit_text(route, c.dec, n, batches, c.sol, c.model)
+        assert walks == [b.control_label for i, b in enumerate(batches) if i != c.dup]
+        walks.clear()
+        assert got == _audit_text(route, _cleared(c.dec), n, batches, c.sol, c.model)
+        assert walks == [b.control_label for b in batches]
+
+    @pytest.mark.parametrize("variant", ["X", "B", "Q", "signed_zero", "solution", "model",
+                                         "longer", "dead", "path_slice", "hand_built"])
+    def test_other_inputs_are_decomposed(self, reuse_case, variant, monkeypatch):
+        c = reuse_case
+        dec, sol, model, batches = c.dec, c.sol, c.model, list(c.batches)
+        n = c.batch.n_paths
+        dup = batches[c.dup]
+        if variant in ("X", "B", "Q"):  # one bit of the last entry
+            values = getattr(dup, variant).copy()
+            values.view(np.int64).reshape(-1)[-1] ^= 1
+            batches[c.dup] = dataclasses.replace(dup, **{variant: values})
+        elif variant == "signed_zero":  # B starts at +0.0 on every path
+            B = dup.B.copy()
+            assert B[0, 0, 0] == 0.0 and not np.signbit(B[0, 0, 0])
+            B[0, 0, 0] = -0.0
+            batches[c.dup] = dataclasses.replace(dup, B=B)
+        elif variant == "solution":
+            sol = dataclasses.replace(sol)
+        elif variant == "model":
+            model = copy.copy(model)
+        elif variant == "longer":  # the audit's reference figures hold 37 paths
+            n = 37
+        elif variant == "dead":
+            source = c.simulate(c.policy, n)
+            dec = compute_components(source, sol, model)
+            del source
+            gc.collect()
+            assert dec._source[0]() is None
+        elif variant == "path_slice":
+            dec = dec.path_slice(0, n)
+        else:
+            dec = Decomposition(**{f.name: getattr(dec, f.name)
+                                   for f in dataclasses.fields(dec)})
+        walks = _walks(monkeypatch)
+        for route in ["audit"] if variant == "longer" else ["verify", "audit"]:
+            got = _audit_text(route, dec, n, batches, sol, model)
+            assert walks == [b.control_label for b in batches], route
+            walks.clear()
+            assert got == _audit_text(route, _cleared(dec), n, batches, sol, model)
+            walks.clear()

@@ -24,6 +24,8 @@ from gkernel import (
     equilibrium_model,
     truncation_level,
 )
+from gkernel import coefficients
+from gkernel import model as model_module
 
 
 def _finite_2d():
@@ -490,6 +492,27 @@ class TestTensorTable:
                 r"^b\[0\] evaluated to a non-finite value at the non-finite state "
                 r"x = \[inf, 1.0\]; the path has diverged$")):
             self._model().eval_b(x)
+
+    @pytest.mark.parametrize("states", [np.zeros(4), np.zeros((2, 3, 2))])
+    def test_states_that_are_not_2d_raise(self, states):
+        """Through a public ``eval_*``, a ``Constant`` and a bare ``Expression``."""
+        for call in (self._model().eval_b, as_coefficient(0.05),
+                     as_coefficient("-x1 + 0.1 * x2")):
+            with pytest.raises(ShapeError, match="states must be a 2-d"):
+                call(states)
+
+    def test_states_checked_once_per_tensor(self, monkeypatch):
+        x = np.random.default_rng(7).uniform(-2.0, 2.0, size=(31, 2))
+        b = ["-x1 + 0.1 * x2", "0.05 - x2"]
+        expected = _stacked(b, x)
+        checked = []
+        real = coefficients._check_states
+        for module in (coefficients, model_module):
+            monkeypatch.setattr(module, "_check_states",
+                                lambda states: checked.append(1) or real(states))
+        got = self._model(b=b).eval_b(x)
+        assert got.tobytes() == expected.tobytes()
+        assert len(checked) == 1  # not once more in each Expression
 
     def test_boolean_rate_rejected(self):
         with pytest.raises(ShapeError, match="^r must be a number"):
