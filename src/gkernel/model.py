@@ -261,14 +261,15 @@ class ModelSpec:
         one finiteness test over all of it.  Only when that test fails are
         the values searched for the entry and row to name (``_non_finite``).
         A tensor of one entry is that entry's values, uncopied.  The states
-        are checked to be a 2-d array once here, not by each ``Expression``.
+        are checked to be a 2-d array once here, an absent tensor's too, not
+        by each ``Expression``.
         """
         shape = _shapes(self.m, self.d)[name]
         calls, can_warn = self._entry_calls[name]
+        x = _check_states(x)
         n = len(x)
         if not calls:
             return np.zeros((n,) + shape)
-        x = _check_states(x)
         with np.errstate(**IEEE_QUIET) if can_warn else contextlib.nullcontext():
             if len(calls) == 1:
                 flat = calls[0](x)
@@ -340,8 +341,10 @@ class ModelSpec:
         broadcast after that; every other tensor goes through its ``eval_*``
         method.  A product of ``_DERIVED`` whose tensors are all constant is
         likewise formed once per model.  Each is computed only if it is read.
+        The states are checked to be a 2-d array here, since a broadcast
+        constant reads only their row count.
         """
-        return Coefficients(self, x)
+        return Coefficients(self, _check_states(x))
 
     def _constant(self, name: str, x: np.ndarray) -> np.ndarray | None:
         """Tensor or product ``name`` as a read-only broadcast over the rows of

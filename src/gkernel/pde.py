@@ -239,27 +239,11 @@ def nodal_hessian(values: np.ndarray, grid: Grid) -> np.ndarray:
     return np.stack([wxx, wxy, wxy, wyy], axis=-1).reshape(wxx.shape + (2, 2))
 
 
-def _uniform_cell(a_inf: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(a, x, side="right") - 1`` for x in [a[0], a[-1]].
-
-    ``a_inf`` is a uniform axis ``a`` followed by +inf, so the cell is
-    guessed from the spacing and corrected by one comparison on each side
-    instead of a binary search; the +inf keeps the last node's cell.
-    """
-    n = a_inf.size - 1
-    with np.errstate(invalid="ignore"):  # NaN states fall through to NaN output
-        j = ((x - a_inf[0]) * ((n - 1) / (a_inf[n - 1] - a_inf[0]))).astype(np.intp)
-    np.minimum(np.maximum(j, 0, out=j), n - 1, out=j)
-    j -= a_inf.take(j) > x
-    j += a_inf.take(j + 1) <= x
-    return j
-
-
 def _uniform_left_cell(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``np.clip(np.searchsorted(a, x) - 1, 0, a.size - 2)`` for x in [a[0], a[-1]].
 
     The cell of a uniform axis ``a`` is guessed from the spacing and corrected
-    by one comparison on each side, as in ``_uniform_cell``; a node is the
+    by one comparison on each side instead of a binary search; a node is the
     right end of its cell (the first node the left end of the first cell), as
     searchsorted's left side gives.  A NaN reads the first cell.
     """
@@ -279,14 +263,14 @@ class _Interp:
     derivative fields are clamped to their boundary values.  Query points
     are (n, m) arrays.  ``fields`` reads the value, gradient and Hessian of
     each query from one clamp and one cell lookup, component-major: the
-    value (n,), the gradient (m, n) and the Hessian (m, m, n).  In 1D every
-    field equals ``np.interp`` bit for bit; the slopes of each field are
-    formed here once, and the gradient and Hessian are stacked per node so
-    that one gather per cell end reads both.  In 2D each field (the value,
-    each gradient entry, each Hessian entry) is one contiguous row over the
-    row-major nodes, read one row at a time: four gathers of the cell's
-    corners and the bilinear weights in one fixed order, one ufunc per
-    n-vector.  The Hessian's two mixed entries are one node field, read once.
+    value (n,), the gradient (m, n) and the Hessian (m, m, n).  Each field
+    (the value, each gradient entry, each Hessian entry) is one contiguous
+    row over the row-major nodes, read one row at a time by one reader in
+    1D and 2D: a gather of each of the cell's 2^m corners, times its weights
+    t or 1 - t per axis left to right, summed in corner order, one ufunc per
+    n-vector.  In 2D that is ((v00 s0 s1 + v10 t0 s1) + v01 s0 t1) + v11 t0 t1,
+    in 1D v0 s0 + v1 t0.  The Hessian's two mixed entries are one node
+    field, read once.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):
@@ -294,27 +278,25 @@ class _Interp:
         self.axes = grid.axes()
         self._lo = np.array([a[0] for a in self.axes])
         self._hi = np.array([a[-1] for a in self.axes])
-        m = grid.m
+        self._steps = [np.diff(a) for a in self.axes]  # a[i + 1] - a[i], per cell
+        m, nodes = grid.m, values.size
         grad = nodal_gradient(values, grid)
         hess = nodal_hessian(values, grid)
-        if m == 1:
-            # each field with np.interp's cell slopes
-            step = np.diff(self.axes[0])
-            self._axis_inf = np.append(self.axes[0], np.inf)
-            self._value = values, np.diff(values) / step
-            derivs = np.stack([grad[:, 0], hess[:, 0, 0]], axis=-1)
-            self._derivs = derivs, np.diff(derivs, axis=0) / step[:, None]
-        else:
-            nodes = values.size
-            # rows: the value, the gradient entries, the Hessian entries row-major
-            self._rows = np.concatenate([values.reshape(1, nodes), grad.reshape(nodes, m).T,
-                                         hess.reshape(nodes, m * m).T])
+        # rows: the value, the gradient entries, the Hessian entries row-major
+        self._rows = np.concatenate([values.reshape(1, nodes), grad.reshape(nodes, m).T,
+                                     hess.reshape(nodes, m * m).T])
+        # corner c of a cell: its node's offset from the lower corner's, and per
+        # axis ax bit ax of c, 1 for the upper node (weight t), 0 for the lower (1 - t)
+        self._corners = []
+        for c in range(2**m):
+            up = [c >> ax & 1 for ax in range(m)]
+            offset = sum(math.prod(grid.nodes[ax + 1:]) for ax in range(m) if up[ax])
+            self._corners.append((offset, up))
 
     def _clamp(self, x: np.ndarray) -> list:
         """The columns of ``np.clip(x, lo, hi)``, by the ufuncs.  A zero tying a
         bound of the other sign takes the bound's sign, as np.clip does for
-        m = 2; in 1D that sign reaches no output, since the node value is read
-        there."""
+        m = 2."""
         return [np.minimum(np.maximum(x[:, ax], self._lo[ax]), self._hi[ax])
                 for ax in range(self.grid.m)]
 
@@ -323,17 +305,27 @@ class _Interp:
         clamp and one cell lookup; the value, or the gradient and Hessian, are
         None when not asked for.  Beyond the grid the value adds
         <grad(clamped point), x - clamped>, summed from zero over the axes."""
-        m = self.grid.m
+        m, n = self.grid.m, x.shape[0]
         xc = self._clamp(x)
         cells = self._locate(xc)
         delta = [x[:, ax] - xc[ax] for ax in range(m)] if value else []
         extend = any(np.any(dx) for dx in delta)
         grad = hess = None
         if derivs or extend:
-            grad, hess = self._read_derivs(cells, hessian=derivs)
+            grad = np.empty((m, n))
+            for ax in range(m):
+                self._read(1 + ax, cells, grad[ax])
+        if derivs:
+            hess = np.empty((m, m, n))
+            for a in range(m):
+                for b in range(m):
+                    if b < a:  # the mixed entries are one node field
+                        hess[a, b] = hess[b, a]
+                    else:
+                        self._read(1 + m + a * m + b, cells, hess[a, b])
         u = None
         if value:
-            u = self._read_value(cells)
+            u = self._read(0, cells, np.empty(n))
             if extend:
                 step = np.zeros(u.shape)
                 for ax in range(m):
@@ -354,81 +346,39 @@ class _Interp:
         """Least and greatest node value of each derivative field over the corners
         of each cell, (cells, m + m^2) each: every query, clamped, reads a convex
         combination of one cell's corner values."""
-        if self.grid.m == 1:
-            d = self._derivs[0]
-            return np.minimum(d[:-1], d[1:]), np.maximum(d[:-1], d[1:])
         f = self._rows[1:].reshape((-1,) + self.grid.nodes)
-        corners = (f[:, :-1, :-1], f[:, 1:, :-1], f[:, :-1, 1:], f[:, 1:, 1:])
+        corners = [f[(slice(None),) + c]
+                   for c in itertools.product((slice(None, -1), slice(1, None)),
+                                              repeat=self.grid.m)]
         return tuple(np.ascontiguousarray(bound.reduce(corners).reshape(f.shape[0], -1).T)
                      for bound in (np.minimum, np.maximum))
 
     def _locate(self, xc: list) -> tuple:
-        if self.grid.m == 1:
-            a = self.axes[0]
-            x = xc[0]
-            j = _uniform_cell(self._axis_inf, x)
-            jl = np.minimum(j, a.size - 2)  # left node of the cell used for slopes
-            hits = np.flatnonzero(a.take(j) == x)
-            return jl, x - a.take(jl), hits, j.take(hits)
-        (a0, a1), (x0, x1) = self.axes, xc
-        i0, i1 = _uniform_left_cell(a0, x0), _uniform_left_cell(a1, x1)
-        t0 = (x0 - a0.take(i0)) / (a0.take(i0 + 1) - a0.take(i0))
-        t1 = (x1 - a1.take(i1)) / (a1.take(i1 + 1) - a1.take(i1))
-        k00 = i0 * a1.size + i1  # the lower-left node, row-major
-        k10 = k00 + a1.size
-        return (k00, k10, k00 + 1, k10 + 1), (t0, t1, 1 - t0, 1 - t1)
+        """Each query's cell: the row-major node of its lower corner, and per
+        axis the weights (1 - t, t) of the lower and the upper node."""
+        k, weights = None, []
+        for a, step, x in zip(self.axes, self._steps, xc):
+            i = _uniform_left_cell(a, x)
+            t = x - a.take(i)
+            t /= step.take(i)
+            weights.append((1 - t, t))
+            k = i if k is None else k * a.size + i
+        return k, weights
 
-    def _read_value(self, cells: tuple) -> np.ndarray:
-        if self.grid.m == 1:
-            return self._read_1d(self._value, cells)
-        return self._bilinear(0, cells, np.empty(cells[1][0].shape))
-
-    def _read_derivs(self, cells: tuple, hessian: bool) -> tuple:
-        m = self.grid.m
-        if m == 1:
-            out = self._read_1d(self._derivs, cells).T
-            return out[:1], out[1:].reshape(1, 1, -1)
-        n = cells[1][0].shape[0]
-        grad = np.empty((m, n))
-        for ax in range(m):
-            self._bilinear(1 + ax, cells, grad[ax])
-        if not hessian:
-            return grad, None
-        hess = np.empty((m, m, n))
-        for a in range(m):
-            for b in range(m):
-                if b < a:  # the mixed entries are one node field
-                    hess[a, b] = hess[b, a]
-                else:
-                    self._bilinear(1 + m + a * m + b, cells, hess[a, b])
-        return grad, hess
-
-    @staticmethod
-    def _read_1d(field, cells: tuple) -> np.ndarray:
-        # np.interp's arithmetic: slope * (x - a[j]) + arr[j] off the
-        # nodes, the nodal value itself on them
-        arr, slope = field
-        jl, offset, hits, j_hits = cells
-        if arr.ndim > 1:  # fields stacked along a trailing axis
-            offset = offset[:, None]
-        out = slope.take(jl, axis=0) * offset + arr.take(jl, axis=0)
-        out[hits] = arr.take(j_hits, axis=0)
-        return out
-
-    def _bilinear(self, row: int, cells: tuple, out: np.ndarray) -> np.ndarray:
-        """Field ``row`` at the cells into ``out``:
-        ((v00 s0 s1 + v10 t0 s1) + v01 s0 t1) + v11 t0 t1, each product left to right."""
-        (k00, k10, k01, k11), (t0, t1, s0, s1) = cells
+    def _read(self, row: int, cells: tuple, out: np.ndarray) -> np.ndarray:
+        """Field ``row`` at the cells into ``out``: each corner's value times its
+        weights left to right, summed in corner order.  A corner's values are
+        gathered at the lower corner's node from the row shifted by its offset."""
+        k, weights = cells
         f = self._rows[row]
         tmp = np.empty(out.shape)
-        f.take(k00, out=out, mode="clip")  # out= buffers unless the mode is set
-        out *= s0
-        out *= s1
-        for k, w0, w1 in ((k10, t0, s1), (k01, s0, t1), (k11, t0, t1)):
-            f.take(k, out=tmp, mode="clip")
-            tmp *= w0
-            tmp *= w1
-            out += tmp
+        for c, (offset, up) in enumerate(self._corners):
+            dst = out if c == 0 else tmp
+            f[offset:].take(k, out=dst, mode="clip")  # out= buffers unless the mode is set
+            for w, u in zip(weights, up):
+                dst *= w[u]
+            if c:
+                out += tmp
         return out
 
 
@@ -624,8 +574,9 @@ def _hamiltonian_batch(
 # of u B the computed s_c - s_c' falls short of L by at most (to first order,
 # m <= 2, a chain of n roundings counted as n):
 #   14          reading the fields: each is within 7u of a convex combination of
-#               its node values (1D: quotient, product, sum; 2D: two products per
-#               weight, the weight and three sums), doubled in z_i z_j;
+#               its node values (1D: the weight, one product per weight and one
+#               sum; 2D: two products per weight, the weight and three sums),
+#               doubled in z_i z_j;
 #   10          forming H: sigma^T hess sigma, two products and four sums per term,
 #               then four sums of the five parts;
 #   d^2         the two scores, each a sum of d^2 products;

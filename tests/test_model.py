@@ -495,11 +495,23 @@ class TestTensorTable:
 
     @pytest.mark.parametrize("states", [np.zeros(4), np.zeros((2, 3, 2))])
     def test_states_that_are_not_2d_raise(self, states):
-        """Through a public ``eval_*``, a ``Constant`` and a bare ``Expression``."""
+        """Through a public ``eval_*``, a ``Constant`` and a bare ``Expression``,
+        and for an absent tensor through its ``eval_*`` and the bundle."""
         for call in (self._model().eval_b, as_coefficient(0.05),
                      as_coefficient("-x1 + 0.1 * x2")):
             with pytest.raises(ShapeError, match="states must be a 2-d"):
                 call(states)
+        for name in ("k", "v", "h"):
+            for read in (lambda model: getattr(model, f"eval_{name}")(states),
+                         lambda model: model.evaluate(states)[name]):
+                with pytest.raises(ShapeError, match="states must be a 2-d"):
+                    read(self._model(**{name: None}))
+        # a constant the model has formed already is broadcast over the rows
+        model = self._model(k=None, b=[0.1, 0.2])
+        for name in ("k", "b"):
+            model.evaluate(np.zeros((3, 2)))[name]
+            with pytest.raises(ShapeError, match="states must be a 2-d"):
+                model.evaluate(states)[name]
 
     def test_states_checked_once_per_tensor(self, monkeypatch):
         x = np.random.default_rng(7).uniform(-2.0, 2.0, size=(31, 2))

@@ -995,7 +995,22 @@ class TestInterpolation:
             axis, np.nextafter(axis, np.inf), np.nextafter(axis, -np.inf),
         ])
 
-    def test_1d_fields_equal_np_interp_bitwise(self):
+    @staticmethod
+    def _linear(arr, axis, xc):
+        """The 1D form of ``_bilinear``: arr[i] (1 - t) + arr[i + 1] t."""
+        i = np.clip(np.searchsorted(axis, xc) - 1, 0, axis.size - 2)
+        t = (xc - axis[i]) / (axis[i + 1] - axis[i])
+        return arr[i] * (1 - t) + arr[i + 1] * t
+
+    @staticmethod
+    def _near_np_interp(got, xc, axis, arr):
+        """Within 1e-12 of the field's scale of np.interp, which rounds otherwise."""
+        ref = np.interp(xc, axis, arr)
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.all(np.abs(got - ref)[~nan] <= 1e-12 * np.max(np.abs(arr)))
+
+    def test_1d_fields_equal_linear_read_bitwise(self):
         rng = np.random.default_rng(3)
         for bounds, nodes in (((-3.0, 3.0), 257), ((0.1, 0.7), 16), ((-1e3, 7.3), 1001)):
             grid = Grid.build([bounds], [nodes])
@@ -1005,13 +1020,17 @@ class TestInterpolation:
             x = self._query_points(axis, rng)
             xc = np.clip(x, axis[0], axis[-1])
             grad, hess = sol.derivatives_at(x[:, None])
-            ref_grad = np.interp(xc, axis, nodal_gradient(values, grid)[:, 0])
-            ref_hess = np.interp(xc, axis, nodal_hessian(values, grid)[:, 0, 0])
-            assert np.array_equal(grad[:, 0].view(np.int64), ref_grad.view(np.int64))
-            assert np.array_equal(hess[:, 0, 0].view(np.int64), ref_hess.view(np.int64))
+            g_nodes = nodal_gradient(values, grid)[:, 0]
+            h_nodes = nodal_hessian(values, grid)[:, 0, 0]
+            for got, arr in ((grad[:, 0], g_nodes), (hess[:, 0, 0], h_nodes)):
+                ref = self._linear(arr, axis, xc)
+                assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+                self._near_np_interp(got, xc, axis, arr)
             inside = x == xc
-            ref_val = np.interp(x[inside], axis, values)
-            assert np.array_equal(sol.value_at(x[inside][:, None]), ref_val)
+            got = sol.value_at(x[inside][:, None])
+            assert np.array_equal(got.view(np.int64),
+                                  self._linear(values, axis, x[inside]).view(np.int64))
+            self._near_np_interp(got, x[inside], axis, values)
 
     @staticmethod
     def _bilinear(arr, axes, xc):
@@ -1064,13 +1083,16 @@ class TestInterpolation:
         grad, hess = sol.derivatives_at(x)
         g_nodes, h_nodes = nodal_gradient(values, grid), nodal_hessian(values, grid)
         for ax in range(m):
-            ref = (np.interp(xc[:, 0], axes[0], g_nodes[:, 0]) if m == 1
+            ref = (self._linear(g_nodes[:, 0], axes[0], xc[:, 0]) if m == 1
                    else self._bilinear(g_nodes[..., ax], axes, xc))
             assert np.array_equal(grad[:, ax].view(np.int64), ref.view(np.int64))
             for bx in range(m):
-                ref = (np.interp(xc[:, 0], axes[0], h_nodes[:, 0, 0]) if m == 1
+                ref = (self._linear(h_nodes[:, 0, 0], axes[0], xc[:, 0]) if m == 1
                        else self._bilinear(h_nodes[..., ax, bx], axes, xc))
                 assert np.array_equal(hess[:, ax, bx].view(np.int64), ref.view(np.int64))
+        if m == 1:
+            self._near_np_interp(grad[:, 0], xc[:, 0], axes[0], g_nodes[:, 0])
+            self._near_np_interp(hess[:, 0, 0], xc[:, 0], axes[0], h_nodes[:, 0, 0])
 
     @staticmethod
     def _row_major_read(values, grid, x):
@@ -1152,6 +1174,34 @@ class TestInterpolation:
         # a node is the right end of its cell, the first node the left end of the first
         assert np.array_equal(pde._uniform_left_cell(axis, axis),
                               np.maximum(np.arange(axis.size) - 1, 0))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_reads_lie_within_their_cells_corner_values(self, m):
+        # the certificate of pde._certified_candidate takes every gradient and
+        # Hessian read to lie within 7u of a convex combination of its cell's
+        # node values
+        rng = np.random.default_rng(11 + m)
+        for _ in range(4):
+            nodes = rng.integers(16, 60, m)
+            lo = rng.uniform(-5.0, 1.0, m)
+            bounds = np.stack([lo, lo + rng.uniform(0.05, 6.0, m)], axis=1)
+            grid = Grid.build(bounds.tolist(), nodes.tolist())
+            values = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=grid.shape)
+            sol = PdeSolution(grid=grid, kind="stationary", values=values)
+            pts, (low, high) = grid.points(), sol._interp(None).cell_bounds()
+            width = bounds[:, 1] - bounds[:, 0]
+            x = np.concatenate([bounds[:, 0] + width * rng.random((2000, m)), pts,
+                                np.nextafter(pts, np.inf), np.nextafter(pts, -np.inf),
+                                bounds[:, 0] + width * rng.uniform(-1.0, 2.0, (2000, m))])
+            grad, hess = sol.derivatives_at(x)
+            reads = np.concatenate([grad, hess.reshape(len(x), m * m)], axis=1)
+            xc = np.clip(x, bounds[:, 0], bounds[:, 1])
+            cell = 0
+            for ax, axis in enumerate(grid.axes()):
+                i = np.clip(np.searchsorted(axis, xc[:, ax]) - 1, 0, axis.size - 2)
+                cell = cell * (axis.size - 1) + i
+            slack = 7.0 * 2.0**-53 * np.maximum(np.abs(low), np.abs(high))[cell]
+            assert np.all(reads >= low[cell] - slack) and np.all(reads <= high[cell] + slack)
 
     def test_derivatives_at_equals_the_fused_lookup(self, ou_sol):
         rng = np.random.default_rng(4)

@@ -1540,6 +1540,53 @@ class TestPickTable:
         assert pde._certified_candidate(parabolic, ou_model) is None
 
 
+def _manufactured_switching(c=1.0, ell=1.0, s=0.2, lo=0.5, hi=1.0, lam=-0.02):
+    """A 1D model whose ergodic eigenpair is (lam, -c ln cosh(x1 / ell)) exactly.
+
+    b = -x1, sigma = s, Q in [lo, hi], no k, v or h; with t = tanh(x1 / ell)
+    the exact H = s^2 (c / ell^2) ((1 + c) t^2 - 1) changes sign at
+    x* = ell atanh(1 / sqrt(1 + c)), and r = G(H) + b u*' - lam.
+    """
+    t = f"tanh(x1 / {ell!r})"
+    h = f"({s * s * c / ell**2!r} * ({1.0 + c!r} * {t} * {t} - 1.0))"
+    r = (f"0.5 * ({hi!r} * max({h}, 0.0) + {lo!r} * min({h}, 0.0))"
+         f" + {c / ell!r} * x1 * {t} - ({lam!r})")
+    model = ModelSpec.build(m=1, d=1, b=["-x1"], sigma=[[s]], r=r,
+                            uncertainty=UncertaintySet.interval(lo, hi))
+    return model, ell * math.atanh(1.0 / math.sqrt(1.0 + c))
+
+
+class TestManufacturedSwitching:
+    """The method of manufactured solutions where G is nonlinear: the exact
+    worst case switches between the extremes at +-x*."""
+
+    LAM = -0.02
+
+    def test_rate_converges_to_the_exact_one_at_first_order(self):
+        model, _ = _manufactured_switching(lam=self.LAM)
+        lam = {n: solve_ergodic(model, Grid.build([(-4.0, 4.0)], [n]), tol=1e-10).lam
+               for n in (129, 257, 513)}
+        err = {n: v - self.LAM for n, v in lam.items()}
+        assert 1.8 <= err[129] / err[257] <= 2.2 and 1.8 <= err[257] / err[513] <= 2.2
+        assert abs(2.0 * lam[257] - lam[129] - self.LAM) <= 1e-4
+
+    @pytest.mark.parametrize("nodes", [65, 129, 257, 513])
+    def test_policy_switches_within_one_cell_of_the_exact_points(self, nodes):
+        model, x_star = _manufactured_switching(lam=self.LAM)
+        sol = solve_ergodic(model, Grid.build([(-4.0, 4.0)], [nodes]), tol=1e-10)
+        policy = worst_case_policy(sol, model)
+        assert type(policy) is sim._CandidatePolicy  # the full pick, uncertified
+        x = np.linspace(-2.0, 2.0, 4001)
+        q = policy.matrices(0.0, x[:, None])[:, 0, 0]
+        # the upper variance where H > 0, beyond +-x*, the lower one inside
+        assert q[0] == q[-1] == 1.0 and q[2000] == 0.5
+        switch = np.flatnonzero(q[1:] != q[:-1])
+        assert len(switch) == 2
+        cell = 8.0 / (nodes - 1)
+        for at, sign in zip((x[switch] + x[switch + 1]) / 2.0, (-1.0, 1.0)):
+            assert abs(at - sign * x_star) <= cell
+
+
 # ---------------------------------------------------------------------------
 # the contractions of the Euler kernel
 
