@@ -78,6 +78,7 @@ _BAND = 2  # interior band excluded per face in residual statistics
 # Howard's iteration may raise sup |F| before it converges, so Newton is
 # stopped by a step count, not by the first rise of the residual
 _NEWTON_STEPS = 60
+_BLOCK = 64  # steps of a parabolic march between two finiteness checks
 # settings of the damped continuation that solve_ergodic no longer runs: each
 # stays a keyword-only parameter that accepts only None while callers pass it
 _RETIRED = ("delta0", "tol_inner", "max_halvings", "mode", "gradient_cap")
@@ -679,6 +680,14 @@ class _Stepper:
     ``gamma2`` each candidate also gets level * tr(Q_c gamma2), i.e.
     G(H + 2 level gamma2) in place of G(H), the level being passed in by
     the caller.
+
+    The 1D assembly works in private buffers allocated here with their
+    fixed views: the padded w, its differences, w_xx and the Godunov
+    quadratic term, their products with half the diffusion, and the
+    (n_cand, n) rows of the upwind pick; ``residual`` folds the candidate
+    rows in one more.  They are written and read only inside one call and
+    never returned, so no result aliases them, and one stepper serves one
+    caller at a time.
     """
 
     def __init__(self, model: ModelSpec, grid: Grid, gamma2: np.ndarray | None = None):
@@ -713,11 +722,23 @@ class _Stepper:
         # the candidate stacks the operator reads, shaped (n_cand, *grid)
         stack = (self.n_cand,) + self.shape
         self._vel = [self.vel_c[:, ax].reshape(stack) for ax in range(m)]
-        self._up = [v > 0.0 for v in self._vel]
         self._const = self.const_c.reshape(stack)
+        # f on every candidate row: adding it is then a same-shape add, not a broadcast
+        self._f = np.repeat(self.f_base[None], self.n_cand, axis=0)
+        self._each = np.empty((self.n_cand, n))  # the candidate rows ``residual`` folds
         if m == 1:
-            self._half_a = 0.5 * self.diff_c[:, 0, 0]
+            h, node = self.hs[0], np.arange(n)
+            # each candidate's upwind difference, an index into the n + 1 differences
+            pick_at = np.where(self._vel[0] > 0.0, node + 1, node)
+            wp, s = np.empty(n + 2), np.empty(n + 1)
+            wq, prods = np.empty((2, 1, n)), np.empty((2, self.n_cand, n))
+            # bound once, in the order _candidates_1d unpacks them
+            self._work = (wp, wp[1:-1], wp[2:], wp[:-2], wp[1:], wp[:-1], s, s[:-1], s[1:],
+                          wq, wq[0, 0], wq[1, 0], np.empty(n), prods, prods[0], prods[1],
+                          np.empty((self.n_cand, n)), 0.5 * self.diff_c[:, 0, 0], self._vel[0],
+                          self._const, h, h**2, pick_at)
         else:
+            self._up = [v > 0.0 for v in self._vel]
             self._a11, self._a12, self._a22 = (
                 self.diff_c[:, i, j].reshape(stack) for i, j in ((0, 0), (0, 1), (1, 1)))
             self._two_a12 = 2.0 * self._a12
@@ -727,51 +748,78 @@ class _Stepper:
 
     # -- stationary residual ---------------------------------------------
 
-    def residual(self, w: np.ndarray, level=0.0, policy=None) -> np.ndarray:
-        """S(w), the candidate max of the assembled operator.
+    def residual(self, w: np.ndarray, level=0.0, policy=None, out=None) -> np.ndarray:
+        """S(w), the candidate max of the assembled operator, into ``out`` if given.
 
         ``level`` is a scalar or one value per node.  ``policy`` (a
         candidate index, or one per node) takes that candidate in place of
-        the max.
+        the max.  The max folds the candidates left to right, so a tie
+        keeps the first candidate's bits.
         """
-        each = self.candidates(w, level)
-        if policy is None:
-            return np.maximum.reduce(each, axis=0)
-        return each[policy, np.arange(each.shape[1])]
+        each = self.candidates(w, level, self._each)
+        if out is None:
+            out = np.empty(each.shape[1])
+        if policy is not None:
+            out[...] = each[policy, np.arange(out.size)]
+        elif self.n_cand == 1:
+            out[...] = each[0]
+        else:
+            np.maximum(each[0], each[1], out=out)
+            for c in range(2, self.n_cand):
+                np.maximum(out, each[c], out=out)
+        return out
 
-    def candidates(self, w: np.ndarray, level=0.0) -> np.ndarray:
-        """S_c(w) of every candidate c, f and the gamma2 level term included, (n_cand, n)."""
-        out = self._candidates_1d(w) if self.grid.m == 1 else self._candidates_2d(w)
-        out = out.reshape(self.n_cand, -1)
+    def candidates(self, w: np.ndarray, level=0.0, out=None) -> np.ndarray:
+        """S_c(w) of every candidate c, f and the gamma2 level term included,
+        (n_cand, n), into ``out`` if given."""
+        if out is None:
+            out = np.empty(self._each.shape)
+        # a bound method kept on the stepper would make it a reference cycle, which
+        # outlives its solve until the cyclic collector runs
+        if self.grid.m == 1:
+            self._candidates_1d(w, out)
+        else:
+            self._candidates_2d(w, out)
         if self.gamma2 is not None:
             out += self.trg2[:, None] * level
-        out += self.f_base
+        out += self._f
         return out
 
     def _differences(self, w) -> tuple:
         """Linearly padded w (grid-shaped) and (backward, forward) differences per
-        axis, both read from one difference of neighbours along it."""
-        if self.grid.m == 1:
-            wp = _pad_linear_1d(w)
-            s = (wp[1:] - wp[:-1]) / self.hs[0]
-            return wp, [(s[:-1], s[1:])]
+        axis, both read from one difference of neighbours along it; 2D only."""
         wp = _pad_linear_2d(w.reshape(self.shape))
         s1 = (wp[1:, 1:-1] - wp[:-1, 1:-1]) / self.hs[0]
         s2 = (wp[1:-1, 1:] - wp[1:-1, :-1]) / self.hs[1]
         return wp, [(s1[:-1], s1[1:]), (s2[:, :-1], s2[:, 1:])]
 
-    def _candidates_1d(self, w) -> np.ndarray:
-        wp, ((dm, dp),) = self._differences(w)
-        (wxx,) = _second_differences(wp, self.hs)
-        quad = np.maximum(dp, 0.0) ** 2 + np.minimum(dm, 0.0) ** 2
-        (vel,), (up,) = self._vel, self._up
-        out = self._half_a * wxx
-        out += vel * np.where(up, dp, dm)
-        out += self._half_a * quad
-        out += self._const
-        return out
+    def _candidates_1d(self, w, out) -> None:
+        """The 1D S_c without f into ``out``, in the order of operations of
+        ``_pad_linear_1d``, ``_second_differences`` and the 2D assembly.
 
-    def _candidates_2d(self, w2) -> np.ndarray:
+        w_xx and the Godunov quad are the two rows of ``wq``, so one product
+        with half the diffusion gives both of its terms per candidate.
+        """
+        (wp, core, above, below, right, left, s, dm, dp, wq, wxx, quad, low, prods, diffusion,
+         godunov, rows, half_a, vel, const, h, h2, pick_at) = self._work
+        core[...] = w
+        wp[0] = 2.0 * w[0] - w[1]
+        wp[-1] = 2.0 * w[-1] - w[-2]
+        np.divide(np.subtract(right, left, out=s), h, out=s)
+        np.multiply(2.0, core, out=wxx)
+        np.add(np.subtract(above, wxx, out=wxx), below, out=wxx)
+        np.divide(wxx, h2, out=wxx)
+        np.square(np.maximum(dp, 0.0, out=quad), out=quad)
+        np.add(quad, np.square(np.minimum(dm, 0.0, out=low), out=low), out=quad)
+        np.multiply(half_a, wq, out=prods)
+        # take's out= buffers unless the mode is set; every index is in range
+        np.multiply(vel, s.take(pick_at, out=rows, mode="clip"), out=rows)
+        np.add(diffusion, rows, out=out)
+        out += godunov
+        out += const
+
+    def _candidates_2d(self, w2, out) -> None:
+        """The 2D S_c without f into ``out``."""
         wp, ((dm1, dp1), (dm2, dp2)) = self._differences(w2)
         wxx, wyy, wxy = _second_differences(wp, self.hs)
         wxc = 0.5 * (dm1 + dp1)
@@ -780,13 +828,13 @@ class _Stepper:
         god2 = np.maximum(dp2, 0.0) ** 2 + np.minimum(dm2, 0.0) ** 2
         (v1, v2), (up1, up2) = self._vel, self._up
         a11, a12, a22 = self._a11, self._a12, self._a22
-        out = 0.5 * (a11 * wxx + self._two_a12 * wxy + a22 * wyy)
+        out = out.reshape(self._const.shape)
+        np.multiply(0.5, a11 * wxx + self._two_a12 * wxy + a22 * wyy, out=out)
         out += v1 * np.where(up1, dp1, dm1)
         out += v2 * np.where(up2, dp2, dm2)
         out += 0.5 * (a11 * god1 + a22 * god2)
         out += a12 * wxc * wyc
         out += self._const
-        return out
 
     # -- time-step control -----------------------------------------------
 
@@ -911,7 +959,11 @@ def solve_parabolic(
     The time step must satisfy the diffusion stability bound
     dt <= h^2/(sig_hi2 m_sigma^2 m * 1.05); a stricter positivity bound
     including first-order terms is only warned about, with runtime
-    divergence detection as the backstop.
+    divergence detection as the backstop: once per ``_BLOCK`` steps the
+    march checks the slices it wrote, and raises :class:`DivergenceError`
+    naming the first non-finite node of the first non-finite slice, by its
+    sweep (steps from the terminal).  numpy's overflow and invalid-value
+    warnings are silenced inside the march, so that error is its one report.
     """
     if grid.horizon is None:
         raise ShapeError("parabolic solves need a grid with horizon/time_steps")
@@ -950,10 +1002,18 @@ def solve_parabolic(
     hist = np.empty((n_t + 1,) + grid.shape)
     hist[n_t] = w_term
     flat = hist.reshape(n_t + 1, -1)  # each step is written straight into hist
-    for q in range(n_t - 1, -1, -1):
-        w = flat[q + 1]
-        np.add(w, dt * stepper.residual(w), out=flat[q])
-        _check_finite(flat[q], n_t - q)
+    w, res = flat[n_t], np.empty(flat.shape[1])
+    # the block check below reports a diverging march, not numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for top in range(n_t, 0, -_BLOCK):
+            bottom = max(top - _BLOCK, 0)
+            for q in range(top - 1, bottom - 1, -1):
+                stepper.residual(w, out=res)
+                res *= dt
+                w = np.add(w, res, out=flat[q])
+            if not np.isfinite(flat[bottom:top]).all():
+                for q in range(top - 1, bottom - 1, -1):  # march order
+                    _check_finite(flat[q], n_t - q)
 
     # no residual report: nothing reads one, and over 65 time slices it costs
     # about a seventh of the march

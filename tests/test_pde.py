@@ -1,8 +1,10 @@
 """Driver matrices, the monotone marching scheme, and the long-run eigenpair."""
 
 import functools
+import gc
 import math
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from gkernel import (
     CflError,
     ConvergenceError,
+    DivergenceError,
     Grid,
     IterationError,
     ModelSpec,
@@ -778,11 +781,11 @@ def loop_residual(st, w, level=0.0, gamma2=None, policy=None):
     return _loop_select(parts, policy) + st.f_base
 
 
-def _state_dependent_1d(**extra):
+def _state_dependent_1d(uncertainty=UncertaintySet.interval(0.8, 1.2), **extra):
     return ModelSpec.build(
         m=1, d=1, b=["0.05 - x1"], sigma=[["0.2 + 0.05 * tanh(x1)"]], r="x1",
         v=[0.3], k=[["0.01 * x1"]], h=[[["0.02 * tanh(x1)"]]],
-        uncertainty=UncertaintySet.interval(0.8, 1.2), **extra)
+        uncertainty=uncertainty, **extra)
 
 
 def _state_dependent_2d():
@@ -814,6 +817,25 @@ STACKED_CASES = {
                         {"gamma2": np.array([[-0.2, 0.05], [0.05, -0.3]])}),
     "2d-state-sigma": (_state_dependent_2d, [19, 17], {}),
 }
+
+
+# 1D sets for the march: two endpoints; three members, so the max folds past two
+# rows; two equal endpoints, which tie at every node; one member, with no fold
+MARCH_1D_SETS = {
+    "interval": UncertaintySet.interval(0.8, 1.2),
+    "three-members": UncertaintySet.finite([[[1.0]], [[0.8]], [[1.2]]]),
+    "degenerate-interval": UncertaintySet.interval(1.0, 1.0),
+    "one-member": UncertaintySet.finite([[[1.0]]]),
+}
+
+
+def _arrays(value):
+    """The arrays an attribute holds, directly or in a tuple or list."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for item in value for a in _arrays(item)]
+    return []
 
 
 class TestStackedOperator:
@@ -855,6 +877,79 @@ class TestStackedOperator:
             w = w + grid.dt * loop_residual(st, w)
             hist.append(w)
         assert sol.values.tobytes() == np.stack(hist[::-1]).reshape(sol.values.shape).tobytes()
+
+    @pytest.mark.parametrize("kind", list(MARCH_1D_SETS))
+    def test_march_1d_equals_the_loop_march(self, kind):
+        # 150 steps: two finiteness checks of 64 steps, then a partial block
+        model = _state_dependent_1d(MARCH_1D_SETS[kind])
+        grid = Grid.build([(-2.0, 2.0)], [65], horizon=0.5, time_steps=150)
+        terminal = np.sin(3.0 * grid.axes()[0])
+        terminal[[0, 20, 32]] = 0.0
+        terminal[[1, 40, 64]] = -0.0
+        sol = solve_parabolic(model, grid, terminal)
+        st = pde._Stepper(model, grid)
+        w, hist = terminal, [terminal]
+        for _ in range(grid.time_steps):
+            w = w + grid.dt * loop_residual(st, w)
+            hist.append(w)
+        assert sol.values.tobytes() == np.stack(hist[::-1]).tobytes()
+
+    @pytest.mark.parametrize("case", ["1d-gamma2", "2d-three-gamma2"])
+    def test_no_result_aliases_the_workspace(self, case):
+        # the Newton solve keeps one call's candidates and residual across the next calls
+        build, nodes, kwargs = STACKED_CASES[case]
+        st = pde._Stepper(build(), Grid.build([(-2.0, 2.0)] * len(nodes), nodes), **kwargs)
+        n = st.pts.shape[0]
+        rng = np.random.default_rng(23)
+        policy = rng.integers(0, st.n_cand, n)
+        calls = (lambda w: st.candidates(w, 0.3), lambda w: st.residual(w, 0.3),
+                 lambda w: st.residual(w, 0.3, policy))
+        first = [call(rng.normal(size=n)) for call in calls]
+        kept = [a.copy() for a in first]
+        results = first + [call(rng.normal(size=n)) for call in calls]
+        workspace = [a for value in vars(st).values() for a in _arrays(value)]
+        for i, a in enumerate(results):
+            assert not any(np.shares_memory(a, b) for b in results[i + 1:] + workspace)
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in kept]
+
+    @pytest.mark.parametrize("nodes", [[65], [19, 17]])
+    def test_a_stepper_needs_no_cycle_collector(self, nodes):
+        # a stepper that referenced itself would keep its arrays after its solve
+        # until the cyclic collector ran, and the heap would grow between solves
+        st = pde._Stepper(_state_dependent_1d() if len(nodes) == 1 else _state_dependent_2d(),
+                          Grid.build([(-2.0, 2.0)] * len(nodes), nodes))
+        st.residual(np.zeros(st.pts.shape[0]))
+        ref = weakref.ref(st)
+        gc.disable()
+        try:
+            del st
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+class TestMarchDivergence:
+    """A march that overflows names the first non-finite node and sweep, and
+    numpy warns of nothing on the way."""
+
+    @pytest.mark.parametrize("b,horizon,steps,terminal,where,warned", [
+        ("0.05 - x1", 1.0, 200, lambda x: 1e120 * x**2, "[node 2, sweep 2]", []),
+        # past the first block of checks, and not on its boundary
+        ("-5 * x1", 0.00922 * 3000, 3000, lambda x: np.sin(3.0 * x), "[node 0, sweep 87]",
+         ["exceeds the positivity bound"]),
+    ], ids=["overflowing-terminal", "unstable-step"])
+    def test_first_non_finite_node_and_sweep(self, b, horizon, steps, terminal, where, warned):
+        model = ModelSpec.build(m=1, d=1, b=[b], sigma=[[0.2]], r="x1",
+                                uncertainty=UncertaintySet.interval(0.8, 1.2))
+        grid = Grid.build([(-2.0, 2.0)], [65], horizon=horizon, time_steps=steps)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DivergenceError) as exc:
+                solve_parabolic(model, grid, terminal(grid.axes()[0]))
+        assert str(exc.value) == f"solution became non-finite {where}"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert [w.category for w in caught] == [UserWarning] * len(warned)
+        assert all(text in str(w.message) for w, text in zip(caught, warned))
 
 
 def _neighbour_weights(st, w, eps=1e-7):
